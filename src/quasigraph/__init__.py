@@ -16,7 +16,6 @@ from .connectivity import (
     Cut,
     QuasiConnectivity,
     enumerate_cuts,
-    enumeration_mode,
     is_cut,
     is_nontrivial_cut,
     is_quasi_k_connected,
@@ -39,6 +38,7 @@ from .contractibility import (
     check_martinov,
     compute_E0,
     contraction_reports,
+    first_contractible_edge,
     is_contraction_critical,
     is_k_contractible,
     is_quasi_k_contractible,

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .connectivity import is_quasi_k_connected, vertex_connectivity
-from .contractibility import contraction_reports, is_contraction_critical
+from .connectivity import is_quasi_k_connected
+from .contractibility import contraction_reports, first_contractible_edge
 from .fragments import nontrivial_atom
 from .generators import CorpusSpec, generate_corpus, read_corpus_file
 from .harness import CLAIMS, run_campaign
@@ -31,7 +31,7 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
         "graph_id": graph_id,
         "n": g.n,
         "m": g.edge_count,
-        "kappa": vertex_connectivity(g),
+        "kappa": quasi.kappa,
         "quasi_k": quasi.to_json(),
         "nontrivial_atom": None,
         "E0": None,
@@ -75,8 +75,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         scanned += 1
         if not is_quasi_k_connected(g, 5).holds:
             continue
-        critical, _ = is_contraction_critical(g, 5, quasi=True)
-        if critical:
+        if first_contractible_edge(g, 5, quasi=True) is None:
             hit = {"graph_id": graph_id, "n": g.n, "graph6": gio.to_graph6(g)}
             hits.append(hit)
             print(json.dumps(hit, sort_keys=True))

@@ -5,7 +5,8 @@ Connectivity uses unit-capacity max-flow on the standard vertex-split
 digraph, with the dominating pair/neighbor scheme: fix a minimum-degree
 vertex v, take local connectivity against every non-neighbor of v and
 between every non-adjacent pair of neighbors of v. Augmentation order is
-fixed so witness cuts are reproducible.
+fixed so witness cuts are reproducible. Cut enumeration tests every vertex
+subset of the requested size, so it is always complete.
 """
 
 from __future__ import annotations
@@ -238,17 +239,10 @@ def vertex_connectivity(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Cut enumeration.
 
-def enumeration_mode(n: int, size: int) -> str:
-    """Exhaustive subset enumeration at desk scale, flow-limited beyond."""
-    return "exhaustive" if n <= 16 or size <= 5 else "flow-limited"
-
-
-def enumerate_cuts(g: Graph, size: int, force_exhaustive: bool = False) -> list[Cut]:
+def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
     """All cuts of exactly `size` vertices, lexicographically sorted.
 
-    In flow-limited mode (large n and size > 5, unless forced) only
-    separators realized by some non-adjacent pair's max-flow, from both
-    residual sides, are reported; completeness is not guaranteed there.
+    Every `size`-subset is tested, so the list is always complete.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
@@ -256,26 +250,14 @@ def enumerate_cuts(g: Graph, size: int, force_exhaustive: bool = False) -> list[
         raise ValueError(f"size {size} must be smaller than the vertex count {g.n}")
     masks = g.masks
     full = g.full_mask
-    if force_exhaustive or enumeration_mode(g.n, size) == "exhaustive":
-        cuts = []
-        for combo in combinations(range(g.n), size):
-            alive = full & ~vertices_to_mask(combo)
-            comps = component_masks(masks, alive)
-            if len(comps) >= 2:
-                cuts.append(_cut_from_components(
-                    combo, tuple(mask_to_vertices(c) for c in comps)))
-        return cuts
-    found: set[tuple[int, ...]] = set()
-    for s, t in combinations(range(g.n), 2):
-        if g.has_edge(s, t):
-            continue
-        k_st, sep = _local_vertex_cut(g, s, t)
-        if k_st == size:
-            found.add(sep)
-            k_ts, sep_rev = _local_vertex_cut(g, t, s)
-            if k_ts == size:
-                found.add(sep_rev)
-    return [make_cut(g, sep) for sep in sorted(found)]
+    cuts = []
+    for combo in combinations(range(g.n), size):
+        alive = full & ~vertices_to_mask(combo)
+        comps = component_masks(masks, alive)
+        if len(comps) >= 2:
+            cuts.append(_cut_from_components(
+                combo, tuple(mask_to_vertices(c) for c in comps)))
+    return cuts
 
 
 def minimum_cuts(g: Graph) -> list[Cut]:
@@ -320,7 +302,8 @@ class QuasiConnectivity:
 def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     """(k-1)-connected with no nontrivial (k-1)-cut.
 
-    Cut enumeration is forced exhaustive so the verdict is always sound.
+    When kappa is exactly k-1, every (k-1)-cut is enumerated, so the
+    verdict is always sound.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -329,7 +312,7 @@ def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut)
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None)
-    for cut in enumerate_cuts(g, k - 1, force_exhaustive=True):
+    for cut in enumerate_cuts(g, k - 1):
         if cut.nontrivial:
             return QuasiConnectivity(False, k, kappa, "nontrivial-cut", cut)
     return QuasiConnectivity(True, k, kappa, None, None)

@@ -1,6 +1,8 @@
 """Per-edge contraction verdicts, the set of quasi-breaking edges, and
 contraction-criticality tests.
 
+Every search for a contractible edge runs through `first_contractible_edge`.
+
 For a quasi k-connected graph the edge set partitions into three classes:
 quasi k-contractible edges, edges whose contraction keeps (k-1)-connectivity
 but admits a nontrivial (k-1)-cut (the quasi-breaking set E0), and edges
@@ -9,6 +11,7 @@ whose contraction drops connectivity below k-1.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .core import Graph, contract_edge
@@ -18,6 +21,16 @@ from .connectivity import (
     is_quasi_k_connected,
     vertex_connectivity,
 )
+
+
+class DeadlineExceeded(Exception):
+    """A check ran past its deadline."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise DeadlineExceeded once time.monotonic() has passed deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded
 
 
 @dataclass(frozen=True)
@@ -101,14 +114,33 @@ def is_quasi_k_contractible(g: Graph, e: tuple[int, int], k: int = 5) -> Contrac
 def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
     """Edges whose contraction keeps (k-1)-connectivity but is not quasi
     k-connected; requires g quasi k-connected."""
-    _require_quasi(g, k)
-    return tuple(e for e in g.edges() if _edge_report(g, e, k).in_E0)
+    return tuple(r.edge for r in contraction_reports(g, k) if r.in_E0)
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
     """Per-edge reports for the whole graph, sorted by edge."""
     _require_quasi(g, k)
     return [_edge_report(g, e, k) for e in g.edges()]
+
+
+def first_contractible_edge(g: Graph, k: int, quasi: bool,
+                            deadline: float | None = None) -> tuple[int, int] | None:
+    """The first edge in sorted order whose contraction leaves a quasi
+    k-connected graph (`quasi`) or a k-connected graph (not `quasi`), or
+    None when no edge does.
+
+    Hypotheses on g are not checked. The deadline, a time.monotonic()
+    value, is checked before each edge.
+    """
+    for e in g.edges():
+        check_deadline(deadline)
+        contracted = contract_edge(g, e).graph
+        if quasi:
+            if is_quasi_k_connected(contracted, k).holds:
+                return e
+        elif vertex_connectivity(contracted) >= k:
+            return e
+    return None
 
 
 def is_contraction_critical(g: Graph, k: int,
@@ -120,16 +152,17 @@ def is_contraction_critical(g: Graph, k: int,
     """
     if quasi:
         _require_quasi(g, k)
-        for e in g.edges():
-            if is_quasi_k_connected(contract_edge(g, e).graph, k).holds:
-                return False, e
-        return True, None
-    if vertex_connectivity(g) < k:
+    elif vertex_connectivity(g) < k:
         raise ValueError(f"hypothesis violated: graph is not {k}-connected")
-    for e in g.edges():
-        if vertex_connectivity(contract_edge(g, e).graph) >= k:
-            return False, e
-    return True, None
+    edge = first_contractible_edge(g, k, quasi)
+    return edge is None, edge
+
+
+def is_regular_triangular(g: Graph) -> bool:
+    """4-regular with every edge in a triangle: the structural side of the
+    4-connected criticality characterization."""
+    return (all(g.degree(v) == 4 for v in g.vertices)
+            and all(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()))
 
 
 def check_martinov(g: Graph) -> tuple[bool, bool]:
@@ -138,7 +171,4 @@ def check_martinov(g: Graph) -> tuple[bool, bool]:
     edge in a triangle)."""
     if vertex_connectivity(g) < 4:
         raise ValueError("hypothesis violated: graph is not 4-connected")
-    critical, _ = is_contraction_critical(g, 4, quasi=False)
-    regular = all(g.degree(v) == 4 for v in g.vertices)
-    triangular = all(g.neighbors(u) & g.neighbors(v) for u, v in g.edges())
-    return critical, regular and triangular
+    return first_contractible_edge(g, 4, quasi=False) is None, is_regular_triangular(g)

@@ -1,17 +1,18 @@
 """Claim verification over graph corpora, with witness certificates.
 
 Each claim is checked per graph: hypotheses are recomputed from scratch,
-and a claim is reported falsified only when its hypotheses hold, the
-conclusion fails, and the underlying cut enumeration was exhaustive.
-Reports stream to JSON lines with canonical key order, so a fixed corpus
-and seed produce byte-identical output.
+and a claim is reported falsified only when its hypotheses hold and the
+conclusion fails; cut enumeration is always exhaustive. Every search for a
+contractible edge goes through `first_contractible_edge`, and one table maps
+each claim name to its runner. Reports stream to JSON lines with canonical
+key order, so a fixed corpus and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -23,36 +24,21 @@ from .core import (
     triangles_in_neighborhood,
     vertices_within_distance,
 )
-from .connectivity import (
-    enumerate_cuts,
-    enumeration_mode,
-    is_quasi_k_connected,
-    vertex_connectivity,
+from .connectivity import enumerate_cuts, is_quasi_k_connected, vertex_connectivity
+from .contractibility import (
+    DeadlineExceeded,
+    check_deadline,
+    first_contractible_edge,
+    is_regular_triangular,
 )
-from .contractibility import is_contraction_critical
 from .fragments import fragments_of_cut
 from .generators import generate_corpus
 from . import io as gio
-
-CLAIMS = (
-    "theorem1", "theorem2",
-    "lemma1", "lemma2", "lemma3", "lemma4", "lemma5",
-    "degree_condition_A", "degree_condition_BC",
-)
 
 VERIFIED = "verified"
 VACUOUS = "vacuous"
 FALSIFIED = "falsified"
 TIMEOUT = "timeout"
-
-
-class DeadlineExceeded(Exception):
-    pass
-
-
-def _tick(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded
 
 
 @dataclass
@@ -63,7 +49,7 @@ class VerificationReport:
     hypotheses_hold: bool | None
     conclusion_holds: bool | None
     witness: dict | None
-    enumeration_mode: str = "exhaustive"
+    enumeration_mode: str = "exhaustive"  # always; kept for the report schema
     elapsed: float = 0.0
 
     def to_json(self, include_elapsed: bool = False) -> dict:
@@ -122,27 +108,6 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness scans.
-
-def _find_quasi_contractible_edge(g: Graph, k: int,
-                                  deadline: float | None) -> tuple[int, int] | None:
-    for e in g.edges():
-        _tick(deadline)
-        if is_quasi_k_connected(contract_edge(g, e).graph, k).holds:
-            return e
-    return None
-
-
-def _find_k_contractible_edge(g: Graph, k: int,
-                              deadline: float | None) -> tuple[int, int] | None:
-    for e in g.edges():
-        _tick(deadline)
-        if vertex_connectivity(contract_edge(g, e).graph) >= k:
-            return e
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Theorems.
 
 def verify_theorem1(g: Graph, graph_id: str = "",
@@ -151,7 +116,7 @@ def verify_theorem1(g: Graph, graph_id: str = "",
     kappa = vertex_connectivity(g)
     if kappa < 5:
         return _vacuous(graph_id, "theorem1", f"kappa={kappa}<5")
-    edge = _find_quasi_contractible_edge(g, 5, deadline)
+    edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
     if edge is not None:
         return _verified(graph_id, "theorem1", {"edge": list(edge)})
     return _falsified(g, graph_id, "theorem1", {})
@@ -171,7 +136,7 @@ def verify_theorem2(g: Graph, graph_id: str = "",
         return _vacuous(
             graph_id, "theorem2",
             f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<9 for pair {list(pair)}")
-    edge = _find_quasi_contractible_edge(g, 5, deadline)
+    edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
     if edge is not None:
         return _verified(graph_id, "theorem2", {"edge": list(edge)})
     return _falsified(g, graph_id, "theorem2", {})
@@ -193,13 +158,14 @@ def _verify_lemma1(g: Graph, graph_id: str, exhaustive: bool,
         return _vacuous(graph_id, "lemma1",
                         "criticality hypothesis gated behind exhaustive mode",
                         hypotheses_hold=None)
-    critical, witness_edge = is_contraction_critical(g, 5, quasi=True)
-    if not critical:
+    # kappa >= 5 makes g quasi 5-connected, so criticality is well posed.
+    witness_edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
+    if witness_edge is not None:
         return _vacuous(graph_id, "lemma1",
                         f"not contraction critical: edge {list(witness_edge)} contracts safely")
     configs = 0
-    for cut in enumerate_cuts(g, kappa, force_exhaustive=True):
-        _tick(deadline)
+    for cut in enumerate_cuts(g, kappa):
+        check_deadline(deadline)
         for frag in fragments_of_cut(g, cut):
             if not frag.is_nontrivial():
                 continue
@@ -228,7 +194,7 @@ def _verify_lemma2(g: Graph, graph_id: str,
         return _vacuous(graph_id, "lemma2", f"not quasi 5-connected ({quasi.failure})")
     configs = 0
     for e in g.edges():
-        _tick(deadline)
+        check_deadline(deadline)
         contracted = contract_edge(g, e).graph
         if contracted.n == 0 or contracted.min_degree() < 4:
             continue
@@ -257,7 +223,7 @@ def _verify_lemma3(g: Graph, graph_id: str,
     for x in degree_k_vertices(g, 4):
         nbrs = set(g.sorted_neighbors(x))
         for tri in triangles_in_neighborhood(g, x):
-            _tick(deadline)
+            check_deadline(deadline)
             (x4,) = nbrs - set(tri)
             configs += 1
             if not is_quasi_k_connected(contract_edge(g, (x, x4)).graph, 5).holds:
@@ -279,11 +245,9 @@ def _verify_lemma4(g: Graph, graph_id: str,
     kappa = vertex_connectivity(g)
     if kappa < 4:
         return _vacuous(graph_id, "lemma4", f"kappa={kappa}<4")
-    _tick(deadline)
-    critical, witness_edge = is_contraction_critical(g, 4, quasi=False)
-    regular = all(g.degree(v) == 4 for v in g.vertices)
-    triangular = all(g.neighbors(u) & g.neighbors(v) for u, v in g.edges())
-    structural = regular and triangular
+    witness_edge = first_contractible_edge(g, 4, quasi=False, deadline=deadline)
+    critical = witness_edge is None
+    structural = is_regular_triangular(g)
     payload = {
         "is_critical": critical,
         "is_regular_triangular": structural,
@@ -309,30 +273,15 @@ def _verify_lemma5(g: Graph, graph_id: str, exhaustive: bool,
         return _vacuous(graph_id, "lemma5",
                         "criticality hypothesis gated behind exhaustive mode",
                         hypotheses_hold=None)
-    critical, witness_edge = is_contraction_critical(g, 5, quasi=True)
-    if not critical:
+    witness_edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
+    if witness_edge is not None:
         return _vacuous(graph_id, "lemma5",
                         f"not contraction critical: edge {list(witness_edge)} contracts safely")
     for x in degree_k_vertices(g, 4):
-        _tick(deadline)
+        check_deadline(deadline)
         if classify_neighborhood(g, x).tag == "4K1":
             return _falsified(g, graph_id, "lemma5", {"vertex": x})
     return _verified(graph_id, "lemma5", None)
-
-
-def verify_lemma(g: Graph, which: str, graph_id: str = "", exhaustive: bool = True,
-                 deadline: float | None = None) -> VerificationReport:
-    if which == "lemma1":
-        return _verify_lemma1(g, graph_id, exhaustive, deadline)
-    if which == "lemma2":
-        return _verify_lemma2(g, graph_id, deadline)
-    if which == "lemma3":
-        return _verify_lemma3(g, graph_id, deadline)
-    if which == "lemma4":
-        return _verify_lemma4(g, graph_id, deadline)
-    if which == "lemma5":
-        return _verify_lemma5(g, graph_id, exhaustive, deadline)
-    raise ValueError(f"unknown lemma id {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +304,7 @@ def verify_degree_condition_A(g: Graph, k: int | None = None, graph_id: str = ""
     if not check_min_degree_condition(g, k):
         return _vacuous(graph_id, claim,
                         f"min degree {g.min_degree()} < {(5 * k) // 4}")
-    edge = _find_k_contractible_edge(g, k, deadline)
+    edge = first_contractible_edge(g, k, quasi=False, deadline=deadline)
     if edge is not None:
         return _verified(graph_id, claim, {"edge": list(edge), "k": k})
     return _falsified(g, graph_id, claim, {"k": k})
@@ -386,7 +335,7 @@ def verify_degree_condition_BC(g: Graph, k: int | None = None, graph_id: str = "
         assert pair is not None
         return _vacuous(graph_id, claim,
                         f"degree sum below {bound} for pair {list(pair)}")
-    edge = _find_k_contractible_edge(g, k, deadline)
+    edge = first_contractible_edge(g, k, quasi=False, deadline=deadline)
     if edge is not None:
         return _verified(graph_id, claim, {"edge": list(edge), "k": k})
     return _falsified(g, graph_id, claim, {"k": k})
@@ -395,28 +344,39 @@ def verify_degree_condition_BC(g: Graph, k: int | None = None, graph_id: str = "
 # ---------------------------------------------------------------------------
 # Dispatch and campaign runner.
 
+# Claim name -> runner(g, graph_id, k, exhaustive, deadline).
+_RUNNERS = {
+    "theorem1": lambda g, gid, k, ex, dl: verify_theorem1(g, gid, dl),
+    "theorem2": lambda g, gid, k, ex, dl: verify_theorem2(g, gid, dl),
+    "lemma1": lambda g, gid, k, ex, dl: _verify_lemma1(g, gid, ex, dl),
+    "lemma2": lambda g, gid, k, ex, dl: _verify_lemma2(g, gid, dl),
+    "lemma3": lambda g, gid, k, ex, dl: _verify_lemma3(g, gid, dl),
+    "lemma4": lambda g, gid, k, ex, dl: _verify_lemma4(g, gid, dl),
+    "lemma5": lambda g, gid, k, ex, dl: _verify_lemma5(g, gid, ex, dl),
+    "degree_condition_A": lambda g, gid, k, ex, dl: verify_degree_condition_A(g, k, gid, dl),
+    "degree_condition_BC": lambda g, gid, k, ex, dl: verify_degree_condition_BC(g, k, gid, dl),
+}
+CLAIMS = tuple(_RUNNERS)
+
+
+def verify_lemma(g: Graph, which: str, graph_id: str = "", exhaustive: bool = True,
+                 deadline: float | None = None) -> VerificationReport:
+    if not which.startswith("lemma") or which not in _RUNNERS:
+        raise ValueError(f"unknown lemma id {which!r}")
+    return _RUNNERS[which](g, graph_id, None, exhaustive, deadline)
+
+
 def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
                  exhaustive: bool = True, timeout: float | None = None) -> VerificationReport:
-    if claim not in CLAIMS:
+    if claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
     deadline = None if timeout is None else time.monotonic() + timeout
     start = time.monotonic()
-    mode = enumeration_mode(g.n, 4)
     try:
-        if claim == "theorem1":
-            rep = verify_theorem1(g, graph_id, deadline)
-        elif claim == "theorem2":
-            rep = verify_theorem2(g, graph_id, deadline)
-        elif claim == "degree_condition_A":
-            rep = verify_degree_condition_A(g, k, graph_id, deadline)
-        elif claim == "degree_condition_BC":
-            rep = verify_degree_condition_BC(g, k, graph_id, deadline)
-        else:
-            rep = verify_lemma(g, claim, graph_id, exhaustive, deadline)
+        rep = _RUNNERS[claim](g, graph_id, k, exhaustive, deadline)
     except DeadlineExceeded:
         rep = VerificationReport(graph_id, claim, TIMEOUT, None, None, None)
     rep.elapsed = time.monotonic() - start
-    rep.enumeration_mode = mode
     return rep
 
 
@@ -430,7 +390,7 @@ def run_campaign(corpus, claims: Iterable[str], out: str | Path,
     """
     claims = list(claims)
     for claim in claims:
-        if claim not in CLAIMS:
+        if claim not in _RUNNERS:
             raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
     graphs = corpus if isinstance(corpus, list) and corpus and isinstance(corpus[0], tuple) \
         else generate_corpus(corpus)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from quasigraph.core import Graph
 from quasigraph.connectivity import (
     enumerate_cuts,
-    enumeration_mode,
     is_cut,
     is_nontrivial_cut,
     is_quasi_k_connected,
@@ -17,6 +16,7 @@ from quasigraph.connectivity import (
     vertex_connectivity,
 )
 from quasigraph.generators import (
+    circulant_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -161,20 +161,10 @@ class TestEnumerateCuts:
         got = [c.vertices for c in enumerate_cuts(g, size)]
         assert got == brute_cuts_of_size(g, size)
 
-    def test_flow_limited_mode_reports_min_cuts(self):
-        # large sparse graph: two K7 blobs joined through a 6-vertex waist
-        blob = list(range(7)), list(range(13, 20))
-        edges = []
-        for block in blob:
-            edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
-        waist = list(range(7, 13))
-        edges += [(u, w) for u in blob[0] for w in waist]
-        edges += [(w, v) for w in waist for v in blob[1]]
-        g = Graph(20, edges)
-        assert enumeration_mode(g.n, 6) == "flow-limited"
-        cuts = enumerate_cuts(g, 6)
-        assert any(c.vertices == tuple(waist) for c in cuts)
-        assert enumeration_mode(g.n, 5) == "exhaustive"
+    def test_minimum_cuts_complete_beyond_sixteen_vertices(self):
+        # kappa 6 on 18 vertices: every one of the 99 minimum cuts is listed
+        g = circulant_graph(18, (1, 2, 3))
+        assert [c.vertices for c in minimum_cuts(g)] == brute_cuts_of_size(g, 6)
 
 
 class TestNontrivialCut:

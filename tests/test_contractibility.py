@@ -5,6 +5,7 @@ from quasigraph.contractibility import (
     check_martinov,
     compute_E0,
     contraction_reports,
+    first_contractible_edge,
     is_contraction_critical,
     is_k_contractible,
     is_quasi_k_contractible,
@@ -20,7 +21,7 @@ from quasigraph.generators import (
     quasi_5_apex,
 )
 
-from oracles import brute_vertex_connectivity
+from oracles import brute_is_quasi_k, brute_vertex_connectivity
 
 
 class TestIsKContractible:
@@ -128,6 +129,24 @@ class TestContractionCritical:
             is_contraction_critical(cycle_graph(6), 5)
         with pytest.raises(ValueError, match="hypothesis violated"):
             is_contraction_critical(circulant_graph(8, (1, 2)), 5, quasi=True)
+
+
+class TestFirstContractibleEdge:
+    @pytest.mark.parametrize("quasi", [True, False])
+    def test_matches_oracles_on_corpora(self, quasi, small_corpus, quasi5_corpus):
+        # the witness is the first sorted edge whose contraction the oracle
+        # accepts; None when the oracle accepts none
+        graphs = [g for _, g in small_corpus + quasi5_corpus if 2 <= g.n <= 10]
+        for g in graphs:
+            k = 5 if quasi else max(2, brute_vertex_connectivity(g))
+            expected = None
+            for e in g.edges():
+                contracted = contract_edge(g, e).graph
+                if (brute_is_quasi_k(contracted, k) if quasi
+                        else brute_vertex_connectivity(contracted) >= k):
+                    expected = e
+                    break
+            assert first_contractible_edge(g, k, quasi) == expected, (g.edges(), k)
 
 
 class TestMartinov:

@@ -12,6 +12,7 @@ from quasigraph.fragments import (
     quasi_fragments_wrt_edge,
 )
 from quasigraph.generators import (
+    circulant_graph,
     complete_graph,
     cycle_graph,
     glued_cliques,
@@ -161,6 +162,7 @@ class TestAtoms:
     @pytest.mark.parametrize("g", [
         cycle_graph(6), cycle_graph(7), petersen_graph(),
         glued_cliques(7, 5), random_graph(9, 0.5, seed=4), icosahedron_graph(),
+        circulant_graph(18, (1, 2, 3)),
     ])
     def test_atom_minimality_by_full_enumeration(self, g):
         bodies = brute_nontrivial_fragment_bodies(g)

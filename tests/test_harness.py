@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -213,8 +214,9 @@ class TestVerifyClaimDispatch:
         with pytest.raises(ValueError, match="unknown claim"):
             verify_claim(complete_graph(6), "theorem3")
 
-    def test_timeout_reports_timeout(self):
-        rep = verify_claim(icosahedron_graph(), "theorem1", timeout=0.0)
+    @pytest.mark.parametrize("claim", ["theorem1", "lemma1", "lemma4", "lemma5"])
+    def test_timeout_reports_timeout(self, claim):
+        rep = verify_claim(circulant_graph(20, (1, 2, 3)), claim, timeout=0.0)
         assert rep.status == "timeout"
         assert rep.hypotheses_hold is None and rep.conclusion_holds is None
 
@@ -254,6 +256,14 @@ class TestRunCampaign:
         run_campaign(self.CORPUS, ["theorem2", "lemma3", "lemma4"], a)
         run_campaign(self.CORPUS, ["theorem2", "lemma3", "lemma4"], b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_report_bytes_pinned(self, tmp_path):
+        # sha256 of the all-claims report; a deliberate schema change
+        # updates this digest and is listed in CHANGES.md
+        out = tmp_path / "pinned.jsonl"
+        run_campaign(self.CORPUS, CLAIMS, out, exhaustive=True)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "bc0a9eb43a6163fbef3e207615dcbe690c7421c85704f32f8bd1166352b26053")
 
     def test_empty_corpus(self, tmp_path):
         out = tmp_path / "empty.jsonl"
