@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Graph, contract_edge
+from .core import Graph, contract_edge, require_edge
 from .connectivity import (
     Cut,
     QuasiConnectivity,
@@ -65,13 +65,6 @@ class ContractionReport:
         }
 
 
-def _require_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
-    x, y = e
-    if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
-    return (min(x, y), max(x, y))
-
-
 def _require_quasi(g: Graph, k: int) -> QuasiConnectivity:
     rep = is_quasi_k_connected(g, k)
     if not rep.holds:
@@ -81,7 +74,7 @@ def _require_quasi(g: Graph, k: int) -> QuasiConnectivity:
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
     """Contraction of e leaves a k-connected graph."""
-    e = _require_edge(g, e)
+    e = require_edge(g, e)
     return vertex_connectivity(contract_edge(g, e).graph) >= k
 
 
@@ -106,7 +99,7 @@ def _edge_report(g: Graph, e: tuple[int, int], k: int) -> ContractionReport:
 
 def is_quasi_k_contractible(g: Graph, e: tuple[int, int], k: int = 5) -> ContractionReport:
     """Full contraction report for e; requires g quasi k-connected."""
-    e = _require_edge(g, e)
+    e = require_edge(g, e)
     _require_quasi(g, k)
     return _edge_report(g, e, k)
 

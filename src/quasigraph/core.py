@@ -124,6 +124,14 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
+def require_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
+    """e as (min, max); ValueError unless both ends are vertices of g and adjacent."""
+    x, y = e
+    if not (0 <= x < g.n and 0 <= y < g.n and g.has_edge(x, y)):
+        raise ValueError(f"({x}, {y}) is not an edge")
+    return (x, y) if x < y else (y, x)
+
+
 # ---------------------------------------------------------------------------
 # Connected components over bitmasks (the hot path for cut enumeration).
 
@@ -210,13 +218,7 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Contraction:
     """Contract edge e = (x, y): delete it, identify its ends, merge any
     parallel edges produced. Ids are re-compacted to 0..n-2.
     """
-    x, y = e
-    _check_vertex(g, x)
-    _check_vertex(g, y)
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
-    if x > y:
-        x, y = y, x
+    x, y = require_edge(g, e)
     keep = [v for v in range(g.n) if v != y]
     new_id = {old: i for i, old in enumerate(keep)}
     merged = new_id[x]

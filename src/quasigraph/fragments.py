@@ -1,20 +1,23 @@
 """Fragments of cuts: nontrivial fragments, quasi fragments, and atoms.
 
 A fragment of a cut T is the union of at least one but not all components
-of G - T. Its boundary is the exact neighborhood of the body, which for
-minimum cuts coincides with T. Quasi fragments arise from k-cuts containing
-both ends of an edge whose removal splits the graph into two sides of at
-least two vertices each.
+of G - T; one helper forms these unions for every query. Its boundary is
+the exact neighborhood of the body, which for minimum cuts coincides with
+T. Quasi fragments arise from k-cuts containing both ends of an edge whose
+removal splits the graph into two sides of at least two vertices each.
+Atoms need only unions of one or two components, so they stay cheap on
+cuts that shatter the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from math import comb
+from typing import Iterable, Iterator
 
-from .core import Graph, component_masks, mask_to_vertices, vertices_to_mask
-from .connectivity import Cut, make_cut, minimum_cuts
+from .core import Graph, component_masks, mask_to_vertices, require_edge, vertices_to_mask
+from .connectivity import Cut, _cut_from_components, make_cut, minimum_cuts
 
 
 @dataclass(frozen=True)
@@ -66,40 +69,29 @@ def fragment_from_body(g: Graph, body: Iterable[int], source_cut: Iterable[int],
                     kind, tuple(sorted(set(source_cut))))
 
 
-def fragments_of_cut(g: Graph, cut: Cut | Iterable[int],
-                     single_components: bool = False) -> list[Fragment]:
-    """All unions of proper nonempty component subsets of G - cut.
-
-    With c components this yields 2^c - 2 fragments; `single_components`
-    restricts to the c single components and their complements, for cuts
-    whose removal shatters the graph.
-    """
-    if not isinstance(cut, Cut):
-        cut = make_cut(g, cut)
+def _component_unions(g: Graph, cut: Cut, max_parts: int,
+                      quasi: bool = False) -> Iterator[Fragment]:
+    """Fragments whose body is the union of 1..max_parts components of
+    G - cut (never all of them), by part count, then component order."""
     comps = cut.components
     c = len(comps)
-    if single_components:
-        bodies = [comps[i] for i in range(c)]
-        if c > 2:
-            bodies.extend(
-                tuple(sorted(v for j in range(c) if j != i for v in comps[j]))
-                for i in range(c))
-        seen = set()
-        out = []
-        for body in bodies:
-            if body not in seen:
-                seen.add(body)
-                out.append(fragment_from_body(g, body, cut.vertices))
-        return out
-    if c > 16:
-        raise ValueError(
-            f"{c} components produce 2^{c}-2 fragments; use single_components=True")
-    out = []
-    for r in range(1, c):
-        for chosen in combinations(range(c), r):
-            body = tuple(sorted(v for i in chosen for v in comps[i]))
-            out.append(fragment_from_body(g, body, cut.vertices))
-    return out
+    parts = range(1, min(max_parts, c - 1) + 1)
+    total = sum(comb(c, r) for r in parts)
+    if total > 1 << 16:
+        raise ValueError(f"cut {list(cut.vertices)} leaves {c} components: "
+                         f"{total} fragments are too many to enumerate")
+    for r in parts:
+        for chosen in combinations(comps, r):
+            body = tuple(sorted(v for comp in chosen for v in comp))
+            yield fragment_from_body(g, body, cut.vertices, quasi)
+
+
+def fragments_of_cut(g: Graph, cut: Cut | Iterable[int]) -> list[Fragment]:
+    """All unions of proper nonempty component subsets of G - cut: 2^c - 2
+    fragments for c components, so more than 16 components raise."""
+    if not isinstance(cut, Cut):
+        cut = make_cut(g, cut)
+    return list(_component_unions(g, cut, len(cut.components)))
 
 
 def nontrivial_fragments_wrt_edge(g: Graph, e: tuple[int, int]) -> list[Fragment]:
@@ -109,9 +101,7 @@ def nontrivial_fragments_wrt_edge(g: Graph, e: tuple[int, int]) -> list[Fragment
     two-sided split, i.e. when e is either contraction-safe at kappa or only
     trivially non-contractible.
     """
-    x, y = e
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+    x, y = require_edge(g, e)
     out = []
     for cut in minimum_cuts(g):
         if x in cut.vertices and y in cut.vertices:
@@ -126,57 +116,39 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
     """Sides of nontrivial splits of G - T over all k-cuts T containing e.
 
     Every grouping of the components of G - T into two sides of >= 2
-    vertices contributes both sides, deduplicated. Empty when e has no such
-    k-cut (in particular when e is quasi k-contractible).
+    vertices contributes both sides. Empty when e has no such k-cut (in
+    particular when e is quasi k-contractible).
     """
-    x, y = e
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x}, {y}) is not an edge")
+    x, y = require_edge(g, e)
     if k > g.n:
         return []
-    masks = g.masks
-    full = g.full_mask
+    split_total = g.n - k
     others = [v for v in range(g.n) if v != x and v != y]
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     out = []
     for extra in combinations(others, k - 2):
         t = tuple(sorted((x, y) + extra))
-        alive = full & ~vertices_to_mask(t)
-        comp_masks = component_masks(masks, alive)
-        c = len(comp_masks)
-        if c < 2:
+        comps = component_masks(g.masks, g.full_mask & ~vertices_to_mask(t))
+        if len(comps) < 2:
             continue
-        if c > 16:
-            raise ValueError(f"cut {t} leaves {c} components; split enumeration too large")
-        comps = [mask_to_vertices(cm) for cm in comp_masks]
-        sizes = [len(cc) for cc in comps]
-        total = sum(sizes)
-        if total < 4:
-            continue
-        # groupings that keep component 0 on side A, so each split is seen once
-        for bits in range(2 ** (c - 1)):
-            chosen = [0] + [i for i in range(1, c) if bits & (1 << (i - 1))]
-            size_a = sum(sizes[i] for i in chosen)
-            if size_a < 2 or total - size_a < 2:
-                continue
-            side_a = tuple(sorted(v for i in chosen for v in comps[i]))
-            side_b = tuple(sorted(v for i in range(c) if i not in chosen
-                                  for v in comps[i]))
-            for body in (side_a, side_b):
-                key = (body, t)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(fragment_from_body(g, body, t, quasi=True))
+        cut = _cut_from_components(t, tuple(mask_to_vertices(c) for c in comps))
+        if cut.nontrivial:
+            out.extend(f for f in _component_unions(g, cut, len(cut.components), quasi=True)
+                       if 2 <= f.size <= split_total - 2)
     out.sort(key=lambda f: (f.size, f.body, f.source_cut))
     return out
 
 
 def nontrivial_atom(g: Graph) -> Fragment | None:
     """A minimum-cardinality nontrivial fragment; ties break on the
-    lexicographically least body. None when no nontrivial fragment exists."""
+    lexicographically least body. None when no nontrivial fragment exists.
+
+    Only unions of one or two components of G - S are formed: dropping the
+    smallest component from a nontrivial body of three or more components
+    leaves a smaller nontrivial body.
+    """
     best: Fragment | None = None
     for cut in minimum_cuts(g):
-        for frag in fragments_of_cut(g, cut):
+        for frag in _component_unions(g, cut, 2):
             if not frag.is_nontrivial():
                 continue
             if best is None or (frag.size, frag.body) < (best.size, best.body):

@@ -1,11 +1,14 @@
 """Claim verification over graph corpora, with witness certificates.
 
-Each claim is checked per graph: hypotheses are recomputed from scratch,
-and a claim is reported falsified only when its hypotheses hold and the
-conclusion fails; cut enumeration is always exhaustive. Every search for a
-contractible edge goes through `first_contractible_edge`, and one table maps
-each claim name to its runner. Reports stream to JSON lines with canonical
-key order, so a fixed corpus and seed produce byte-identical output.
+Each claim has one runner in `_RUNNERS`. A runner recomputes the claim's
+hypotheses from scratch, in a fixed order, and returns either the first
+failed one or whether the conclusion holds, with a witness. `_verify` turns
+that outcome into the report, so a claim is reported falsified only when
+its hypotheses hold and the conclusion fails, and every falsified witness
+carries the graph's graph6; cut enumeration is always exhaustive. Every
+search for a contractible edge goes through `first_contractible_edge`.
+Reports stream to JSON lines with canonical key order, so a fixed corpus
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     Graph,
@@ -67,20 +70,16 @@ class VerificationReport:
         return obj
 
 
-def _vacuous(graph_id: str, claim: str, reason: str,
-             hypotheses_hold: bool | None = False) -> VerificationReport:
-    return VerificationReport(graph_id, claim, VACUOUS, hypotheses_hold, None,
-                              {"failed_hypothesis": reason})
+class _Vacuous(NamedTuple):
+    """A runner's outcome when a hypothesis fails."""
+
+    reason: str
+    hypotheses_hold: bool | None = False
 
 
-def _verified(graph_id: str, claim: str, witness: dict | None) -> VerificationReport:
-    return VerificationReport(graph_id, claim, VERIFIED, True, True, witness)
-
-
-def _falsified(g: Graph, graph_id: str, claim: str, witness: dict) -> VerificationReport:
-    witness = dict(witness)
-    witness["graph6"] = gio.to_graph6(g)
-    return VerificationReport(graph_id, claim, FALSIFIED, True, False, witness)
+# What a runner returns: _Vacuous, or (conclusion holds, witness) once every
+# hypothesis holds.
+_Outcome = _Vacuous | tuple[bool, dict | None]
 
 
 # ---------------------------------------------------------------------------
@@ -108,61 +107,62 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Theorems.
+# Claim runners. Each takes (g, k, exhaustive, deadline), checks its
+# hypotheses in order and returns an _Outcome; lemmas are universally
+# quantified checks over the configurations in the graph matching their
+# hypotheses, and no configurations means vacuous.
 
-def verify_theorem1(g: Graph, graph_id: str = "",
-                    deadline: float | None = None) -> VerificationReport:
+def _contractible_edge(g: Graph, k: int, quasi: bool, deadline: float | None,
+                       extra: dict) -> tuple[bool, dict]:
+    """Conclusion of the theorems and degree conditions: some edge contracts
+    to a (quasi) k-connected graph. Both witnesses carry `extra`."""
+    edge = first_contractible_edge(g, k, quasi=quasi, deadline=deadline)
+    if edge is None:
+        return False, extra
+    return True, {"edge": list(edge), **extra}
+
+
+def _critical(g: Graph, exhaustive: bool, deadline: float | None) -> _Vacuous | None:
+    """The criticality hypothesis of lemmas 1 and 5; None when it holds."""
+    if not exhaustive:
+        return _Vacuous("criticality hypothesis gated behind exhaustive mode", None)
+    edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
+    if edge is not None:
+        return _Vacuous(f"not contraction critical: edge {list(edge)} contracts safely")
+    return None
+
+
+def _theorem1(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """Every 5-connected graph has a quasi 5-contractible edge."""
     kappa = vertex_connectivity(g)
     if kappa < 5:
-        return _vacuous(graph_id, "theorem1", f"kappa={kappa}<5")
-    edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
-    if edge is not None:
-        return _verified(graph_id, "theorem1", {"edge": list(edge)})
-    return _falsified(g, graph_id, "theorem1", {})
+        return _Vacuous(f"kappa={kappa}<5")
+    return _contractible_edge(g, 5, True, deadline, {})
 
 
-def verify_theorem2(g: Graph, graph_id: str = "",
-                    deadline: float | None = None) -> VerificationReport:
+def _theorem2(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """Every quasi 5-connected graph whose degree sums reach 9 on all pairs
     at distance one or two has a quasi 5-contractible edge."""
     quasi = is_quasi_k_connected(g, 5)
     if not quasi.holds:
-        return _vacuous(graph_id, "theorem2",
-                        f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
-    ok, pair = check_degree_sum_condition(g, 9, 2)
-    if not ok:
-        assert pair is not None
-        return _vacuous(
-            graph_id, "theorem2",
+        return _Vacuous(f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
+    _, pair = check_degree_sum_condition(g, 9, 2)
+    if pair is not None:
+        return _Vacuous(
             f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<9 for pair {list(pair)}")
-    edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
-    if edge is not None:
-        return _verified(graph_id, "theorem2", {"edge": list(edge)})
-    return _falsified(g, graph_id, "theorem2", {})
+    return _contractible_edge(g, 5, True, deadline, {})
 
 
-# ---------------------------------------------------------------------------
-# Lemmas. Each is a universally quantified check over the configurations in
-# the graph matching its hypotheses; no configurations means vacuous.
-
-def _verify_lemma1(g: Graph, graph_id: str, exhaustive: bool,
-                   deadline: float | None) -> VerificationReport:
+def _lemma1(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """In a graph that is both 5-connected and critical for quasi
     5-contraction, a nontrivial fragment met by exactly one neighbor of a
     boundary vertex has exactly two vertices."""
     kappa = vertex_connectivity(g)
     if kappa < 5:
-        return _vacuous(graph_id, "lemma1", f"kappa={kappa}<5")
-    if not exhaustive:
-        return _vacuous(graph_id, "lemma1",
-                        "criticality hypothesis gated behind exhaustive mode",
-                        hypotheses_hold=None)
+        return _Vacuous(f"kappa={kappa}<5")
     # kappa >= 5 makes g quasi 5-connected, so criticality is well posed.
-    witness_edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
-    if witness_edge is not None:
-        return _vacuous(graph_id, "lemma1",
-                        f"not contraction critical: edge {list(witness_edge)} contracts safely")
+    if vacuous := _critical(g, exhaustive, deadline):
+        return vacuous
     configs = 0
     for cut in enumerate_cuts(g, kappa):
         check_deadline(deadline)
@@ -174,24 +174,19 @@ def _verify_lemma1(g: Graph, graph_id: str, exhaustive: bool,
                 if len(g.neighbors(x) & body) == 1:
                     configs += 1
                     if len(frag.body) != 2:
-                        return _falsified(g, graph_id, "lemma1", {
-                            "cut": cut.to_json(),
-                            "fragment": frag.to_json(),
-                            "vertex": x,
-                        })
+                        return False, {"cut": cut.to_json(),
+                                       "fragment": frag.to_json(), "vertex": x}
     if configs == 0:
-        return _vacuous(graph_id, "lemma1", "no matching fragment configuration",
-                        hypotheses_hold=True)
-    return _verified(graph_id, "lemma1", {"configurations": configs})
+        return _Vacuous("no matching fragment configuration", True)
+    return True, {"configurations": configs}
 
 
-def _verify_lemma2(g: Graph, graph_id: str,
-                   deadline: float | None) -> VerificationReport:
+def _lemma2(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
     quasi = is_quasi_k_connected(g, 5)
     if not quasi.holds:
-        return _vacuous(graph_id, "lemma2", f"not quasi 5-connected ({quasi.failure})")
+        return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     configs = 0
     for e in g.edges():
         check_deadline(deadline)
@@ -201,24 +196,21 @@ def _verify_lemma2(g: Graph, graph_id: str,
         configs += 1
         kappa = vertex_connectivity(contracted)
         if kappa < 4:
-            return _falsified(g, graph_id, "lemma2",
-                              {"edge": list(e), "kappa_after": kappa})
+            return False, {"edge": list(e), "kappa_after": kappa}
     if configs == 0:
-        return _vacuous(graph_id, "lemma2", "no contraction keeps minimum degree 4",
-                        hypotheses_hold=True)
-    return _verified(graph_id, "lemma2", {"configurations": configs})
+        return _Vacuous("no contraction keeps minimum degree 4", True)
+    return True, {"configurations": configs}
 
 
-def _verify_lemma3(g: Graph, graph_id: str,
-                   deadline: float | None) -> VerificationReport:
+def _lemma3(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """In a quasi 5-connected graph on at least 8 vertices, a degree-4
     vertex whose neighborhood contains a triangle contracts safely onto its
     remaining neighbor."""
     quasi = is_quasi_k_connected(g, 5)
     if not quasi.holds:
-        return _vacuous(graph_id, "lemma3", f"not quasi 5-connected ({quasi.failure})")
+        return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     if g.n < 8:
-        return _vacuous(graph_id, "lemma3", f"n={g.n}<8")
+        return _Vacuous(f"n={g.n}<8")
     configs = 0
     for x in degree_k_vertices(g, 4):
         nbrs = set(g.sorted_neighbors(x))
@@ -227,143 +219,144 @@ def _verify_lemma3(g: Graph, graph_id: str,
             (x4,) = nbrs - set(tri)
             configs += 1
             if not is_quasi_k_connected(contract_edge(g, (x, x4)).graph, 5).holds:
-                return _falsified(g, graph_id, "lemma3", {
-                    "vertex": x, "triangle": list(tri), "edge": sorted((x, x4)),
-                })
+                return False, {"vertex": x, "triangle": list(tri),
+                               "edge": sorted((x, x4))}
     if configs == 0:
-        return _vacuous(graph_id, "lemma3",
-                        "no degree-4 vertex with a triangle in its neighborhood",
-                        hypotheses_hold=True)
-    return _verified(graph_id, "lemma3", {"configurations": configs})
+        return _Vacuous("no degree-4 vertex with a triangle in its neighborhood", True)
+    return True, {"configurations": configs}
 
 
-def _verify_lemma4(g: Graph, graph_id: str,
-                   deadline: float | None) -> VerificationReport:
+def _lemma4(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """A 4-connected graph is contraction critical exactly when it is
     4-regular with every edge in a triangle; both sides computed
     independently."""
     kappa = vertex_connectivity(g)
     if kappa < 4:
-        return _vacuous(graph_id, "lemma4", f"kappa={kappa}<4")
+        return _Vacuous(f"kappa={kappa}<4")
     witness_edge = first_contractible_edge(g, 4, quasi=False, deadline=deadline)
     critical = witness_edge is None
     structural = is_regular_triangular(g)
-    payload = {
+    return critical == structural, {
         "is_critical": critical,
         "is_regular_triangular": structural,
         "contractible_edge": None if witness_edge is None else list(witness_edge),
     }
-    if critical != structural:
-        return _falsified(g, graph_id, "lemma4", payload)
-    return _verified(graph_id, "lemma4", payload)
 
 
-def _verify_lemma5(g: Graph, graph_id: str, exhaustive: bool,
-                   deadline: float | None) -> VerificationReport:
+def _lemma5(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """A critical quasi 5-connected graph meeting the degree sum condition
     has no degree-4 vertex with an edgeless neighborhood."""
     quasi = is_quasi_k_connected(g, 5)
     if not quasi.holds:
-        return _vacuous(graph_id, "lemma5", f"not quasi 5-connected ({quasi.failure})")
-    ok, pair = check_degree_sum_condition(g, 9, 2)
-    if not ok:
-        assert pair is not None
-        return _vacuous(graph_id, "lemma5", f"degree sum below 9 for pair {list(pair)}")
-    if not exhaustive:
-        return _vacuous(graph_id, "lemma5",
-                        "criticality hypothesis gated behind exhaustive mode",
-                        hypotheses_hold=None)
-    witness_edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
-    if witness_edge is not None:
-        return _vacuous(graph_id, "lemma5",
-                        f"not contraction critical: edge {list(witness_edge)} contracts safely")
+        return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
+    _, pair = check_degree_sum_condition(g, 9, 2)
+    if pair is not None:
+        return _Vacuous(f"degree sum below 9 for pair {list(pair)}")
+    if vacuous := _critical(g, exhaustive, deadline):
+        return vacuous
     for x in degree_k_vertices(g, 4):
         check_deadline(deadline)
         if classify_neighborhood(g, x).tag == "4K1":
-            return _falsified(g, graph_id, "lemma5", {"vertex": x})
-    return _verified(graph_id, "lemma5", None)
+            return False, {"vertex": x}
+    return True, None
 
 
-# ---------------------------------------------------------------------------
-# Parametric degree-condition claims.
-
-def verify_degree_condition_A(g: Graph, k: int | None = None, graph_id: str = "",
-                              deadline: float | None = None) -> VerificationReport:
-    """A non-complete k-connected graph with minimum degree at least
-    floor(5k/4) has a k-contractible edge."""
-    claim = "degree_condition_A"
+def _k_connected(g: Graph, k: int | None, excluded: int | None = None,
+                 ) -> tuple[int, _Vacuous | None]:
+    """The degree conditions' prelude: k (default kappa) and the first
+    failed hypothesis among k >= 2, k != excluded, non-complete, kappa >= k."""
     kappa = vertex_connectivity(g)
     if k is None:
         k = kappa
     if k < 2:
-        return _vacuous(graph_id, claim, f"k={k}<2")
+        return k, _Vacuous(f"k={k}<2")
+    if k == excluded:
+        return k, _Vacuous(f"k={k} is excluded from this condition")
     if g.is_complete():
-        return _vacuous(graph_id, claim, "graph is complete")
+        return k, _Vacuous("graph is complete")
     if kappa < k:
-        return _vacuous(graph_id, claim, f"kappa={kappa}<{k}")
+        return k, _Vacuous(f"kappa={kappa}<{k}")
+    return k, None
+
+
+def _degree_condition_A(g: Graph, k, exhaustive, deadline) -> _Outcome:
+    """A non-complete k-connected graph with minimum degree at least
+    floor(5k/4) has a k-contractible edge."""
+    k, vacuous = _k_connected(g, k)
+    if vacuous:
+        return vacuous
     if not check_min_degree_condition(g, k):
-        return _vacuous(graph_id, claim,
-                        f"min degree {g.min_degree()} < {(5 * k) // 4}")
-    edge = first_contractible_edge(g, k, quasi=False, deadline=deadline)
-    if edge is not None:
-        return _verified(graph_id, claim, {"edge": list(edge), "k": k})
-    return _falsified(g, graph_id, claim, {"k": k})
+        return _Vacuous(f"min degree {g.min_degree()} < {(5 * k) // 4}")
+    return _contractible_edge(g, k, False, deadline, {"k": k})
 
 
-def verify_degree_condition_BC(g: Graph, k: int | None = None, graph_id: str = "",
-                               deadline: float | None = None) -> VerificationReport:
+def _degree_condition_BC(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """A non-complete k-connected graph whose degree sums reach
     2*floor(5k/4)-1 has a k-contractible edge. The pair set is all pairs at
     distance one or two, or only adjacent pairs once k >= 8; k = 7 is
     excluded and reported vacuous."""
-    claim = "degree_condition_BC"
-    kappa = vertex_connectivity(g)
-    if k is None:
-        k = kappa
-    if k < 2:
-        return _vacuous(graph_id, claim, f"k={k}<2")
-    if k == 7:
-        return _vacuous(graph_id, claim, "k=7 is excluded from this condition")
-    if g.is_complete():
-        return _vacuous(graph_id, claim, "graph is complete")
-    if kappa < k:
-        return _vacuous(graph_id, claim, f"kappa={kappa}<{k}")
+    k, vacuous = _k_connected(g, k, excluded=7)
+    if vacuous:
+        return vacuous
     bound = 2 * ((5 * k) // 4) - 1
-    max_dist = 1 if k >= 8 else 2
-    ok, pair = check_degree_sum_condition(g, bound, max_dist)
-    if not ok:
-        assert pair is not None
-        return _vacuous(graph_id, claim,
-                        f"degree sum below {bound} for pair {list(pair)}")
-    edge = first_contractible_edge(g, k, quasi=False, deadline=deadline)
-    if edge is not None:
-        return _verified(graph_id, claim, {"edge": list(edge), "k": k})
-    return _falsified(g, graph_id, claim, {"k": k})
+    _, pair = check_degree_sum_condition(g, bound, 1 if k >= 8 else 2)
+    if pair is not None:
+        return _Vacuous(f"degree sum below {bound} for pair {list(pair)}")
+    return _contractible_edge(g, k, False, deadline, {"k": k})
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and campaign runner.
 
-# Claim name -> runner(g, graph_id, k, exhaustive, deadline).
 _RUNNERS = {
-    "theorem1": lambda g, gid, k, ex, dl: verify_theorem1(g, gid, dl),
-    "theorem2": lambda g, gid, k, ex, dl: verify_theorem2(g, gid, dl),
-    "lemma1": lambda g, gid, k, ex, dl: _verify_lemma1(g, gid, ex, dl),
-    "lemma2": lambda g, gid, k, ex, dl: _verify_lemma2(g, gid, dl),
-    "lemma3": lambda g, gid, k, ex, dl: _verify_lemma3(g, gid, dl),
-    "lemma4": lambda g, gid, k, ex, dl: _verify_lemma4(g, gid, dl),
-    "lemma5": lambda g, gid, k, ex, dl: _verify_lemma5(g, gid, ex, dl),
-    "degree_condition_A": lambda g, gid, k, ex, dl: verify_degree_condition_A(g, k, gid, dl),
-    "degree_condition_BC": lambda g, gid, k, ex, dl: verify_degree_condition_BC(g, k, gid, dl),
+    "theorem1": _theorem1, "theorem2": _theorem2,
+    "lemma1": _lemma1, "lemma2": _lemma2, "lemma3": _lemma3, "lemma4": _lemma4,
+    "lemma5": _lemma5,
+    "degree_condition_A": _degree_condition_A, "degree_condition_BC": _degree_condition_BC,
 }
 CLAIMS = tuple(_RUNNERS)
+
+
+def _verify(g: Graph, claim: str, graph_id: str, k: int | None, exhaustive: bool,
+            deadline: float | None) -> VerificationReport:
+    """Run one claim and build its report: the one constructor of every
+    non-timeout report. Falsified witnesses carry the graph's graph6."""
+    outcome = _RUNNERS[claim](g, k, exhaustive, deadline)
+    if isinstance(outcome, _Vacuous):
+        return VerificationReport(graph_id, claim, VACUOUS, outcome.hypotheses_hold, None,
+                                  {"failed_hypothesis": outcome.reason})
+    holds, witness = outcome
+    if holds:
+        return VerificationReport(graph_id, claim, VERIFIED, True, True, witness)
+    return VerificationReport(graph_id, claim, FALSIFIED, True, False,
+                              {**witness, "graph6": gio.to_graph6(g)})
+
+
+def verify_theorem1(g: Graph, graph_id: str = "",
+                    deadline: float | None = None) -> VerificationReport:
+    return _verify(g, "theorem1", graph_id, None, True, deadline)
+
+
+def verify_theorem2(g: Graph, graph_id: str = "",
+                    deadline: float | None = None) -> VerificationReport:
+    return _verify(g, "theorem2", graph_id, None, True, deadline)
+
+
+def verify_degree_condition_A(g: Graph, k: int | None = None, graph_id: str = "",
+                              deadline: float | None = None) -> VerificationReport:
+    return _verify(g, "degree_condition_A", graph_id, k, True, deadline)
+
+
+def verify_degree_condition_BC(g: Graph, k: int | None = None, graph_id: str = "",
+                               deadline: float | None = None) -> VerificationReport:
+    return _verify(g, "degree_condition_BC", graph_id, k, True, deadline)
 
 
 def verify_lemma(g: Graph, which: str, graph_id: str = "", exhaustive: bool = True,
                  deadline: float | None = None) -> VerificationReport:
     if not which.startswith("lemma") or which not in _RUNNERS:
         raise ValueError(f"unknown lemma id {which!r}")
-    return _RUNNERS[which](g, graph_id, None, exhaustive, deadline)
+    return _verify(g, which, graph_id, None, exhaustive, deadline)
 
 
 def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
@@ -373,7 +366,7 @@ def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
     deadline = None if timeout is None else time.monotonic() + timeout
     start = time.monotonic()
     try:
-        rep = _RUNNERS[claim](g, graph_id, k, exhaustive, deadline)
+        rep = _verify(g, claim, graph_id, k, exhaustive, deadline)
     except DeadlineExceeded:
         rep = VerificationReport(graph_id, claim, TIMEOUT, None, None, None)
     rep.elapsed = time.monotonic() - start

@@ -141,6 +141,27 @@ def brute_nontrivial_fragment_bodies(g) -> list[tuple[int, ...]]:
     return bodies
 
 
+def brute_quasi_fragment_bodies(g, e, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(body, k-cut) pairs: every side of every split of G - T into two
+    sides of >= 2 vertices, over all k-sets T containing both ends of e,
+    sorted by (body size, body, T)."""
+    x, y = e
+    adj = adjacency_sets(g)
+    pairs = set()
+    for t in combinations(range(g.n), k):
+        if x not in t or y not in t:
+            continue
+        comps = components_of(adj, set(t))
+        c = len(comps)
+        for r in range(1, c):
+            for chosen in combinations(range(c), r):
+                body = set().union(*(comps[i] for i in chosen))
+                rest = set().union(*(comps[i] for i in range(c) if i not in chosen))
+                if len(body) >= 2 and len(rest) >= 2:
+                    pairs.add((tuple(sorted(body)), t))
+    return sorted(pairs, key=lambda p: (len(p[0]), p[0], p[1]))
+
+
 def graph6_encode_reference(g) -> str:
     """Independent graph6 encoder built from the raw bit layout."""
     n = g.n

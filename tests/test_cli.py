@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from quasigraph import io as gio
-from quasigraph.cli import main
-from quasigraph.generators import complete_graph, cycle_graph, icosahedron_graph
+from quasigraph.cli import _analyze_one, main
+from quasigraph.generators import complete_graph, cycle_graph, icosahedron_graph, star_graph
 
 
 @pytest.fixture
@@ -28,6 +29,26 @@ def test_analyze_graph6(tmp_path, capsys):
     assert ico["E0"] == []
     c6 = json.loads(lines[1])
     assert c6["kappa"] == 2 and c6["E0"] is None
+
+
+def test_analyze_star_with_many_components(tmp_path, capsys):
+    # the center cut of the 18-vertex star leaves 17 components
+    path = tmp_path / "star.g6"
+    gio.write_graph6_file(path, [star_graph(18)])
+    assert main(["analyze", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["nontrivial_atom"]["body"] == [1, 2]
+    assert summary["nontrivial_atom"]["boundary"] == [0]
+
+
+def test_analyze_bytes_pinned(small_corpus):
+    # sha256 of the analyze summaries over the fixture corpus, one
+    # json.dumps(summary, sort_keys=True) line each; a deliberate change to
+    # the summary updates this digest and is listed in CHANGES.md
+    data = "".join(json.dumps(_analyze_one(gid, g, 5), sort_keys=True) + "\n"
+                   for gid, g in small_corpus)
+    assert hashlib.sha256(data.encode()).hexdigest() == (
+        "1de8e2ba8f0b7f6d0ef44e46080ea95e009cd511b34ce206c1f4431b640cea3f")
 
 
 def test_verify_exit_zero_and_reports(tmp_path, corpus_file, capsys):

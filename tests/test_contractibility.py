@@ -41,6 +41,11 @@ class TestIsKContractible:
         with pytest.raises(ValueError, match="not an edge"):
             is_k_contractible(cycle_graph(5), (0, 2), 2)
 
+    @pytest.mark.parametrize("e", [(-1, 0), (0, -1), (7, 0), (0, 5)])
+    def test_out_of_range_ids_rejected(self, e):
+        with pytest.raises(ValueError, match="not an edge"):
+            is_k_contractible(cycle_graph(5), e, 2)
+
 
 class TestIsQuasiKContractible:
     def test_k6_edge_reports_true(self):

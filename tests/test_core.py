@@ -79,6 +79,11 @@ class TestContractEdge:
         with pytest.raises(ValueError, match="not an edge"):
             contract_edge(cycle_graph(5), (0, 2))
 
+    @pytest.mark.parametrize("e", [(-1, 0), (0, -1), (7, 0), (0, 5)])
+    def test_out_of_range_ids_rejected(self, e):
+        with pytest.raises(ValueError, match="not an edge"):
+            contract_edge(cycle_graph(5), e)
+
     def test_vertex_map_and_merged_label(self):
         g = cycle_graph(5)
         con = contract_edge(g, (1, 3 - 1))  # edge (1, 2)

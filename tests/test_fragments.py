@@ -13,6 +13,7 @@ from quasigraph.fragments import (
 )
 from quasigraph.generators import (
     circulant_graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     glued_cliques,
@@ -23,7 +24,7 @@ from quasigraph.generators import (
     star_graph,
 )
 
-from oracles import brute_nontrivial_fragment_bodies
+from oracles import brute_nontrivial_fragment_bodies, brute_quasi_fragment_bodies
 
 
 class TestFragmentsOfCut:
@@ -50,10 +51,10 @@ class TestFragmentsOfCut:
                     if f.complement:
                         assert f.complement in bodies
 
-    def test_single_components_option(self):
-        g = star_graph(5)
-        frags = fragments_of_cut(g, make_cut(g, [0]), single_components=True)
-        assert len(frags) == 8  # 4 singletons + 4 triple complements
+    def test_too_many_components_rejected(self):
+        g = star_graph(18)  # the center cut leaves 17 components
+        with pytest.raises(ValueError, match="17 components: 131070 fragments"):
+            fragments_of_cut(g, make_cut(g, [0]))
 
     def test_fragment_partition_invariant(self):
         g = petersen_graph()
@@ -106,6 +107,12 @@ class TestNontrivialFragmentsWrtEdge:
         with pytest.raises(ValueError, match="not an edge"):
             nontrivial_fragments_wrt_edge(cycle_graph(5), (0, 2))
 
+    @pytest.mark.parametrize("e", [(-1, 0), (0, -1), (7, 0), (0, 5)])
+    def test_out_of_range_ids_rejected(self, e):
+        # -1 must not wrap to vertex 4, the neighbor of 0 in C5
+        with pytest.raises(ValueError, match="not an edge"):
+            nontrivial_fragments_wrt_edge(cycle_graph(5), e)
+
 
 class TestQuasiFragmentsWrtEdge:
     def test_complete_graph_empty(self):
@@ -137,6 +144,18 @@ class TestQuasiFragmentsWrtEdge:
                 has_quasi_frag = bool(quasi_fragments_wrt_edge(g, e, 5))
                 assert (e in e0) == (kappa_after >= 4 and has_quasi_frag)
 
+    @pytest.mark.parametrize("e", [(0, 2), (-1, 0), (0, -1), (7, 0), (0, 5)])
+    def test_bad_edges_rejected(self, e):
+        with pytest.raises(ValueError, match="not an edge"):
+            quasi_fragments_wrt_edge(cycle_graph(5), e, 3)
+
+    def test_matches_brute_force(self, small_corpus, quasi5_corpus):
+        graphs = [g for _, g in small_corpus + quasi5_corpus if g.n <= 10]
+        for g in graphs:
+            for e in g.edges():
+                got = [(f.body, f.source_cut) for f in quasi_fragments_wrt_edge(g, e, 5)]
+                assert got == brute_quasi_fragment_bodies(g, e, 5)
+
     def test_both_sides_at_least_two(self):
         g = quasi_5_apex(10, seed=1)
         for e in g.edges():
@@ -158,6 +177,16 @@ class TestAtoms:
     def test_star_has_no_nontrivial_fragment(self):
         # every fragment of the center cut has a singleton side or complement
         assert nontrivial_atom(star_graph(4)) is None
+
+    @pytest.mark.parametrize("g, body, boundary", [
+        (star_graph(18), (1, 2), (0,)),
+        (complete_bipartite_graph(2, 17), (2, 3), (0, 1)),
+    ])
+    def test_atom_on_cut_with_many_components(self, g, body, boundary):
+        # the minimum cut leaves 17 components, too many for fragments_of_cut
+        atom = nontrivial_atom(g)
+        assert atom is not None
+        assert (atom.body, atom.boundary) == (body, boundary)
 
     @pytest.mark.parametrize("g", [
         cycle_graph(6), cycle_graph(7), petersen_graph(),

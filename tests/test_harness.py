@@ -4,6 +4,7 @@ import json
 import pytest
 
 from quasigraph.connectivity import vertex_connectivity
+from quasigraph.io import to_graph6
 from quasigraph.generators import (
     CorpusSpec,
     circulant_graph,
@@ -18,6 +19,7 @@ from quasigraph.generators import (
 )
 from quasigraph.harness import (
     CLAIMS,
+    DeadlineExceeded,
     check_degree_sum_condition,
     check_min_degree_condition,
     run_campaign,
@@ -201,6 +203,34 @@ class TestDegreeConditionClaims:
         assert rep.status == "verified" and rep.witness["k"] == 8
 
 
+class TestFalsifiedReports:
+    # no honest graph falsifies the shipped claims, so hide every
+    # contractible edge from the harness
+    @pytest.fixture(autouse=True)
+    def no_contractible_edge(self, monkeypatch):
+        import quasigraph.harness as harness
+
+        monkeypatch.setattr(harness, "first_contractible_edge", lambda *a, **kw: None)
+
+    def test_theorem1_on_k6(self):
+        g = complete_graph(6)
+        rep = verify_theorem1(g, "K6")
+        assert (rep.status, rep.hypotheses_hold, rep.conclusion_holds) == (
+            "falsified", True, False)
+        assert rep.witness == {"graph6": to_graph6(g)}
+
+    def test_degree_condition_A(self):
+        g = icosahedron_graph()
+        rep = verify_degree_condition_A(g, k=4, graph_id="ico")
+        assert (rep.status, rep.hypotheses_hold, rep.conclusion_holds) == (
+            "falsified", True, False)
+        assert rep.witness == {"k": 4, "graph6": to_graph6(g)}
+
+    def test_verify_claim_reports_falsified(self):
+        rep = verify_claim(complete_graph(6), "theorem1", "K6")
+        assert rep.status == "falsified" and rep.witness["graph6"]
+
+
 class TestVerifyClaimDispatch:
     def test_all_claims_run_on_icosahedron(self):
         for claim in CLAIMS:
@@ -213,6 +243,14 @@ class TestVerifyClaimDispatch:
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="unknown claim"):
             verify_claim(complete_graph(6), "theorem3")
+
+    def test_direct_calls_raise_deadline_exceeded(self):
+        # only verify_claim turns an expired deadline into a timeout report
+        g = circulant_graph(20, (1, 2, 3))
+        with pytest.raises(DeadlineExceeded):
+            verify_theorem1(g, deadline=0.0)
+        with pytest.raises(DeadlineExceeded):
+            verify_degree_condition_BC(g, k=5, deadline=0.0)
 
     @pytest.mark.parametrize("claim", ["theorem1", "lemma1", "lemma4", "lemma5"])
     def test_timeout_reports_timeout(self, claim):
