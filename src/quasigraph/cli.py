@@ -7,7 +7,8 @@ Subcommands:
   generate  write a seeded family to graph6 files
 
 Exit codes: 0 clean, 1 a verified campaign found a falsified claim,
-2 usage or I/O errors.
+2 usage or I/O errors, or a campaign in which some (graph, claim) raised
+an error (reported with status "error").
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     summary = run_campaign(corpus, args.claim, args.out, k=args.k,
                            exhaustive=args.exhaustive, timeout=args.timeout)
     print(json.dumps(summary, sort_keys=True))
+    if summary["errors"]:
+        return 2
     return 1 if summary["counts"]["falsified"] else 0
 
 

@@ -89,13 +89,20 @@ def _cut_from_components(t_sorted: tuple[int, ...],
     return Cut(t_sorted, comps, split is not None, split)
 
 
+def _alive_after_removal(g: Graph, t: Iterable[int]) -> int:
+    """Bitmask of the vertices of G - t; error on an id outside 0..n-1."""
+    removed = 0
+    for v in t:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+        removed |= 1 << v
+    return g.full_mask & ~removed
+
+
 def make_cut(g: Graph, t: Iterable[int]) -> Cut:
     """Materialize the vertex set t as a Cut; error if G - t is connected."""
     t_sorted = tuple(sorted(set(t)))
-    for v in t_sorted:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
-    alive = g.full_mask & ~vertices_to_mask(t_sorted)
+    alive = _alive_after_removal(g, t_sorted)
     comps = tuple(mask_to_vertices(c) for c in component_masks(g.masks, alive))
     if len(comps) < 2:
         raise ValueError(f"{t_sorted} is not a cut")
@@ -103,7 +110,7 @@ def make_cut(g: Graph, t: Iterable[int]) -> Cut:
 
 
 def is_cut(g: Graph, t: Iterable[int]) -> bool:
-    alive = g.full_mask & ~vertices_to_mask(t)
+    alive = _alive_after_removal(g, t)
     return len(component_masks(g.masks, alive)) >= 2
 
 
@@ -299,20 +306,31 @@ class QuasiConnectivity:
         }
 
 
+def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
+    """is_quasi_k_connected's verdict, with the (k-1)-cuts it scanned.
+
+    The cut list holds every (k-1)-cut of g when kappa is exactly k-1 and
+    is empty otherwise, so whenever the verdict holds it is the complete
+    list of (k-1)-cuts (there are none once kappa >= k).
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    kappa, mincut = _vertex_connectivity_with_cut(g)
+    if kappa < k - 1:
+        return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
+    if kappa >= k:
+        return QuasiConnectivity(True, k, kappa, None, None), []
+    cuts = enumerate_cuts(g, k - 1)
+    for cut in cuts:
+        if cut.nontrivial:
+            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", cut), cuts
+    return QuasiConnectivity(True, k, kappa, None, None), cuts
+
+
 def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     """(k-1)-connected with no nontrivial (k-1)-cut.
 
     When kappa is exactly k-1, every (k-1)-cut is enumerated, so the
     verdict is always sound.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    kappa, mincut = _vertex_connectivity_with_cut(g)
-    if kappa < k - 1:
-        return QuasiConnectivity(False, k, kappa, "connectivity", mincut)
-    if kappa >= k:
-        return QuasiConnectivity(True, k, kappa, None, None)
-    for cut in enumerate_cuts(g, k - 1):
-        if cut.nontrivial:
-            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", cut)
-    return QuasiConnectivity(True, k, kappa, None, None)
+    return _quasi_with_cuts(g, k)[0]

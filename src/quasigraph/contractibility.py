@@ -7,18 +7,43 @@ For a quasi k-connected graph the edge set partitions into three classes:
 quasi k-contractible edges, edges whose contraction keeps (k-1)-connectivity
 but admits a nontrivial (k-1)-cut (the quasi-breaking set E0), and edges
 whose contraction drops connectivity below k-1.
+
+`contraction_reports` classifies every edge from the cuts of G itself,
+scanned once per call. For G quasi k-connected and e = xy, a cut of G/e
+either avoids the merged vertex, and is then a cut of G avoiding x and y
+with the same components up to merging x and y, or contains it, and is
+then the image of a cut T of G containing x and y with the same
+components. Hence:
+
+- kappa(G/e) < k-1 exactly when some (k-1)-cut of G contains x and y, and
+  then kappa(G/e) = k-2;
+- otherwise kappa(G/e) = k-1 exactly when some (k-1)-cut of G avoids x
+  and y or some k-cut of G contains both;
+- the nontrivial (k-1)-cuts of G/e are the images of the nontrivial k-cuts
+  T of G containing x and y (a (k-1)-cut of G is trivial and stays
+  trivial), and the first in contracted ids is the T with the least
+  sorted(T - {y}), which is also the least T.
+
+Max-flow on G/e runs only where these cannot settle the report: an edge
+that drops connectivity needs the flow min-cut as its certificate, an edge
+with kappa(G/e) >= k needs the exact value, and a complete G has no cuts.
+`is_quasi_k_contractible` contracts its one edge and tests G/e directly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
-from .core import Graph, contract_edge, require_edge
+from .core import Graph, contract_edge, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
     QuasiConnectivity,
+    _quasi_with_cuts,
+    enumerate_cuts,
     is_quasi_k_connected,
+    make_cut,
     vertex_connectivity,
 )
 
@@ -65,11 +90,13 @@ class ContractionReport:
         }
 
 
-def _require_quasi(g: Graph, k: int) -> QuasiConnectivity:
-    rep = is_quasi_k_connected(g, k)
-    if not rep.holds:
+def _require_quasi(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
+    """The quasi k-connectivity test of g with every (k-1)-cut of g; error
+    unless g is quasi k-connected."""
+    quasi, cuts = _quasi_with_cuts(g, k)
+    if not quasi.holds:
         raise ValueError(f"hypothesis violated: graph is not quasi {k}-connected")
-    return rep
+    return quasi, cuts
 
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
@@ -111,9 +138,50 @@ def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
-    """Per-edge reports for the whole graph, sorted by edge."""
-    _require_quasi(g, k)
-    return [_edge_report(g, e, k) for e in g.edges()]
+    """Per-edge reports for the whole graph, sorted by edge.
+
+    Each edge is classified from the (k-1)- and k-cuts of g, as the module
+    docstring sets out; only edges they cannot settle are contracted and
+    tested directly.
+    """
+    quasi, cuts = _require_quasi(g, k)
+    low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
+    # Edges inside some k-cut, and for each the first nontrivial such cut in
+    # lexicographic order, which is the one whose image in G/e comes first.
+    # There are k-cuts only when kappa <= k, and a complete graph has none.
+    in_k_cut: set[tuple[int, int]] = set()
+    first_nontrivial: dict[tuple[int, int], Cut] = {}
+    has_k_cuts = quasi.kappa <= k and not g.is_complete()
+    for cut in enumerate_cuts(g, k) if has_k_cuts else []:
+        for e in combinations(cut.vertices, 2):
+            if g.has_edge(*e):
+                in_k_cut.add(e)
+                if cut.nontrivial:
+                    first_nontrivial.setdefault(e, cut)
+    reports = []
+    for e in g.edges():
+        both = vertices_to_mask(e)
+        drops = any(m & both == both for m in low_cuts)
+        if drops or not (e in in_k_cut or any(not m & both for m in low_cuts)):
+            reports.append(_edge_report(g, e, k))
+            continue
+        # kappa(G/e) = k-1 exactly
+        cut = first_nontrivial.get(e)
+        refuting = None
+        if cut is not None:
+            con = contract_edge(g, e)
+            refuting = make_cut(con.graph, (con.vertex_map[v] for v in cut.vertices))
+        reports.append(ContractionReport(
+            edge=e,
+            k=k,
+            kappa_after=k - 1,
+            k_contractible=False,
+            quasi_k_contractible=cut is None,
+            in_E0=cut is not None,
+            refuting_cut=refuting,
+            refuting_cut_preimage=None if cut is None else cut.vertices,
+        ))
+    return reports
 
 
 def first_contractible_edge(g: Graph, k: int, quasi: bool,

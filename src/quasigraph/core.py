@@ -237,6 +237,19 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Contraction:
     return Contraction(Graph(g.n - 1, sorted(edges), labels), vertex_map, merged)
 
 
+def contracted_min_degree(g: Graph, e: tuple[int, int]) -> int:
+    """Minimum degree of G/e, read from the degrees of g without contracting.
+
+    The merged vertex has |N(x) | N(y)| - 2 neighbors; a common neighbor of
+    x and y loses one; every other vertex keeps its degree.
+    """
+    x, y = require_edge(g, e)
+    nx, ny = g.neighbors(x), g.neighbors(y)
+    common = nx & ny
+    return min([len(nx | ny) - 2] + [g.degree(v) - (v in common)
+                                     for v in range(g.n) if v != x and v != y])
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on vertex set s, with the old->new id mapping."""
     sel = sorted(set(s))

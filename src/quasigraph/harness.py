@@ -22,12 +22,19 @@ from typing import Iterable, NamedTuple
 from .core import (
     Graph,
     contract_edge,
+    contracted_min_degree,
     classify_neighborhood,
     degree_k_vertices,
     triangles_in_neighborhood,
+    vertices_to_mask,
     vertices_within_distance,
 )
-from .connectivity import enumerate_cuts, is_quasi_k_connected, vertex_connectivity
+from .connectivity import (
+    _quasi_with_cuts,
+    enumerate_cuts,
+    is_quasi_k_connected,
+    vertex_connectivity,
+)
 from .contractibility import (
     DeadlineExceeded,
     check_deadline,
@@ -42,6 +49,7 @@ VERIFIED = "verified"
 VACUOUS = "vacuous"
 FALSIFIED = "falsified"
 TIMEOUT = "timeout"
+ERROR = "error"
 
 
 @dataclass
@@ -184,18 +192,22 @@ def _lemma1(g: Graph, k, exhaustive, deadline) -> _Outcome:
 def _lemma2(g: Graph, k, exhaustive, deadline) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
-    quasi = is_quasi_k_connected(g, 5)
+    quasi, cuts = _quasi_with_cuts(g, 5)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
+    # kappa(G/e) < 4 exactly when some 4-cut of g contains both ends of e
+    # (G/e with minimum degree 4 has at least 5 vertices, so it is not a
+    # small complete graph); g has 4-cuts only when kappa(g) = 4.
+    cut_masks = [vertices_to_mask(cut.vertices) for cut in cuts]
     configs = 0
     for e in g.edges():
         check_deadline(deadline)
-        contracted = contract_edge(g, e).graph
-        if contracted.n == 0 or contracted.min_degree() < 4:
+        if contracted_min_degree(g, e) < 4:
             continue
         configs += 1
-        kappa = vertex_connectivity(contracted)
-        if kappa < 4:
+        both = vertices_to_mask(e)
+        if any(m & both == both for m in cut_masks):
+            kappa = vertex_connectivity(contract_edge(g, e).graph)
             return False, {"edge": list(e), "kappa_after": kappa}
     if configs == 0:
         return _Vacuous("no contraction keeps minimum degree 4", True)
@@ -378,8 +390,12 @@ def run_campaign(corpus, claims: Iterable[str], out: str | Path,
                  timeout: float | None = None) -> dict:
     """Verify each claim against each corpus graph, streaming JSON lines.
 
-    The summary counts statuses; campaign output is canonical (sorted keys,
-    no timing), so reruns with the same corpus and seed are byte-identical.
+    An exception from one (graph, claim) becomes that pair's report, with
+    status "error" and the exception in the witness, and the campaign goes
+    on; the summary counts statuses in `counts` and errors in `errors`.
+    Lines go to `<out>.tmp`, renamed to `out` once every pair is done.
+    Campaign output is canonical (sorted keys, no timing), so reruns with
+    the same corpus and seed are byte-identical.
     """
     claims = list(claims)
     for claim in claims:
@@ -388,18 +404,28 @@ def run_campaign(corpus, claims: Iterable[str], out: str | Path,
     graphs = corpus if isinstance(corpus, list) and corpus and isinstance(corpus[0], tuple) \
         else generate_corpus(corpus)
     counts = {VERIFIED: 0, VACUOUS: 0, FALSIFIED: 0, TIMEOUT: 0}
+    errors = 0
     out = Path(out)
-    with open(out, "w", encoding="utf-8") as fh:
+    tmp = out.with_name(out.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         for graph_id, g in graphs:
             for claim in claims:
-                rep = verify_claim(g, claim, graph_id, k=k,
-                                   exhaustive=exhaustive, timeout=timeout)
+                try:
+                    rep = verify_claim(g, claim, graph_id, k=k,
+                                       exhaustive=exhaustive, timeout=timeout)
+                except Exception as exc:
+                    rep = VerificationReport(graph_id, claim, ERROR, None, None,
+                                             {"error": f"{type(exc).__name__}: {exc}"})
+                    errors += 1
+                else:
+                    counts[rep.status] += 1
                 fh.write(json.dumps(rep.to_json(), sort_keys=True,
                                     separators=(",", ":")) + "\n")
-                counts[rep.status] += 1
+    tmp.replace(out)
     return {
         "graphs": len(graphs),
         "claims": claims,
         "counts": counts,
+        "errors": errors,
         "out": str(out),
     }

@@ -116,9 +116,26 @@ def test_falsified_claim_exits_one(tmp_path, corpus_file, monkeypatch, capsys):
     def fake_campaign(corpus, claims, out, k=None, exhaustive=True, timeout=None):
         return {"graphs": 1, "claims": list(claims), "out": str(out),
                 "counts": {"verified": 0, "vacuous": 0, "falsified": 1,
-                           "timeout": 0}}
+                           "timeout": 0}, "errors": 0}
 
     monkeypatch.setattr(cli, "run_campaign", fake_campaign)
     code = main(["verify", "--claim", "theorem1", "--corpus", str(corpus_file),
                  "--out", str(tmp_path / "o.jsonl")])
     assert code == 1
+
+
+def test_verify_exits_two_on_error_reports(tmp_path, capsys):
+    # graph6 "?" is the valid empty graph, which no claim can take
+    g6 = tmp_path / "with_empty.g6"
+    g6.write_text(gio.to_graph6(complete_graph(6)) + "\n?\n")
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"corpus": [
+        {"family": "graph6_file", "params": {"path": str(g6)}}]}))
+    out = tmp_path / "rep.jsonl"
+    code = main(["verify", "--claim", "theorem1", "--corpus", str(corpus),
+                 "--out", str(out)])
+    assert code == 2
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["errors"] == 1 and summary["counts"]["verified"] == 1
+    statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
+    assert statuses == ["verified", "error"]

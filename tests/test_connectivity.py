@@ -206,6 +206,11 @@ class TestNontrivialCut:
         assert is_cut(cycle_graph(6), [0, 3])
         assert not is_cut(cycle_graph(6), [0, 1])
 
+    @pytest.mark.parametrize("t", [[99], [-1], [0, 6]])
+    def test_is_cut_rejects_out_of_range_ids(self, t):
+        with pytest.raises(ValueError, match="out of range"):
+            is_cut(cycle_graph(6), t)
+
 
 class TestQuasiKConnected:
     def test_k5_is_quasi_5(self):

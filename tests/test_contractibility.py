@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
@@ -10,7 +13,7 @@ from quasigraph.contractibility import (
     is_k_contractible,
     is_quasi_k_contractible,
 )
-from quasigraph.core import contract_edge
+from quasigraph.core import contract_edge, contracted_min_degree
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
@@ -21,7 +24,14 @@ from quasigraph.generators import (
     quasi_5_apex,
 )
 
-from oracles import brute_is_quasi_k, brute_vertex_connectivity
+from oracles import (
+    adjacency_sets,
+    brute_cuts_of_size,
+    brute_is_quasi_k,
+    brute_nontrivial,
+    brute_vertex_connectivity,
+    components_of,
+)
 
 
 class TestIsKContractible:
@@ -115,6 +125,82 @@ class TestComputeE0:
             for r in reports:
                 classes = [r.quasi_k_contractible, r.in_E0, r.kappa_after < 4]
                 assert classes.count(True) == 1
+
+
+def _quasi_pairs(corpus, max_n):
+    """(graph, k) for k in (4, 5) wherever the graph is quasi k-connected."""
+    return [(g, k) for _, g in corpus if g.n <= max_n for k in (4, 5)
+            if is_quasi_k_connected(g, k).holds]
+
+
+class TestContractionReportsFromCuts:
+    def test_report_bytes_pinned(self, small_corpus):
+        # sha256 of contraction_reports over the fixture corpus, one line per
+        # quasi k-connected (graph, k), k in (4, 5); a deliberate change to
+        # the report updates this digest and is listed in CHANGES.md
+        lines = 0
+        h = hashlib.sha256()
+        for gid, g in small_corpus:
+            for k in (4, 5):
+                if is_quasi_k_connected(g, k).holds:
+                    reports = [r.to_json() for r in contraction_reports(g, k)]
+                    h.update((json.dumps({"graph_id": gid, "k": k, "reports": reports},
+                                         sort_keys=True) + "\n").encode())
+                    lines += 1
+        assert lines == 183
+        assert h.hexdigest() == (
+            "fc56f5d2f972102f3ab01b5de043a1a8656455b55a6c880c45cd372923249c45")
+
+    def test_cut_facts_match_oracles(self, small_corpus, quasi5_corpus):
+        # the facts contraction_reports rests on, checked edge by edge
+        # against brute force on the contracted graph; a complete graph has
+        # no cuts, and contraction_reports sends its edges to max-flow
+        checked = 0
+        for g, k in _quasi_pairs(small_corpus + quasi5_corpus, 10):
+            if g.is_complete():
+                continue
+            adj = adjacency_sets(g)
+            low = [set(t) for t in brute_cuts_of_size(g, k - 1)]
+            high = [set(t) for t in brute_cuts_of_size(g, k)] if k < g.n else []
+            nontrivial_high = [t for t in high if brute_nontrivial(
+                [len(c) for c in components_of(adj, t)])]
+            for x, y in g.edges():
+                contracted = contract_edge(g, (x, y)).graph
+                kappa_after = brute_vertex_connectivity(contracted)
+                drops = any({x, y} <= t for t in low)
+                assert drops == (kappa_after < k - 1), (g.edges(), k, (x, y))
+                if drops:
+                    assert kappa_after == k - 2
+                    continue
+                if not contracted.is_complete():
+                    assert (kappa_after == k - 1) == (
+                        any(not {x, y} & t for t in low)
+                        or any({x, y} <= t for t in high))
+                # kappa(G/e) >= k makes G/e quasi k-connected outright
+                in_e0 = kappa_after == k - 1 and not brute_is_quasi_k(contracted, k)
+                assert in_e0 == any({x, y} <= t for t in nontrivial_high)
+                checked += 1
+        assert checked > 1000
+
+    def test_contracted_min_degree_matches_contraction(self, small_corpus, quasi5_corpus):
+        for _, g in small_corpus + quasi5_corpus:
+            for e in g.edges():
+                assert contracted_min_degree(g, e) == contract_edge(g, e).graph.min_degree()
+
+    def test_contracted_min_degree_rejects_non_edge(self):
+        with pytest.raises(ValueError, match="not an edge"):
+            contracted_min_degree(cycle_graph(5), (0, 2))
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_matches_single_edge_reports(self, k, small_corpus, quasi5_corpus):
+        graphs = [g for g, kk in _quasi_pairs(small_corpus + quasi5_corpus, 10) if kk == k]
+        for g in graphs + [complete_graph(5), complete_graph(6), complete_graph(7)]:
+            assert contraction_reports(g, k) == [
+                is_quasi_k_contractible(g, e, k) for e in g.edges()], (g.edges(), k)
+
+    def test_hypothesis_violated(self):
+        with pytest.raises(ValueError, match="hypothesis violated"):
+            contraction_reports(circulant_graph(8, (1, 2)), 5)
 
 
 class TestContractionCritical:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from quasigraph import harness
 from quasigraph.connectivity import vertex_connectivity
+from quasigraph.core import Graph
 from quasigraph.io import to_graph6
 from quasigraph.generators import (
     CorpusSpec,
@@ -319,6 +321,59 @@ class TestRunCampaign:
     def test_unknown_claim_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_campaign(self.CORPUS, ["nope"], tmp_path / "x.jsonl")
+
+    def test_failing_graph_reported_as_error(self, tmp_path):
+        out = tmp_path / "err.jsonl"
+        pairs = [("K6", complete_graph(6)), ("E0", Graph(0)), ("K7", complete_graph(7))]
+        summary = run_campaign(pairs, ["theorem1"], out)
+        assert summary["counts"] == {
+            "verified": 2, "vacuous": 0, "falsified": 0, "timeout": 0}
+        assert summary["errors"] == 1
+        reports = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["graph_id"] for r in reports] == ["K6", "E0", "K7"]
+        assert reports[1] == {
+            "graph_id": "E0", "claim": "theorem1", "status": "error",
+            "hypotheses_hold": None, "conclusion_holds": None,
+            "witness": {"error": "ValueError: empty graph"},
+            "enumeration_mode": "exhaustive"}
+
+    def test_clean_campaign_counts_no_errors(self, tmp_path):
+        summary = run_campaign([("K6", complete_graph(6))], ["theorem1"], tmp_path / "k.jsonl")
+        assert summary["errors"] == 0
+
+    def test_output_appears_only_when_complete(self, tmp_path, monkeypatch):
+        out = tmp_path / "atomic.jsonl"
+        out.write_text("previous\n")
+        calls = []
+
+        def interrupted(g, claim, graph_id="", **kwargs):
+            calls.append(graph_id)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return verify_claim(g, claim, graph_id, **kwargs)
+
+        monkeypatch.setattr(harness, "verify_claim", interrupted)
+        pairs = [("K6", complete_graph(6)), ("K7", complete_graph(7))]
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(pairs, ["theorem1"], out)
+        assert out.read_text() == "previous\n"
+        monkeypatch.setattr(harness, "verify_claim", verify_claim)
+        run_campaign(pairs, ["theorem1"], out)
+        assert len(out.read_text().splitlines()) == 2
+        assert not (tmp_path / "atomic.jsonl.tmp").exists()
+
+    def test_calls_verify_claim_once_per_pair(self, tmp_path, monkeypatch):
+        seen = []
+
+        def counting(g, claim, graph_id="", **kwargs):
+            seen.append((graph_id, claim))
+            return verify_claim(g, claim, graph_id, **kwargs)
+
+        monkeypatch.setattr(harness, "verify_claim", counting)
+        pairs = [("K6", complete_graph(6)), ("E0", Graph(0))]
+        run_campaign(pairs, ["theorem1", "lemma4"], tmp_path / "c.jsonl")
+        assert seen == [("K6", "theorem1"), ("K6", "lemma4"),
+                        ("E0", "theorem1"), ("E0", "lemma4")]
 
 
 class TestGenerateCorpus:
