@@ -5,8 +5,18 @@ Connectivity uses unit-capacity max-flow on the standard vertex-split
 digraph, with the dominating pair/neighbor scheme: fix a minimum-degree
 vertex v, take local connectivity against every non-neighbor of v and
 between every non-adjacent pair of neighbors of v. Augmentation order is
-fixed so witness cuts are reproducible. Cut enumeration tests every vertex
-subset of the requested size, so it is always complete.
+fixed so witness cuts are reproducible.
+
+Cut enumeration visits every vertex subset of the requested size, so it is
+always complete. It walks the subsets depth first in lexicographic order
+and carries whether G minus the current prefix is connected. When it is,
+removing one more vertex d leaves a connected graph exactly when the
+remaining neighbors of d lie in one component, since every path to d ends
+at a neighbor of d; a BFS that stops as soon as it has reached them all
+decides this. Only subsets that fail this test, or that extend a
+disconnected prefix, get a full component BFS, which also gives a cut its
+components. The quasi k-connectivity test reads these cuts one at a time
+and stops at the first nontrivial one.
 """
 
 from __future__ import annotations
@@ -14,13 +24,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Graph,
     component_masks,
     mask_to_vertices,
-    vertices_to_mask,
 )
 
 
@@ -246,25 +255,92 @@ def vertex_connectivity(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Cut enumeration.
 
+def _joined(masks: tuple[int, ...], alive: int, nbrs: int) -> bool:
+    """Whether the vertices of `nbrs`, a nonempty subset of `alive`, lie in
+    one component of the subgraph induced on `alive`."""
+    low = nbrs & -nbrs
+    reach = low | (masks[low.bit_length() - 1] & alive)
+    rest = nbrs & ~reach
+    # Merge the radius-1 balls around the neighbors; reach stays connected.
+    grew = True
+    while rest and grew:
+        grew = False
+        r = rest
+        while r:
+            b = r & -r
+            r ^= b
+            ball = b | (masks[b.bit_length() - 1] & alive)
+            if ball & reach:
+                reach |= ball
+                grew = True
+        rest &= ~reach
+    # Then a frontier BFS from the merged balls, until every neighbor is in.
+    frontier = reach
+    while rest and frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            nxt |= masks[b.bit_length() - 1]
+            f ^= b
+        frontier = nxt & alive & ~reach
+        reach |= frontier
+        rest &= ~reach
+    return not rest
+
+
+def _cuts(g: Graph, size: int) -> Iterator[Cut]:
+    """The cuts of exactly `size` vertices, in lexicographic order; needs
+    0 <= size < n.
+
+    Each prefix carries its alive mask and whether G - prefix is connected
+    (see the module docstring).
+    """
+    masks = g.masks
+    comps = component_masks(masks, g.full_mask)
+    if size == 0:
+        if len(comps) >= 2:
+            yield _cut_from_components((), tuple(mask_to_vertices(c) for c in comps))
+        return
+
+    # Prefixes still to extend, as (least vertex to add, prefix, alive mask,
+    # G - prefix connected), popped in lexicographic order.
+    stack = [(0, (), g.full_mask, len(comps) == 1)]
+    while stack:
+        start, prefix, alive, connected = stack.pop()
+        stop = g.n - size + len(prefix) + 1
+        if len(prefix) + 1 < size:
+            children = []
+            for d in range(start, stop):
+                sub = alive & ~(1 << d)
+                if connected:
+                    joined = _joined(masks, sub, masks[d] & sub)
+                else:
+                    joined = len(component_masks(masks, sub)) == 1
+                children.append((d + 1, prefix + (d,), sub, joined))
+            stack.extend(reversed(children))
+            continue
+        for d in range(start, stop):
+            sub = alive & ~(1 << d)
+            if connected and _joined(masks, sub, masks[d] & sub):
+                continue
+            comps = component_masks(masks, sub)
+            if len(comps) >= 2:
+                yield _cut_from_components(prefix + (d,),
+                                           tuple(mask_to_vertices(c) for c in comps))
+
+
 def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
     """All cuts of exactly `size` vertices, lexicographically sorted.
 
-    Every `size`-subset is tested, so the list is always complete.
+    Every `size`-subset is visited, so the list is always complete; only
+    the subsets whose removal may disconnect G get a full component BFS.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
     if size >= g.n:
         raise ValueError(f"size {size} must be smaller than the vertex count {g.n}")
-    masks = g.masks
-    full = g.full_mask
-    cuts = []
-    for combo in combinations(range(g.n), size):
-        alive = full & ~vertices_to_mask(combo)
-        comps = component_masks(masks, alive)
-        if len(comps) >= 2:
-            cuts.append(_cut_from_components(
-                combo, tuple(mask_to_vertices(c) for c in comps)))
-    return cuts
+    return list(_cuts(g, size))
 
 
 def minimum_cuts(g: Graph) -> list[Cut]:
@@ -309,9 +385,10 @@ class QuasiConnectivity:
 def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
     """is_quasi_k_connected's verdict, with the (k-1)-cuts it scanned.
 
-    The cut list holds every (k-1)-cut of g when kappa is exactly k-1 and
-    is empty otherwise, so whenever the verdict holds it is the complete
-    list of (k-1)-cuts (there are none once kappa >= k).
+    When kappa is exactly k-1 the (k-1)-cuts are read in lexicographic
+    order and the scan stops at the first nontrivial one. The list is
+    empty whenever the verdict fails, and whenever it holds it is the
+    complete list of (k-1)-cuts (there are none once kappa >= k).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -320,17 +397,20 @@ def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
-    cuts = enumerate_cuts(g, k - 1)
-    for cut in cuts:
+    cuts = []
+    for cut in _cuts(g, k - 1):
         if cut.nontrivial:
-            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", cut), cuts
+            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", cut), []
+        cuts.append(cut)
     return QuasiConnectivity(True, k, kappa, None, None), cuts
 
 
 def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     """(k-1)-connected with no nontrivial (k-1)-cut.
 
-    When kappa is exactly k-1, every (k-1)-cut is enumerated, so the
+    When kappa is exactly k-1, the (k-1)-subsets are scanned until the
+    first nontrivial cut, the lexicographically least one, which becomes
+    the certificate; a verdict that holds has scanned every subset, so the
     verdict is always sound.
     """
     return _quasi_with_cuts(g, k)[0]

@@ -120,6 +120,8 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
     particular when e is quasi k-contractible).
     """
     x, y = require_edge(g, e)
+    if k < 2:
+        raise ValueError("k must be at least 2")
     if k > g.n:
         return []
     split_total = g.n - k

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasigraph.connectivity as connectivity
 from quasigraph.core import Graph
 from quasigraph.connectivity import (
     enumerate_cuts,
@@ -30,9 +31,12 @@ from quasigraph.generators import (
 )
 
 from oracles import (
+    adjacency_sets,
     brute_cuts_of_size,
     brute_min_separator_size,
+    brute_nontrivial,
     brute_vertex_connectivity,
+    components_of,
 )
 
 
@@ -153,13 +157,31 @@ class TestEnumerateCuts:
         assert len(cuts) == 1 and cuts[0].vertices == ()
         assert cuts[0].components == ((0, 1), (2, 3))
 
-    @given(graphs(min_n=2, max_n=8), st.integers(0, 3))
+    @given(graphs(min_n=2, max_n=12), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force(self, g, size):
-        if size >= g.n:
-            return
+    def test_matches_brute_force(self, g, data):
+        size = data.draw(st.integers(0, g.n - 1))
         got = [c.vertices for c in enumerate_cuts(g, size)]
         assert got == brute_cuts_of_size(g, size)
+
+    def test_every_size_matches_oracles(self, small_corpus, quasi5_corpus):
+        # Cycles, stars and disjoint unions leave disconnected prefixes, so
+        # the walk's full-BFS branch runs as well as its early-stop test.
+        extra = [cycle_graph(7), star_graph(6), path_graph(6),
+                 disjoint_union(cycle_graph(4), path_graph(3)),
+                 disjoint_union(complete_graph(1), star_graph(4)),
+                 disjoint_union(complete_graph(3),
+                                disjoint_union(complete_graph(3), complete_graph(2)))]
+        graphs = [g for _, g in small_corpus + quasi5_corpus if g.n <= 10] + extra
+        for g in graphs:
+            adj = adjacency_sets(g)
+            for size in range(g.n):
+                got = enumerate_cuts(g, size)
+                assert [c.vertices for c in got] == brute_cuts_of_size(g, size)
+                for cut in got:
+                    comps = components_of(adj, set(cut.vertices))
+                    assert cut.components == tuple(tuple(sorted(c)) for c in comps)
+                    assert cut.nontrivial == brute_nontrivial([len(c) for c in comps])
 
     def test_minimum_cuts_complete_beyond_sixteen_vertices(self):
         # kappa 6 on 18 vertices: every one of the 99 minimum cuts is listed
@@ -238,6 +260,24 @@ class TestQuasiKConnected:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             is_quasi_k_connected(complete_graph(3), 1)
+
+    def test_stops_at_first_nontrivial_cut(self, monkeypatch):
+        # C40(1,2) has 700 4-cuts among 91,390 4-subsets; the refuting cut
+        # (0, 1, 4, 5) is the second, so the scan ends long before the rest.
+        calls = []
+        full_scan = connectivity.component_masks
+
+        def counted(masks, alive):
+            calls.append(alive)
+            return full_scan(masks, alive)
+
+        monkeypatch.setattr(connectivity, "component_masks", counted)
+        g = circulant_graph(40, (1, 2))
+        rep = is_quasi_k_connected(g, 5)
+        assert rep.failure == "nontrivial-cut" and rep.cut.vertices == (0, 1, 4, 5)
+        assert len(calls) < 1000
+        quasi, cuts = connectivity._quasi_with_cuts(g, 5)
+        assert quasi == rep and cuts == []
 
     @given(graphs(min_n=1, max_n=8), st.integers(2, 6))
     @settings(max_examples=100, deadline=None)

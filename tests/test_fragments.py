@@ -149,6 +149,11 @@ class TestQuasiFragmentsWrtEdge:
         with pytest.raises(ValueError, match="not an edge"):
             quasi_fragments_wrt_edge(cycle_graph(5), e, 3)
 
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_k_below_two_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            quasi_fragments_wrt_edge(cycle_graph(5), (0, 1), k)
+
     def test_matches_brute_force(self, small_corpus, quasi5_corpus):
         graphs = [g for _, g in small_corpus + quasi5_corpus if g.n <= 10]
         for g in graphs:
