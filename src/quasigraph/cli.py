@@ -19,15 +19,15 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .connectivity import is_quasi_k_connected
-from .contractibility import contraction_reports, first_contractible_edge
+from .connectivity import _quasi_with_cuts, is_quasi_k_connected
+from .contractibility import _classify, first_contractible_edge
 from .fragments import nontrivial_atom
 from .generators import CorpusSpec, generate_corpus, read_corpus_file
 from .harness import CLAIMS, run_campaign
 
 
 def _analyze_one(graph_id: str, g, k: int) -> dict:
-    quasi = is_quasi_k_connected(g, k)
+    quasi, cuts = _quasi_with_cuts(g, k)
     summary = {
         "graph_id": graph_id,
         "n": g.n,
@@ -39,11 +39,12 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
         "quasi_contractible_edges": None,
         "kappa_dropping_edges": None,
     }
-    atom = nontrivial_atom(g)
+    # Quasi k-connected at kappa = k-1: every minimum cut is trivial, so no fragment is.
+    atom = None if quasi.holds and quasi.kappa == k - 1 else nontrivial_atom(g)
     if atom is not None:
         summary["nontrivial_atom"] = atom.to_json()
     if quasi.holds:
-        reports = contraction_reports(g, k)
+        reports = _classify(g, k, quasi, cuts)
         summary["E0"] = [list(r.edge) for r in reports if r.in_E0]
         summary["quasi_contractible_edges"] = [
             list(r.edge) for r in reports if r.quasi_k_contractible]

@@ -27,7 +27,9 @@ components. Hence:
 Max-flow on G/e runs only where these cannot settle the report: an edge
 that drops connectivity needs the flow min-cut as its certificate, an edge
 with kappa(G/e) >= k needs the exact value, and a complete G has no cuts.
-`is_quasi_k_contractible` contracts its one edge and tests G/e directly.
+Only `_edge_report` (is G/e quasi k-connected: those fallbacks, the quasi
+search, `is_quasi_k_contractible`, lemma 3) and `is_k_contractible` (is G/e
+k-connected: the plain search) contract an edge and test the result.
 """
 
 from __future__ import annotations
@@ -138,13 +140,16 @@ def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
-    """Per-edge reports for the whole graph, sorted by edge.
+    """Per-edge reports for the whole graph, sorted by edge."""
+    return _classify(g, k, *_require_quasi(g, k))
 
-    Each edge is classified from the (k-1)- and k-cuts of g, as the module
-    docstring sets out; only edges they cannot settle are contracted and
-    tested directly.
-    """
-    quasi, cuts = _require_quasi(g, k)
+
+def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
+              cuts: list[Cut]) -> list[ContractionReport]:
+    """contraction_reports from a quasi verdict that holds and its (k-1)-cuts,
+    as `_quasi_with_cuts` returns them. Each edge is classified from the
+    (k-1)- and k-cuts of g, as the module docstring sets out; only edges
+    they cannot settle are contracted and tested directly."""
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
@@ -195,11 +200,8 @@ def first_contractible_edge(g: Graph, k: int, quasi: bool,
     """
     for e in g.edges():
         check_deadline(deadline)
-        contracted = contract_edge(g, e).graph
-        if quasi:
-            if is_quasi_k_connected(contracted, k).holds:
-                return e
-        elif vertex_connectivity(contracted) >= k:
+        if (_edge_report(g, e, k).quasi_k_contractible if quasi
+                else is_k_contractible(g, e, k)):
             return e
     return None
 

@@ -261,12 +261,9 @@ def _expand(spec: CorpusSpec) -> list[tuple[str, Graph]]:
                 out.append((f"apex4-n{n}-s{base + i}{suffix}",
                             quasi_5_apex(n, base + i, attach_triangle=tri)))
     elif fam == "graph6_file":
-        path = Path(spec.params["path"])
-        for i, g in enumerate(gio.iter_graph6_file(path)):
-            out.append((f"{path.name}:{i}", g))
+        out.extend(gio.load_graphs(spec.params["path"], "graph6"))
     elif fam == "edge_list_file":
-        path = Path(spec.params["path"])
-        out.append((path.name, gio.read_edge_list_file(path)))
+        out.extend(gio.load_graphs(spec.params["path"], "edgelist"))
     else:
         raise ValueError(f"unknown family {fam!r}")
     return out

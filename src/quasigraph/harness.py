@@ -37,6 +37,7 @@ from .connectivity import (
 )
 from .contractibility import (
     DeadlineExceeded,
+    _edge_report,
     check_deadline,
     first_contractible_edge,
     is_regular_triangular,
@@ -63,8 +64,8 @@ class VerificationReport:
     enumeration_mode: str = "exhaustive"  # always; kept for the report schema
     elapsed: float = 0.0
 
-    def to_json(self, include_elapsed: bool = False) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "graph_id": self.graph_id,
             "claim": self.claim,
             "status": self.status,
@@ -73,9 +74,6 @@ class VerificationReport:
             "witness": self.witness,
             "enumeration_mode": self.enumeration_mode,
         }
-        if include_elapsed:
-            obj["elapsed"] = self.elapsed
-        return obj
 
 
 class _Vacuous(NamedTuple):
@@ -230,7 +228,7 @@ def _lemma3(g: Graph, k, exhaustive, deadline) -> _Outcome:
             check_deadline(deadline)
             (x4,) = nbrs - set(tri)
             configs += 1
-            if not is_quasi_k_connected(contract_edge(g, (x, x4)).graph, 5).holds:
+            if not _edge_report(g, (x, x4), 5).quasi_k_contractible:
                 return False, {"vertex": x, "triangle": list(tri),
                                "edge": sorted((x, x4))}
     if configs == 0:

@@ -3,9 +3,15 @@ import json
 
 import pytest
 
-from quasigraph import io as gio
+from quasigraph import connectivity, io as gio
 from quasigraph.cli import _analyze_one, main
-from quasigraph.generators import complete_graph, cycle_graph, icosahedron_graph, star_graph
+from quasigraph.generators import (
+    complete_graph,
+    cycle_graph,
+    icosahedron_graph,
+    quasi_5_apex,
+    star_graph,
+)
 
 
 @pytest.fixture
@@ -41,14 +47,41 @@ def test_analyze_star_with_many_components(tmp_path, capsys):
     assert summary["nontrivial_atom"]["boundary"] == [0]
 
 
-def test_analyze_bytes_pinned(small_corpus):
+ANALYZE_DIGESTS = {
+    4: "a5d1ea87512c88f9c066697cf5e4814e021d2fc39773707ee9c42b4c08f86660",
+    5: "1de8e2ba8f0b7f6d0ef44e46080ea95e009cd511b34ce206c1f4431b640cea3f",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ANALYZE_DIGESTS))
+def test_analyze_bytes_pinned(k, small_corpus):
     # sha256 of the analyze summaries over the fixture corpus, one
     # json.dumps(summary, sort_keys=True) line each; a deliberate change to
     # the summary updates this digest and is listed in CHANGES.md
-    data = "".join(json.dumps(_analyze_one(gid, g, 5), sort_keys=True) + "\n"
+    data = "".join(json.dumps(_analyze_one(gid, g, k), sort_keys=True) + "\n"
                    for gid, g in small_corpus)
-    assert hashlib.sha256(data.encode()).hexdigest() == (
-        "1de8e2ba8f0b7f6d0ef44e46080ea95e009cd511b34ce206c1f4431b640cea3f")
+    assert hashlib.sha256(data.encode()).hexdigest() == ANALYZE_DIGESTS[k]
+
+
+def test_analyze_tests_quasi_once(monkeypatch):
+    # one kappa(G) and one walk of G's 4-subsets per analyzed graph
+    g = quasi_5_apex(16, 1)
+    calls = {"kappa": 0, "walks": 0}
+    kappa_with_cut, cuts = connectivity._vertex_connectivity_with_cut, connectivity._cuts
+
+    def counted_kappa(h):
+        calls["kappa"] += h is g
+        return kappa_with_cut(h)
+
+    def counted_cuts(h, size):
+        calls["walks"] += h is g and size == 4
+        return cuts(h, size)
+
+    monkeypatch.setattr(connectivity, "_vertex_connectivity_with_cut", counted_kappa)
+    monkeypatch.setattr(connectivity, "_cuts", counted_cuts)
+    summary = _analyze_one("apex", g, 5)
+    assert summary["quasi_k"]["holds"] and summary["kappa"] == 4
+    assert calls == {"kappa": 1, "walks": 1}
 
 
 def test_verify_exit_zero_and_reports(tmp_path, corpus_file, capsys):

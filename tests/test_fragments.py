@@ -1,6 +1,11 @@
 import pytest
 
-from quasigraph.connectivity import make_cut, minimum_cuts, vertex_connectivity
+from quasigraph.connectivity import (
+    is_quasi_k_connected,
+    make_cut,
+    minimum_cuts,
+    vertex_connectivity,
+)
 from quasigraph.contractibility import compute_E0
 from quasigraph.core import contract_edge
 from quasigraph.fragments import (
@@ -206,6 +211,21 @@ class TestAtoms:
         else:
             best = min(bodies, key=lambda b: (len(b), b))
             assert atom is not None and atom.body == best
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_no_atom_when_quasi_at_kappa_k_minus_one(self, k, small_corpus, quasi5_corpus):
+        # the rule behind analyze's atom shortcut: quasi k-connected with
+        # kappa = k-1 leaves only trivial minimum cuts
+        checked = 0
+        for _, g in small_corpus + quasi5_corpus:
+            if g.n > 12:
+                continue
+            quasi = is_quasi_k_connected(g, k)
+            if quasi.holds and quasi.kappa == k - 1:
+                checked += 1
+                assert nontrivial_atom(g) is None
+                assert brute_nontrivial_fragment_bodies(g) == []
+        assert checked > 0
 
     def test_quasi_atom_over_edge_star(self):
         g = glued_cliques(7, 5)

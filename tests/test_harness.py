@@ -411,6 +411,7 @@ class TestGenerateCorpus:
         ]})
         assert [g for _, g in pairs] == [complete_graph(6), cycle_graph(5),
                                          petersen_graph()]
+        assert [gid for gid, _ in pairs] == ["pool.g6:0", "pool.g6:1", "one.edges"]
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
