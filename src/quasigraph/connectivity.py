@@ -4,8 +4,14 @@ quasi k-connectivity decision.
 Connectivity uses unit-capacity max-flow on the standard vertex-split
 digraph, with the dominating pair/neighbor scheme: fix a minimum-degree
 vertex v, take local connectivity against every non-neighbor of v and
-between every non-adjacent pair of neighbors of v. Augmentation order is
-fixed so witness cuts are reproducible.
+between every non-adjacent pair of neighbors of v. The digraph is built
+once per kappa computation; each pair's flow works on a copy of its
+capacities and stops once it reaches the smallest separator found so far,
+since only a smaller one is kept. Each flow routes one unit through every
+common neighbor of its pair before it searches for augmenting paths. The
+separator is read from what the source reaches in the final residual
+graph, which is the same for every maximum flow, so witness cuts do not
+depend on the order of augmentation.
 
 Cut enumeration visits every vertex subset of the requested size, so it is
 always complete. It walks the subsets depth first in lexicographic order
@@ -21,10 +27,9 @@ and stops at the first nontrivial one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     Graph,
@@ -137,24 +142,35 @@ def is_nontrivial_cut(
 # ---------------------------------------------------------------------------
 # Local connectivity by max-flow on the split digraph.
 
-def _local_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, tuple[int, ...]]:
-    """Minimum s-t vertex separator for non-adjacent s, t.
+class _SplitNetwork(NamedTuple):
+    """The vertex-split digraph of a graph, built once and shared by every
+    flow of one kappa computation.
 
-    Node 2v is v's in-copy, 2v+1 its out-copy; internal arcs carry capacity
-    1 and edge arcs are effectively unbounded, so minimum cuts consist of
-    internal arcs only and read off as a vertex set.
+    Node 2v is v's in-copy, 2v+1 its out-copy. Arcs come in pairs, arc
+    a ^ 1 being the reverse of arc a: v's internal arc 2v -> 2v+1 is arc
+    2v, with capacity 1, and each edge uw gives arcs 2u+1 -> 2w and
+    2w+1 -> 2u with capacity n, more than any all-internal cut costs.
+    `adj[node]` lists (arc, head) for the arcs leaving node, reverse arcs
+    included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. A flow
+    works on a copy of `cap`.
     """
+
+    to: list[int]
+    cap: list[int]
+    adj: list[list[tuple[int, int]]]
+    out_arc: list[dict[int, int]]
+
+
+def _split_network(g: Graph) -> _SplitNetwork:
     n = g.n
-    big = n  # any all-internal cut costs at most n - 2
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    net = _SplitNetwork([], [], [[] for _ in range(2 * n)], [{} for _ in range(n)])
+    to, cap, adj = net.to, net.cap, net.adj
 
     def arc(u: int, v: int, c: int) -> None:
-        adj[u].append(len(to))
+        adj[u].append((len(to), v))
         to.append(v)
         cap.append(c)
-        adj[v].append(len(to))
+        adj[v].append((len(to), u))
         to.append(u)
         cap.append(0)
 
@@ -163,49 +179,67 @@ def _local_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, tuple[int, ...]]:
     for u in range(n):
         for w in g.sorted_neighbors(u):
             if u < w:
-                arc(2 * u + 1, 2 * w, big)
-                arc(2 * w + 1, 2 * u, big)
+                net.out_arc[u][w] = len(to)
+                arc(2 * u + 1, 2 * w, n)
+                net.out_arc[w][u] = len(to)
+                arc(2 * w + 1, 2 * u, n)
+    return net
+
+
+def _local_vertex_cut(net: _SplitNetwork, s: int, t: int,
+                      limit: int) -> tuple[int, tuple[int, ...] | None]:
+    """(flow value, minimum s-t vertex separator) for non-adjacent s, t,
+    unless the flow reaches `limit` first: then (limit, None).
+
+    The flow runs from s's out-copy to t's in-copy on a copy of the
+    network's capacities. It first routes one unit along s -> c -> t for
+    each common neighbor c, in ascending order, then augments along
+    shortest paths. An augmenting path enters an in-copy other than the
+    sink's and leaves it by the internal arc or by the reverse of an edge
+    arc, both of residual capacity at most 1, so each path adds exactly
+    one unit. Minimum cuts consist of internal arcs only and
+    read off as a vertex set: the vertices whose in-copy the source
+    reaches in the final residual graph and whose out-copy it does not.
+    That reachable set is the source side of the unique minimal minimum
+    cut, the same for every maximum flow, so the separator does not depend
+    on the order of augmentation.
+    """
+    to, adj = net.to, net.adj
+    cap = net.cap[:]
     src, snk = 2 * s + 1, 2 * t
     flow = 0
+    out_s, out_t = net.out_arc[s], net.out_arc[t]
+    for c in sorted(out_s.keys() & out_t.keys()):
+        if flow == limit:
+            return flow, None
+        for a in (out_s[c], 2 * c, net.out_arc[c][t]):
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+        flow += 1
     while True:
-        prev = [-1] * (2 * n)
+        if flow == limit:
+            return flow, None
+        prev = [-1] * len(adj)
         prev[src] = -2
-        q = deque([src])
-        while q and prev[snk] == -1:
-            u = q.popleft()
-            for ai in adj[u]:
-                v = to[ai]
-                if cap[ai] > 0 and prev[v] == -1:
-                    prev[v] = ai
-                    q.append(v)
-        if prev[snk] == -1:
-            break
-        bottleneck = big
+        queue = [src]
+        for u in queue:
+            for a, v in adj[u]:
+                if cap[a] and prev[v] == -1:
+                    prev[v] = a
+                    queue.append(v)
+            if prev[snk] != -1:
+                break
+        else:
+            # no augmenting path: prev marks what the source reaches
+            return flow, tuple(v for v in range(len(adj) // 2)
+                               if prev[2 * v] != -1 and prev[2 * v + 1] == -1)
         node = snk
         while node != src:
-            ai = prev[node]
-            bottleneck = min(bottleneck, cap[ai])
-            node = to[ai ^ 1]
-        node = snk
-        while node != src:
-            ai = prev[node]
-            cap[ai] -= bottleneck
-            cap[ai ^ 1] += bottleneck
-            node = to[ai ^ 1]
-        flow += bottleneck
-    seen = [False] * (2 * n)
-    seen[src] = True
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for ai in adj[u]:
-            v = to[ai]
-            if cap[ai] > 0 and not seen[v]:
-                seen[v] = True
-                q.append(v)
-    sep = tuple(v for v in range(n)
-                if v != s and v != t and seen[2 * v] and not seen[2 * v + 1])
-    return flow, sep
+            a = prev[node]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            node = to[a ^ 1]
+        flow += 1
 
 
 def min_vertex_cut_between(g: Graph, s: int, t: int) -> Cut:
@@ -216,35 +250,42 @@ def min_vertex_cut_between(g: Graph, s: int, t: int) -> Cut:
         raise ValueError("endpoints must be distinct")
     if g.has_edge(s, t):
         raise ValueError("adjacent pair has no separator")
-    _, sep = _local_vertex_cut(g, s, t)
+    _, sep = _local_vertex_cut(_split_network(g), s, t, g.n)
     return make_cut(g, sep)
 
 
-def _vertex_connectivity_with_cut(g: Graph) -> tuple[int, Cut | None]:
+def _vertex_connectivity_with_cut(g: Graph, t: int | None = None) -> tuple[int, Cut | None]:
+    """kappa(G) and a minimum cut (None when G has none: K1 and complete
+    graphs).
+
+    With a threshold t: when kappa < t, the same value and cut as without
+    it; otherwise some value >= t and no cut. Each pair's flow is capped at
+    the smallest separator found so far (t at first), since only a smaller
+    one is kept.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
+    if t is None:
+        t = g.n
     if g.n == 1:
         return 0, None
     if len(component_masks(g.masks, g.full_mask)) > 1:
-        return 0, make_cut(g, ())
+        return 0, (make_cut(g, ()) if t > 0 else None)
     if g.is_complete():
         return g.n - 1, None
+    net = _split_network(g)
     v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    best = g.n - 1
+    best = min(t, g.n - 1)
     best_sep: tuple[int, ...] | None = None
     nbrs = g.neighbors(v0)
-    for w in range(g.n):
-        if w != v0 and w not in nbrs:
-            size, sep = _local_vertex_cut(g, v0, w)
-            if size < best:
-                best, best_sep = size, sep
-    for x, y in combinations(g.sorted_neighbors(v0), 2):
-        if not g.has_edge(x, y):
-            size, sep = _local_vertex_cut(g, x, y)
-            if size < best:
-                best, best_sep = size, sep
-    assert best_sep is not None
-    return best, make_cut(g, best_sep)
+    pairs = [(v0, w) for w in range(g.n) if w != v0 and w not in nbrs]
+    pairs += [(x, y) for x, y in combinations(g.sorted_neighbors(v0), 2)
+              if not g.has_edge(x, y)]
+    for s, w in pairs:
+        size, sep = _local_vertex_cut(net, s, w, best)
+        if sep is not None:
+            best, best_sep = size, sep
+    return best, None if best_sep is None else make_cut(g, best_sep)
 
 
 def vertex_connectivity(g: Graph) -> int:

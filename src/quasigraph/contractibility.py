@@ -27,9 +27,13 @@ components. Hence:
 Max-flow on G/e runs only where these cannot settle the report: an edge
 that drops connectivity needs the flow min-cut as its certificate, an edge
 with kappa(G/e) >= k needs the exact value, and a complete G has no cuts.
-Only `_edge_report` (is G/e quasi k-connected: those fallbacks, the quasi
-search, `is_quasi_k_contractible`, lemma 3) and `is_k_contractible` (is G/e
-k-connected: the plain search) contract an edge and test the result.
+Only two helpers contract an edge and test the result. `_edge_report` is
+the full report, with the exact kappa(G/e) and the refuting cut, behind
+`is_quasi_k_contractible` and those fallbacks. `_contracts_to` is the
+yes/no decision (is G/e quasi k-connected, or k-connected), behind
+`is_k_contractible`, both modes of `first_contractible_edge` and lemma 3:
+it caps kappa(G/e) at k and walks the (k-1)-cuts of G/e only when
+kappa(G/e) = k-1.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from .core import Graph, contract_edge, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
     QuasiConnectivity,
+    _cuts,
     _quasi_with_cuts,
+    _vertex_connectivity_with_cut,
     enumerate_cuts,
     is_quasi_k_connected,
     make_cut,
@@ -103,8 +109,21 @@ def _require_quasi(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
     """Contraction of e leaves a k-connected graph."""
-    e = require_edge(g, e)
-    return vertex_connectivity(contract_edge(g, e).graph) >= k
+    return _contracts_to(g, require_edge(g, e), k, quasi=False)
+
+
+def _contracts_to(g: Graph, e: tuple[int, int], k: int, quasi: bool) -> bool:
+    """Whether G/e is quasi k-connected (`quasi`) or k-connected: the
+    verdict of `_edge_report`, or of kappa(G/e) >= k, without exact kappa
+    or a certificate. kappa(G/e) is capped at k, and the (k-1)-cuts of G/e
+    are walked only when kappa(G/e) = k-1."""
+    if quasi and k < 2:
+        raise ValueError("k must be at least 2")
+    h = contract_edge(g, e).graph
+    kappa, _ = _vertex_connectivity_with_cut(h, k)
+    if kappa >= k or not quasi:
+        return kappa >= k
+    return kappa == k - 1 and not any(cut.nontrivial for cut in _cuts(h, k - 1))
 
 
 def _edge_report(g: Graph, e: tuple[int, int], k: int) -> ContractionReport:
@@ -200,8 +219,7 @@ def first_contractible_edge(g: Graph, k: int, quasi: bool,
     """
     for e in g.edges():
         check_deadline(deadline)
-        if (_edge_report(g, e, k).quasi_k_contractible if quasi
-                else is_k_contractible(g, e, k)):
+        if _contracts_to(g, e, k, quasi):
             return e
     return None
 

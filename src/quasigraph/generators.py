@@ -136,7 +136,7 @@ def random_k_connected(n: int, k: int, seed: int | random.Random | None = None) 
         candidates = [w for w in range(n) if w != v and not g.has_edge(v, w)]
         g = with_edges(g, [(v, rng.choice(candidates))])
     while True:
-        kappa, cut = _vertex_connectivity_with_cut(g)
+        kappa, cut = _vertex_connectivity_with_cut(g, k)
         if kappa >= k:
             break
         assert cut is not None

@@ -37,7 +37,7 @@ from .connectivity import (
 )
 from .contractibility import (
     DeadlineExceeded,
-    _edge_report,
+    _contracts_to,
     check_deadline,
     first_contractible_edge,
     is_regular_triangular,
@@ -228,7 +228,7 @@ def _lemma3(g: Graph, k, exhaustive, deadline) -> _Outcome:
             check_deadline(deadline)
             (x4,) = nbrs - set(tri)
             configs += 1
-            if not _edge_report(g, (x, x4), 5).quasi_k_contractible:
+            if not _contracts_to(g, (x, x4), 5, quasi=True):
                 return False, {"vertex": x, "triangle": list(tri),
                                "edge": sorted((x, x4))}
     if configs == 0:

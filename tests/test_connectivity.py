@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -80,6 +82,115 @@ class TestVertexConnectivity:
     def test_deterministic(self):
         g = random_graph(9, 0.4, seed=11)
         assert vertex_connectivity(g) == vertex_connectivity(g)
+
+    def test_certificates_pinned(self, small_corpus):
+        # sha256 over the fixture corpus of (kappa, minimum cut) and of the
+        # separator of every non-adjacent pair, as recorded before flows
+        # were capped and routed through common neighbors first; the
+        # separators must not depend on the order of augmentation
+        h = hashlib.sha256()
+        for gid, g in small_corpus:
+            kappa, cut = connectivity._vertex_connectivity_with_cut(g)
+            seps = [min_vertex_cut_between(g, s, t).to_json()
+                    for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
+            h.update((json.dumps({"graph_id": gid, "kappa": kappa,
+                                  "cut": None if cut is None else cut.to_json(),
+                                  "separators": seps}, sort_keys=True) + "\n").encode())
+        assert h.hexdigest() == (
+            "c33680d8492f2ee6a0182c60d326e0c94fc79e1f68782c254a2b1610b3ae57d8")
+
+
+# K1, K2, K3, C5, disconnected graphs and complete graphs
+BOUNDARY_GRAPHS = [
+    complete_graph(1), complete_graph(2), complete_graph(3), cycle_graph(5),
+    Graph(3), disjoint_union(complete_graph(1), complete_graph(3)),
+    disjoint_union(complete_graph(3), cycle_graph(4)), complete_graph(6),
+]
+
+
+def _check_threshold(g, kappa, t):
+    """kappa and the cut as without t when kappa < t; else >= t and no cut."""
+    value, cut = connectivity._vertex_connectivity_with_cut(g, t)
+    if kappa < t:
+        assert (value, cut) == connectivity._vertex_connectivity_with_cut(g), (g.edges(), t)
+    else:
+        assert value >= t and cut is None, (g.edges(), t)
+
+
+class TestThreshold:
+    def test_matches_oracle_for_every_threshold(self, small_corpus, quasi5_corpus):
+        graphs = [g for _, g in small_corpus + quasi5_corpus if g.n <= 10]
+        for g in graphs + BOUNDARY_GRAPHS:
+            kappa = brute_vertex_connectivity(g)
+            assert vertex_connectivity(g) == kappa
+            for t in range(g.n + 2):
+                _check_threshold(g, kappa, t)
+
+    @given(graphs(), st.integers(0, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_property(self, g, t):
+        _check_threshold(g, brute_vertex_connectivity(g), t)
+
+
+class _CountingRows(list):
+    """Adjacency rows that count reads of one node's row: every augmenting
+    path search starts by reading the source's row, and only a search does."""
+
+    def __init__(self, rows, node):
+        super().__init__(rows)
+        self.node, self.reads = node, 0
+
+    def __getitem__(self, i):
+        self.reads += i == self.node
+        return super().__getitem__(i)
+
+
+class TestFlowMechanism:
+    def test_one_network_per_kappa_computation(self, monkeypatch):
+        counts = {"networks": 0, "flows": 0}
+        build, flow = connectivity._split_network, connectivity._local_vertex_cut
+
+        def counted_build(g):
+            counts["networks"] += 1
+            return build(g)
+
+        def counted_flow(*args):
+            counts["flows"] += 1
+            return flow(*args)
+
+        monkeypatch.setattr(connectivity, "_split_network", counted_build)
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
+        for g, kappa in [(petersen_graph(), 3), (circulant_graph(12, (1, 2, 3)), 6),
+                         (icosahedron_graph(), 5), (cycle_graph(9), 2)]:
+            counts.update(networks=0, flows=0)
+            assert vertex_connectivity(g) == kappa
+            assert counts["networks"] == 1 and counts["flows"] > 1
+            counts.update(networks=0, flows=0)
+            assert connectivity._vertex_connectivity_with_cut(g, kappa)[0] >= kappa
+            assert counts["networks"] == 1 and counts["flows"] > 1
+
+    @staticmethod
+    def _flow(g, s, t, limit):
+        net = connectivity._split_network(g)
+        rows = _CountingRows(net.adj, 2 * s + 1)
+        return connectivity._local_vertex_cut(net._replace(adj=rows), s, t, limit), rows.reads
+
+    def test_common_neighbor_paths_need_no_search(self):
+        # the two sides of K2,5 share five neighbors
+        g = complete_bipartite_graph(2, 5)
+        assert self._flow(g, 0, 1, 3) == ((3, None), 0)
+        assert self._flow(g, 0, 1, 5) == ((5, None), 0)
+        # below the limit, one search finds no path and yields the separator
+        assert self._flow(g, 0, 1, 6) == ((5, (2, 3, 4, 5, 6)), 1)
+
+    def test_capped_flow_stops_at_its_cap(self):
+        # 0 and 4 on C8 share no neighbor and are joined by two paths:
+        # one search per unit up to the cap, and one more to prove a
+        # maximum below it
+        g = cycle_graph(8)
+        assert self._flow(g, 0, 4, 1) == ((1, None), 1)
+        assert self._flow(g, 0, 4, 2) == ((2, None), 2)
+        assert self._flow(g, 0, 4, 3) == ((2, (1, 7)), 3)
 
 
 class TestMinVertexCutBetween:

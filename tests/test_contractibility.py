@@ -2,9 +2,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quasigraph.connectivity as connectivity
 from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
 from quasigraph.contractibility import (
+    _contracts_to,
     check_martinov,
     compute_E0,
     contraction_reports,
@@ -13,12 +17,13 @@ from quasigraph.contractibility import (
     is_k_contractible,
     is_quasi_k_contractible,
 )
-from quasigraph.core import contract_edge, contracted_min_degree
+from quasigraph.core import Graph, contract_edge, contracted_min_degree
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     glued_cliques,
     icosahedron_graph,
     quasi_5_apex,
@@ -238,6 +243,74 @@ class TestFirstContractibleEdge:
                     expected = e
                     break
             assert first_contractible_edge(g, k, quasi) == expected, (g.edges(), k)
+
+
+@st.composite
+def graphs_with_an_edge(draw, max_n=8):
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Graph(n, edges), draw(st.sampled_from(sorted(edges)))
+
+
+class TestContractsTo:
+    """The yes/no decision against brute force on G/e: kappa(G/e) >= k, and
+    quasi k-connectivity of G/e."""
+
+    @staticmethod
+    def _check(g, e, ks):
+        h = contract_edge(g, e).graph
+        kappa = brute_vertex_connectivity(h)
+        for k in ks:
+            assert _contracts_to(g, e, k, quasi=False) == (kappa >= k), (g.edges(), e, k)
+            # brute_is_quasi_k(h, k) is kappa >= k outside kappa = k - 1
+            quasi = kappa >= k or (kappa == k - 1 and brute_is_quasi_k(h, k))
+            assert _contracts_to(g, e, k, quasi=True) == quasi, (g.edges(), e, k)
+
+    def test_matches_oracles_on_corpora(self, small_corpus, quasi5_corpus):
+        for _, g in small_corpus + quasi5_corpus:
+            if g.n <= 10:
+                for e in g.edges():
+                    self._check(g, e, (4, 5))
+
+    def test_boundary_graphs(self):
+        # G/e is K1, K2, C4, disconnected, or complete
+        graphs = [complete_graph(2), complete_graph(3), cycle_graph(5),
+                  disjoint_union(complete_graph(2), complete_graph(3)),
+                  disjoint_union(cycle_graph(5), complete_graph(1)),
+                  complete_graph(5), complete_graph(6)]
+        for g in graphs:
+            for e in g.edges():
+                self._check(g, e, (2, 3, 4, 5))
+
+    @given(graphs_with_an_edge(), st.integers(2, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracles_property(self, ge, k):
+        self._check(*ge, (k,))
+
+    def test_quasi_needs_k_at_least_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            _contracts_to(complete_graph(4), (0, 1), 1, quasi=True)
+
+    def test_is_k_contractible_caps_every_flow(self, monkeypatch):
+        # C8(1,2) is 4-connected and contraction critical: kappa(G/e) = 3.
+        # The first flow is capped at k = 4; once a pair falls below 4, each
+        # later flow is capped at the smallest separator found so far.
+        calls = []
+        flow = connectivity._local_vertex_cut
+
+        def recorded(net, s, t, limit):
+            calls.append((limit, flow(net, s, t, limit)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", recorded)
+        assert is_k_contractible(circulant_graph(8, (1, 2)), (0, 1), 4) is False
+        best = 4
+        for limit, (value, sep) in calls:
+            assert limit == best and value <= limit
+            if sep is not None:
+                best = value
+        assert best == 3 and len(calls) > 1
 
 
 class TestMartinov:
