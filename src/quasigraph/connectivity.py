@@ -13,16 +13,28 @@ separator is read from what the source reaches in the final residual
 graph, which is the same for every maximum flow, so witness cuts do not
 depend on the order of augmentation.
 
-Cut enumeration visits every vertex subset of the requested size, so it is
-always complete. It walks the subsets depth first in lexicographic order
-and carries whether G minus the current prefix is connected. When it is,
-removing one more vertex d leaves a connected graph exactly when the
-remaining neighbors of d lie in one component, since every path to d ends
-at a neighbor of d; a BFS that stops as soon as it has reached them all
-decides this. Only subsets that fail this test, or that extend a
-disconnected prefix, get a full component BFS, which also gives a cut its
-components. The quasi k-connectivity test reads these cuts one at a time
-and stops at the first nontrivial one.
+Minimum cuts are listed from the same pairs' flows, each capped at
+kappa + 1 (after Kanevsky, and Picard and Queyranne): a pair whose flow is
+kappa has as its minimum separators the closed sets of the final residual
+graph, one canonical closed set per separator. After each pair its edge is
+added to the network, so no later pair finds those separators again, and
+a seen set drops the few that leave three or more components and survive
+the edge. The cost follows the number of minimum cuts, not C(n, kappa).
+`minimum_cuts`, the quasi k-connectivity test at kappa = k-1 and the
+contraction decision read this listing; the quasi test stops at the first
+nontrivial cut.
+
+Cut enumeration of an arbitrary size visits every vertex subset of that
+size, so it is always complete. It walks the subsets depth first in
+lexicographic order and carries whether G minus the current prefix is
+connected. When it is, removing one more vertex d leaves a connected graph
+exactly when the remaining neighbors of d lie in one component, since
+every path to d ends at a neighbor of d; a BFS that stops as soon as it
+has reached them all decides this. Only subsets that fail this test, or
+that extend a disconnected prefix, get a full component BFS, which also
+gives a cut its components. It serves `enumerate_cuts`, and the quasi
+test's certificate: once the listing has found a nontrivial cut, the walk
+stops at the lexicographically least one.
 """
 
 from __future__ import annotations
@@ -38,45 +50,59 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """A vertex subset whose removal disconnects the graph.
 
-    `components` are the vertex sets of G - vertices, each sorted, ordered
-    by minimum vertex. `nontrivial` records whether the components can be
-    grouped into two sides of at least 2 vertices each; `bipartition` is a
-    witnessing grouping when one exists.
+    `masks` are the components of G - vertices as bitmasks, ordered by
+    minimum vertex; `components` lists them as sorted vertex tuples.
+    `nontrivial` records whether the components can be grouped into two
+    sides of at least 2 vertices each; `bipartition` is a witnessing
+    grouping when one exists. Both tuple forms are built on each access,
+    so a held cut costs a few ints, not a tuple per component.
     """
 
     vertices: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     nontrivial: bool
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([mask_to_vertices(m) for m in self.masks])
+
+    @property
+    def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        if not self.nontrivial:
+            return None
+        side = 0
+        for i in _grouping([m.bit_count() for m in self.masks]):
+            side |= self.masks[i]
+        rest = sum(self.masks) - side
+        return tuple(sorted((mask_to_vertices(side), mask_to_vertices(rest))))
+
     def to_json(self) -> dict:
+        bipartition = self.bipartition
         return {
             "vertices": list(self.vertices),
             "components": [list(c) for c in self.components],
             "nontrivial": self.nontrivial,
-            "bipartition": None if self.bipartition is None
-            else [list(self.bipartition[0]), list(self.bipartition[1])],
+            "bipartition": None if bipartition is None
+            else [list(bipartition[0]), list(bipartition[1])],
         }
 
 
-def _nontrivial_split(
-    components: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Group components into two sides with >= 2 vertices each, or None.
+def _grouping(sizes: list[int]) -> tuple[int, ...] | None:
+    """Indices of components that make one side of a grouping into two
+    sides of >= 2 vertices each, or None when there is none.
 
     This is a subset-sum over component sizes: a grouping exists iff some
     subset of components has a total size in [2, total - 2]. Component
     counts alone are not enough ([1, 3] has no grouping, [1, 1, 2] does).
     """
-    sizes = [len(c) for c in components]
     total = sum(sizes)
     if total < 4:
         return None
@@ -87,20 +113,14 @@ def _nontrivial_split(
                 reachable[s + sz] = chosen + (idx,)
     for s in range(2, total - 1):
         if s in reachable:
-            chosen = set(reachable[s])
-            side_a = tuple(sorted(v for i in chosen for v in components[i]))
-            side_b = tuple(sorted(v for i in range(len(components)) if i not in chosen
-                                  for v in components[i]))
-            if side_a > side_b:
-                side_a, side_b = side_b, side_a
-            return side_a, side_b
+            return reachable[s]
     return None
 
 
-def _cut_from_components(t_sorted: tuple[int, ...],
-                         comps: tuple[tuple[int, ...], ...]) -> Cut:
-    split = _nontrivial_split(comps)
-    return Cut(t_sorted, comps, split is not None, split)
+def _cut_from_masks(t_sorted: tuple[int, ...], masks: list[int]) -> Cut:
+    """The cut t_sorted, from the component masks of G - t_sorted in
+    `component_masks` order."""
+    return Cut(t_sorted, tuple(masks), _grouping([m.bit_count() for m in masks]) is not None)
 
 
 def _alive_after_removal(g: Graph, t: Iterable[int]) -> int:
@@ -116,11 +136,10 @@ def _alive_after_removal(g: Graph, t: Iterable[int]) -> int:
 def make_cut(g: Graph, t: Iterable[int]) -> Cut:
     """Materialize the vertex set t as a Cut; error if G - t is connected."""
     t_sorted = tuple(sorted(set(t)))
-    alive = _alive_after_removal(g, t_sorted)
-    comps = tuple(mask_to_vertices(c) for c in component_masks(g.masks, alive))
-    if len(comps) < 2:
+    masks = component_masks(g.masks, _alive_after_removal(g, t_sorted))
+    if len(masks) < 2:
         raise ValueError(f"{t_sorted} is not a cut")
-    return _cut_from_components(t_sorted, comps)
+    return _cut_from_masks(t_sorted, masks)
 
 
 def is_cut(g: Graph, t: Iterable[int]) -> bool:
@@ -161,51 +180,59 @@ class _SplitNetwork(NamedTuple):
     out_arc: list[dict[int, int]]
 
 
+def _arc(net: _SplitNetwork, u: int, v: int, c: int) -> None:
+    """Append arc u -> v of capacity c and its reverse, of capacity 0."""
+    net.adj[u].append((len(net.to), v))
+    net.to.append(v)
+    net.cap.append(c)
+    net.adj[v].append((len(net.to), u))
+    net.to.append(u)
+    net.cap.append(0)
+
+
+def _add_edge(net: _SplitNetwork, u: int, w: int) -> None:
+    """Add the arcs of edge uw, each of capacity n."""
+    n = len(net.out_arc)
+    net.out_arc[u][w] = len(net.to)
+    _arc(net, 2 * u + 1, 2 * w, n)
+    net.out_arc[w][u] = len(net.to)
+    _arc(net, 2 * w + 1, 2 * u, n)
+
+
 def _split_network(g: Graph) -> _SplitNetwork:
     n = g.n
     net = _SplitNetwork([], [], [[] for _ in range(2 * n)], [{} for _ in range(n)])
-    to, cap, adj = net.to, net.cap, net.adj
-
-    def arc(u: int, v: int, c: int) -> None:
-        adj[u].append((len(to), v))
-        to.append(v)
-        cap.append(c)
-        adj[v].append((len(to), u))
-        to.append(u)
-        cap.append(0)
-
     for v in range(n):
-        arc(2 * v, 2 * v + 1, 1)
+        _arc(net, 2 * v, 2 * v + 1, 1)
     for u in range(n):
         for w in g.sorted_neighbors(u):
             if u < w:
-                net.out_arc[u][w] = len(to)
-                arc(2 * u + 1, 2 * w, n)
-                net.out_arc[w][u] = len(to)
-                arc(2 * w + 1, 2 * u, n)
+                _add_edge(net, u, w)
     return net
 
 
-def _local_vertex_cut(net: _SplitNetwork, s: int, t: int,
-                      limit: int) -> tuple[int, tuple[int, ...] | None]:
+def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
+                      cap: list[int] | None = None) -> tuple[int, tuple[int, ...] | None]:
     """(flow value, minimum s-t vertex separator) for non-adjacent s, t,
     unless the flow reaches `limit` first: then (limit, None).
 
-    The flow runs from s's out-copy to t's in-copy on a copy of the
-    network's capacities. It first routes one unit along s -> c -> t for
-    each common neighbor c, in ascending order, then augments along
-    shortest paths. An augmenting path enters an in-copy other than the
-    sink's and leaves it by the internal arc or by the reverse of an edge
-    arc, both of residual capacity at most 1, so each path adds exactly
-    one unit. Minimum cuts consist of internal arcs only and
-    read off as a vertex set: the vertices whose in-copy the source
+    The flow runs from s's out-copy to t's in-copy on `cap`, a copy of the
+    network's capacities unless the caller passes one, which is then left
+    holding the residual capacities. It first routes one unit along
+    s -> c -> t for each common neighbor c, in ascending order, then
+    augments along shortest paths. An augmenting path enters an in-copy
+    other than the sink's and leaves it by the internal arc or by the
+    reverse of an edge arc, both of residual capacity at most 1, so each
+    path adds exactly one unit. Minimum cuts consist of internal arcs only
+    and read off as a vertex set: the vertices whose in-copy the source
     reaches in the final residual graph and whose out-copy it does not.
     That reachable set is the source side of the unique minimal minimum
     cut, the same for every maximum flow, so the separator does not depend
     on the order of augmentation.
     """
     to, adj = net.to, net.adj
-    cap = net.cap[:]
+    if cap is None:
+        cap = net.cap[:]
     src, snk = 2 * s + 1, 2 * t
     flow = 0
     out_s, out_t = net.out_arc[s], net.out_arc[t]
@@ -231,8 +258,8 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int,
                 break
         else:
             # no augmenting path: prev marks what the source reaches
-            return flow, tuple(v for v in range(len(adj) // 2)
-                               if prev[2 * v] != -1 and prev[2 * v + 1] == -1)
+            return flow, tuple([v for v in range(len(adj) // 2)
+                                if prev[2 * v] != -1 and prev[2 * v + 1] == -1])
         node = snk
         while node != src:
             a = prev[node]
@@ -252,6 +279,23 @@ def min_vertex_cut_between(g: Graph, s: int, t: int) -> Cut:
         raise ValueError("adjacent pair has no separator")
     _, sep = _local_vertex_cut(_split_network(g), s, t, g.n)
     return make_cut(g, sep)
+
+
+def _flow_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The pairs whose flows decide kappa(G), for G connected and not
+    complete: v0, the least vertex of minimum degree, against each
+    non-neighbor, then each non-adjacent pair of v0's neighbors.
+
+    Every separator S separates one of them. If S misses v0 it separates v0
+    from some non-neighbor; if S contains v0, v0 has neighbors in two
+    components of G - S, and these are not adjacent.
+    """
+    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
+    nbrs = g.neighbors(v0)
+    pairs = [(v0, w) for w in range(g.n) if w != v0 and w not in nbrs]
+    pairs += [(x, y) for x, y in combinations(g.sorted_neighbors(v0), 2)
+              if not g.has_edge(x, y)]
+    return pairs
 
 
 def _vertex_connectivity_with_cut(g: Graph, t: int | None = None) -> tuple[int, Cut | None]:
@@ -274,14 +318,9 @@ def _vertex_connectivity_with_cut(g: Graph, t: int | None = None) -> tuple[int, 
     if g.is_complete():
         return g.n - 1, None
     net = _split_network(g)
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
     best = min(t, g.n - 1)
     best_sep: tuple[int, ...] | None = None
-    nbrs = g.neighbors(v0)
-    pairs = [(v0, w) for w in range(g.n) if w != v0 and w not in nbrs]
-    pairs += [(x, y) for x, y in combinations(g.sorted_neighbors(v0), 2)
-              if not g.has_edge(x, y)]
-    for s, w in pairs:
+    for s, w in _flow_pairs(g):
         size, sep = _local_vertex_cut(net, s, w, best)
         if sep is not None:
             best, best_sep = size, sep
@@ -291,6 +330,95 @@ def _vertex_connectivity_with_cut(g: Graph, t: int | None = None) -> tuple[int, 
 def vertex_connectivity(g: Graph) -> int:
     """kappa(G); n - 1 for complete graphs, 0 when disconnected."""
     return _vertex_connectivity_with_cut(g)[0]
+
+
+# ---------------------------------------------------------------------------
+# Minimum separators from the residual graphs of the kappa flows.
+
+def _reach(net: _SplitNetwork, cap: list[int], node: int, known: int,
+           forward: bool) -> int:
+    """Bitmask of the nodes outside `known` that `node` reaches (forward) or
+    that reach `node` (backward) in the residual graph of `cap`; `known`
+    must be closed in that direction."""
+    flip = 0 if forward else 1
+    adj = net.adj
+    seen = known | 1 << node
+    stack = [node]
+    while stack:
+        for a, v in adj[stack.pop()]:
+            if cap[a ^ flip] and not seen >> v & 1:
+                seen |= 1 << v
+                stack.append(v)
+    return seen & ~known
+
+
+def _pair_separators(net: _SplitNetwork, cap: list[int], s: int,
+                     t: int) -> Iterator[tuple[int, ...]]:
+    """Every minimum s-t separator once, from the residual capacities `cap`
+    of a maximum s-t flow on `net`.
+
+    The minimum cuts are the node sets X closed under residual arcs that
+    hold s's out-copy and not t's in-copy (Picard and Queyranne). Those of
+    one separator S differ in the components of G - S other than s's, so
+    only one X per S is listed: both copies of s's component and the
+    in-copies of S. The search keeps such a closed X and a set Y closed
+    under reverse residual arcs, disjoint from X, and branches on the least
+    vertex a whose in-copy is in X and whose out-copy is in neither: a stays
+    out of S (X takes what a's out-copy reaches) or joins it (Y takes what
+    reaches a's out-copy). A branch in which X and Y would meet is dropped;
+    the other one then cannot be. Each leaf is one separator: the vertices
+    whose in-copy is in X and whose out-copy is not.
+    """
+    in_copies = (1 << len(net.adj)) // 3  # the even node bits
+    stack = [(_reach(net, cap, 2 * s + 1, 0, True), _reach(net, cap, 2 * t, 0, False))]
+    while stack:
+        inside, outside = stack.pop()
+        free = inside & ~((inside | outside) >> 1) & in_copies
+        if not free:
+            cut = inside & ~(inside >> 1) & in_copies
+            yield tuple([v for v in range(len(net.adj) // 2) if cut >> 2 * v & 1])
+            continue
+        out_copy = (free & -free).bit_length()
+        shrink = _reach(net, cap, out_copy, outside, False)
+        if not shrink & inside:
+            stack.append((inside, outside | shrink))
+        grow = _reach(net, cap, out_copy, inside, True)
+        if not grow & outside:
+            stack.append((inside | grow, outside))
+
+
+def _min_separators(g: Graph, kappa: int) -> Iterator[Cut]:
+    """Every minimum separator of G once, in discovery order, for G
+    connected with kappa(G) = kappa; nothing when G is complete.
+
+    Each pair of `_flow_pairs` gets one flow capped at kappa + 1. When the
+    flow is kappa, the pair's minimum separators are listed from its
+    residual graph. Then the pair's edge is added to the network, so later
+    pairs find no separator that splits an earlier pair. A separator that
+    leaves three or more components can still split a later pair; a seen
+    set drops those repeats.
+    """
+    if g.is_complete():
+        return
+    net = _split_network(g)
+    seen: set[tuple[int, ...]] = set()
+    for s, t in _flow_pairs(g):
+        cap = net.cap[:]
+        if _local_vertex_cut(net, s, t, kappa + 1, cap)[0] == kappa:
+            for sep in _pair_separators(net, cap, s, t):
+                if sep not in seen:
+                    seen.add(sep)
+                    yield make_cut(g, sep)
+        _add_edge(net, s, t)
+
+
+def _minimum_cuts(g: Graph, kappa: int) -> list[Cut]:
+    """minimum_cuts for G of connectivity kappa."""
+    if kappa >= g.n - 1:
+        return []
+    if kappa == 0:
+        return enumerate_cuts(g, 0)
+    return sorted(_min_separators(g, kappa), key=lambda cut: cut.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +469,7 @@ def _cuts(g: Graph, size: int) -> Iterator[Cut]:
     comps = component_masks(masks, g.full_mask)
     if size == 0:
         if len(comps) >= 2:
-            yield _cut_from_components((), tuple(mask_to_vertices(c) for c in comps))
+            yield _cut_from_masks((), comps)
         return
 
     # Prefixes still to extend, as (least vertex to add, prefix, alive mask,
@@ -367,8 +495,7 @@ def _cuts(g: Graph, size: int) -> Iterator[Cut]:
                 continue
             comps = component_masks(masks, sub)
             if len(comps) >= 2:
-                yield _cut_from_components(prefix + (d,),
-                                           tuple(mask_to_vertices(c) for c in comps))
+                yield _cut_from_masks(prefix + (d,), comps)
 
 
 def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
@@ -385,17 +512,17 @@ def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
 
 
 def minimum_cuts(g: Graph) -> list[Cut]:
-    """The set of smallest cut sets (empty for complete graphs)."""
-    kappa = vertex_connectivity(g)
-    if kappa >= g.n - 1:
-        return []
-    return enumerate_cuts(g, kappa)
+    """The set of smallest cut sets, lexicographically sorted (empty for
+    complete graphs). A disconnected graph has the one empty cut; otherwise
+    the cuts are listed from the residual graphs of the kappa flows, so the
+    cost grows with the number of cuts rather than with C(n, kappa)."""
+    return _minimum_cuts(g, vertex_connectivity(g))
 
 
 # ---------------------------------------------------------------------------
 # Quasi k-connectivity.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiConnectivity:
     """Outcome of the quasi k-connectivity test.
 
@@ -424,12 +551,12 @@ class QuasiConnectivity:
 
 
 def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
-    """is_quasi_k_connected's verdict, with the (k-1)-cuts it scanned.
+    """is_quasi_k_connected's verdict, with the (k-1)-cuts it listed.
 
-    When kappa is exactly k-1 the (k-1)-cuts are read in lexicographic
-    order and the scan stops at the first nontrivial one. The list is
-    empty whenever the verdict fails, and whenever it holds it is the
-    complete list of (k-1)-cuts (there are none once kappa >= k).
+    When kappa is exactly k-1 the minimum cuts are listed until the first
+    nontrivial one. The list is empty whenever the verdict fails, and
+    whenever it holds it is the complete, sorted list of (k-1)-cuts (there
+    are none once kappa >= k).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -439,19 +566,22 @@ def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
     cuts = []
-    for cut in _cuts(g, k - 1):
+    for cut in _min_separators(g, k - 1):
         if cut.nontrivial:
-            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", cut), []
+            least = next(c for c in _cuts(g, k - 1) if c.nontrivial)
+            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
         cuts.append(cut)
+    cuts.sort(key=lambda cut: cut.vertices)
     return QuasiConnectivity(True, k, kappa, None, None), cuts
 
 
 def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     """(k-1)-connected with no nontrivial (k-1)-cut.
 
-    When kappa is exactly k-1, the (k-1)-subsets are scanned until the
-    first nontrivial cut, the lexicographically least one, which becomes
-    the certificate; a verdict that holds has scanned every subset, so the
-    verdict is always sound.
+    When kappa is exactly k-1, the (k-1)-cuts are listed from the residual
+    graphs of the kappa flows, which find every one, so a verdict that
+    holds has seen them all. At the first nontrivial one the listing stops,
+    and the certificate is the lexicographically least nontrivial cut,
+    from a scan of the (k-1)-subsets that stops there.
     """
     return _quasi_with_cuts(g, k)[0]

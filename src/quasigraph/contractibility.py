@@ -9,7 +9,7 @@ but admits a nontrivial (k-1)-cut (the quasi-breaking set E0), and edges
 whose contraction drops connectivity below k-1.
 
 `contraction_reports` classifies every edge from the cuts of G itself,
-scanned once per call. For G quasi k-connected and e = xy, a cut of G/e
+found once per call. For G quasi k-connected and e = xy, a cut of G/e
 either avoids the merged vertex, and is then a cut of G avoiding x and y
 with the same components up to merging x and y, or contains it, and is
 then the image of a cut T of G containing x and y with the same
@@ -32,7 +32,7 @@ the full report, with the exact kappa(G/e) and the refuting cut, behind
 `is_quasi_k_contractible` and those fallbacks. `_contracts_to` is the
 yes/no decision (is G/e quasi k-connected, or k-connected), behind
 `is_k_contractible`, both modes of `first_contractible_edge` and lemma 3:
-it caps kappa(G/e) at k and walks the (k-1)-cuts of G/e only when
+it caps kappa(G/e) at k and lists the (k-1)-cuts of G/e only when
 kappa(G/e) = k-1.
 """
 
@@ -46,7 +46,7 @@ from .core import Graph, contract_edge, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
     QuasiConnectivity,
-    _cuts,
+    _min_separators,
     _quasi_with_cuts,
     _vertex_connectivity_with_cut,
     enumerate_cuts,
@@ -116,14 +116,14 @@ def _contracts_to(g: Graph, e: tuple[int, int], k: int, quasi: bool) -> bool:
     """Whether G/e is quasi k-connected (`quasi`) or k-connected: the
     verdict of `_edge_report`, or of kappa(G/e) >= k, without exact kappa
     or a certificate. kappa(G/e) is capped at k, and the (k-1)-cuts of G/e
-    are walked only when kappa(G/e) = k-1."""
+    are listed, until the first nontrivial one, only when kappa(G/e) = k-1."""
     if quasi and k < 2:
         raise ValueError("k must be at least 2")
     h = contract_edge(g, e).graph
     kappa, _ = _vertex_connectivity_with_cut(h, k)
     if kappa >= k or not quasi:
         return kappa >= k
-    return kappa == k - 1 and not any(cut.nontrivial for cut in _cuts(h, k - 1))
+    return kappa == k - 1 and not any(cut.nontrivial for cut in _min_separators(h, k - 1))
 
 
 def _edge_report(g: Graph, e: tuple[int, int], k: int) -> ContractionReport:

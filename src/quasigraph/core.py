@@ -36,7 +36,11 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        # Built from a list, not a generator, as in degrees and contract_edge:
+        # CPython resizes a tuple built from a generator, so once freed it is
+        # parked on its size's free list (up to 2000 per size) and not reused,
+        # and a process that runs campaigns grows by about 0.2 MiB per run.
+        self._adj = tuple([frozenset(s) for s in adj])
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -68,7 +72,7 @@ class Graph:
         return len(self._adj[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._adj)
+        return tuple([len(s) for s in self._adj])
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -233,7 +237,7 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Contraction:
             edges.add((min(nu, nv), max(nu, nv)))
     labels = [g.label_of(old) for old in keep]
     labels[merged] = f"{g.label_of(x)}~{g.label_of(y)}"
-    vertex_map = tuple(translate(v) for v in range(g.n))
+    vertex_map = tuple([translate(v) for v in range(g.n)])
     return Contraction(Graph(g.n - 1, sorted(edges), labels), vertex_map, merged)
 
 

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .core import Graph, component_masks, mask_to_vertices, require_edge, vertices_to_mask
-from .connectivity import Cut, _cut_from_components, make_cut, minimum_cuts
+from .connectivity import Cut, _cut_from_masks, make_cut, minimum_cuts
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
         comps = component_masks(g.masks, g.full_mask & ~vertices_to_mask(t))
         if len(comps) < 2:
             continue
-        cut = _cut_from_components(t, tuple(mask_to_vertices(c) for c in comps))
+        cut = _cut_from_masks(t, comps)
         if cut.nontrivial:
             out.extend(f for f in _component_unions(g, cut, len(cut.components), quasi=True)
                        if 2 <= f.size <= split_total - 2)

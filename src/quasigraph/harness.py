@@ -30,8 +30,8 @@ from .core import (
     vertices_within_distance,
 )
 from .connectivity import (
+    _minimum_cuts,
     _quasi_with_cuts,
-    enumerate_cuts,
     is_quasi_k_connected,
     vertex_connectivity,
 )
@@ -170,7 +170,7 @@ def _lemma1(g: Graph, k, exhaustive, deadline) -> _Outcome:
     if vacuous := _critical(g, exhaustive, deadline):
         return vacuous
     configs = 0
-    for cut in enumerate_cuts(g, kappa):
+    for cut in _minimum_cuts(g, kappa):
         check_deadline(deadline)
         for frag in fragments_of_cut(g, cut):
             if not frag.is_nontrivial():

@@ -28,6 +28,7 @@ from quasigraph.generators import (
     icosahedron_graph,
     path_graph,
     petersen_graph,
+    quasi_5_apex,
     random_graph,
     star_graph,
 )
@@ -300,6 +301,132 @@ class TestEnumerateCuts:
         assert [c.vertices for c in minimum_cuts(g)] == brute_cuts_of_size(g, 6)
 
 
+def _listing(g):
+    """The minimum separators of g as `_min_separators` yields them."""
+    return list(connectivity._min_separators(g, vertex_connectivity(g)))
+
+
+def _separator_families():
+    """Circulants, apex graphs, complete bipartite graphs, glued cliques and
+    stars: many cuts, a single cut, cuts with many components."""
+    out = [circulant_graph(n, (1, 2)) for n in range(7, 31)]
+    out += [circulant_graph(n, (1, 2, 3)) for n in range(9, 21)]
+    out += [quasi_5_apex(n, seed) for n in range(9, 31, 3) for seed in range(2)]
+    out += [quasi_5_apex(n, 7, attach_triangle=True) for n in (12, 20, 30)]
+    out += [complete_bipartite_graph(a, b) for a in range(1, 5) for b in range(a, 9) if b >= 2]
+    out += [glued_cliques(c, s) for c, s in [(4, 1), (5, 2), (6, 3), (7, 5), (8, 6)]]
+    out += [star_graph(n) for n in range(3, 9)]
+    return out
+
+
+class TestMinSeparators:
+    def test_matches_enumeration_on_the_corpora(self, small_corpus, quasi5_corpus):
+        checked = 0
+        for _, g in small_corpus + quasi5_corpus:
+            kappa = vertex_connectivity(g)
+            if kappa == 0 or kappa >= g.n - 1:
+                continue
+            got = _listing(g)
+            assert len({c.vertices for c in got}) == len(got)
+            assert sorted(got, key=lambda c: c.vertices) == enumerate_cuts(g, kappa)
+            assert minimum_cuts(g) == enumerate_cuts(g, kappa)
+            checked += 1
+        assert checked > 400
+
+    def test_matches_oracles_on_families(self):
+        for g in _separator_families():
+            kappa = vertex_connectivity(g)
+            got = _listing(g)
+            vertices = [c.vertices for c in got]
+            assert len(set(vertices)) == len(vertices), g.edges()
+            assert sorted(got, key=lambda c: c.vertices) == enumerate_cuts(g, kappa)
+            if g.n <= 16:
+                assert sorted(vertices) == brute_cuts_of_size(g, kappa)
+
+    @given(graphs(min_n=3, max_n=12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, g):
+        kappa = brute_vertex_connectivity(g)
+        if 0 < kappa < g.n - 1:
+            vertices = [c.vertices for c in _listing(g)]
+            assert sorted(vertices) == brute_cuts_of_size(g, kappa)
+            assert len(set(vertices)) == len(vertices)
+
+    def test_matches_networkx(self, small_corpus, quasi5_corpus):
+        # networkx's all_node_cuts (Kanevsky's algorithm) takes seconds on
+        # C16(1,2) and minutes on C20(1,2), so it sees the small graphs only
+        nx = pytest.importorskip("networkx")
+        pool = [g for _, g in small_corpus[::2] + quasi5_corpus[::4]]
+        for g in pool + [g for g in _separator_families() if g.n <= 12]:
+            kappa = vertex_connectivity(g)
+            if kappa == 0 or kappa >= g.n - 1:
+                continue
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(range(g.n))
+            expected = sorted(tuple(sorted(c)) for c in nx.all_node_cuts(h))
+            assert sorted(c.vertices for c in _listing(g)) == expected, g.edges()
+
+    @staticmethod
+    def _count_leaves(monkeypatch, most=None):
+        """Count the flows and the closure leaves of the listing; fail at
+        once past `most` leaves."""
+        counts = {"leaves": 0, "flows": 0}
+        leaves, flow = connectivity._pair_separators, connectivity._local_vertex_cut
+
+        def counted_leaves(*args):
+            for sep in leaves(*args):
+                counts["leaves"] += 1
+                assert most is None or counts["leaves"] <= most
+                yield sep
+
+        def counted_flow(*args):
+            counts["flows"] += 1
+            return flow(*args)
+
+        monkeypatch.setattr(connectivity, "_pair_separators", counted_leaves)
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
+        return counts
+
+    def test_a_shattering_cut_is_listed_once_per_pair(self, monkeypatch):
+        # The 4-side of K4,30 leaves 30 components, and a closure search
+        # that did not fix the other components would list it 2^28 times.
+        # v0 is on the 30-side: its 29 non-neighbors each give one leaf
+        # (the added edges never rejoin 30 components), and the pairs of
+        # its neighbors carry 30 paths, more than the cap.
+        g = complete_bipartite_graph(4, 30)
+        pairs = len(connectivity._flow_pairs(g))
+        counts = self._count_leaves(monkeypatch, most=pairs)
+        got = list(connectivity._min_separators(g, 4))
+        assert [c.vertices for c in got] == [(0, 1, 2, 3)]
+        assert len(got[0].components) == 30
+        assert counts["flows"] == pairs == 29 + 6
+        assert counts["leaves"] == 29
+
+    def test_added_edges_stop_repeats(self, monkeypatch):
+        # every 4-cut of C_n(1,2) and 6-cut of C_n(1,2,3) leaves two
+        # components, so once a pair's edge is added no later pair finds
+        # its separators: one leaf per separator
+        counts = self._count_leaves(monkeypatch)
+        for g in [circulant_graph(n, (1, 2)) for n in (12, 20, 30)] + [
+                circulant_graph(n, (1, 2, 3)) for n in (14, 20)]:
+            counts.update(leaves=0)
+            got = _listing(g)
+            assert all(len(c.components) == 2 for c in got)
+            assert counts["leaves"] == len(got)
+
+    def test_complete_graph_has_none(self):
+        assert _listing(complete_graph(6)) == []
+
+    def test_cost_follows_the_cuts_not_the_subsets(self):
+        # C60(1,2) has n(n-5)/2 = 1650 4-cuts among 487,635 4-subsets, and
+        # the quasi test on a 60-vertex apex graph confirms its single 4-cut
+        g = circulant_graph(60, (1, 2))
+        cuts = minimum_cuts(g)
+        assert len(cuts) == 1650 and all(c.size == 4 for c in cuts)
+        quasi, listed = connectivity._quasi_with_cuts(quasi_5_apex(60, 1), 5)
+        assert quasi.holds and len(listed) == 1
+
+
 class TestNontrivialCut:
     def test_component_multiset_cases(self):
         # star-like gadgets realizing the size multisets around one cut vertex
@@ -389,6 +516,27 @@ class TestQuasiKConnected:
         assert len(calls) < 1000
         quasi, cuts = connectivity._quasi_with_cuts(g, 5)
         assert quasi == rep and cuts == []
+
+    def test_scans_subsets_only_for_a_certificate(self, monkeypatch):
+        # the (k-1)-subsets are scanned once when the test fails on a
+        # nontrivial cut, for the least one, and never when it holds
+        walks = []
+        scan = connectivity._cuts
+
+        def counted(g, size):
+            walks.append(size)
+            return scan(g, size)
+
+        monkeypatch.setattr(connectivity, "_cuts", counted)
+        for g in [circulant_graph(8, (1, 2)), circulant_graph(40, (1, 2))]:
+            walks.clear()
+            rep = is_quasi_k_connected(g, 5)
+            assert rep.failure == "nontrivial-cut" and walks == [4]
+        for g in [quasi_5_apex(30, 1), glued_cliques(7, 5), icosahedron_graph(),
+                  cycle_graph(6)]:
+            walks.clear()
+            is_quasi_k_connected(g, 5)
+            assert walks == []
 
     @given(graphs(min_n=1, max_n=8), st.integers(2, 6))
     @settings(max_examples=100, deadline=None)
