@@ -22,7 +22,10 @@ a seen set drops the few that leave three or more components and survive
 the edge. The cost follows the number of minimum cuts, not C(n, kappa).
 `minimum_cuts`, the quasi k-connectivity test at kappa = k-1 and the
 contraction decision read this listing; the quasi test stops at the first
-nontrivial cut.
+nontrivial cut. The k-cuts of a quasi k-connected graph, which classify
+its edges, are listed the same way from flows between k+1 disjoint edges
+and terminals (`_quasi_k_cuts`), plus the neighborhoods that cut off one
+vertex.
 
 Cut enumeration of an arbitrary size visits every vertex subset of that
 size, so it is always complete. It walks the subsets depth first in
@@ -32,9 +35,10 @@ exactly when the remaining neighbors of d lie in one component, since
 every path to d ends at a neighbor of d; a BFS that stops as soon as it
 has reached them all decides this. Only subsets that fail this test, or
 that extend a disconnected prefix, get a full component BFS, which also
-gives a cut its components. It serves `enumerate_cuts`, and the quasi
-test's certificate: once the listing has found a nontrivial cut, the walk
-stops at the lexicographically least one.
+gives a cut its components. It serves `enumerate_cuts`, the k-cuts of a
+quasi k-connected graph without k+1 disjoint edges, and the quasi test's
+certificate: once the listing has found a nontrivial cut, the walk stops
+at the lexicographically least one.
 """
 
 from __future__ import annotations
@@ -419,6 +423,60 @@ def _minimum_cuts(g: Graph, kappa: int) -> list[Cut]:
     if kappa == 0:
         return enumerate_cuts(g, 0)
     return sorted(_min_separators(g, kappa), key=lambda cut: cut.vertices)
+
+
+def _quasi_k_cuts(g: Graph, k: int, kappa: int) -> list[Cut]:
+    """enumerate_cuts(g, k) for G quasi k-connected, not complete, with
+    kappa(G) = kappa in {k-1, k}.
+
+    At kappa = k these are the minimum cuts. At kappa = k-1 the minimum
+    degree is at least k-1, so a k-cut with a singleton component {u} is
+    N(u) with deg u = k, or N(u) + v with deg u = k-1 and v outside N[u].
+    Every other k-cut T leaves components of >= 2 vertices each. Of k+1
+    disjoint edges T misses one, e, which lies in one component; every
+    other component holds a terminal: a vertex of degree >= k, or an edge
+    between two vertices of degree k-1. No (k-1)-set separates e from a
+    terminal, as it would be a nontrivial (k-1)-cut, so T is a minimum
+    separator between them and is listed from the residual graph of their
+    flow, e and an edge terminal each merged into one end by an uncuttable
+    internal arc at the other. Unlike `_min_separators`, no pair's edge is added afterwards: it
+    would also drop separators holding a terminal's other end, which that
+    pair never listed. Without k+1 disjoint edges G is small, and the
+    k-subsets are scanned.
+    """
+    if kappa == k:
+        return _minimum_cuts(g, k)
+    matching, used = [], 0
+    for x, y in g.edges():
+        if not used & (1 << x | 1 << y):
+            matching.append((x, y))
+            used |= 1 << x | 1 << y
+            if len(matching) == k + 1:
+                break
+    else:
+        return enumerate_cuts(g, k)
+    masks, deg = g.masks, g.degrees()
+    seps: set[tuple[int, ...]] = set()
+    for u in g.vertices:
+        if deg[u] == k:
+            seps.add(mask_to_vertices(masks[u]))
+        elif deg[u] == k - 1:
+            seps.update(mask_to_vertices(masks[u] | 1 << v) for v in g.vertices
+                        if not (masks[u] | 1 << u) >> v & 1)
+    terminals = [(v,) for v in g.vertices if deg[v] >= k]
+    terminals += [(x, y) for x, y in g.edges() if deg[x] == deg[y] == k - 1]
+    net = _split_network(g)
+    for x, y in matching:
+        near = masks[x] | masks[y]
+        for tau in terminals:
+            if any(near >> v & 1 for v in tau):
+                continue  # a terminal in N[e] shares e's component
+            cap = net.cap[:]
+            for v in (y,) + tau[1:]:
+                cap[2 * v] = g.n
+            if _local_vertex_cut(net, x, tau[0], k + 1, cap)[0] == k:
+                seps.update(_pair_separators(net, cap, x, tau[0]))
+    return [make_cut(g, sep) for sep in sorted(seps)]
 
 
 # ---------------------------------------------------------------------------

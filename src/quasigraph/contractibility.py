@@ -9,11 +9,14 @@ but admits a nontrivial (k-1)-cut (the quasi-breaking set E0), and edges
 whose contraction drops connectivity below k-1.
 
 `contraction_reports` classifies every edge from the cuts of G itself,
-found once per call. For G quasi k-connected and e = xy, a cut of G/e
-either avoids the merged vertex, and is then a cut of G avoiding x and y
-with the same components up to merging x and y, or contains it, and is
-then the image of a cut T of G containing x and y with the same
-components. Hence:
+found once per call: the (k-1)-cuts from the quasi test, and the k-cuts
+from max-flows between disjoint edges and terminals
+(`connectivity._quasi_k_cuts`), with no scan of the k-subsets unless G is
+too small to hold k+1 disjoint edges. For G quasi k-connected and
+e = xy, a cut of G/e either avoids the merged vertex, and is then a cut
+of G avoiding x and y with the same components up to merging x and y, or
+contains it, and is then the image of a cut T of G containing x and y
+with the same components. Hence:
 
 - kappa(G/e) < k-1 exactly when some (k-1)-cut of G contains x and y, and
   then kappa(G/e) = k-2;
@@ -47,9 +50,9 @@ from .connectivity import (
     Cut,
     QuasiConnectivity,
     _min_separators,
+    _quasi_k_cuts,
     _quasi_with_cuts,
     _vertex_connectivity_with_cut,
-    enumerate_cuts,
     is_quasi_k_connected,
     make_cut,
     vertex_connectivity,
@@ -167,8 +170,9 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
               cuts: list[Cut]) -> list[ContractionReport]:
     """contraction_reports from a quasi verdict that holds and its (k-1)-cuts,
     as `_quasi_with_cuts` returns them. Each edge is classified from the
-    (k-1)- and k-cuts of g, as the module docstring sets out; only edges
-    they cannot settle are contracted and tested directly."""
+    (k-1)-cuts and the k-cuts of g, the latter listed by `_quasi_k_cuts`,
+    as the module docstring sets out; only edges they cannot settle are
+    contracted and tested directly."""
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
@@ -176,7 +180,7 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
     in_k_cut: set[tuple[int, int]] = set()
     first_nontrivial: dict[tuple[int, int], Cut] = {}
     has_k_cuts = quasi.kappa <= k and not g.is_complete()
-    for cut in enumerate_cuts(g, k) if has_k_cuts else []:
+    for cut in _quasi_k_cuts(g, k, quasi.kappa) if has_k_cuts else []:
         for e in combinations(cut.vertices, 2):
             if g.has_edge(*e):
                 in_k_cut.add(e)

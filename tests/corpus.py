@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from quasigraph.core import Graph
 from quasigraph.generators import (
     circulant_graph,
@@ -88,6 +90,29 @@ def quasi_five_corpus(max_n: int = 14) -> list[tuple[str, Graph]]:
             out.append((f"apex4tri-n{n}-s{seed}",
                         quasi_5_apex(n, 100 + seed, attach_triangle=True)))
     return out
+
+
+@st.composite
+def planted_graphs(draw, min_k: int = 2, max_k: int = 6, max_n: int = 14):
+    """(G, k) with 2k+2 <= n <= max_n: a random graph of average degree
+    about k+2 in which up to two disjoint pairs of adjacent vertices have
+    degree k-1 each, so that edges between two degree-(k-1) vertices
+    occur. Not filtered: about a third are quasi k-connected with
+    kappa <= k."""
+    k = draw(st.integers(min_k, max_k))
+    n = draw(st.integers(2 * k + 2, max(max_n, 2 * k + 2)))
+    rng = draw(st.randoms(use_true_random=False))
+    p = (k + draw(st.integers(1, 3))) / (n - 1)
+    planted = draw(st.integers(0, 2))
+    # the planted vertices 0..2*planted-1 get no random edges
+    edges = {(u, v) for u in range(2 * planted, n) for v in range(u + 1, n)
+             if rng.random() < p}
+    rest = range(2 * planted, n)
+    for a in range(0, 2 * planted, 2):
+        edges.add((a, a + 1))
+        for v in (a, a + 1):
+            edges.update((v, w) for w in rng.sample(rest, k - 2))
+    return Graph(n, sorted(edges)), k
 
 
 # ---------------------------------------------------------------------------

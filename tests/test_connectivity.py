@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
@@ -33,6 +33,7 @@ from quasigraph.generators import (
     star_graph,
 )
 
+from corpus import planted_graphs
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -425,6 +426,61 @@ class TestMinSeparators:
         assert len(cuts) == 1650 and all(c.size == 4 for c in cuts)
         quasi, listed = connectivity._quasi_with_cuts(quasi_5_apex(60, 1), 5)
         assert quasi.holds and len(listed) == 1
+
+
+# k = 4, n = 12: an edge added to the network after each pair, as
+# `_min_separators` does, loses the 4-cut (1, 4, 6, 11)
+LOST_BY_ADDED_EDGES = Graph(12, [
+    (0, 1), (0, 6), (0, 7), (0, 8), (0, 10), (1, 3), (1, 6), (1, 9), (2, 4),
+    (2, 9), (2, 11), (3, 5), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8), (4, 11),
+    (5, 10), (5, 11), (6, 8), (6, 9), (7, 8), (7, 11), (8, 10)])
+
+
+class TestQuasiKCuts:
+    """The k-cuts of a quasi k-connected graph, listed from flows between
+    disjoint edges and terminals, against the k-subset scan and brute
+    force."""
+
+    @staticmethod
+    def _check(g, k, oracle=True):
+        """Compare the listing with the scan when G is quasi k-connected
+        with kappa <= k and not complete; whether it was compared."""
+        quasi, _ = connectivity._quasi_with_cuts(g, k)
+        if not quasi.holds or quasi.kappa > k or g.is_complete():
+            return False
+        got = connectivity._quasi_k_cuts(g, k, quasi.kappa)
+        assert got == enumerate_cuts(g, k), (g.edges(), k)
+        if oracle:
+            assert [c.vertices for c in got] == brute_cuts_of_size(g, k), (g.edges(), k)
+        return True
+
+    def test_matches_scan_on_the_corpora(self, small_corpus, quasi5_corpus):
+        checked = {"flows": 0, "scan": 0}
+        for _, g in small_corpus + quasi5_corpus:
+            for k in range(2, 7):
+                if self._check(g, k, oracle=g.n <= 12):
+                    checked["flows" if g.n >= 2 * k + 2 else "scan"] += 1
+        assert checked["flows"] > 200 and checked["scan"] > 400
+
+    def test_petersen_has_only_edge_terminals(self):
+        # 3-regular: at k = 4 every terminal is an edge
+        g = petersen_graph()
+        assert self._check(g, 4)
+        assert len(enumerate_cuts(g, 4)) > 0
+
+    def test_apex_graphs(self):
+        for n in range(9, 31):
+            for g in (quasi_5_apex(n, n), quasi_5_apex(n, n, attach_triangle=True)):
+                assert self._check(g, 5, oracle=n <= 14)
+
+    def test_no_edge_added_after_a_pair(self):
+        assert self._check(LOST_BY_ADDED_EDGES, 4)
+        assert (1, 4, 6, 11) in [c.vertices for c in enumerate_cuts(LOST_BY_ADDED_EDGES, 4)]
+
+    @given(planted_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, gk):
+        assume(self._check(*gk))
 
 
 class TestNontrivialCut:

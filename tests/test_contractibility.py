@@ -2,10 +2,11 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
+from quasigraph.cli import _analyze_one
 from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
 from quasigraph.contractibility import (
     _contracts_to,
@@ -29,6 +30,7 @@ from quasigraph.generators import (
     quasi_5_apex,
 )
 
+from corpus import planted_graphs
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -132,9 +134,9 @@ class TestComputeE0:
                 assert classes.count(True) == 1
 
 
-def _quasi_pairs(corpus, max_n):
-    """(graph, k) for k in (4, 5) wherever the graph is quasi k-connected."""
-    return [(g, k) for _, g in corpus if g.n <= max_n for k in (4, 5)
+def _quasi_pairs(corpus, max_n, ks=(4, 5)):
+    """(graph, k) for k in ks wherever the graph is quasi k-connected."""
+    return [(g, k) for _, g in corpus if g.n <= max_n for k in ks
             if is_quasi_k_connected(g, k).holds]
 
 
@@ -196,12 +198,43 @@ class TestContractionReportsFromCuts:
         with pytest.raises(ValueError, match="not an edge"):
             contracted_min_degree(cycle_graph(5), (0, 2))
 
-    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_single_edge_reports(self, k, small_corpus, quasi5_corpus):
-        graphs = [g for g, kk in _quasi_pairs(small_corpus + quasi5_corpus, 10) if kk == k]
-        for g in graphs + [complete_graph(5), complete_graph(6), complete_graph(7)]:
+        pool = small_corpus + quasi5_corpus + [("K", complete_graph(n)) for n in (5, 6, 7)]
+        for g, _ in _quasi_pairs(pool, 10, (k,)):
             assert contraction_reports(g, k) == [
                 is_quasi_k_contractible(g, e, k) for e in g.edges()], (g.edges(), k)
+
+    @given(planted_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_single_edge_reports_property(self, gk):
+        # n >= 2k+2, so the k-cuts are listed from flows, not scanned
+        g, k = gk
+        assume(is_quasi_k_connected(g, k).holds)
+        assert contraction_reports(g, k) == [
+            is_quasi_k_contractible(g, e, k) for e in g.edges()], (g.edges(), k)
+
+    @pytest.mark.parametrize("g, analyze", [
+        (quasi_5_apex(24, 1), True),
+        (quasi_5_apex(40, 1), False),
+        (icosahedron_graph(), False),  # kappa = k
+    ], ids=["analyze-apex24", "reports-apex40", "reports-icosahedron"])
+    def test_no_subset_walk(self, g, analyze, monkeypatch):
+        # the k-cuts come from flows: no k-subset of G is walked, and no
+        # fallback of these graphs walks the subsets of a contraction
+        walks = []
+        scan = connectivity._cuts
+
+        def counted(h, size):
+            walks.append((h.n, size))
+            return scan(h, size)
+
+        monkeypatch.setattr(connectivity, "_cuts", counted)
+        if analyze:
+            _analyze_one("x", g, 5)
+        else:
+            contraction_reports(g, 5)
+        assert walks == []
 
     def test_hypothesis_violated(self):
         with pytest.raises(ValueError, match="hypothesis violated"):
