@@ -44,12 +44,12 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
     if atom is not None:
         summary["nontrivial_atom"] = atom.to_json()
     if quasi.holds:
-        reports = _classify(g, k, quasi, cuts)
-        summary["E0"] = [list(r.edge) for r in reports if r.in_E0]
+        classes = _classify(g, k, quasi, cuts)
+        summary["E0"] = [list(c.edge) for c in classes if c.in_E0]
         summary["quasi_contractible_edges"] = [
-            list(r.edge) for r in reports if r.quasi_k_contractible]
+            list(c.edge) for c in classes if c.quasi_k_contractible]
         summary["kappa_dropping_edges"] = [
-            list(r.edge) for r in reports if r.kappa_after < k - 1]
+            list(c.edge) for c in classes if c.kappa_after < k - 1]
     return summary
 
 

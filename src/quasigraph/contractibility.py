@@ -8,15 +8,16 @@ quasi k-contractible edges, edges whose contraction keeps (k-1)-connectivity
 but admits a nontrivial (k-1)-cut (the quasi-breaking set E0), and edges
 whose contraction drops connectivity below k-1.
 
-`contraction_reports` classifies every edge from the cuts of G itself,
-found once per call: the (k-1)-cuts from the quasi test, and the k-cuts
-from max-flows between disjoint edges and terminals
+One class pass (`_classify`) reads every edge's class from the cuts of G
+itself, found once per graph: the (k-1)-cuts from the quasi test, and the
+k-cuts from max-flows between disjoint edges and terminals
 (`connectivity._quasi_k_cuts`), with no scan of the k-subsets unless G is
-too small to hold k+1 disjoint edges. For G quasi k-connected and
-e = xy, a cut of G/e either avoids the merged vertex, and is then a cut
-of G avoiding x and y with the same components up to merging x and y, or
-contains it, and is then the image of a cut T of G containing x and y
-with the same components. Hence:
+too small to hold k+1 disjoint edges. It contracts no edge and runs no
+flow on any G/e. For G quasi k-connected and e = xy, a cut of G/e either
+avoids the merged vertex, and is then a cut of G avoiding x and y with
+the same components up to merging x and y, or contains it, and is then
+the image of a cut T of G containing x and y with the same components.
+Hence, unless G/e is complete:
 
 - kappa(G/e) < k-1 exactly when some (k-1)-cut of G contains x and y, and
   then kappa(G/e) = k-2;
@@ -27,13 +28,22 @@ with the same components. Hence:
   trivial), and the first in contracted ids is the T with the least
   sorted(T - {y}), which is also the least T.
 
-Max-flow on G/e runs only where these cannot settle the report: an edge
-that drops connectivity needs the flow min-cut as its certificate, an edge
-with kappa(G/e) >= k needs the exact value, and a complete G has no cuts.
+G/e is complete exactly when m - 1 - c = C(n-1, 2), c the number of common
+neighbors of x and y, and then kappa(G/e) = n-2 with no cut at all:
+P3 at k = 2 and C4 at k = 3 have kappa(G/e) = k-1, and K_k has
+kappa(G/e) = k-2, though no cut of G holds both ends or avoids both. This
+covers a complete G, which has no cuts.
+
+The class pass has two readers: `quasigraph analyze` and `compute_E0`,
+which print or return the classes, and `contraction_reports`, which
+builds the full reports from them. The builder contracts an edge only for
+a field the class does not give: an edge that drops connectivity needs
+the flow min-cut as its certificate, an edge with kappa(G/e) >= k needs
+the exact value, and an E0 edge's refuting cut is given in contracted ids.
 Only two helpers contract an edge and test the result. `_edge_report` is
 the full report, with the exact kappa(G/e) and the refuting cut, behind
-`is_quasi_k_contractible` and those fallbacks. `_contracts_to` is the
-yes/no decision (is G/e quasi k-connected, or k-connected), behind
+`is_quasi_k_contractible` and those two builder cases. `_contracts_to` is
+the yes/no decision (is G/e quasi k-connected, or k-connected), behind
 `is_k_contractible`, both modes of `first_contractible_edge` and lemma 3:
 it caps kappa(G/e) at k and lists the (k-1)-cuts of G/e only when
 kappa(G/e) = k-1.
@@ -44,6 +54,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .core import Graph, contract_edge, require_edge, vertices_to_mask
 from .connectivity import (
@@ -157,22 +168,73 @@ def is_quasi_k_contractible(g: Graph, e: tuple[int, int], k: int = 5) -> Contrac
 
 def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
     """Edges whose contraction keeps (k-1)-connectivity but is not quasi
-    k-connected; requires g quasi k-connected."""
-    return tuple(r.edge for r in contraction_reports(g, k) if r.in_E0)
+    k-connected; requires g quasi k-connected. Read from the edge classes,
+    so no edge is contracted."""
+    return tuple(c.edge for c in _classify(g, k, *_require_quasi(g, k)) if c.in_E0)
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
-    """Per-edge reports for the whole graph, sorted by edge."""
-    return _classify(g, k, *_require_quasi(g, k))
+    """Per-edge reports for the whole graph, sorted by edge.
+
+    Each report is read off its edge's class. An edge is contracted only
+    for a field its class does not give: the flow min-cut certificate of an
+    edge that drops kappa and the exact kappa(G/e) >= k, both from
+    `_edge_report`, and the refuting cut of an E0 edge in contracted ids.
+    """
+    reports = []
+    for c in _classify(g, k, *_require_quasi(g, k)):
+        # The class gives every field at kappa(G/e) = k-1, and at n-2, where
+        # G/e is complete and has no cut.
+        if c.kappa_after not in (k - 1, g.n - 2):
+            reports.append(_edge_report(g, c.edge, k))
+            continue
+        refuting = None
+        if c.cut is not None:
+            con = contract_edge(g, c.edge)
+            refuting = make_cut(con.graph, (con.vertex_map[v] for v in c.cut.vertices))
+        reports.append(ContractionReport(
+            edge=c.edge,
+            k=k,
+            kappa_after=c.kappa_after,
+            k_contractible=c.kappa_after >= k,
+            quasi_k_contractible=c.quasi_k_contractible,
+            in_E0=c.in_E0,
+            refuting_cut=refuting,
+            refuting_cut_preimage=None if c.cut is None else c.cut.vertices,
+        ))
+    return reports
+
+
+@dataclass(frozen=True, slots=True)
+class _EdgeClass:
+    """The class of edge e of a quasi k-connected G, read from the cuts of G.
+
+    `kappa_after` is kappa(G/e) when it is below k or G/e is complete, and
+    k otherwise, where it is a lower bound. `cut` is the least nontrivial
+    k-cut of G holding both ends when e is in E0, else None.
+    """
+
+    edge: tuple[int, int]
+    k: int
+    kappa_after: int
+    cut: Cut | None
+
+    @property
+    def in_E0(self) -> bool:
+        return self.cut is not None
+
+    @property
+    def quasi_k_contractible(self) -> bool:
+        return self.kappa_after >= self.k - 1 and self.cut is None
 
 
 def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
-              cuts: list[Cut]) -> list[ContractionReport]:
-    """contraction_reports from a quasi verdict that holds and its (k-1)-cuts,
-    as `_quasi_with_cuts` returns them. Each edge is classified from the
-    (k-1)-cuts and the k-cuts of g, the latter listed by `_quasi_k_cuts`,
-    as the module docstring sets out; only edges they cannot settle are
-    contracted and tested directly."""
+              cuts: list[Cut]) -> list[_EdgeClass]:
+    """The class of every edge of g, sorted by edge, from a quasi verdict
+    that holds and its (k-1)-cuts, as `_quasi_with_cuts` returns them, and
+    the k-cuts of g, as `_quasi_k_cuts` lists them; by the rules of the
+    module docstring, with G/e complete settled in closed form. No edge is
+    contracted and no flow runs on any G/e."""
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
@@ -186,30 +248,24 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
                 in_k_cut.add(e)
                 if cut.nontrivial:
                     first_nontrivial.setdefault(e, cut)
-    reports = []
+    masks = g.masks
+    complete = comb(g.n - 1, 2)  # the edge count of a complete G/e
+    classes = []
     for e in g.edges():
-        both = vertices_to_mask(e)
-        drops = any(m & both == both for m in low_cuts)
-        if drops or not (e in in_k_cut or any(not m & both for m in low_cuts)):
-            reports.append(_edge_report(g, e, k))
-            continue
-        # kappa(G/e) = k-1 exactly
-        cut = first_nontrivial.get(e)
-        refuting = None
-        if cut is not None:
-            con = contract_edge(g, e)
-            refuting = make_cut(con.graph, (con.vertex_map[v] for v in cut.vertices))
-        reports.append(ContractionReport(
-            edge=e,
-            k=k,
-            kappa_after=k - 1,
-            k_contractible=False,
-            quasi_k_contractible=cut is None,
-            in_E0=cut is not None,
-            refuting_cut=refuting,
-            refuting_cut_preimage=None if cut is None else cut.vertices,
-        ))
-    return reports
+        x, y = e
+        both = 1 << x | 1 << y
+        # G/e has m - 1 - c edges, c the common neighbors of x and y
+        if g.edge_count - 1 - (masks[x] & masks[y]).bit_count() == complete:
+            kappa = g.n - 2
+        elif any(m & both == both for m in low_cuts):
+            kappa = k - 2
+        elif e in in_k_cut or any(not m & both for m in low_cuts):
+            kappa = k - 1
+        else:
+            kappa = k
+        cut = first_nontrivial.get(e) if kappa == k - 1 else None
+        classes.append(_EdgeClass(e, k, kappa, cut))
+    return classes
 
 
 def first_contractible_edge(g: Graph, k: int, quasi: bool,

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from corpus import fixture_corpus, quasi_five_corpus
@@ -11,3 +13,25 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def quasi5_corpus():
     return quasi_five_corpus()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*names) returns a dict that counts the calls of the named
+    quasigraph functions, through every quasigraph module that holds them."""
+    def count(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            holders = [m for key, m in sys.modules.items()
+                       if key.split(".")[0] == "quasigraph" and hasattr(m, name)]
+            original = getattr(holders[0], name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in holders:
+                if getattr(module, name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+    return count

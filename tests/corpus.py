@@ -92,6 +92,16 @@ def quasi_five_corpus(max_n: int = 14) -> list[tuple[str, Graph]]:
     return out
 
 
+def all_small_graphs(max_n: int = 5) -> list[Graph]:
+    """Every labeled graph on 1..max_n vertices."""
+    out = []
+    for n in range(1, max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for bits in range(1 << len(pairs)):
+            out.append(Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    return out
+
+
 @st.composite
 def planted_graphs(draw, min_k: int = 2, max_k: int = 6, max_n: int = 14):
     """(G, k) with 2k+2 <= n <= max_n: a random graph of average degree

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from quasigraph import connectivity, io as gio
+from quasigraph import io as gio
 from quasigraph.cli import _analyze_one, main
 from quasigraph.generators import (
     complete_graph,
@@ -63,32 +63,14 @@ def test_analyze_bytes_pinned(k, small_corpus):
     assert hashlib.sha256(data.encode()).hexdigest() == ANALYZE_DIGESTS[k]
 
 
-def test_analyze_tests_quasi_once(monkeypatch):
-    # one kappa(G) and one listing of G's 4-cuts per analyzed graph, and no
-    # walk of G's 4-subsets
+def test_analyze_tests_quasi_once(count_calls):
+    # one kappa computation and one listing of minimum cuts in all, on G and
+    # on every other graph, and no subset walk
     g = quasi_5_apex(16, 1)
-    calls = {"kappa": 0, "listings": 0, "walks": 0}
-    kappa_with_cut = connectivity._vertex_connectivity_with_cut
-    listing, cuts = connectivity._min_separators, connectivity._cuts
-
-    def counted_kappa(h):
-        calls["kappa"] += h is g
-        return kappa_with_cut(h)
-
-    def counted_listing(h, kappa):
-        calls["listings"] += h is g and kappa == 4
-        return listing(h, kappa)
-
-    def counted_cuts(h, size):
-        calls["walks"] += h is g and size == 4
-        return cuts(h, size)
-
-    monkeypatch.setattr(connectivity, "_vertex_connectivity_with_cut", counted_kappa)
-    monkeypatch.setattr(connectivity, "_min_separators", counted_listing)
-    monkeypatch.setattr(connectivity, "_cuts", counted_cuts)
+    calls = count_calls("_vertex_connectivity_with_cut", "_min_separators", "_cuts")
     summary = _analyze_one("apex", g, 5)
     assert summary["quasi_k"]["holds"] and summary["kappa"] == 4
-    assert calls == {"kappa": 1, "listings": 1, "walks": 0}
+    assert calls == {"_vertex_connectivity_with_cut": 1, "_min_separators": 1, "_cuts": 0}
 
 
 def test_verify_exit_zero_and_reports(tmp_path, corpus_file, capsys):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
 from quasigraph.cli import _analyze_one
-from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
+from quasigraph.connectivity import _quasi_with_cuts, is_quasi_k_connected, vertex_connectivity
 from quasigraph.contractibility import (
+    _classify,
     _contracts_to,
     check_martinov,
     compute_E0,
@@ -30,7 +31,7 @@ from quasigraph.generators import (
     quasi_5_apex,
 )
 
-from corpus import planted_graphs
+from corpus import all_small_graphs, planted_graphs
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -140,6 +141,19 @@ def _quasi_pairs(corpus, max_n, ks=(4, 5)):
             if is_quasi_k_connected(g, k).holds]
 
 
+def _check_against_single_edge_reports(g, k):
+    """contraction_reports, and four flags of the class pass (quasi
+    k-contractible, in E0, drops kappa, k-contractible), against the
+    single-edge report, which contracts each edge."""
+    expected = [is_quasi_k_contractible(g, e, k) for e in g.edges()]
+    assert contraction_reports(g, k) == expected, (g.edges(), k)
+    classes = _classify(g, k, *_quasi_with_cuts(g, k))
+    assert [(c.quasi_k_contractible, c.in_E0, c.kappa_after < k - 1, c.kappa_after >= k)
+            for c in classes] == [
+        (r.quasi_k_contractible, r.in_E0, r.kappa_after < k - 1, r.k_contractible)
+        for r in expected], (g.edges(), k)
+
+
 class TestContractionReportsFromCuts:
     def test_report_bytes_pinned(self, small_corpus):
         # sha256 of contraction_reports over the fixture corpus, one line per
@@ -200,10 +214,11 @@ class TestContractionReportsFromCuts:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_single_edge_reports(self, k, small_corpus, quasi5_corpus):
-        pool = small_corpus + quasi5_corpus + [("K", complete_graph(n)) for n in (5, 6, 7)]
+        # every graph on <= 5 vertices, for the edges whose G/e is complete
+        pool = (small_corpus + quasi5_corpus + [("K", complete_graph(n)) for n in (5, 6, 7)]
+                + [("small", g) for g in all_small_graphs(5)])
         for g, _ in _quasi_pairs(pool, 10, (k,)):
-            assert contraction_reports(g, k) == [
-                is_quasi_k_contractible(g, e, k) for e in g.edges()], (g.edges(), k)
+            _check_against_single_edge_reports(g, k)
 
     @given(planted_graphs())
     @settings(max_examples=100, deadline=None)
@@ -211,8 +226,7 @@ class TestContractionReportsFromCuts:
         # n >= 2k+2, so the k-cuts are listed from flows, not scanned
         g, k = gk
         assume(is_quasi_k_connected(g, k).holds)
-        assert contraction_reports(g, k) == [
-            is_quasi_k_contractible(g, e, k) for e in g.edges()], (g.edges(), k)
+        _check_against_single_edge_reports(g, k)
 
     @pytest.mark.parametrize("g, analyze", [
         (quasi_5_apex(24, 1), True),
@@ -235,6 +249,21 @@ class TestContractionReportsFromCuts:
         else:
             contraction_reports(g, 5)
         assert walks == []
+
+    @pytest.mark.parametrize("g, analyze", [
+        (quasi_5_apex(24, 1), True),
+        (quasi_5_apex(24, 1, attach_triangle=True), True),
+        (quasi_5_apex(40, 1), False),
+    ], ids=["analyze-apex24", "analyze-apex24-triangle", "E0-apex40"])
+    def test_no_contraction_and_one_kappa(self, g, analyze, count_calls):
+        # analyze and compute_E0 read the edge classes: the quasi test's
+        # kappa(G) is the only kappa computation, on any graph
+        calls = count_calls("contract_edge", "_vertex_connectivity_with_cut")
+        if analyze:
+            assert _analyze_one("x", g, 5)["kappa_dropping_edges"]
+        else:
+            assert compute_E0(g, 5) == ()
+        assert calls == {"contract_edge": 0, "_vertex_connectivity_with_cut": 1}
 
     def test_hypothesis_violated(self):
         with pytest.raises(ValueError, match="hypothesis violated"):
