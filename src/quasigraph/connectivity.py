@@ -27,30 +27,34 @@ its edges, are listed the same way from flows between k+1 disjoint edges
 and terminals (`_quasi_k_cuts`), plus the neighborhoods that cut off one
 vertex.
 
-Cut enumeration of an arbitrary size visits every vertex subset of that
-size, so it is always complete. It walks the subsets depth first in
-lexicographic order and carries whether G minus the current prefix is
-connected. When it is, removing one more vertex d leaves a connected graph
-exactly when the remaining neighbors of d lie in one component, since
-every path to d ends at a neighbor of d; a BFS that stops as soon as it
-has reached them all decides this. Only subsets that fail this test, or
-that extend a disconnected prefix, get a full component BFS, which also
-gives a cut its components. It serves `enumerate_cuts`, the k-cuts of a
-quasi k-connected graph without k+1 disjoint edges, and the quasi test's
-certificate: once the listing has found a nontrivial cut, the walk stops
-at the lexicographically least one.
+Cut enumeration of an arbitrary size scans every vertex subset of that
+size in lexicographic order, with one component BFS each, so it is always
+complete. It serves `enumerate_cuts` and the k-cuts of a quasi k-connected
+graph without k+1 disjoint edges.
+
+A quasi test that fails on a nontrivial (k-1)-cut certifies it with the
+lexicographically least one. Once the listing meets a nontrivial cut, the
+first n^2 (k-1)-subsets are scanned, which ends at the least nontrivial
+cut when it lies among them; otherwise the least is taken from the rest of
+the listing, which at kappa = k-1 holds every (k-1)-cut. Both branches give
+the same cut, and neither is exponential: the scan costs at most n^2
+component BFS runs, and the listing one capped flow per pair plus a
+closure search per separator that a pair lists, where a graph of
+connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
+(Kanevsky).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     Graph,
     component_masks,
     mask_to_vertices,
+    vertices_to_mask,
 )
 
 
@@ -421,7 +425,7 @@ def _minimum_cuts(g: Graph, kappa: int) -> list[Cut]:
     if kappa >= g.n - 1:
         return []
     if kappa == 0:
-        return enumerate_cuts(g, 0)
+        return [make_cut(g, ())]
     return sorted(_min_separators(g, kappa), key=lambda cut: cut.vertices)
 
 
@@ -439,10 +443,10 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int) -> list[Cut]:
     terminal, as it would be a nontrivial (k-1)-cut, so T is a minimum
     separator between them and is listed from the residual graph of their
     flow, e and an edge terminal each merged into one end by an uncuttable
-    internal arc at the other. Unlike `_min_separators`, no pair's edge is added afterwards: it
-    would also drop separators holding a terminal's other end, which that
-    pair never listed. Without k+1 disjoint edges G is small, and the
-    k-subsets are scanned.
+    internal arc at the other. Unlike `_min_separators`, no pair's edge
+    is added afterwards: it would also drop separators holding a terminal's
+    other end, which that pair never listed. Without k+1 disjoint edges G
+    is small, and the k-subsets are scanned.
     """
     if kappa == k:
         return _minimum_cuts(g, k)
@@ -482,85 +486,21 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int) -> list[Cut]:
 # ---------------------------------------------------------------------------
 # Cut enumeration.
 
-def _joined(masks: tuple[int, ...], alive: int, nbrs: int) -> bool:
-    """Whether the vertices of `nbrs`, a nonempty subset of `alive`, lie in
-    one component of the subgraph induced on `alive`."""
-    low = nbrs & -nbrs
-    reach = low | (masks[low.bit_length() - 1] & alive)
-    rest = nbrs & ~reach
-    # Merge the radius-1 balls around the neighbors; reach stays connected.
-    grew = True
-    while rest and grew:
-        grew = False
-        r = rest
-        while r:
-            b = r & -r
-            r ^= b
-            ball = b | (masks[b.bit_length() - 1] & alive)
-            if ball & reach:
-                reach |= ball
-                grew = True
-        rest &= ~reach
-    # Then a frontier BFS from the merged balls, until every neighbor is in.
-    frontier = reach
-    while rest and frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= masks[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & alive & ~reach
-        reach |= frontier
-        rest &= ~reach
-    return not rest
-
-
-def _cuts(g: Graph, size: int) -> Iterator[Cut]:
-    """The cuts of exactly `size` vertices, in lexicographic order; needs
-    0 <= size < n.
-
-    Each prefix carries its alive mask and whether G - prefix is connected
-    (see the module docstring).
-    """
-    masks = g.masks
-    comps = component_masks(masks, g.full_mask)
-    if size == 0:
+def _cuts(g: Graph, size: int, limit: int | None = None) -> Iterator[Cut]:
+    """The cuts among the first `limit` (all when None) `size`-subsets in
+    lexicographic order, one component BFS per subset; needs
+    0 <= size < n."""
+    masks, full = g.masks, g.full_mask
+    for t in islice(combinations(g.vertices, size), limit):
+        comps = component_masks(masks, full & ~vertices_to_mask(t))
         if len(comps) >= 2:
-            yield _cut_from_masks((), comps)
-        return
-
-    # Prefixes still to extend, as (least vertex to add, prefix, alive mask,
-    # G - prefix connected), popped in lexicographic order.
-    stack = [(0, (), g.full_mask, len(comps) == 1)]
-    while stack:
-        start, prefix, alive, connected = stack.pop()
-        stop = g.n - size + len(prefix) + 1
-        if len(prefix) + 1 < size:
-            children = []
-            for d in range(start, stop):
-                sub = alive & ~(1 << d)
-                if connected:
-                    joined = _joined(masks, sub, masks[d] & sub)
-                else:
-                    joined = len(component_masks(masks, sub)) == 1
-                children.append((d + 1, prefix + (d,), sub, joined))
-            stack.extend(reversed(children))
-            continue
-        for d in range(start, stop):
-            sub = alive & ~(1 << d)
-            if connected and _joined(masks, sub, masks[d] & sub):
-                continue
-            comps = component_masks(masks, sub)
-            if len(comps) >= 2:
-                yield _cut_from_masks(prefix + (d,), comps)
+            yield _cut_from_masks(t, comps)
 
 
 def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
     """All cuts of exactly `size` vertices, lexicographically sorted.
 
-    Every `size`-subset is visited, so the list is always complete; only
-    the subsets whose removal may disconnect G get a full component BFS.
+    Every `size`-subset is visited, so the list is always complete.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
@@ -612,9 +552,12 @@ def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
     """is_quasi_k_connected's verdict, with the (k-1)-cuts it listed.
 
     When kappa is exactly k-1 the minimum cuts are listed until the first
-    nontrivial one. The list is empty whenever the verdict fails, and
-    whenever it holds it is the complete, sorted list of (k-1)-cuts (there
-    are none once kappa >= k).
+    nontrivial one, and the certificate is then the lexicographically least
+    nontrivial (k-1)-cut: from a scan of the first n^2 (k-1)-subsets when
+    it lies among them, else from the rest of the listing, since at
+    kappa = k-1 every (k-1)-cut is a minimum separator. The list is empty
+    whenever the verdict fails, and whenever it holds it is the complete,
+    sorted list of (k-1)-cuts (there are none once kappa >= k).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -624,9 +567,13 @@ def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
     cuts = []
-    for cut in _min_separators(g, k - 1):
+    listing = _min_separators(g, k - 1)
+    for cut in listing:
         if cut.nontrivial:
-            least = next(c for c in _cuts(g, k - 1) if c.nontrivial)
+            least = next((c for c in _cuts(g, k - 1, g.n * g.n) if c.nontrivial), None)
+            if least is None:
+                least = min([cut] + [c for c in listing if c.nontrivial],
+                            key=lambda c: c.vertices)
             return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
         cuts.append(cut)
     cuts.sort(key=lambda cut: cut.vertices)
@@ -640,6 +587,6 @@ def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     graphs of the kappa flows, which find every one, so a verdict that
     holds has seen them all. At the first nontrivial one the listing stops,
     and the certificate is the lexicographically least nontrivial cut,
-    from a scan of the (k-1)-subsets that stops there.
+    found in polynomial time (see `_quasi_with_cuts`).
     """
     return _quasi_with_cuts(g, k)[0]

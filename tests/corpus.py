@@ -125,6 +125,17 @@ def planted_graphs(draw, min_k: int = 2, max_k: int = 6, max_n: int = 14):
     return Graph(n, sorted(edges)), k
 
 
+def planted_pair(n: int, width: int) -> Graph:
+    """random_5_connected(n-2, 3) plus two adjacent vertices n-2 and n-1,
+    both joined to the `width` vertices just below them. At width 4 their
+    common neighborhood (n-6, ..., n-3) is the least nontrivial 4-cut, far
+    past the first n^2 4-subsets. At width 5 it is a nontrivial 5-cut, and
+    contracting an edge inside it leaves a nontrivial 4-cut."""
+    host = random_5_connected(n - 2, 3)
+    pair = [(n - 2, n - 1)] + [(v, w) for v in (n - 2, n - 1)
+                               for w in range(n - 2 - width, n - 2)]
+    return Graph(n, list(host.edges()) + pair)
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of 5-connected graphs on <= 8 vertices.
 #

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +34,7 @@ from quasigraph.generators import (
     star_graph,
 )
 
-from corpus import planted_graphs
+from corpus import all_small_graphs, planted_graphs, planted_pair
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -278,8 +279,8 @@ class TestEnumerateCuts:
         assert got == brute_cuts_of_size(g, size)
 
     def test_every_size_matches_oracles(self, small_corpus, quasi5_corpus):
-        # Cycles, stars and disjoint unions leave disconnected prefixes, so
-        # the walk's full-BFS branch runs as well as its early-stop test.
+        # Cycles, stars and disjoint unions: cuts with many components, and
+        # disconnected graphs, in which every subset is a cut.
         extra = [cycle_graph(7), star_graph(6), path_graph(6),
                  disjoint_union(cycle_graph(4), path_graph(3)),
                  disjoint_union(complete_graph(1), star_graph(4)),
@@ -575,19 +576,20 @@ class TestQuasiKConnected:
 
     def test_scans_subsets_only_for_a_certificate(self, monkeypatch):
         # the (k-1)-subsets are scanned once when the test fails on a
-        # nontrivial cut, for the least one, and never when it holds
+        # nontrivial cut, for the least one and at most n^2 of them, and
+        # never when it holds
         walks = []
         scan = connectivity._cuts
 
-        def counted(g, size):
-            walks.append(size)
-            return scan(g, size)
+        def counted(g, size, limit=None):
+            walks.append((size, limit))
+            return scan(g, size, limit)
 
         monkeypatch.setattr(connectivity, "_cuts", counted)
         for g in [circulant_graph(8, (1, 2)), circulant_graph(40, (1, 2))]:
             walks.clear()
             rep = is_quasi_k_connected(g, 5)
-            assert rep.failure == "nontrivial-cut" and walks == [4]
+            assert rep.failure == "nontrivial-cut" and walks == [(4, g.n * g.n)]
         for g in [quasi_5_apex(30, 1), glued_cliques(7, 5), icosahedron_graph(),
                   cycle_graph(6)]:
             walks.clear()
@@ -602,6 +604,107 @@ class TestQuasiKConnected:
             assert not rep.holds
         if vertex_connectivity(g) >= k:
             assert rep.holds  # every k-connected graph is quasi k-connected
+
+
+def _least_nontrivial(g, size):
+    """The least nontrivial cut of the unbudgeted scan, or None."""
+    return next((c for c in enumerate_cuts(g, size) if c.nontrivial), None)
+
+
+def _past_budget(g, cut):
+    """Whether cut lies past the first n^2 subsets of its size."""
+    return list(combinations(range(g.n), cut.size)).index(cut.vertices) >= g.n * g.n
+
+
+class TestQuasiCertificate:
+    """The certificate of a quasi test that fails on a nontrivial cut: the
+    least nontrivial (k-1)-cut, from the budgeted scan or from the rest of
+    the listing, against the unbudgeted scan and the oracles."""
+
+    @staticmethod
+    def _check(g, k):
+        """Compare the certificate with the scan; which branch gave it, or
+        None when the test does not fail on a nontrivial cut."""
+        rep = is_quasi_k_connected(g, k)
+        if rep.failure != "nontrivial-cut":
+            return None
+        assert rep.cut == _least_nontrivial(g, k - 1), (g.edges(), k)
+        return "listing" if _past_budget(g, rep.cut) else "scan"
+
+    def test_matches_scan_on_the_corpora(self, small_corpus, quasi5_corpus):
+        branches = {"scan": 0, "listing": 0, None: 0}
+        for _, g in small_corpus + quasi5_corpus:
+            for k in range(2, 7):
+                branches[self._check(g, k)] += 1
+        assert branches["scan"] > 100 and branches["listing"] > 10
+
+    def test_matches_oracles_on_small_graphs(self):
+        refuted = 0
+        for g in all_small_graphs(5):
+            adj = adjacency_sets(g)
+            for k in range(2, 7):
+                rep = is_quasi_k_connected(g, k)
+                nontrivial = [t for t in brute_cuts_of_size(g, k - 1)
+                              if brute_nontrivial([len(c) for c in components_of(adj, set(t))])]
+                if rep.kappa == k - 1:
+                    assert rep.holds == (not nontrivial), (g.edges(), k)
+                if not rep.holds and rep.failure == "nontrivial-cut":
+                    assert rep.cut.vertices == nontrivial[0], (g.edges(), k)
+                    comps = components_of(adj, set(nontrivial[0]))
+                    assert rep.cut.components == tuple(sorted(tuple(sorted(c)) for c in comps))
+                    refuted += 1
+        assert refuted > 0
+
+    @given(planted_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan_property(self, gk):
+        self._check(*gk)
+
+    @pytest.mark.parametrize("n", range(12, 31))
+    def test_planted_late_cut(self, n):
+        # the pair's neighborhood is the least nontrivial 4-cut, past the
+        # scan budget
+        g = planted_pair(n, 4)
+        assert self._check(g, 5) == "listing"
+        assert is_quasi_k_connected(g, 5).cut.vertices == tuple(range(n - 6, n - 2))
+
+    def test_each_branch_runs(self, monkeypatch):
+        # a circulant's least nontrivial cut lies within the scan budget, so
+        # the scan stops there and the listing at its first nontrivial cut;
+        # the planted graph's scan runs through all n^2 subsets in vain, and
+        # the same listing then runs to its end
+        walks, listed = [], []
+        scan, listing = connectivity._cuts, connectivity._min_separators
+
+        def counted_scan(g, size, limit=None):
+            walk = {"limit": limit, "last": None, "exhausted": False}
+            walks.append(walk)
+            for cut in scan(g, size, limit):
+                walk["last"] = cut.vertices
+                yield cut
+            walk["exhausted"] = True
+
+        def counted_listing(g, kappa):
+            listed.append(False)
+            yield from listing(g, kappa)
+            listed[-1] = True
+
+        monkeypatch.setattr(connectivity, "_cuts", counted_scan)
+        monkeypatch.setattr(connectivity, "_min_separators", counted_listing)
+        for n in (20, 40, 80):
+            g = circulant_graph(n, (1, 2))
+            walks.clear()
+            listed.clear()
+            assert is_quasi_k_connected(g, 5).cut.vertices == (0, 1, 4, 5)
+            # (0, 1, 4, 5) is the (2n-6)th 4-subset
+            assert walks == [{"limit": n * n, "last": (0, 1, 4, 5), "exhausted": False}]
+            assert listed == [False]
+        g = planted_pair(30, 4)
+        walks.clear()
+        listed.clear()
+        assert is_quasi_k_connected(g, 5).cut.vertices == (24, 25, 26, 27)
+        assert [(w["limit"], w["exhausted"]) for w in walks] == [(900, True)]
+        assert listed == [True]
 
 
 class TestPartitionIdentity:

@@ -31,7 +31,7 @@ from quasigraph.generators import (
     quasi_5_apex,
 )
 
-from corpus import all_small_graphs, planted_graphs
+from corpus import all_small_graphs, planted_graphs, planted_pair
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -111,6 +111,15 @@ class TestIsQuasiKContractible:
         assert obj["edge"] == [0, 1]
         assert obj["in_E0"] is True
         assert obj["refuting_cut"]["nontrivial"] is True
+
+    def test_planted_e0_edge(self):
+        # (35, 36) is the one edge inside the planted nontrivial 5-cut
+        # (33, ..., 37); the refuting 4-cut of G/e is its image, far past
+        # the first n^2 4-subsets of G/e
+        g = planted_pair(40, 5)
+        rep = is_quasi_k_contractible(g, (35, 36), 5)
+        assert rep.in_E0 and rep.refuting_cut_preimage == (33, 34, 35, 36, 37)
+        assert rep == next(r for r in contraction_reports(g, 5) if r.edge == (35, 36))
 
 
 class TestComputeE0:
@@ -239,9 +248,9 @@ class TestContractionReportsFromCuts:
         walks = []
         scan = connectivity._cuts
 
-        def counted(h, size):
+        def counted(h, size, limit=None):
             walks.append((h.n, size))
-            return scan(h, size)
+            return scan(h, size, limit)
 
         monkeypatch.setattr(connectivity, "_cuts", counted)
         if analyze:
