@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .connectivity import _quasi_with_cuts, is_quasi_k_connected
+from .connectivity import _Flows, _minimum_cuts, _quasi_with_cuts, is_quasi_k_connected
 from .contractibility import _classify, first_contractible_edge
 from .fragments import nontrivial_atom
 from .generators import CorpusSpec, generate_corpus, read_corpus_file
@@ -27,7 +27,8 @@ from .harness import CLAIMS, run_campaign
 
 
 def _analyze_one(graph_id: str, g, k: int) -> dict:
-    quasi, cuts = _quasi_with_cuts(g, k)
+    flows = _Flows(g)
+    quasi, cuts = _quasi_with_cuts(g, k, flows)
     summary = {
         "graph_id": graph_id,
         "n": g.n,
@@ -40,11 +41,12 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
         "kappa_dropping_edges": None,
     }
     # Quasi k-connected at kappa = k-1: every minimum cut is trivial, so no fragment is.
-    atom = None if quasi.holds and quasi.kappa == k - 1 else nontrivial_atom(g)
+    atom = None if quasi.holds and quasi.kappa == k - 1 else nontrivial_atom(
+        g, _minimum_cuts(g, quasi.kappa, flows))
     if atom is not None:
         summary["nontrivial_atom"] = atom.to_json()
     if quasi.holds:
-        classes = _classify(g, k, quasi, cuts)
+        classes = _classify(g, k, quasi, cuts, flows)
         summary["E0"] = [list(c.edge) for c in classes if c.in_E0]
         summary["quasi_contractible_edges"] = [
             list(c.edge) for c in classes if c.quasi_k_contractible]
@@ -77,9 +79,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     scanned = 0
     for graph_id, g in read_corpus_file(args.corpus):
         scanned += 1
-        if not is_quasi_k_connected(g, 5).holds:
+        flows = _Flows(g)
+        if not is_quasi_k_connected(g, 5, flows).holds:
             continue
-        if first_contractible_edge(g, 5, quasi=True) is None:
+        if first_contractible_edge(g, 5, quasi=True, flows=flows) is None:
             hit = {"graph_id": graph_id, "n": g.n, "graph6": gio.to_graph6(g)}
             hits.append(hit)
             print(json.dumps(hit, sort_keys=True))

@@ -5,13 +5,22 @@ Connectivity uses unit-capacity max-flow on the standard vertex-split
 digraph, with the dominating pair/neighbor scheme: fix a minimum-degree
 vertex v, take local connectivity against every non-neighbor of v and
 between every non-adjacent pair of neighbors of v. The digraph is built
-once per kappa computation; each pair's flow works on a copy of its
-capacities and stops once it reaches the smallest separator found so far,
-since only a smaller one is kept. Each flow routes one unit through every
-common neighbor of its pair before it searches for augmenting paths. The
+at most once per call, in a flow context (`_Flows`) that the caller creates
+and hands to every kappa computation, cut listing and per-edge decision on
+the same graph. Each pair's flow works on a copy of its capacities and
+stops once it reaches the smallest separator found so far, since only a
+smaller one is kept. Each flow routes one unit through every common
+neighbor of its pair before it searches for augmenting paths. The
 separator is read from what the source reaches in the final residual
 graph, which is the same for every maximum flow, so witness cuts do not
 depend on the order of augmentation.
+
+kappa(G - x - y) and the minimum separators of G - x - y, which decide
+whether contracting an edge xy keeps G (quasi) k-connected, are computed
+on G's own digraph: the capacity copies close the internal arcs of x and
+y, so no path passes through them, and the pairs are taken from G's
+adjacency with x and y removed. A separator T of G - x - y is returned
+as the cut T + {x, y} of G, which leaves the same components.
 
 Minimum cuts are listed from the same pairs' flows, each capped at
 kappa + 1 (after Kanevsky, and Picard and Queyranne): a pair whose flow is
@@ -19,7 +28,9 @@ kappa has as its minimum separators the closed sets of the final residual
 graph, one canonical closed set per separator. After each pair its edge is
 added to the network, so no later pair finds those separators again, and
 a seen set drops the few that leave three or more components and survive
-the edge. The cost follows the number of minimum cuts, not C(n, kappa).
+the edge; the added arcs are removed when the listing ends, so the shared
+network is G's again. The cost follows the number of minimum cuts, not
+C(n, kappa).
 `minimum_cuts`, the quasi k-connectivity test at kappa = k-1 and the
 contraction decision read this listing; the quasi test stops at the first
 nontrivial cut. The k-cuts of a quasi k-connected graph, which classify
@@ -46,7 +57,9 @@ connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -170,8 +183,8 @@ def is_nontrivial_cut(
 # Local connectivity by max-flow on the split digraph.
 
 class _SplitNetwork(NamedTuple):
-    """The vertex-split digraph of a graph, built once and shared by every
-    flow of one kappa computation.
+    """The vertex-split digraph of a graph, built once per call and shared
+    by every flow of that call (see `_Flows`).
 
     Node 2v is v's in-copy, 2v+1 its out-copy. Arcs come in pairs, arc
     a ^ 1 being the reverse of arc a: v's internal arc 2v -> 2v+1 is arc
@@ -207,6 +220,17 @@ def _add_edge(net: _SplitNetwork, u: int, w: int) -> None:
     _arc(net, 2 * w + 1, 2 * u, n)
 
 
+def _remove_added_edges(net: _SplitNetwork, mark: int) -> None:
+    """Undo every `_add_edge` made since the network had `mark` arcs."""
+    to = net.to
+    for a in range(len(to) - 2, mark - 1, -2):
+        tail, head = to[a + 1], to[a]
+        net.adj[tail].pop()
+        net.adj[head].pop()
+        del net.out_arc[tail // 2][head // 2]
+    del to[mark:], net.cap[mark:]
+
+
 def _split_network(g: Graph) -> _SplitNetwork:
     n = g.n
     net = _SplitNetwork([], [], [[] for _ in range(2 * n)], [{} for _ in range(n)])
@@ -227,7 +251,8 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
     The flow runs from s's out-copy to t's in-copy on `cap`, a copy of the
     network's capacities unless the caller passes one, which is then left
     holding the residual capacities. It first routes one unit along
-    s -> c -> t for each common neighbor c, in ascending order, then
+    s -> c -> t for each common neighbor c whose internal arc is open, in
+    ascending order (a closed one is a vertex removed from the graph), then
     augments along shortest paths. An augmenting path enters an in-copy
     other than the sink's and leaves it by the internal arc or by the
     reverse of an edge arc, both of residual capacity at most 1, so each
@@ -247,6 +272,8 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
     for c in sorted(out_s.keys() & out_t.keys()):
         if flow == limit:
             return flow, None
+        if not cap[2 * c]:
+            continue
         for a in (out_s[c], 2 * c, net.out_arc[c][t]):
             cap[a] -= 1
             cap[a ^ 1] += 1
@@ -289,55 +316,104 @@ def min_vertex_cut_between(g: Graph, s: int, t: int) -> Cut:
     return make_cut(g, sep)
 
 
-def _flow_pairs(g: Graph) -> list[tuple[int, int]]:
-    """The pairs whose flows decide kappa(G), for G connected and not
-    complete: v0, the least vertex of minimum degree, against each
-    non-neighbor, then each non-adjacent pair of v0's neighbors.
+def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
+    """The pairs whose flows decide kappa(H), for H the subgraph of G on the
+    `alive` vertex mask (all of G when None), connected and not complete:
+    v0, the least vertex of minimum degree in H, against each non-neighbor,
+    then each non-adjacent pair of v0's neighbors.
 
     Every separator S separates one of them. If S misses v0 it separates v0
     from some non-neighbor; if S contains v0, v0 has neighbors in two
-    components of G - S, and these are not adjacent.
+    components of H - S, and these are not adjacent.
     """
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    nbrs = g.neighbors(v0)
-    pairs = [(v0, w) for w in range(g.n) if w != v0 and w not in nbrs]
-    pairs += [(x, y) for x, y in combinations(g.sorted_neighbors(v0), 2)
-              if not g.has_edge(x, y)]
+    masks = g.masks
+    if alive is None:
+        alive = g.full_mask
+    v0 = min(mask_to_vertices(alive), key=lambda v: ((masks[v] & alive).bit_count(), v))
+    nbrs = masks[v0] & alive
+    pairs = [(v0, w) for w in mask_to_vertices(alive & ~nbrs & ~(1 << v0))]
+    pairs += [(x, y) for x, y in combinations(mask_to_vertices(nbrs), 2)
+              if not masks[x] >> y & 1]
     return pairs
 
 
-def _vertex_connectivity_with_cut(g: Graph, t: int | None = None) -> tuple[int, Cut | None]:
-    """kappa(G) and a minimum cut (None when G has none: K1 and complete
-    graphs).
+class _Flows:
+    """The flow context of a graph G: its split network and its kappa flow
+    pairs, each built on first use.
+
+    A caller creates one per call and passes it to every kappa computation,
+    cut listing and per-edge decision on G, so G's network is built at most
+    once. Flows work on copies of the capacities, and a listing that adds
+    arcs removes them before it ends, so the network is G's between uses.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+
+    @cached_property
+    def net(self) -> _SplitNetwork:
+        return _split_network(self.g)
+
+    @cached_property
+    def pairs(self) -> list[tuple[int, int]]:
+        return _flow_pairs(self.g)
+
+
+def _capacities(net: _SplitNetwork, without: tuple[int, ...]) -> list[int]:
+    """A copy of the network's capacities with the internal arcs of the
+    vertices `without` closed, so no path passes through them."""
+    cap = net.cap[:]
+    for v in without:
+        cap[2 * v] = 0
+    return cap
+
+
+def _complete(g: Graph, alive: int) -> bool:
+    """Whether the subgraph of G on the `alive` vertex mask is complete."""
+    masks = g.masks
+    return all((masks[v] | 1 << v) & alive == alive for v in mask_to_vertices(alive))
+
+
+def _vertex_connectivity_with_cut(g: Graph, t: int | None = None, flows: _Flows | None = None,
+                                  without: tuple[int, ...] = ()) -> tuple[int, Cut | None]:
+    """kappa(H), H = G - without, and a minimum cut T of H as the cut
+    T + without of G (None when H has none: K1 and complete graphs).
 
     With a threshold t: when kappa < t, the same value and cut as without
     it; otherwise some value >= t and no cut. Each pair's flow is capped at
     the smallest separator found so far (t at first), since only a smaller
-    one is kept.
+    one is kept. The flows run on the network of `flows`, G's flow context
+    (built here when None), with the vertices `without` closed.
     """
-    if g.n == 0:
+    alive = g.full_mask & ~vertices_to_mask(without)
+    n = alive.bit_count()
+    if n == 0:
         raise ValueError("empty graph")
     if t is None:
-        t = g.n
-    if g.n == 1:
+        t = n
+    if n == 1:
         return 0, None
-    if len(component_masks(g.masks, g.full_mask)) > 1:
-        return 0, (make_cut(g, ()) if t > 0 else None)
-    if g.is_complete():
-        return g.n - 1, None
-    net = _split_network(g)
-    best = min(t, g.n - 1)
+    if len(component_masks(g.masks, alive)) > 1:
+        return 0, (make_cut(g, without) if t > 0 else None)
+    if _complete(g, alive):
+        return n - 1, None
+    if flows is None:
+        flows = _Flows(g)
+    net = flows.net
+    best = min(t, n - 1)
     best_sep: tuple[int, ...] | None = None
-    for s, w in _flow_pairs(g):
-        size, sep = _local_vertex_cut(net, s, w, best)
+    for s, w in _flow_pairs(g, alive) if without else flows.pairs:
+        size, sep = _local_vertex_cut(net, s, w, best, _capacities(net, without))
         if sep is not None:
             best, best_sep = size, sep
-    return best, None if best_sep is None else make_cut(g, best_sep)
+    return best, None if best_sep is None else make_cut(g, best_sep + without)
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """kappa(G); n - 1 for complete graphs, 0 when disconnected."""
-    return _vertex_connectivity_with_cut(g)[0]
+def vertex_connectivity(g: Graph, flows: _Flows | None = None) -> int:
+    """kappa(G); n - 1 for complete graphs, 0 when disconnected. A caller
+    that runs more flows on g passes its flow context as `flows`, so they
+    share g's network."""
+    return _vertex_connectivity_with_cut(g, flows=flows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +436,10 @@ def _reach(net: _SplitNetwork, cap: list[int], node: int, known: int,
     return seen & ~known
 
 
-def _pair_separators(net: _SplitNetwork, cap: list[int], s: int,
-                     t: int) -> Iterator[tuple[int, ...]]:
+def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
+                     without: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
     """Every minimum s-t separator once, from the residual capacities `cap`
-    of a maximum s-t flow on `net`.
+    of a maximum s-t flow on `net` with the vertices `without` closed.
 
     The minimum cuts are the node sets X closed under residual arcs that
     hold s's out-copy and not t's in-copy (Picard and Queyranne). Those of
@@ -375,15 +451,19 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int,
     out of S (X takes what a's out-copy reaches) or joins it (Y takes what
     reaches a's out-copy). A branch in which X and Y would meet is dropped;
     the other one then cannot be. Each leaf is one separator: the vertices
-    whose in-copy is in X and whose out-copy is not.
+    whose in-copy is in X and whose out-copy is not. The out-copy of a
+    closed vertex has no residual arc into it, so Y starts with it: the
+    vertex is never branched on, and is left out of every separator.
     """
     in_copies = (1 << len(net.adj)) // 3  # the even node bits
-    stack = [(_reach(net, cap, 2 * s + 1, 0, True), _reach(net, cap, 2 * t, 0, False))]
+    closed = vertices_to_mask(2 * v for v in without)
+    stack = [(_reach(net, cap, 2 * s + 1, 0, True),
+              _reach(net, cap, 2 * t, 0, False) | closed << 1)]
     while stack:
         inside, outside = stack.pop()
         free = inside & ~((inside | outside) >> 1) & in_copies
         if not free:
-            cut = inside & ~(inside >> 1) & in_copies
+            cut = inside & ~(inside >> 1) & in_copies & ~closed
             yield tuple([v for v in range(len(net.adj) // 2) if cut >> 2 * v & 1])
             continue
         out_copy = (free & -free).bit_length()
@@ -395,43 +475,54 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int,
             stack.append((inside | grow, outside))
 
 
-def _min_separators(g: Graph, kappa: int) -> Iterator[Cut]:
-    """Every minimum separator of G once, in discovery order, for G
-    connected with kappa(G) = kappa; nothing when G is complete.
+def _min_separators(g: Graph, kappa: int, flows: _Flows | None = None,
+                    without: tuple[int, ...] = ()) -> Iterator[Cut]:
+    """Every minimum separator T of H = G - without once, in discovery
+    order, as the cut T + without of G, for kappa(H) = kappa; nothing when
+    H is complete, and the one empty separator when H is disconnected.
 
-    Each pair of `_flow_pairs` gets one flow capped at kappa + 1. When the
-    flow is kappa, the pair's minimum separators are listed from its
-    residual graph. Then the pair's edge is added to the network, so later
-    pairs find no separator that splits an earlier pair. A separator that
-    leaves three or more components can still split a later pair; a seen
-    set drops those repeats.
+    Each pair of `_flow_pairs` gets one flow capped at kappa + 1, on the
+    network of `flows` (built here when None) with the vertices `without`
+    closed. When the flow is kappa, the pair's minimum separators are listed
+    from its residual graph. Then the pair's edge is added to the network,
+    so later pairs find no separator that splits an earlier pair. A
+    separator that leaves three or more components can still split a later
+    pair; a seen set drops those repeats. The added edges are removed when
+    the listing ends or is closed.
     """
-    if g.is_complete():
+    alive = g.full_mask & ~vertices_to_mask(without)
+    if _complete(g, alive):
         return
-    net = _split_network(g)
-    seen: set[tuple[int, ...]] = set()
-    for s, t in _flow_pairs(g):
-        cap = net.cap[:]
-        if _local_vertex_cut(net, s, t, kappa + 1, cap)[0] == kappa:
-            for sep in _pair_separators(net, cap, s, t):
-                if sep not in seen:
-                    seen.add(sep)
-                    yield make_cut(g, sep)
-        _add_edge(net, s, t)
-
-
-def _minimum_cuts(g: Graph, kappa: int) -> list[Cut]:
-    """minimum_cuts for G of connectivity kappa."""
-    if kappa >= g.n - 1:
-        return []
     if kappa == 0:
-        return [make_cut(g, ())]
-    return sorted(_min_separators(g, kappa), key=lambda cut: cut.vertices)
+        yield make_cut(g, without)
+        return
+    if flows is None:
+        flows = _Flows(g)
+    net = flows.net
+    mark = len(net.to)
+    seen: set[tuple[int, ...]] = set()
+    try:
+        for s, t in _flow_pairs(g, alive) if without else flows.pairs:
+            cap = _capacities(net, without)
+            if _local_vertex_cut(net, s, t, kappa + 1, cap)[0] == kappa:
+                for sep in _pair_separators(net, cap, s, t, without):
+                    if sep not in seen:
+                        seen.add(sep)
+                        yield make_cut(g, sep + without)
+            _add_edge(net, s, t)
+    finally:
+        _remove_added_edges(net, mark)
 
 
-def _quasi_k_cuts(g: Graph, k: int, kappa: int) -> list[Cut]:
+def _minimum_cuts(g: Graph, kappa: int, flows: _Flows | None = None) -> list[Cut]:
+    """minimum_cuts for G of connectivity kappa."""
+    return sorted(_min_separators(g, kappa, flows), key=lambda cut: cut.vertices)
+
+
+def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> list[Cut]:
     """enumerate_cuts(g, k) for G quasi k-connected, not complete, with
-    kappa(G) = kappa in {k-1, k}.
+    kappa(G) = kappa in {k-1, k}; the flows run on the network of `flows`
+    (built here when None).
 
     At kappa = k these are the minimum cuts. At kappa = k-1 the minimum
     degree is at least k-1, so a k-cut with a singleton component {u} is
@@ -448,8 +539,10 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int) -> list[Cut]:
     other end, which that pair never listed. Without k+1 disjoint edges G
     is small, and the k-subsets are scanned.
     """
+    if flows is None:
+        flows = _Flows(g)
     if kappa == k:
-        return _minimum_cuts(g, k)
+        return _minimum_cuts(g, k, flows)
     matching, used = [], 0
     for x, y in g.edges():
         if not used & (1 << x | 1 << y):
@@ -469,7 +562,7 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int) -> list[Cut]:
                         if not (masks[u] | 1 << u) >> v & 1)
     terminals = [(v,) for v in g.vertices if deg[v] >= k]
     terminals += [(x, y) for x, y in g.edges() if deg[x] == deg[y] == k - 1]
-    net = _split_network(g)
+    net = flows.net
     for x, y in matching:
         near = masks[x] | masks[y]
         for tau in terminals:
@@ -514,7 +607,8 @@ def minimum_cuts(g: Graph) -> list[Cut]:
     complete graphs). A disconnected graph has the one empty cut; otherwise
     the cuts are listed from the residual graphs of the kappa flows, so the
     cost grows with the number of cuts rather than with C(n, kappa)."""
-    return _minimum_cuts(g, vertex_connectivity(g))
+    flows = _Flows(g)
+    return _minimum_cuts(g, vertex_connectivity(g, flows), flows)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +642,10 @@ class QuasiConnectivity:
         }
 
 
-def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
-    """is_quasi_k_connected's verdict, with the (k-1)-cuts it listed.
+def _quasi_with_cuts(g: Graph, k: int,
+                     flows: _Flows | None = None) -> tuple[QuasiConnectivity, list[Cut]]:
+    """is_quasi_k_connected's verdict, with the (k-1)-cuts it listed; the
+    flows run on the network of `flows` (built here when None).
 
     When kappa is exactly k-1 the minimum cuts are listed until the first
     nontrivial one, and the certificate is then the lexicographically least
@@ -561,32 +657,37 @@ def _quasi_with_cuts(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    kappa, mincut = _vertex_connectivity_with_cut(g)
+    if flows is None:
+        flows = _Flows(g)
+    kappa, mincut = _vertex_connectivity_with_cut(g, flows=flows)
     if kappa < k - 1:
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
     cuts = []
-    listing = _min_separators(g, k - 1)
-    for cut in listing:
-        if cut.nontrivial:
-            least = next((c for c in _cuts(g, k - 1, g.n * g.n) if c.nontrivial), None)
-            if least is None:
-                least = min([cut] + [c for c in listing if c.nontrivial],
-                            key=lambda c: c.vertices)
-            return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
-        cuts.append(cut)
+    with closing(_min_separators(g, k - 1, flows)) as listing:
+        for cut in listing:
+            if cut.nontrivial:
+                least = next((c for c in _cuts(g, k - 1, g.n * g.n) if c.nontrivial), None)
+                if least is None:
+                    least = min([cut] + [c for c in listing if c.nontrivial],
+                                key=lambda c: c.vertices)
+                return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
+            cuts.append(cut)
     cuts.sort(key=lambda cut: cut.vertices)
     return QuasiConnectivity(True, k, kappa, None, None), cuts
 
 
-def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
+def is_quasi_k_connected(g: Graph, k: int = 5,
+                         flows: _Flows | None = None) -> QuasiConnectivity:
     """(k-1)-connected with no nontrivial (k-1)-cut.
 
     When kappa is exactly k-1, the (k-1)-cuts are listed from the residual
     graphs of the kappa flows, which find every one, so a verdict that
     holds has seen them all. At the first nontrivial one the listing stops,
     and the certificate is the lexicographically least nontrivial cut,
-    found in polynomial time (see `_quasi_with_cuts`).
+    found in polynomial time (see `_quasi_with_cuts`). A caller that runs
+    more flows on g passes its flow context as `flows`, so they share g's
+    network.
     """
-    return _quasi_with_cuts(g, k)[0]
+    return _quasi_with_cuts(g, k, flows)[0]

@@ -40,13 +40,28 @@ builds the full reports from them. The builder contracts an edge only for
 a field the class does not give: an edge that drops connectivity needs
 the flow min-cut as its certificate, an edge with kappa(G/e) >= k needs
 the exact value, and an E0 edge's refuting cut is given in contracted ids.
-Only two helpers contract an edge and test the result. `_edge_report` is
-the full report, with the exact kappa(G/e) and the refuting cut, behind
-`is_quasi_k_contractible` and those two builder cases. `_contracts_to` is
-the yes/no decision (is G/e quasi k-connected, or k-connected), behind
-`is_k_contractible`, both modes of `first_contractible_edge` and lemma 3:
-it caps kappa(G/e) at k and lists the (k-1)-cuts of G/e only when
-kappa(G/e) = k-1.
+`_edge_report`, the full report with the exact kappa(G/e) and the refuting
+cut, is the one helper that contracts an edge and tests the result; it is
+behind `is_quasi_k_contractible` and those two builder cases.
+
+The yes/no decision (`_contracts_to`: is G/e quasi k-connected, or
+k-connected) contracts nothing either. It is behind both modes of
+`first_contractible_edge`, lemma 3 and `is_k_contractible`, and it holds
+under the caller's hypothesis on G. By the correspondence above, with the
+cuts of G/e that hold the merged vertex being the cuts T' + merged vertex
+for T' a cut of G - x - y, with the same components:
+
+- for G k-connected, G/e is k-connected exactly when it has at least
+  k+1 vertices and kappa(G - x - y) >= k-1;
+- for G quasi k-connected, whose (k-1)-cuts are trivial and stay trivial
+  in G/e, G/e is quasi k-connected exactly when it has at least k vertices
+  and either kappa(G - x - y) >= k-1, or kappa(G - x - y) = k-2 and no
+  minimum separator T' of G - x - y makes T' + {x, y} nontrivial in G.
+
+kappa(G - x - y), capped at k-1, and those separators come from flows on
+G's own network with the internal arcs of x and y closed, so every edge of
+a search shares one network and no G/e is built. Outside the hypothesis,
+`is_k_contractible` contracts the edge and computes kappa(G/e).
 """
 
 from __future__ import annotations
@@ -56,17 +71,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from contextlib import closing
+
 from .core import Graph, contract_edge, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
     QuasiConnectivity,
+    _Flows,
     _min_separators,
     _quasi_k_cuts,
     _quasi_with_cuts,
     _vertex_connectivity_with_cut,
     is_quasi_k_connected,
     make_cut,
-    vertex_connectivity,
 )
 
 
@@ -112,32 +129,52 @@ class ContractionReport:
         }
 
 
-def _require_quasi(g: Graph, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
+def _require_quasi(g: Graph, k: int,
+                   flows: _Flows | None = None) -> tuple[QuasiConnectivity, list[Cut]]:
     """The quasi k-connectivity test of g with every (k-1)-cut of g; error
     unless g is quasi k-connected."""
-    quasi, cuts = _quasi_with_cuts(g, k)
+    quasi, cuts = _quasi_with_cuts(g, k, flows)
     if not quasi.holds:
         raise ValueError(f"hypothesis violated: graph is not quasi {k}-connected")
     return quasi, cuts
 
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
-    """Contraction of e leaves a k-connected graph."""
-    return _contracts_to(g, require_edge(g, e), k, quasi=False)
+    """Contraction of e leaves a k-connected graph.
+
+    When kappa(G) >= k the answer is read from G - x - y (`_contracts_to`);
+    otherwise G/e is built and its kappa computed, since the rule needs G
+    k-connected.
+    """
+    e = require_edge(g, e)
+    flows = _Flows(g)
+    if _vertex_connectivity_with_cut(g, k, flows)[0] >= k:
+        return _contracts_to(g, e, k, False, flows)
+    return _vertex_connectivity_with_cut(contract_edge(g, e).graph, k)[0] >= k
 
 
-def _contracts_to(g: Graph, e: tuple[int, int], k: int, quasi: bool) -> bool:
-    """Whether G/e is quasi k-connected (`quasi`) or k-connected: the
-    verdict of `_edge_report`, or of kappa(G/e) >= k, without exact kappa
-    or a certificate. kappa(G/e) is capped at k, and the (k-1)-cuts of G/e
-    are listed, until the first nontrivial one, only when kappa(G/e) = k-1."""
+def _contracts_to(g: Graph, e: tuple[int, int], k: int, quasi: bool,
+                  flows: _Flows | None = None) -> bool:
+    """Whether G/e is quasi k-connected (`quasi`) or k-connected, for G
+    quasi k-connected or k-connected respectively (not checked), by the
+    rules of the module docstring: kappa(G - x - y) is capped at k-1, and
+    the minimum separators of G - x - y are listed, until the first that
+    makes a nontrivial cut of G with x and y, only when it is k-2. Every
+    flow runs on the network of `flows`, G's flow context (built here when
+    None)."""
     if quasi and k < 2:
         raise ValueError("k must be at least 2")
-    h = contract_edge(g, e).graph
-    kappa, _ = _vertex_connectivity_with_cut(h, k)
-    if kappa >= k or not quasi:
-        return kappa >= k
-    return kappa == k - 1 and not any(cut.nontrivial for cut in _min_separators(h, k - 1))
+    if g.n - 1 < (k if quasi else k + 1):
+        return False
+    if k < 2:  # G/e is connected, with at least k + 1 vertices
+        return True
+    kappa, _ = _vertex_connectivity_with_cut(g, k - 1, flows, e)
+    if kappa >= k - 1 or not quasi:
+        return kappa >= k - 1
+    if kappa < k - 2:
+        return False
+    with closing(_min_separators(g, k - 2, flows, e)) as listing:
+        return not any(cut.nontrivial for cut in listing)
 
 
 def _edge_report(g: Graph, e: tuple[int, int], k: int) -> ContractionReport:
@@ -170,7 +207,9 @@ def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
     """Edges whose contraction keeps (k-1)-connectivity but is not quasi
     k-connected; requires g quasi k-connected. Read from the edge classes,
     so no edge is contracted."""
-    return tuple(c.edge for c in _classify(g, k, *_require_quasi(g, k)) if c.in_E0)
+    flows = _Flows(g)
+    return tuple(c.edge for c in _classify(g, k, *_require_quasi(g, k, flows), flows)
+                 if c.in_E0)
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
@@ -182,7 +221,8 @@ def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
     `_edge_report`, and the refuting cut of an E0 edge in contracted ids.
     """
     reports = []
-    for c in _classify(g, k, *_require_quasi(g, k)):
+    flows = _Flows(g)
+    for c in _classify(g, k, *_require_quasi(g, k, flows), flows):
         # The class gives every field at kappa(G/e) = k-1, and at n-2, where
         # G/e is complete and has no cut.
         if c.kappa_after not in (k - 1, g.n - 2):
@@ -228,13 +268,13 @@ class _EdgeClass:
         return self.kappa_after >= self.k - 1 and self.cut is None
 
 
-def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
-              cuts: list[Cut]) -> list[_EdgeClass]:
+def _classify(g: Graph, k: int, quasi: QuasiConnectivity, cuts: list[Cut],
+              flows: _Flows | None = None) -> list[_EdgeClass]:
     """The class of every edge of g, sorted by edge, from a quasi verdict
     that holds and its (k-1)-cuts, as `_quasi_with_cuts` returns them, and
-    the k-cuts of g, as `_quasi_k_cuts` lists them; by the rules of the
-    module docstring, with G/e complete settled in closed form. No edge is
-    contracted and no flow runs on any G/e."""
+    the k-cuts of g, as `_quasi_k_cuts` lists them on the network of
+    `flows`; by the rules of the module docstring, with G/e complete settled
+    in closed form. No edge is contracted and no flow runs on any G/e."""
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
@@ -242,7 +282,7 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
     in_k_cut: set[tuple[int, int]] = set()
     first_nontrivial: dict[tuple[int, int], Cut] = {}
     has_k_cuts = quasi.kappa <= k and not g.is_complete()
-    for cut in _quasi_k_cuts(g, k, quasi.kappa) if has_k_cuts else []:
+    for cut in _quasi_k_cuts(g, k, quasi.kappa, flows) if has_k_cuts else []:
         for e in combinations(cut.vertices, 2):
             if g.has_edge(*e):
                 in_k_cut.add(e)
@@ -268,18 +308,24 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity,
     return classes
 
 
-def first_contractible_edge(g: Graph, k: int, quasi: bool,
-                            deadline: float | None = None) -> tuple[int, int] | None:
+def first_contractible_edge(g: Graph, k: int, quasi: bool, deadline: float | None = None,
+                            flows: _Flows | None = None) -> tuple[int, int] | None:
     """The first edge in sorted order whose contraction leaves a quasi
     k-connected graph (`quasi`) or a k-connected graph (not `quasi`), or
     None when no edge does.
 
-    Hypotheses on g are not checked. The deadline, a time.monotonic()
-    value, is checked before each edge.
+    g must be quasi k-connected (`quasi`) or k-connected (not `quasi`):
+    each edge is decided from G - x - y by a rule that holds only then
+    (`_contracts_to`), and the hypothesis is not checked here. Every edge
+    shares g's network, from `flows` when the caller has built g's flow
+    context. The deadline, a time.monotonic() value, is checked before each
+    edge.
     """
+    if flows is None:
+        flows = _Flows(g)
     for e in g.edges():
         check_deadline(deadline)
-        if _contracts_to(g, e, k, quasi):
+        if _contracts_to(g, e, k, quasi, flows):
             return e
     return None
 
@@ -291,11 +337,12 @@ def is_contraction_critical(g: Graph, k: int,
     Returns (True, None) when critical, else (False, witness edge): the
     first contractible edge in sorted order.
     """
+    flows = _Flows(g)
     if quasi:
-        _require_quasi(g, k)
-    elif vertex_connectivity(g) < k:
+        _require_quasi(g, k, flows)
+    elif _vertex_connectivity_with_cut(g, k, flows)[0] < k:
         raise ValueError(f"hypothesis violated: graph is not {k}-connected")
-    edge = first_contractible_edge(g, k, quasi)
+    edge = first_contractible_edge(g, k, quasi, flows=flows)
     return edge is None, edge
 
 
@@ -310,6 +357,8 @@ def check_martinov(g: Graph) -> tuple[bool, bool]:
     """Both sides of the 4-connected criticality characterization,
     computed independently: (contraction critical, 4-regular with every
     edge in a triangle)."""
-    if vertex_connectivity(g) < 4:
+    flows = _Flows(g)
+    if _vertex_connectivity_with_cut(g, 4, flows)[0] < 4:
         raise ValueError("hypothesis violated: graph is not 4-connected")
-    return first_contractible_edge(g, 4, quasi=False) is None, is_regular_triangular(g)
+    return (first_contractible_edge(g, 4, quasi=False, flows=flows) is None,
+            is_regular_triangular(g))

@@ -140,16 +140,17 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
     return out
 
 
-def nontrivial_atom(g: Graph) -> Fragment | None:
+def nontrivial_atom(g: Graph, cuts: list[Cut] | None = None) -> Fragment | None:
     """A minimum-cardinality nontrivial fragment; ties break on the
     lexicographically least body. None when no nontrivial fragment exists.
+    `cuts` are the minimum cuts of g when the caller has listed them.
 
     Only unions of one or two components of G - S are formed: dropping the
     smallest component from a nontrivial body of three or more components
     leaves a smaller nontrivial body.
     """
     best: Fragment | None = None
-    for cut in minimum_cuts(g):
+    for cut in minimum_cuts(g) if cuts is None else cuts:
         for frag in _component_unions(g, cut, 2):
             if not frag.is_nontrivial():
                 continue

@@ -2,7 +2,10 @@
 
 Each claim has one runner in `_RUNNERS`. A runner recomputes the claim's
 hypotheses from scratch, in a fixed order, and returns either the first
-failed one or whether the conclusion holds, with a witness. `_verify` turns
+failed one or whether the conclusion holds, with a witness. Every flow of
+one runner call, in its hypotheses and in its search for a contractible
+edge, runs on one network of the graph: `_verify` creates the graph's flow
+context and hands it to the runner. `_verify` turns
 that outcome into the report, so a claim is reported falsified only when
 its hypotheses hold and the conclusion fails, and every falsified witness
 carries the graph's graph6; cut enumeration is always exhaustive. Every
@@ -30,6 +33,7 @@ from .core import (
     vertices_within_distance,
 )
 from .connectivity import (
+    _Flows,
     _minimum_cuts,
     _quasi_with_cuts,
     is_quasi_k_connected,
@@ -113,64 +117,65 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Claim runners. Each takes (g, k, exhaustive, deadline), checks its
-# hypotheses in order and returns an _Outcome; lemmas are universally
-# quantified checks over the configurations in the graph matching their
-# hypotheses, and no configurations means vacuous.
+# Claim runners. Each takes (g, flows, k, exhaustive, deadline), flows being
+# g's flow context, checks its hypotheses in order and returns an _Outcome;
+# lemmas are universally quantified checks over the configurations in the
+# graph matching their hypotheses, and no configurations means vacuous.
 
-def _contractible_edge(g: Graph, k: int, quasi: bool, deadline: float | None,
-                       extra: dict) -> tuple[bool, dict]:
+def _contractible_edge(g: Graph, flows: _Flows, k: int, quasi: bool,
+                       deadline: float | None, extra: dict) -> tuple[bool, dict]:
     """Conclusion of the theorems and degree conditions: some edge contracts
     to a (quasi) k-connected graph. Both witnesses carry `extra`."""
-    edge = first_contractible_edge(g, k, quasi=quasi, deadline=deadline)
+    edge = first_contractible_edge(g, k, quasi, deadline, flows)
     if edge is None:
         return False, extra
     return True, {"edge": list(edge), **extra}
 
 
-def _critical(g: Graph, exhaustive: bool, deadline: float | None) -> _Vacuous | None:
+def _critical(g: Graph, flows: _Flows, exhaustive: bool,
+              deadline: float | None) -> _Vacuous | None:
     """The criticality hypothesis of lemmas 1 and 5; None when it holds."""
     if not exhaustive:
         return _Vacuous("criticality hypothesis gated behind exhaustive mode", None)
-    edge = first_contractible_edge(g, 5, quasi=True, deadline=deadline)
+    edge = first_contractible_edge(g, 5, True, deadline, flows)
     if edge is not None:
         return _Vacuous(f"not contraction critical: edge {list(edge)} contracts safely")
     return None
 
 
-def _theorem1(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _theorem1(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """Every 5-connected graph has a quasi 5-contractible edge."""
-    kappa = vertex_connectivity(g)
+    kappa = vertex_connectivity(g, flows)
     if kappa < 5:
         return _Vacuous(f"kappa={kappa}<5")
-    return _contractible_edge(g, 5, True, deadline, {})
+    return _contractible_edge(g, flows, 5, True, deadline, {})
 
 
-def _theorem2(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _theorem2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """Every quasi 5-connected graph whose degree sums reach 9 on all pairs
     at distance one or two has a quasi 5-contractible edge."""
-    quasi = is_quasi_k_connected(g, 5)
+    quasi = is_quasi_k_connected(g, 5, flows)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
     _, pair = check_degree_sum_condition(g, 9, 2)
     if pair is not None:
         return _Vacuous(
             f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<9 for pair {list(pair)}")
-    return _contractible_edge(g, 5, True, deadline, {})
+    return _contractible_edge(g, flows, 5, True, deadline, {})
 
 
-def _lemma1(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _lemma1(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """In a graph that is both 5-connected and critical for quasi
     5-contraction, a nontrivial fragment met by exactly one neighbor of a
     boundary vertex has exactly two vertices."""
-    kappa = vertex_connectivity(g)
+    kappa = vertex_connectivity(g, flows)
     if kappa < 5:
         return _Vacuous(f"kappa={kappa}<5")
     # kappa >= 5 makes g quasi 5-connected, so criticality is well posed.
-    if vacuous := _critical(g, exhaustive, deadline):
+    if vacuous := _critical(g, flows, exhaustive, deadline):
         return vacuous
     configs = 0
-    for cut in _minimum_cuts(g, kappa):
+    for cut in _minimum_cuts(g, kappa, flows):
         check_deadline(deadline)
         for frag in fragments_of_cut(g, cut):
             if not frag.is_nontrivial():
@@ -187,10 +192,10 @@ def _lemma1(g: Graph, k, exhaustive, deadline) -> _Outcome:
     return True, {"configurations": configs}
 
 
-def _lemma2(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _lemma2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
-    quasi, cuts = _quasi_with_cuts(g, 5)
+    quasi, cuts = _quasi_with_cuts(g, 5, flows)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     # kappa(G/e) < 4 exactly when some 4-cut of g contains both ends of e
@@ -212,11 +217,11 @@ def _lemma2(g: Graph, k, exhaustive, deadline) -> _Outcome:
     return True, {"configurations": configs}
 
 
-def _lemma3(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _lemma3(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """In a quasi 5-connected graph on at least 8 vertices, a degree-4
     vertex whose neighborhood contains a triangle contracts safely onto its
     remaining neighbor."""
-    quasi = is_quasi_k_connected(g, 5)
+    quasi = is_quasi_k_connected(g, 5, flows)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     if g.n < 8:
@@ -228,7 +233,7 @@ def _lemma3(g: Graph, k, exhaustive, deadline) -> _Outcome:
             check_deadline(deadline)
             (x4,) = nbrs - set(tri)
             configs += 1
-            if not _contracts_to(g, (x, x4), 5, quasi=True):
+            if not _contracts_to(g, (x, x4), 5, True, flows):
                 return False, {"vertex": x, "triangle": list(tri),
                                "edge": sorted((x, x4))}
     if configs == 0:
@@ -236,14 +241,14 @@ def _lemma3(g: Graph, k, exhaustive, deadline) -> _Outcome:
     return True, {"configurations": configs}
 
 
-def _lemma4(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _lemma4(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """A 4-connected graph is contraction critical exactly when it is
     4-regular with every edge in a triangle; both sides computed
     independently."""
-    kappa = vertex_connectivity(g)
+    kappa = vertex_connectivity(g, flows)
     if kappa < 4:
         return _Vacuous(f"kappa={kappa}<4")
-    witness_edge = first_contractible_edge(g, 4, quasi=False, deadline=deadline)
+    witness_edge = first_contractible_edge(g, 4, False, deadline, flows)
     critical = witness_edge is None
     structural = is_regular_triangular(g)
     return critical == structural, {
@@ -253,16 +258,16 @@ def _lemma4(g: Graph, k, exhaustive, deadline) -> _Outcome:
     }
 
 
-def _lemma5(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _lemma5(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """A critical quasi 5-connected graph meeting the degree sum condition
     has no degree-4 vertex with an edgeless neighborhood."""
-    quasi = is_quasi_k_connected(g, 5)
+    quasi = is_quasi_k_connected(g, 5, flows)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     _, pair = check_degree_sum_condition(g, 9, 2)
     if pair is not None:
         return _Vacuous(f"degree sum below 9 for pair {list(pair)}")
-    if vacuous := _critical(g, exhaustive, deadline):
+    if vacuous := _critical(g, flows, exhaustive, deadline):
         return vacuous
     for x in degree_k_vertices(g, 4):
         check_deadline(deadline)
@@ -271,11 +276,11 @@ def _lemma5(g: Graph, k, exhaustive, deadline) -> _Outcome:
     return True, None
 
 
-def _k_connected(g: Graph, k: int | None, excluded: int | None = None,
+def _k_connected(g: Graph, flows: _Flows, k: int | None, excluded: int | None = None,
                  ) -> tuple[int, _Vacuous | None]:
     """The degree conditions' prelude: k (default kappa) and the first
     failed hypothesis among k >= 2, k != excluded, non-complete, kappa >= k."""
-    kappa = vertex_connectivity(g)
+    kappa = vertex_connectivity(g, flows)
     if k is None:
         k = kappa
     if k < 2:
@@ -289,30 +294,30 @@ def _k_connected(g: Graph, k: int | None, excluded: int | None = None,
     return k, None
 
 
-def _degree_condition_A(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _degree_condition_A(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """A non-complete k-connected graph with minimum degree at least
     floor(5k/4) has a k-contractible edge."""
-    k, vacuous = _k_connected(g, k)
+    k, vacuous = _k_connected(g, flows, k)
     if vacuous:
         return vacuous
     if not check_min_degree_condition(g, k):
         return _Vacuous(f"min degree {g.min_degree()} < {(5 * k) // 4}")
-    return _contractible_edge(g, k, False, deadline, {"k": k})
+    return _contractible_edge(g, flows, k, False, deadline, {"k": k})
 
 
-def _degree_condition_BC(g: Graph, k, exhaustive, deadline) -> _Outcome:
+def _degree_condition_BC(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     """A non-complete k-connected graph whose degree sums reach
     2*floor(5k/4)-1 has a k-contractible edge. The pair set is all pairs at
     distance one or two, or only adjacent pairs once k >= 8; k = 7 is
     excluded and reported vacuous."""
-    k, vacuous = _k_connected(g, k, excluded=7)
+    k, vacuous = _k_connected(g, flows, k, excluded=7)
     if vacuous:
         return vacuous
     bound = 2 * ((5 * k) // 4) - 1
     _, pair = check_degree_sum_condition(g, bound, 1 if k >= 8 else 2)
     if pair is not None:
         return _Vacuous(f"degree sum below {bound} for pair {list(pair)}")
-    return _contractible_edge(g, k, False, deadline, {"k": k})
+    return _contractible_edge(g, flows, k, False, deadline, {"k": k})
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +336,7 @@ def _verify(g: Graph, claim: str, graph_id: str, k: int | None, exhaustive: bool
             deadline: float | None) -> VerificationReport:
     """Run one claim and build its report: the one constructor of every
     non-timeout report. Falsified witnesses carry the graph's graph6."""
-    outcome = _RUNNERS[claim](g, k, exhaustive, deadline)
+    outcome = _RUNNERS[claim](g, _Flows(g), k, exhaustive, deadline)
     if isinstance(outcome, _Vacuous):
         return VerificationReport(graph_id, claim, VACUOUS, outcome.hypotheses_hold, None,
                                   {"failed_hypothesis": outcome.reason})

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to derive expected values.
 
 Everything here works on plain Python sets with its own BFS, touching only
-the Graph accessors (n, edges, neighbors). No routine below shares code
-with the library paths it is used to check.
+the Graph accessors (n, edges, neighbors), and shares no code with the
+library paths it is used to check. The one exception is
+`contraction_decision`, which runs the library's kappa and cut listing on a
+contracted graph; the tests check it against brute force.
 """
 
 from __future__ import annotations
@@ -177,3 +179,26 @@ def graph6_encode_reference(g) -> str:
     body = "".join(chr(63 + int(bitstring[i:i + 6], 2))
                    for i in range(0, len(bitstring), 6))
     return prefix + body
+
+
+def contraction_decision(g, e, k: int, quasi: bool) -> bool:
+    """Whether G/e is quasi k-connected (`quasi`) or k-connected, for any G:
+    contract e, compute kappa(G/e) capped at k, and at kappa(G/e) = k-1 list
+    the (k-1)-cuts of G/e for a nontrivial one.
+
+    This is the contract-and-rescan route that the library's rule on
+    G - x - y replaced. It runs the library's kappa and cut listing, but on
+    the contracted graph and with no hypothesis on G, and the tests check it
+    against brute force on small graphs; it is fast enough to take every
+    edge of both corpora at k = 2..6.
+    """
+    from quasigraph.connectivity import _min_separators, _vertex_connectivity_with_cut
+    from quasigraph.core import contract_edge
+
+    if quasi and k < 2:
+        raise ValueError("k must be at least 2")
+    h = contract_edge(g, e).graph
+    kappa, _ = _vertex_connectivity_with_cut(h, k)
+    if kappa >= k or not quasi:
+        return kappa >= k
+    return kappa == k - 1 and not any(cut.nontrivial for cut in _min_separators(h, k - 1))

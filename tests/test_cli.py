@@ -6,6 +6,7 @@ import pytest
 from quasigraph import io as gio
 from quasigraph.cli import _analyze_one, main
 from quasigraph.generators import (
+    circulant_graph,
     complete_graph,
     cycle_graph,
     icosahedron_graph,
@@ -71,6 +72,18 @@ def test_analyze_tests_quasi_once(count_calls):
     summary = _analyze_one("apex", g, 5)
     assert summary["quasi_k"]["holds"] and summary["kappa"] == 4
     assert calls == {"_vertex_connectivity_with_cut": 1, "_min_separators": 1, "_cuts": 0}
+
+
+@pytest.mark.parametrize("g", [
+    quasi_5_apex(24, 1), quasi_5_apex(24, 1, attach_triangle=True),
+    icosahedron_graph(), circulant_graph(8, (1, 2)), cycle_graph(6), star_graph(6),
+], ids=["apex24", "apex24-triangle", "icosahedron", "C8(1,2)", "C6", "star6"])
+def test_analyze_builds_one_network(g, count_calls):
+    # the quasi test, the k-cuts and the minimum cuts of the atom search
+    # share G's network, whichever of them the graph needs
+    calls = count_calls("_split_network", "contract_edge")
+    _analyze_one("x", g, 5)
+    assert calls == {"_split_network": 1, "contract_edge": 0}
 
 
 def test_verify_exit_zero_and_reports(tmp_path, corpus_file, capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
-from quasigraph.core import Graph
+from quasigraph.core import Graph, induced_subgraph
 from quasigraph.connectivity import (
     enumerate_cuts,
     is_cut,
@@ -170,6 +170,10 @@ class TestFlowMechanism:
             assert counts["networks"] == 1 and counts["flows"] > 1
             counts.update(networks=0, flows=0)
             assert connectivity._vertex_connectivity_with_cut(g, kappa)[0] >= kappa
+            assert counts["networks"] == 1 and counts["flows"] > 1
+            # kappa and the listing of minimum cuts share one network
+            counts.update(networks=0, flows=0)
+            assert minimum_cuts(g)
             assert counts["networks"] == 1 and counts["flows"] > 1
 
     @staticmethod
@@ -429,6 +433,77 @@ class TestMinSeparators:
         assert quasi.holds and len(listed) == 1
 
 
+class TestWithoutAnEdge:
+    """kappa(G - x - y) and the minimum separators of G - x - y, computed on
+    G's own network with x and y closed, against brute force on the induced
+    subgraph; and the shared network, restored after every listing."""
+
+    @staticmethod
+    def _check(g):
+        flows = connectivity._Flows(g)
+        for e in g.edges():
+            h, new_id = induced_subgraph(g, [v for v in g.vertices if v not in e])
+            old_id = {i: v for v, i in new_id.items()}
+            if h.n == 0:
+                continue
+            kappa = brute_vertex_connectivity(h)
+            value, cut = connectivity._vertex_connectivity_with_cut(g, None, flows, e)
+            assert value == kappa, (g.edges(), e)
+            if cut is not None:
+                assert set(e) <= set(cut.vertices) and cut.size == kappa + 2
+                assert is_cut(g, cut.vertices)
+            expected = [] if h.is_complete() else [
+                tuple(sorted(old_id[v] for v in t)) for t in brute_cuts_of_size(h, kappa)]
+            listed = list(connectivity._min_separators(g, kappa, flows, e))
+            assert all(set(e) <= set(c.vertices) for c in listed)
+            separators = [tuple(v for v in c.vertices if v not in e) for c in listed]
+            assert sorted(separators) == sorted(expected), (g.edges(), e)
+            assert all(c == make_cut(g, c.vertices) for c in listed)
+
+    def test_matches_oracles_on_the_corpora(self, small_corpus, quasi5_corpus):
+        for _, g in small_corpus + quasi5_corpus:
+            if g.n <= 9:
+                self._check(g)
+
+    def test_boundary_graphs(self):
+        for g in BOUNDARY_GRAPHS + [complete_bipartite_graph(2, 4), star_graph(5)]:
+            self._check(g)
+
+    @given(graphs(min_n=2))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracles_property(self, g):
+        self._check(g)
+
+    def test_one_leaf_per_separator(self, monkeypatch):
+        # the closure search never branches on x or y, whose out-copies no
+        # residual arc enters, so each separator of G - x - y is one leaf
+        # (branching on them would list 220 leaves here)
+        g = quasi_5_apex(16, 1)
+        counts = TestMinSeparators._count_leaves(monkeypatch)
+        listed = 0
+        for e in g.edges():
+            kappa = connectivity._vertex_connectivity_with_cut(g, without=e)[0]
+            listed += len(list(connectivity._min_separators(g, kappa, None, e)))
+        assert counts["leaves"] == listed == 113
+
+    def test_network_is_restored(self):
+        # a listing adds each pair's edge to the shared network and removes
+        # them when it ends, runs to the end or not
+        g = circulant_graph(12, (1, 2))
+        flows = connectivity._Flows(g)
+        fresh = connectivity._split_network(g)
+        for without in [(), (0, 1)]:
+            kappa = connectivity._vertex_connectivity_with_cut(g, None, flows, without)[0]
+            assert len(list(connectivity._min_separators(g, kappa, flows, without))) > 1
+            assert flows.net == fresh
+            listing = connectivity._min_separators(g, kappa, flows, without)
+            grown = next(len(flows.net.to) for _ in listing
+                         if len(flows.net.to) > len(fresh.to))
+            assert grown > len(fresh.to)
+            listing.close()
+            assert flows.net == fresh
+
+
 # k = 4, n = 12: an edge added to the network after each pair, as
 # `_min_separators` does, loses the 4-cut (1, 4, 6, 11)
 LOST_BY_ADDED_EDGES = Graph(12, [
@@ -684,9 +759,9 @@ class TestQuasiCertificate:
                 yield cut
             walk["exhausted"] = True
 
-        def counted_listing(g, kappa):
+        def counted_listing(*args):
             listed.append(False)
-            yield from listing(g, kappa)
+            yield from listing(*args)
             listed[-1] = True
 
         monkeypatch.setattr(connectivity, "_cuts", counted_scan)

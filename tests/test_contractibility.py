@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
 from quasigraph.cli import _analyze_one
-from quasigraph.connectivity import _quasi_with_cuts, is_quasi_k_connected, vertex_connectivity
+from quasigraph.connectivity import (
+    _Flows,
+    _quasi_with_cuts,
+    is_quasi_k_connected,
+    vertex_connectivity,
+)
 from quasigraph.contractibility import (
     _classify,
     _contracts_to,
@@ -39,6 +44,7 @@ from oracles import (
     brute_nontrivial,
     brute_vertex_connectivity,
     components_of,
+    contraction_decision,
 )
 
 
@@ -302,10 +308,13 @@ class TestFirstContractibleEdge:
     @pytest.mark.parametrize("quasi", [True, False])
     def test_matches_oracles_on_corpora(self, quasi, small_corpus, quasi5_corpus):
         # the witness is the first sorted edge whose contraction the oracle
-        # accepts; None when the oracle accepts none
+        # accepts; None when the oracle accepts none. The search relies on
+        # its hypothesis: g quasi 5-connected, or kappa(g) >= k
         graphs = [g for _, g in small_corpus + quasi5_corpus if 2 <= g.n <= 10]
         for g in graphs:
-            k = 5 if quasi else max(2, brute_vertex_connectivity(g))
+            k = 5 if quasi else brute_vertex_connectivity(g)
+            if not (brute_is_quasi_k(g, 5) if quasi else k >= 2):
+                continue
             expected = None
             for e in g.edges():
                 contracted = contract_edge(g, e).graph
@@ -324,64 +333,163 @@ def graphs_with_an_edge(draw, max_n=8):
     return Graph(n, edges), draw(st.sampled_from(sorted(edges)))
 
 
+def _hypotheses(g, k):
+    """The modes of `_contracts_to` whose hypothesis g meets at k: False
+    when kappa(g) >= k, True when g is quasi k-connected."""
+    modes = [False] if vertex_connectivity(g) >= k else []
+    return modes + [True] if k >= 2 and is_quasi_k_connected(g, k).holds else modes
+
+
 class TestContractsTo:
-    """The yes/no decision against brute force on G/e: kappa(G/e) >= k, and
-    quasi k-connectivity of G/e."""
+    """The yes/no decision, read from G - x - y under its hypothesis on G,
+    against brute force on G/e and against the contraction oracle; and
+    `is_k_contractible` on any graph."""
 
     @staticmethod
-    def _check(g, e, ks):
-        h = contract_edge(g, e).graph
-        kappa = brute_vertex_connectivity(h)
+    def _check(g, ks):
+        """Every edge against brute force on G/e: kappa(G/e) >= k through
+        `is_k_contractible` on any g, and each mode of `_contracts_to` whose
+        hypothesis g meets. Returns the number of rule decisions checked."""
+        checked = 0
+        flows = _Flows(g)
         for k in ks:
-            assert _contracts_to(g, e, k, quasi=False) == (kappa >= k), (g.edges(), e, k)
-            # brute_is_quasi_k(h, k) is kappa >= k outside kappa = k - 1
-            quasi = kappa >= k or (kappa == k - 1 and brute_is_quasi_k(h, k))
-            assert _contracts_to(g, e, k, quasi=True) == quasi, (g.edges(), e, k)
+            modes = _hypotheses(g, k)
+            for e in g.edges():
+                h = contract_edge(g, e).graph
+                kappa = brute_vertex_connectivity(h)
+                assert is_k_contractible(g, e, k) == (kappa >= k), (g.edges(), e, k)
+                # brute_is_quasi_k(h, k) is kappa >= k outside kappa = k - 1
+                quasi = kappa >= k or (kappa == k - 1 and brute_is_quasi_k(h, k))
+                for mode in modes:
+                    expected = quasi if mode else kappa >= k
+                    assert _contracts_to(g, e, k, mode, flows) == expected, (g.edges(), e, k, mode)
+                    checked += 1
+        return checked
 
     def test_matches_oracles_on_corpora(self, small_corpus, quasi5_corpus):
-        for _, g in small_corpus + quasi5_corpus:
-            if g.n <= 10:
-                for e in g.edges():
-                    self._check(g, e, (4, 5))
+        checked = sum(self._check(g, (4, 5)) for _, g in small_corpus + quasi5_corpus
+                      if g.n <= 10)
+        assert checked == 11024
 
     def test_boundary_graphs(self):
-        # G/e is K1, K2, C4, disconnected, or complete
+        # G/e is K1, K2, C4, disconnected, or complete; G - x - y is empty
+        # (K2), complete, or disconnected
         graphs = [complete_graph(2), complete_graph(3), cycle_graph(5),
                   disjoint_union(complete_graph(2), complete_graph(3)),
                   disjoint_union(cycle_graph(5), complete_graph(1)),
-                  complete_graph(5), complete_graph(6)]
+                  complete_graph(5), complete_graph(6),
+                  disjoint_union(complete_graph(3), cycle_graph(4))]
         for g in graphs:
-            for e in g.edges():
-                self._check(g, e, (2, 3, 4, 5))
+            self._check(g, range(6))
 
     @given(graphs_with_an_edge(), st.integers(2, 5))
     @settings(max_examples=150, deadline=None)
     def test_matches_oracles_property(self, ge, k):
-        self._check(*ge, (k,))
+        # any graph: is_k_contractible, and each mode whose hypothesis holds
+        self._check(ge[0], (k,))
+
+    def test_matches_contraction_on_corpora(self, small_corpus, quasi5_corpus):
+        # every (edge, k, mode) of both corpora and of every graph on at
+        # most 5 vertices where the hypothesis holds
+        graphs = [g for _, g in small_corpus + quasi5_corpus] + all_small_graphs(5)
+        decisions = 0
+        for g in graphs:
+            flows = _Flows(g)
+            for k in range(2, 7):
+                for quasi in _hypotheses(g, k):
+                    for e in g.edges():
+                        assert _contracts_to(g, e, k, quasi, flows) == contraction_decision(
+                            g, e, k, quasi), (g.edges(), e, k, quasi)
+                        decisions += 1
+        assert decisions == 58928
+
+    @pytest.mark.parametrize("g, e", [
+        (complete_graph(2), (0, 1)),  # G - x - y is empty
+        (complete_graph(3), (0, 1)),  # G - x - y is K1
+        *[(complete_graph(k), (0, 1)) for k in range(4, 8)],  # K_k and K_(k+1)
+        (Graph(5, [e for e in complete_graph(5).edges() if e != (0, 2)]), (0, 1)),
+        # G - x - y = K4 on 2..5 is complete and G/e is not: 5 misses x and y
+        (Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+               + [(v, w) for v in (0, 1) for w in (2, 3, 4)]), (0, 1)),
+        # G - x - y is disconnected: two single vertices, then two edges
+        (Graph(4, [e for e in complete_graph(4).edges() if e != (2, 3)]), (0, 1)),
+        (Graph(6, [(0, 1), (2, 3), (4, 5)] + [(v, w) for v in (0, 1) for w in range(2, 6)]),
+         (0, 1)),
+    ])
+    def test_boundaries(self, g, e):
+        checked = 0
+        for k in range(2, 7):
+            for quasi in _hypotheses(g, k):
+                assert _contracts_to(g, e, k, quasi) == contraction_decision(g, e, k, quasi), (
+                    g.edges(), k, quasi)
+                checked += 1
+        assert checked
+        self._check(g, range(2, 7))
+
+    @given(planted_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_contraction_property(self, gk):
+        g, k = gk
+        flows = _Flows(g)
+        for quasi in _hypotheses(g, k):
+            for e in g.edges():
+                assert _contracts_to(g, e, k, quasi, flows) == contraction_decision(
+                    g, e, k, quasi), (g.edges(), e, k, quasi)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_is_k_contractible_outside_the_hypothesis(self, k):
+        # K5 on 0..4 and the edge 56, joined to the rest through 0 only:
+        # kappa(G) = kappa(G/56) = 1, while kappa(G - 5 - 6) = 4 would make
+        # the rule, which needs kappa(G) >= k, accept the edge
+        g = Graph(7, complete_graph(5).edges() + [(5, 6), (0, 5), (0, 6)])
+        assert vertex_connectivity(g) == 1
+        assert vertex_connectivity(contract_edge(g, (5, 6)).graph) == 1
+        assert connectivity._vertex_connectivity_with_cut(g, without=(5, 6))[0] == 4
+        assert _contracts_to(g, (5, 6), k, quasi=False) is True
+        assert is_k_contractible(g, (5, 6), k) is False
 
     def test_quasi_needs_k_at_least_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             _contracts_to(complete_graph(4), (0, 1), 1, quasi=True)
 
     def test_is_k_contractible_caps_every_flow(self, monkeypatch):
-        # C8(1,2) is 4-connected and contraction critical: kappa(G/e) = 3.
-        # The first flow is capped at k = 4; once a pair falls below 4, each
-        # later flow is capped at the smallest separator found so far.
+        # C8(1,2) is 4-connected and contraction critical: kappa(G/e) = 3,
+        # so kappa(G - 0 - 1) = 2. The hypothesis kappa(G) >= 4 is checked
+        # with flows capped at k = 4, which all reach it. Then the flows of
+        # G - 0 - 1, with the internal arcs of 0 and 1 closed, are capped at
+        # k - 1 = 3 at first, and once a pair falls below that, each later
+        # flow at the smallest separator found so far.
         calls = []
         flow = connectivity._local_vertex_cut
 
-        def recorded(net, s, t, limit):
-            calls.append((limit, flow(net, s, t, limit)))
-            return calls[-1][1]
+        def recorded(net, s, t, limit, cap):
+            closed = cap[0] == cap[2] == 0
+            calls.append((closed, limit, flow(net, s, t, limit, cap)))
+            return calls[-1][2]
 
         monkeypatch.setattr(connectivity, "_local_vertex_cut", recorded)
         assert is_k_contractible(circulant_graph(8, (1, 2)), (0, 1), 4) is False
-        best = 4
-        for limit, (value, sep) in calls:
+        hypothesis = [c for c in calls if not c[0]]
+        assert calls[:len(hypothesis)] == hypothesis and len(hypothesis) > 1
+        assert all(limit == 4 and result == (4, None) for _, limit, result in hypothesis)
+        best = 3
+        for _, limit, (value, sep) in calls[len(hypothesis):]:
             assert limit == best and value <= limit
             if sep is not None:
                 best = value
-        assert best == 3 and len(calls) > 1
+        assert best == 2 and len(calls) - len(hypothesis) > 1
+
+    @pytest.mark.parametrize("g, k, quasi", [
+        (quasi_5_apex(24, 1), 5, True),
+        (icosahedron_graph(), 5, True),
+        (icosahedron_graph(), 5, False),  # critical: every edge is tried
+        (circulant_graph(20, (1, 2)), 4, False),  # critical: every edge is tried
+    ], ids=["apex24-quasi", "icosahedron-quasi", "icosahedron-plain", "C20-plain"])
+    def test_search_builds_one_network(self, g, k, quasi, count_calls):
+        calls = count_calls("contract_edge", "_split_network")
+        edge = first_contractible_edge(g, k, quasi)
+        assert (edge is None) == (not quasi)
+        assert calls == {"contract_edge": 0, "_split_network": 1}
 
 
 class TestMartinov:

@@ -246,6 +246,25 @@ class TestVerifyClaimDispatch:
         with pytest.raises(ValueError, match="unknown claim"):
             verify_claim(complete_graph(6), "theorem3")
 
+    def test_one_network_per_claim_call(self, count_calls):
+        # the families of the benchmark campaign, smaller: every flow of a
+        # claim call, hypotheses and edge search alike, runs on one network
+        # of G, and no edge is contracted
+        graphs = generate_corpus({"corpus": [
+            {"family": "random_5_connected", "params": {"n": [10, 12]}, "count": 2, "seed": 1},
+            {"family": "quasi_5_apex", "params": {"n": [10, 12]}, "count": 2, "seed": 1},
+            {"family": "quasi_5_apex", "params": {"n": [10, 12], "attach_triangle": True},
+             "seed": 1},
+            {"family": "circulant", "params": {"n": [10, 12], "jumps": [1, 2, 3]}},
+            {"family": "icosahedron"},
+        ]})
+        calls = count_calls("_split_network", "contract_edge")
+        for graph_id, g in graphs:
+            for claim in CLAIMS:
+                calls.update(_split_network=0, contract_edge=0)
+                assert verify_claim(g, claim, graph_id).status in ("verified", "vacuous")
+                assert calls == {"_split_network": 1, "contract_edge": 0}, (graph_id, claim)
+
     def test_direct_calls_raise_deadline_exceeded(self):
         # only verify_claim turns an expired deadline into a timeout report
         g = circulant_graph(20, (1, 2, 3))
