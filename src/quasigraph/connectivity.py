@@ -35,8 +35,11 @@ C(n, kappa).
 contraction decision read this listing; the quasi test stops at the first
 nontrivial cut. The k-cuts of a quasi k-connected graph, which classify
 its edges, are listed the same way from flows between k+1 disjoint edges
-and terminals (`_quasi_k_cuts`), plus the neighborhoods that cut off one
-vertex.
+and terminals: vertices of degree > k and edges between vertices of
+degree <= k (`_quasi_k_cuts`). For each disjoint edge the edges from one
+of its ends to the vertex terminals done so far are added, and removed
+before the next disjoint edge. The neighborhoods that cut off one vertex
+are added from the degrees.
 
 Cut enumeration of an arbitrary size scans every vertex subset of that
 size in lexicographic order, with one component BFS each, so it is always
@@ -528,15 +531,23 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> 
     degree is at least k-1, so a k-cut with a singleton component {u} is
     N(u) with deg u = k, or N(u) + v with deg u = k-1 and v outside N[u].
     Every other k-cut T leaves components of >= 2 vertices each. Of k+1
-    disjoint edges T misses one, e, which lies in one component; every
-    other component holds a terminal: a vertex of degree >= k, or an edge
-    between two vertices of degree k-1. No (k-1)-set separates e from a
-    terminal, as it would be a nontrivial (k-1)-cut, so T is a minimum
-    separator between them and is listed from the residual graph of their
-    flow, e and an edge terminal each merged into one end by an uncuttable
-    internal arc at the other. Unlike `_min_separators`, no pair's edge
-    is added afterwards: it would also drop separators holding a terminal's
-    other end, which that pair never listed. Without k+1 disjoint edges G
+    disjoint edges T misses one, e = xy, which lies in one component; every
+    other component holds a terminal: a vertex of degree > k, or else an
+    edge between two vertices of degree <= k, as the component is connected.
+    No (k-1)-set separates e from a terminal, as it would be a nontrivial
+    (k-1)-cut, so T is a minimum separator between them and is listed from
+    the residual graph of their flow, e and an edge terminal each merged
+    into one end by an uncuttable internal arc at the other.
+
+    After a vertex terminal tau, the edge x tau is added to the network, as
+    `_min_separators` adds each pair's edge: the k-cuts listed for e avoid
+    x and y, so a later one that separates x from tau separates e from tau,
+    and the pair (e, tau) listed it. An edge terminal adds no edge, since
+    that would also drop the k-cuts that hold the terminal's other end,
+    which its pair never listed (`LOST_BY_ADDED_EDGES` in the tests). The
+    added edges are removed before the next disjoint edge, whose pairs may
+    list k-cuts that hold y and separate x from tau, and when the listing
+    ends, so the shared network is G's again. Without k+1 disjoint edges G
     is small, and the k-subsets are scanned.
     """
     if flows is None:
@@ -560,19 +571,25 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> 
         elif deg[u] == k - 1:
             seps.update(mask_to_vertices(masks[u] | 1 << v) for v in g.vertices
                         if not (masks[u] | 1 << u) >> v & 1)
-    terminals = [(v,) for v in g.vertices if deg[v] >= k]
-    terminals += [(x, y) for x, y in g.edges() if deg[x] == deg[y] == k - 1]
+    terminals = [(v,) for v in g.vertices if deg[v] > k]
+    terminals += [(x, y) for x, y in g.edges() if deg[x] <= k and deg[y] <= k]
     net = flows.net
+    mark = len(net.to)
     for x, y in matching:
         near = masks[x] | masks[y]
-        for tau in terminals:
-            if any(near >> v & 1 for v in tau):
-                continue  # a terminal in N[e] shares e's component
-            cap = net.cap[:]
-            for v in (y,) + tau[1:]:
-                cap[2 * v] = g.n
-            if _local_vertex_cut(net, x, tau[0], k + 1, cap)[0] == k:
-                seps.update(_pair_separators(net, cap, x, tau[0]))
+        try:
+            for tau in terminals:
+                if any(near >> v & 1 for v in tau):
+                    continue  # a terminal in N[e] shares e's component
+                cap = net.cap[:]
+                for v in (y,) + tau[1:]:
+                    cap[2 * v] = g.n
+                if _local_vertex_cut(net, x, tau[0], k + 1, cap)[0] == k:
+                    seps.update(_pair_separators(net, cap, x, tau[0]))
+                if len(tau) == 1:
+                    _add_edge(net, x, tau[0])
+        finally:
+            _remove_added_edges(net, mark)
     return [make_cut(g, sep) for sep in sorted(seps)]
 
 

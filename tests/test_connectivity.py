@@ -511,6 +511,15 @@ LOST_BY_ADDED_EDGES = Graph(12, [
     (2, 9), (2, 11), (3, 5), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8), (4, 11),
     (5, 10), (5, 11), (6, 8), (6, 9), (7, 8), (7, 11), (8, 10)])
 
+# k = 4, n = 10, kappa = 3: the 4-cut (1, 5, 7, 8) leaves the component
+# {2, 9}, whose ends have degrees 3 and 4, so it holds no vertex of degree
+# > k and no edge between two vertices of degree k-1; only the edge
+# terminal 29, both ends of degree <= k, reaches it
+NEEDS_DEGREE_K_EDGE_TERMINALS = Graph(10, [
+    (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 6), (2, 8), (2, 9),
+    (3, 4), (3, 8), (4, 5), (4, 7), (5, 6), (5, 8), (5, 9), (6, 7), (7, 9),
+    (8, 9)])
+
 
 class TestQuasiKCuts:
     """The k-cuts of a quasi k-connected graph, listed from flows between
@@ -520,11 +529,16 @@ class TestQuasiKCuts:
     @staticmethod
     def _check(g, k, oracle=True):
         """Compare the listing with the scan when G is quasi k-connected
-        with kappa <= k and not complete; whether it was compared."""
-        quasi, _ = connectivity._quasi_with_cuts(g, k)
+        with kappa <= k and not complete, and check that the shared network
+        is G's again afterwards; whether it was compared."""
+        flows = connectivity._Flows(g)
+        quasi, _ = connectivity._quasi_with_cuts(g, k, flows)
         if not quasi.holds or quasi.kappa > k or g.is_complete():
             return False
-        got = connectivity._quasi_k_cuts(g, k, quasi.kappa)
+        got = connectivity._quasi_k_cuts(g, k, quasi.kappa, flows)
+        fresh = connectivity._split_network(g)
+        for field in fresh._fields:
+            assert getattr(flows.net, field) == getattr(fresh, field), (g.edges(), k, field)
         assert got == enumerate_cuts(g, k), (g.edges(), k)
         if oracle:
             assert [c.vertices for c in got] == brute_cuts_of_size(g, k), (g.edges(), k)
@@ -549,9 +563,46 @@ class TestQuasiKCuts:
             for g in (quasi_5_apex(n, n), quasi_5_apex(n, n, attach_triangle=True)):
                 assert self._check(g, 5, oracle=n <= 14)
 
+    def test_flows_stop_below_the_cap_only_at_nontrivial_cuts(self, count_calls, monkeypatch):
+        # a vertex terminal has degree > k and an edge terminal two ends, so
+        # a flow stops at k only at a k-cut with two sides of >= 2 vertices.
+        # Most apex graphs have none: their k-cuts cut off one vertex, which
+        # the degrees give, so every flow reaches k + 1 and none lists
+        # separators. A degree-k vertex is no terminal: its flow would stop
+        # at k on its own neighborhood.
+        values, flow = [], connectivity._local_vertex_cut
+
+        def recorded(*args):
+            result = flow(*args)
+            values.append(result[0])
+            return result
+
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", recorded)
+        calls = count_calls("_pair_separators")
+        checked = 0
+        for n in range(16, 31):
+            for g in (quasi_5_apex(n, 1), quasi_5_apex(n, 1, attach_triangle=True)):
+                flows = connectivity._Flows(g)
+                assert connectivity._vertex_connectivity_with_cut(g, flows=flows)[0] == 4
+                values.clear()
+                calls["_pair_separators"] = 0
+                if any(c.nontrivial for c in connectivity._quasi_k_cuts(g, 5, 4, flows)):
+                    continue
+                checked += 1
+                assert calls["_pair_separators"] == 0, n
+                assert values and set(values) == {6}, (n, values)
+        assert checked >= 28
+
     def test_no_edge_added_after_a_pair(self):
+        # edge terminals add no edge to the network: an edge from a disjoint
+        # edge to one end of an edge terminal loses the 4-cut (1, 4, 6, 11)
         assert self._check(LOST_BY_ADDED_EDGES, 4)
         assert (1, 4, 6, 11) in [c.vertices for c in enumerate_cuts(LOST_BY_ADDED_EDGES, 4)]
+
+    def test_edge_terminals_of_degree_k(self):
+        g = NEEDS_DEGREE_K_EDGE_TERMINALS
+        assert self._check(g, 4)
+        assert (1, 5, 7, 8) in [c.vertices for c in enumerate_cuts(g, 4)]
 
     @given(planted_graphs())
     @settings(max_examples=150, deadline=None)
