@@ -28,7 +28,7 @@ from .harness import CLAIMS, run_campaign
 
 def _analyze_one(graph_id: str, g, k: int) -> dict:
     flows = _Flows(g)
-    quasi, cuts = _quasi_with_cuts(g, k, flows)
+    quasi, cuts = _quasi_with_cuts(flows, k)
     summary = {
         "graph_id": graph_id,
         "n": g.n,
@@ -42,11 +42,11 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
     }
     # Quasi k-connected at kappa = k-1: every minimum cut is trivial, so no fragment is.
     atom = None if quasi.holds and quasi.kappa == k - 1 else nontrivial_atom(
-        g, _minimum_cuts(g, quasi.kappa, flows))
+        g, _minimum_cuts(flows, quasi.kappa))
     if atom is not None:
         summary["nontrivial_atom"] = atom.to_json()
     if quasi.holds:
-        classes = _classify(g, k, quasi, cuts, flows)
+        classes = _classify(flows, k, quasi, cuts)
         summary["E0"] = [list(c.edge) for c in classes if c.in_E0]
         summary["quasi_contractible_edges"] = [
             list(c.edge) for c in classes if c.quasi_k_contractible]
@@ -64,8 +64,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     corpus = read_corpus_file(args.corpus)
-    summary = run_campaign(corpus, args.claim, args.out, k=args.k,
-                           exhaustive=args.exhaustive, timeout=args.timeout)
+    summary = run_campaign(corpus, args.claim, args.out, k=args.k, timeout=args.timeout)
     print(json.dumps(summary, sort_keys=True))
     if summary["errors"]:
         return 2
@@ -136,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="evaluate expensive criticality hypotheses")
     p.add_argument("--timeout", type=float, default=None,
                    help="per graph/claim budget in seconds")
     p.set_defaults(func=cmd_verify)

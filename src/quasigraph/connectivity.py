@@ -5,15 +5,19 @@ Connectivity uses unit-capacity max-flow on the standard vertex-split
 digraph, with the dominating pair/neighbor scheme: fix a minimum-degree
 vertex v, take local connectivity against every non-neighbor of v and
 between every non-adjacent pair of neighbors of v. The digraph is built
-at most once per call, in a flow context (`_Flows`) that the caller creates
-and hands to every kappa computation, cut listing and per-edge decision on
-the same graph. Each pair's flow works on a copy of its capacities and
-stops once it reaches the smallest separator found so far, since only a
-smaller one is kept. Each flow routes one unit through every common
-neighbor of its pair before it searches for augmenting paths. The
-separator is read from what the source reaches in the final residual
-graph, which is the same for every maximum flow, so witness cuts do not
-depend on the order of augmentation.
+at most once per call, in a flow context (`_Flows`) that the call's entry
+point creates and hands to every kappa computation, cut listing and
+per-edge decision on the same graph; the private functions below take the
+context in place of the graph and never build one. The context also
+carries the call's deadline, checked once per flow pair, listed separator
+and scanned subset, so a call that runs out of time raises
+`DeadlineExceeded` within one such step. Each pair's flow works on a copy
+of its capacities and stops once it reaches the smallest separator found
+so far, since only a smaller one is kept. Each flow routes one unit
+through every common neighbor of its pair before it searches for
+augmenting paths. The separator is read from what the source reaches in
+the final residual graph, which is the same for every maximum flow, so
+witness cuts do not depend on the order of augmentation.
 
 kappa(G - x - y) and the minimum separators of G - x - y, which decide
 whether contracting an edge xy keeps G (quasi) k-connected, are computed
@@ -64,6 +68,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
+from time import monotonic
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
@@ -340,18 +345,31 @@ def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
     return pairs
 
 
-class _Flows:
-    """The flow context of a graph G: its split network and its kappa flow
-    pairs, each built on first use.
+class DeadlineExceeded(Exception):
+    """A check ran past its deadline."""
 
-    A caller creates one per call and passes it to every kappa computation,
-    cut listing and per-edge decision on G, so G's network is built at most
-    once. Flows work on copies of the capacities, and a listing that adds
-    arcs removes them before it ends, so the network is G's between uses.
+
+class _Flows:
+    """The work context of one call on a graph G: G, the call's deadline (a
+    time.monotonic() value, or None for no budget), and G's split network
+    and kappa flow pairs, each built on first use.
+
+    Only an entry point creates one, and passes it to every kappa
+    computation, cut listing and per-edge decision of the call, so G's
+    network is built at most once and every flow runs within the call's
+    budget. Flows work on copies of the capacities, and a listing that adds
+    arcs removes them before it ends, also when it raises, so the network
+    is G's between uses.
     """
 
-    def __init__(self, g: Graph) -> None:
+    def __init__(self, g: Graph, deadline: float | None = None) -> None:
         self.g = g
+        self.deadline = deadline
+
+    def check(self) -> None:
+        """Raise DeadlineExceeded once the deadline has passed."""
+        if self.deadline is not None and monotonic() > self.deadline:
+            raise DeadlineExceeded
 
     @cached_property
     def net(self) -> _SplitNetwork:
@@ -377,17 +395,19 @@ def _complete(g: Graph, alive: int) -> bool:
     return all((masks[v] | 1 << v) & alive == alive for v in mask_to_vertices(alive))
 
 
-def _vertex_connectivity_with_cut(g: Graph, t: int | None = None, flows: _Flows | None = None,
+def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None,
                                   without: tuple[int, ...] = ()) -> tuple[int, Cut | None]:
     """kappa(H), H = G - without, and a minimum cut T of H as the cut
-    T + without of G (None when H has none: K1 and complete graphs).
+    T + without of G (None when H has none: K1 and complete graphs), for G
+    the graph of the flow context `flows`.
 
     With a threshold t: when kappa < t, the same value and cut as without
     it; otherwise some value >= t and no cut. Each pair's flow is capped at
     the smallest separator found so far (t at first), since only a smaller
-    one is kept. The flows run on the network of `flows`, G's flow context
-    (built here when None), with the vertices `without` closed.
+    one is kept. The flows run on G's network with the vertices `without`
+    closed.
     """
+    g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
     n = alive.bit_count()
     if n == 0:
@@ -400,12 +420,11 @@ def _vertex_connectivity_with_cut(g: Graph, t: int | None = None, flows: _Flows 
         return 0, (make_cut(g, without) if t > 0 else None)
     if _complete(g, alive):
         return n - 1, None
-    if flows is None:
-        flows = _Flows(g)
     net = flows.net
     best = min(t, n - 1)
     best_sep: tuple[int, ...] | None = None
     for s, w in _flow_pairs(g, alive) if without else flows.pairs:
+        flows.check()
         size, sep = _local_vertex_cut(net, s, w, best, _capacities(net, without))
         if sep is not None:
             best, best_sep = size, sep
@@ -415,8 +434,8 @@ def _vertex_connectivity_with_cut(g: Graph, t: int | None = None, flows: _Flows 
 def vertex_connectivity(g: Graph, flows: _Flows | None = None) -> int:
     """kappa(G); n - 1 for complete graphs, 0 when disconnected. A caller
     that runs more flows on g passes its flow context as `flows`, so they
-    share g's network."""
-    return _vertex_connectivity_with_cut(g, flows=flows)[0]
+    share g's network and its deadline."""
+    return _vertex_connectivity_with_cut(flows or _Flows(g))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,37 +497,39 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
             stack.append((inside | grow, outside))
 
 
-def _min_separators(g: Graph, kappa: int, flows: _Flows | None = None,
+def _min_separators(flows: _Flows, kappa: int,
                     without: tuple[int, ...] = ()) -> Iterator[Cut]:
     """Every minimum separator T of H = G - without once, in discovery
-    order, as the cut T + without of G, for kappa(H) = kappa; nothing when
-    H is complete, and the one empty separator when H is disconnected.
+    order, as the cut T + without of G, for G the graph of `flows` and
+    kappa(H) = kappa; nothing when H is complete, and the one empty
+    separator when H is disconnected.
 
-    Each pair of `_flow_pairs` gets one flow capped at kappa + 1, on the
-    network of `flows` (built here when None) with the vertices `without`
-    closed. When the flow is kappa, the pair's minimum separators are listed
-    from its residual graph. Then the pair's edge is added to the network,
-    so later pairs find no separator that splits an earlier pair. A
-    separator that leaves three or more components can still split a later
-    pair; a seen set drops those repeats. The added edges are removed when
-    the listing ends or is closed.
+    Each pair of `_flow_pairs` gets one flow capped at kappa + 1, on G's
+    network with the vertices `without` closed. When the flow is kappa, the
+    pair's minimum separators are listed from its residual graph. Then the
+    pair's edge is added to the network, so later pairs find no separator
+    that splits an earlier pair. A separator that leaves three or more
+    components can still split a later pair; a seen set drops those
+    repeats. The added edges are removed when the listing ends, raises or
+    is closed.
     """
+    g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
     if _complete(g, alive):
         return
     if kappa == 0:
         yield make_cut(g, without)
         return
-    if flows is None:
-        flows = _Flows(g)
     net = flows.net
     mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
     try:
         for s, t in _flow_pairs(g, alive) if without else flows.pairs:
+            flows.check()
             cap = _capacities(net, without)
             if _local_vertex_cut(net, s, t, kappa + 1, cap)[0] == kappa:
                 for sep in _pair_separators(net, cap, s, t, without):
+                    flows.check()
                     if sep not in seen:
                         seen.add(sep)
                         yield make_cut(g, sep + without)
@@ -517,15 +538,15 @@ def _min_separators(g: Graph, kappa: int, flows: _Flows | None = None,
         _remove_added_edges(net, mark)
 
 
-def _minimum_cuts(g: Graph, kappa: int, flows: _Flows | None = None) -> list[Cut]:
-    """minimum_cuts for G of connectivity kappa."""
-    return sorted(_min_separators(g, kappa, flows), key=lambda cut: cut.vertices)
+def _minimum_cuts(flows: _Flows, kappa: int) -> list[Cut]:
+    """minimum_cuts for G, the graph of `flows`, of connectivity kappa."""
+    return sorted(_min_separators(flows, kappa), key=lambda cut: cut.vertices)
 
 
-def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> list[Cut]:
-    """enumerate_cuts(g, k) for G quasi k-connected, not complete, with
-    kappa(G) = kappa in {k-1, k}; the flows run on the network of `flows`
-    (built here when None).
+def _quasi_k_cuts(flows: _Flows, k: int, kappa: int) -> list[Cut]:
+    """enumerate_cuts(g, k) for G, the graph of `flows`, quasi k-connected,
+    not complete, with kappa(G) = kappa in {k-1, k}; the flows run on G's
+    network.
 
     At kappa = k these are the minimum cuts. At kappa = k-1 the minimum
     degree is at least k-1, so a k-cut with a singleton component {u} is
@@ -547,13 +568,12 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> 
     which its pair never listed (`LOST_BY_ADDED_EDGES` in the tests). The
     added edges are removed before the next disjoint edge, whose pairs may
     list k-cuts that hold y and separate x from tau, and when the listing
-    ends, so the shared network is G's again. Without k+1 disjoint edges G
-    is small, and the k-subsets are scanned.
+    ends or raises, so the shared network is G's again. Without k+1
+    disjoint edges G is small, and the k-subsets are scanned.
     """
-    if flows is None:
-        flows = _Flows(g)
+    g = flows.g
     if kappa == k:
-        return _minimum_cuts(g, k, flows)
+        return _minimum_cuts(flows, k)
     matching, used = [], 0
     for x, y in g.edges():
         if not used & (1 << x | 1 << y):
@@ -562,7 +582,7 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> 
             if len(matching) == k + 1:
                 break
     else:
-        return enumerate_cuts(g, k)
+        return list(_cuts(flows, k))
     masks, deg = g.masks, g.degrees()
     seps: set[tuple[int, ...]] = set()
     for u in g.vertices:
@@ -581,11 +601,14 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> 
             for tau in terminals:
                 if any(near >> v & 1 for v in tau):
                     continue  # a terminal in N[e] shares e's component
+                flows.check()
                 cap = net.cap[:]
                 for v in (y,) + tau[1:]:
                     cap[2 * v] = g.n
                 if _local_vertex_cut(net, x, tau[0], k + 1, cap)[0] == k:
-                    seps.update(_pair_separators(net, cap, x, tau[0]))
+                    for sep in _pair_separators(net, cap, x, tau[0]):
+                        flows.check()
+                        seps.add(sep)
                 if len(tau) == 1:
                     _add_edge(net, x, tau[0])
         finally:
@@ -596,12 +619,14 @@ def _quasi_k_cuts(g: Graph, k: int, kappa: int, flows: _Flows | None = None) -> 
 # ---------------------------------------------------------------------------
 # Cut enumeration.
 
-def _cuts(g: Graph, size: int, limit: int | None = None) -> Iterator[Cut]:
-    """The cuts among the first `limit` (all when None) `size`-subsets in
-    lexicographic order, one component BFS per subset; needs
-    0 <= size < n."""
+def _cuts(flows: _Flows, size: int, limit: int | None = None) -> Iterator[Cut]:
+    """The cuts among the first `limit` (all when None) `size`-subsets of
+    G, the graph of `flows`, in lexicographic order, one component BFS per
+    subset; needs 0 <= size < n."""
+    g = flows.g
     masks, full = g.masks, g.full_mask
     for t in islice(combinations(g.vertices, size), limit):
+        flows.check()
         comps = component_masks(masks, full & ~vertices_to_mask(t))
         if len(comps) >= 2:
             yield _cut_from_masks(t, comps)
@@ -616,7 +641,7 @@ def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
         raise ValueError("size must be nonnegative")
     if size >= g.n:
         raise ValueError(f"size {size} must be smaller than the vertex count {g.n}")
-    return list(_cuts(g, size))
+    return list(_cuts(_Flows(g), size))
 
 
 def minimum_cuts(g: Graph) -> list[Cut]:
@@ -625,7 +650,7 @@ def minimum_cuts(g: Graph) -> list[Cut]:
     the cuts are listed from the residual graphs of the kappa flows, so the
     cost grows with the number of cuts rather than with C(n, kappa)."""
     flows = _Flows(g)
-    return _minimum_cuts(g, vertex_connectivity(g, flows), flows)
+    return _minimum_cuts(flows, vertex_connectivity(g, flows))
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +684,9 @@ class QuasiConnectivity:
         }
 
 
-def _quasi_with_cuts(g: Graph, k: int,
-                     flows: _Flows | None = None) -> tuple[QuasiConnectivity, list[Cut]]:
-    """is_quasi_k_connected's verdict, with the (k-1)-cuts it listed; the
-    flows run on the network of `flows` (built here when None).
+def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
+    """is_quasi_k_connected's verdict on G, the graph of `flows`, with the
+    (k-1)-cuts it listed; the flows run on G's network.
 
     When kappa is exactly k-1 the minimum cuts are listed until the first
     nontrivial one, and the certificate is then the lexicographically least
@@ -674,18 +698,17 @@ def _quasi_with_cuts(g: Graph, k: int,
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if flows is None:
-        flows = _Flows(g)
-    kappa, mincut = _vertex_connectivity_with_cut(g, flows=flows)
+    g = flows.g
+    kappa, mincut = _vertex_connectivity_with_cut(flows)
     if kappa < k - 1:
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
     cuts = []
-    with closing(_min_separators(g, k - 1, flows)) as listing:
+    with closing(_min_separators(flows, k - 1)) as listing:
         for cut in listing:
             if cut.nontrivial:
-                least = next((c for c in _cuts(g, k - 1, g.n * g.n) if c.nontrivial), None)
+                least = next((c for c in _cuts(flows, k - 1, g.n * g.n) if c.nontrivial), None)
                 if least is None:
                     least = min([cut] + [c for c in listing if c.nontrivial],
                                 key=lambda c: c.vertices)
@@ -705,6 +728,6 @@ def is_quasi_k_connected(g: Graph, k: int = 5,
     and the certificate is the lexicographically least nontrivial cut,
     found in polynomial time (see `_quasi_with_cuts`). A caller that runs
     more flows on g passes its flow context as `flows`, so they share g's
-    network.
+    network and its deadline.
     """
-    return _quasi_with_cuts(g, k, flows)[0]
+    return _quasi_with_cuts(flows or _Flows(g), k)[0]

@@ -62,20 +62,24 @@ kappa(G - x - y), capped at k-1, and those separators come from flows on
 G's own network with the internal arcs of x and y closed, so every edge of
 a search shares one network and no G/e is built. Outside the hypothesis,
 `is_k_contractible` contracts the edge and computes kappa(G/e).
+
+The private helpers here take G's flow context (`connectivity._Flows`) in
+place of G, as the flow layer's do; only the public functions create one.
+A search checks the context's deadline once per edge, on top of the flow
+layer's own checks, and raises `DeadlineExceeded` when it has passed.
 """
 
 from __future__ import annotations
 
-import time
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from contextlib import closing
-
 from .core import Graph, contract_edge, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
+    DeadlineExceeded,  # re-exported: part of this module's interface
     QuasiConnectivity,
     _Flows,
     _min_separators,
@@ -85,16 +89,6 @@ from .connectivity import (
     is_quasi_k_connected,
     make_cut,
 )
-
-
-class DeadlineExceeded(Exception):
-    """A check ran past its deadline."""
-
-
-def check_deadline(deadline: float | None) -> None:
-    """Raise DeadlineExceeded once time.monotonic() has passed deadline."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded
 
 
 @dataclass(frozen=True)
@@ -129,11 +123,10 @@ class ContractionReport:
         }
 
 
-def _require_quasi(g: Graph, k: int,
-                   flows: _Flows | None = None) -> tuple[QuasiConnectivity, list[Cut]]:
-    """The quasi k-connectivity test of g with every (k-1)-cut of g; error
-    unless g is quasi k-connected."""
-    quasi, cuts = _quasi_with_cuts(g, k, flows)
+def _require_quasi(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
+    """The quasi k-connectivity test of G, the graph of `flows`, with every
+    (k-1)-cut of G; error unless G is quasi k-connected."""
+    quasi, cuts = _quasi_with_cuts(flows, k)
     if not quasi.holds:
         raise ValueError(f"hypothesis violated: graph is not quasi {k}-connected")
     return quasi, cuts
@@ -148,32 +141,31 @@ def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
     """
     e = require_edge(g, e)
     flows = _Flows(g)
-    if _vertex_connectivity_with_cut(g, k, flows)[0] >= k:
-        return _contracts_to(g, e, k, False, flows)
-    return _vertex_connectivity_with_cut(contract_edge(g, e).graph, k)[0] >= k
+    if _vertex_connectivity_with_cut(flows, k)[0] >= k:
+        return _contracts_to(flows, e, k, False)
+    return _vertex_connectivity_with_cut(_Flows(contract_edge(g, e).graph), k)[0] >= k
 
 
-def _contracts_to(g: Graph, e: tuple[int, int], k: int, quasi: bool,
-                  flows: _Flows | None = None) -> bool:
-    """Whether G/e is quasi k-connected (`quasi`) or k-connected, for G
-    quasi k-connected or k-connected respectively (not checked), by the
-    rules of the module docstring: kappa(G - x - y) is capped at k-1, and
-    the minimum separators of G - x - y are listed, until the first that
-    makes a nontrivial cut of G with x and y, only when it is k-2. Every
-    flow runs on the network of `flows`, G's flow context (built here when
-    None)."""
+def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> bool:
+    """Whether G/e is quasi k-connected (`quasi`) or k-connected, for G,
+    the graph of `flows`, quasi k-connected or k-connected respectively (not
+    checked), by the rules of the module docstring: kappa(G - x - y) is
+    capped at k-1, and the minimum separators of G - x - y are listed, until
+    the first that makes a nontrivial cut of G with x and y, only when it is
+    k-2. Every flow runs on G's network."""
+    g = flows.g
     if quasi and k < 2:
         raise ValueError("k must be at least 2")
     if g.n - 1 < (k if quasi else k + 1):
         return False
     if k < 2:  # G/e is connected, with at least k + 1 vertices
         return True
-    kappa, _ = _vertex_connectivity_with_cut(g, k - 1, flows, e)
+    kappa, _ = _vertex_connectivity_with_cut(flows, k - 1, e)
     if kappa >= k - 1 or not quasi:
         return kappa >= k - 1
     if kappa < k - 2:
         return False
-    with closing(_min_separators(g, k - 2, flows, e)) as listing:
+    with closing(_min_separators(flows, k - 2, e)) as listing:
         return not any(cut.nontrivial for cut in listing)
 
 
@@ -199,7 +191,7 @@ def _edge_report(g: Graph, e: tuple[int, int], k: int) -> ContractionReport:
 def is_quasi_k_contractible(g: Graph, e: tuple[int, int], k: int = 5) -> ContractionReport:
     """Full contraction report for e; requires g quasi k-connected."""
     e = require_edge(g, e)
-    _require_quasi(g, k)
+    _require_quasi(_Flows(g), k)
     return _edge_report(g, e, k)
 
 
@@ -208,8 +200,7 @@ def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
     k-connected; requires g quasi k-connected. Read from the edge classes,
     so no edge is contracted."""
     flows = _Flows(g)
-    return tuple(c.edge for c in _classify(g, k, *_require_quasi(g, k, flows), flows)
-                 if c.in_E0)
+    return tuple(c.edge for c in _classify(flows, k, *_require_quasi(flows, k)) if c.in_E0)
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
@@ -222,7 +213,7 @@ def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
     """
     reports = []
     flows = _Flows(g)
-    for c in _classify(g, k, *_require_quasi(g, k, flows), flows):
+    for c in _classify(flows, k, *_require_quasi(flows, k)):
         # The class gives every field at kappa(G/e) = k-1, and at n-2, where
         # G/e is complete and has no cut.
         if c.kappa_after not in (k - 1, g.n - 2):
@@ -268,13 +259,15 @@ class _EdgeClass:
         return self.kappa_after >= self.k - 1 and self.cut is None
 
 
-def _classify(g: Graph, k: int, quasi: QuasiConnectivity, cuts: list[Cut],
-              flows: _Flows | None = None) -> list[_EdgeClass]:
-    """The class of every edge of g, sorted by edge, from a quasi verdict
-    that holds and its (k-1)-cuts, as `_quasi_with_cuts` returns them, and
-    the k-cuts of g, as `_quasi_k_cuts` lists them on the network of
-    `flows`; by the rules of the module docstring, with G/e complete settled
-    in closed form. No edge is contracted and no flow runs on any G/e."""
+def _classify(flows: _Flows, k: int, quasi: QuasiConnectivity,
+              cuts: list[Cut]) -> list[_EdgeClass]:
+    """The class of every edge of G, the graph of `flows`, sorted by edge,
+    from a quasi verdict that holds and its (k-1)-cuts, as
+    `_quasi_with_cuts` returns them, and the k-cuts of G, as `_quasi_k_cuts`
+    lists them on G's network; by the rules of the module docstring, with
+    G/e complete settled in closed form. No edge is contracted and no flow
+    runs on any G/e."""
+    g = flows.g
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
@@ -282,7 +275,7 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity, cuts: list[Cut],
     in_k_cut: set[tuple[int, int]] = set()
     first_nontrivial: dict[tuple[int, int], Cut] = {}
     has_k_cuts = quasi.kappa <= k and not g.is_complete()
-    for cut in _quasi_k_cuts(g, k, quasi.kappa, flows) if has_k_cuts else []:
+    for cut in _quasi_k_cuts(flows, k, quasi.kappa) if has_k_cuts else []:
         for e in combinations(cut.vertices, 2):
             if g.has_edge(*e):
                 in_k_cut.add(e)
@@ -308,7 +301,7 @@ def _classify(g: Graph, k: int, quasi: QuasiConnectivity, cuts: list[Cut],
     return classes
 
 
-def first_contractible_edge(g: Graph, k: int, quasi: bool, deadline: float | None = None,
+def first_contractible_edge(g: Graph, k: int, quasi: bool,
                             flows: _Flows | None = None) -> tuple[int, int] | None:
     """The first edge in sorted order whose contraction leaves a quasi
     k-connected graph (`quasi`) or a k-connected graph (not `quasi`), or
@@ -318,14 +311,12 @@ def first_contractible_edge(g: Graph, k: int, quasi: bool, deadline: float | Non
     each edge is decided from G - x - y by a rule that holds only then
     (`_contracts_to`), and the hypothesis is not checked here. Every edge
     shares g's network, from `flows` when the caller has built g's flow
-    context. The deadline, a time.monotonic() value, is checked before each
-    edge.
+    context, whose deadline is checked before each edge.
     """
-    if flows is None:
-        flows = _Flows(g)
+    flows = flows or _Flows(g)
     for e in g.edges():
-        check_deadline(deadline)
-        if _contracts_to(g, e, k, quasi, flows):
+        flows.check()
+        if _contracts_to(flows, e, k, quasi):
             return e
     return None
 
@@ -339,8 +330,8 @@ def is_contraction_critical(g: Graph, k: int,
     """
     flows = _Flows(g)
     if quasi:
-        _require_quasi(g, k, flows)
-    elif _vertex_connectivity_with_cut(g, k, flows)[0] < k:
+        _require_quasi(flows, k)
+    elif _vertex_connectivity_with_cut(flows, k)[0] < k:
         raise ValueError(f"hypothesis violated: graph is not {k}-connected")
     edge = first_contractible_edge(g, k, quasi, flows=flows)
     return edge is None, edge
@@ -358,7 +349,7 @@ def check_martinov(g: Graph) -> tuple[bool, bool]:
     computed independently: (contraction critical, 4-regular with every
     edge in a triangle)."""
     flows = _Flows(g)
-    if _vertex_connectivity_with_cut(g, 4, flows)[0] < 4:
+    if _vertex_connectivity_with_cut(flows, 4)[0] < 4:
         raise ValueError("hypothesis violated: graph is not 4-connected")
     return (first_contractible_edge(g, 4, quasi=False, flows=flows) is None,
             is_regular_triangular(g))

@@ -14,7 +14,12 @@ from pathlib import Path
 from typing import Iterable
 
 from .core import Graph
-from .connectivity import _vertex_connectivity_with_cut, is_quasi_k_connected, vertex_connectivity
+from .connectivity import (
+    _Flows,
+    _vertex_connectivity_with_cut,
+    is_quasi_k_connected,
+    vertex_connectivity,
+)
 from . import io as gio
 
 
@@ -136,7 +141,7 @@ def random_k_connected(n: int, k: int, seed: int | random.Random | None = None) 
         candidates = [w for w in range(n) if w != v and not g.has_edge(v, w)]
         g = with_edges(g, [(v, rng.choice(candidates))])
     while True:
-        kappa, cut = _vertex_connectivity_with_cut(g, k)
+        kappa, cut = _vertex_connectivity_with_cut(_Flows(g), k)
         if kappa >= k:
             break
         assert cut is not None

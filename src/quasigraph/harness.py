@@ -1,11 +1,14 @@
 """Claim verification over graph corpora, with witness certificates.
 
-Each claim has one runner in `_RUNNERS`. A runner recomputes the claim's
-hypotheses from scratch, in a fixed order, and returns either the first
-failed one or whether the conclusion holds, with a witness. Every flow of
-one runner call, in its hypotheses and in its search for a contractible
-edge, runs on one network of the graph: `_verify` creates the graph's flow
-context and hands it to the runner. `_verify` turns
+Each claim has one runner in `_RUNNERS`, called as (g, flows, k). A
+runner recomputes the claim's hypotheses from scratch, in a fixed order,
+and returns either the first failed one or whether the conclusion holds,
+with a witness. `_verify` creates the one work context of the call, the
+graph's flow context with the call's deadline, and hands it to the runner.
+Every flow of the call, in its hypotheses and in its search for a
+contractible edge, runs on that context's one network, and every loop of
+the call checks its deadline, so a budget holds in every phase; lemmas 1
+and 5 always check their criticality hypothesis. `_verify` turns
 that outcome into the report, so a claim is reported falsified only when
 its hypotheses hold and the conclusion fails, and every falsified witness
 carries the graph's graph6; cut enumeration is always exhaustive. Every
@@ -33,6 +36,7 @@ from .core import (
     vertices_within_distance,
 )
 from .connectivity import (
+    DeadlineExceeded,
     _Flows,
     _minimum_cuts,
     _quasi_with_cuts,
@@ -40,9 +44,7 @@ from .connectivity import (
     vertex_connectivity,
 )
 from .contractibility import (
-    DeadlineExceeded,
     _contracts_to,
-    check_deadline,
     first_contractible_edge,
     is_regular_triangular,
 )
@@ -84,7 +86,7 @@ class _Vacuous(NamedTuple):
     """A runner's outcome when a hypothesis fails."""
 
     reason: str
-    hypotheses_hold: bool | None = False
+    hypotheses_hold: bool = False
 
 
 # What a runner returns: _Vacuous, or (conclusion holds, witness) once every
@@ -117,41 +119,38 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Claim runners. Each takes (g, flows, k, exhaustive, deadline), flows being
-# g's flow context, checks its hypotheses in order and returns an _Outcome;
+# Claim runners. Each takes (g, flows, k), flows being g's flow context with
+# the call's deadline, checks its hypotheses in order and returns an _Outcome;
 # lemmas are universally quantified checks over the configurations in the
 # graph matching their hypotheses, and no configurations means vacuous.
 
 def _contractible_edge(g: Graph, flows: _Flows, k: int, quasi: bool,
-                       deadline: float | None, extra: dict) -> tuple[bool, dict]:
+                       extra: dict) -> tuple[bool, dict]:
     """Conclusion of the theorems and degree conditions: some edge contracts
     to a (quasi) k-connected graph. Both witnesses carry `extra`."""
-    edge = first_contractible_edge(g, k, quasi, deadline, flows)
+    edge = first_contractible_edge(g, k, quasi, flows)
     if edge is None:
         return False, extra
     return True, {"edge": list(edge), **extra}
 
 
-def _critical(g: Graph, flows: _Flows, exhaustive: bool,
-              deadline: float | None) -> _Vacuous | None:
+def _critical(g: Graph, flows: _Flows) -> _Vacuous | None:
     """The criticality hypothesis of lemmas 1 and 5; None when it holds."""
-    if not exhaustive:
-        return _Vacuous("criticality hypothesis gated behind exhaustive mode", None)
-    edge = first_contractible_edge(g, 5, True, deadline, flows)
+    edge = first_contractible_edge(g, 5, True, flows)
     if edge is not None:
         return _Vacuous(f"not contraction critical: edge {list(edge)} contracts safely")
     return None
 
 
-def _theorem1(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _theorem1(g: Graph, flows: _Flows, k) -> _Outcome:
     """Every 5-connected graph has a quasi 5-contractible edge."""
     kappa = vertex_connectivity(g, flows)
     if kappa < 5:
         return _Vacuous(f"kappa={kappa}<5")
-    return _contractible_edge(g, flows, 5, True, deadline, {})
+    return _contractible_edge(g, flows, 5, True, {})
 
 
-def _theorem2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _theorem2(g: Graph, flows: _Flows, k) -> _Outcome:
     """Every quasi 5-connected graph whose degree sums reach 9 on all pairs
     at distance one or two has a quasi 5-contractible edge."""
     quasi = is_quasi_k_connected(g, 5, flows)
@@ -161,10 +160,10 @@ def _theorem2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     if pair is not None:
         return _Vacuous(
             f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<9 for pair {list(pair)}")
-    return _contractible_edge(g, flows, 5, True, deadline, {})
+    return _contractible_edge(g, flows, 5, True, {})
 
 
-def _lemma1(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a graph that is both 5-connected and critical for quasi
     5-contraction, a nontrivial fragment met by exactly one neighbor of a
     boundary vertex has exactly two vertices."""
@@ -172,11 +171,11 @@ def _lemma1(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     if kappa < 5:
         return _Vacuous(f"kappa={kappa}<5")
     # kappa >= 5 makes g quasi 5-connected, so criticality is well posed.
-    if vacuous := _critical(g, flows, exhaustive, deadline):
+    if vacuous := _critical(g, flows):
         return vacuous
     configs = 0
-    for cut in _minimum_cuts(g, kappa, flows):
-        check_deadline(deadline)
+    for cut in _minimum_cuts(flows, kappa):
+        flows.check()
         for frag in fragments_of_cut(g, cut):
             if not frag.is_nontrivial():
                 continue
@@ -192,10 +191,10 @@ def _lemma1(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     return True, {"configurations": configs}
 
 
-def _lemma2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
-    quasi, cuts = _quasi_with_cuts(g, 5, flows)
+    quasi, cuts = _quasi_with_cuts(flows, 5)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     # kappa(G/e) < 4 exactly when some 4-cut of g contains both ends of e
@@ -204,7 +203,7 @@ def _lemma2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     cut_masks = [vertices_to_mask(cut.vertices) for cut in cuts]
     configs = 0
     for e in g.edges():
-        check_deadline(deadline)
+        flows.check()
         if contracted_min_degree(g, e) < 4:
             continue
         configs += 1
@@ -217,7 +216,7 @@ def _lemma2(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     return True, {"configurations": configs}
 
 
-def _lemma3(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _lemma3(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph on at least 8 vertices, a degree-4
     vertex whose neighborhood contains a triangle contracts safely onto its
     remaining neighbor."""
@@ -230,10 +229,10 @@ def _lemma3(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     for x in degree_k_vertices(g, 4):
         nbrs = set(g.sorted_neighbors(x))
         for tri in triangles_in_neighborhood(g, x):
-            check_deadline(deadline)
+            flows.check()
             (x4,) = nbrs - set(tri)
             configs += 1
-            if not _contracts_to(g, (x, x4), 5, True, flows):
+            if not _contracts_to(flows, (x, x4), 5, True):
                 return False, {"vertex": x, "triangle": list(tri),
                                "edge": sorted((x, x4))}
     if configs == 0:
@@ -241,14 +240,14 @@ def _lemma3(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     return True, {"configurations": configs}
 
 
-def _lemma4(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _lemma4(g: Graph, flows: _Flows, k) -> _Outcome:
     """A 4-connected graph is contraction critical exactly when it is
     4-regular with every edge in a triangle; both sides computed
     independently."""
     kappa = vertex_connectivity(g, flows)
     if kappa < 4:
         return _Vacuous(f"kappa={kappa}<4")
-    witness_edge = first_contractible_edge(g, 4, False, deadline, flows)
+    witness_edge = first_contractible_edge(g, 4, False, flows)
     critical = witness_edge is None
     structural = is_regular_triangular(g)
     return critical == structural, {
@@ -258,7 +257,7 @@ def _lemma4(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     }
 
 
-def _lemma5(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _lemma5(g: Graph, flows: _Flows, k) -> _Outcome:
     """A critical quasi 5-connected graph meeting the degree sum condition
     has no degree-4 vertex with an edgeless neighborhood."""
     quasi = is_quasi_k_connected(g, 5, flows)
@@ -267,10 +266,10 @@ def _lemma5(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
     _, pair = check_degree_sum_condition(g, 9, 2)
     if pair is not None:
         return _Vacuous(f"degree sum below 9 for pair {list(pair)}")
-    if vacuous := _critical(g, flows, exhaustive, deadline):
+    if vacuous := _critical(g, flows):
         return vacuous
     for x in degree_k_vertices(g, 4):
-        check_deadline(deadline)
+        flows.check()
         if classify_neighborhood(g, x).tag == "4K1":
             return False, {"vertex": x}
     return True, None
@@ -294,7 +293,7 @@ def _k_connected(g: Graph, flows: _Flows, k: int | None, excluded: int | None = 
     return k, None
 
 
-def _degree_condition_A(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _degree_condition_A(g: Graph, flows: _Flows, k) -> _Outcome:
     """A non-complete k-connected graph with minimum degree at least
     floor(5k/4) has a k-contractible edge."""
     k, vacuous = _k_connected(g, flows, k)
@@ -302,10 +301,10 @@ def _degree_condition_A(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Ou
         return vacuous
     if not check_min_degree_condition(g, k):
         return _Vacuous(f"min degree {g.min_degree()} < {(5 * k) // 4}")
-    return _contractible_edge(g, flows, k, False, deadline, {"k": k})
+    return _contractible_edge(g, flows, k, False, {"k": k})
 
 
-def _degree_condition_BC(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _Outcome:
+def _degree_condition_BC(g: Graph, flows: _Flows, k) -> _Outcome:
     """A non-complete k-connected graph whose degree sums reach
     2*floor(5k/4)-1 has a k-contractible edge. The pair set is all pairs at
     distance one or two, or only adjacent pairs once k >= 8; k = 7 is
@@ -317,7 +316,7 @@ def _degree_condition_BC(g: Graph, flows: _Flows, k, exhaustive, deadline) -> _O
     _, pair = check_degree_sum_condition(g, bound, 1 if k >= 8 else 2)
     if pair is not None:
         return _Vacuous(f"degree sum below {bound} for pair {list(pair)}")
-    return _contractible_edge(g, flows, k, False, deadline, {"k": k})
+    return _contractible_edge(g, flows, k, False, {"k": k})
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +331,13 @@ _RUNNERS = {
 CLAIMS = tuple(_RUNNERS)
 
 
-def _verify(g: Graph, claim: str, graph_id: str, k: int | None, exhaustive: bool,
+def _verify(g: Graph, claim: str, graph_id: str, k: int | None,
             deadline: float | None) -> VerificationReport:
     """Run one claim and build its report: the one constructor of every
-    non-timeout report. Falsified witnesses carry the graph's graph6."""
-    outcome = _RUNNERS[claim](g, _Flows(g), k, exhaustive, deadline)
+    non-timeout report. Falsified witnesses carry the graph's graph6.
+    Raises DeadlineExceeded once the deadline, a time.monotonic() value,
+    has passed."""
+    outcome = _RUNNERS[claim](g, _Flows(g, deadline), k)
     if isinstance(outcome, _Vacuous):
         return VerificationReport(graph_id, claim, VACUOUS, outcome.hypotheses_hold, None,
                                   {"failed_hypothesis": outcome.reason})
@@ -349,39 +350,39 @@ def _verify(g: Graph, claim: str, graph_id: str, k: int | None, exhaustive: bool
 
 def verify_theorem1(g: Graph, graph_id: str = "",
                     deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "theorem1", graph_id, None, True, deadline)
+    return _verify(g, "theorem1", graph_id, None, deadline)
 
 
 def verify_theorem2(g: Graph, graph_id: str = "",
                     deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "theorem2", graph_id, None, True, deadline)
+    return _verify(g, "theorem2", graph_id, None, deadline)
 
 
 def verify_degree_condition_A(g: Graph, k: int | None = None, graph_id: str = "",
                               deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "degree_condition_A", graph_id, k, True, deadline)
+    return _verify(g, "degree_condition_A", graph_id, k, deadline)
 
 
 def verify_degree_condition_BC(g: Graph, k: int | None = None, graph_id: str = "",
                                deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "degree_condition_BC", graph_id, k, True, deadline)
+    return _verify(g, "degree_condition_BC", graph_id, k, deadline)
 
 
-def verify_lemma(g: Graph, which: str, graph_id: str = "", exhaustive: bool = True,
+def verify_lemma(g: Graph, which: str, graph_id: str = "",
                  deadline: float | None = None) -> VerificationReport:
     if not which.startswith("lemma") or which not in _RUNNERS:
         raise ValueError(f"unknown lemma id {which!r}")
-    return _verify(g, which, graph_id, None, exhaustive, deadline)
+    return _verify(g, which, graph_id, None, deadline)
 
 
 def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
-                 exhaustive: bool = True, timeout: float | None = None) -> VerificationReport:
+                 timeout: float | None = None) -> VerificationReport:
     if claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
     deadline = None if timeout is None else time.monotonic() + timeout
     start = time.monotonic()
     try:
-        rep = _verify(g, claim, graph_id, k, exhaustive, deadline)
+        rep = _verify(g, claim, graph_id, k, deadline)
     except DeadlineExceeded:
         rep = VerificationReport(graph_id, claim, TIMEOUT, None, None, None)
     rep.elapsed = time.monotonic() - start
@@ -398,7 +399,8 @@ def run_campaign(corpus, claims: Iterable[str], out: str | Path,
     on; the summary counts statuses in `counts` and errors in `errors`.
     Lines go to `<out>.tmp`, renamed to `out` once every pair is done.
     Campaign output is canonical (sorted keys, no timing), so reruns with
-    the same corpus and seed are byte-identical.
+    the same corpus and seed are byte-identical. `exhaustive` is accepted
+    and ignored: every claim always checks all its hypotheses.
     """
     claims = list(claims)
     for claim in claims:
@@ -414,8 +416,7 @@ def run_campaign(corpus, claims: Iterable[str], out: str | Path,
         for graph_id, g in graphs:
             for claim in claims:
                 try:
-                    rep = verify_claim(g, claim, graph_id, k=k,
-                                       exhaustive=exhaustive, timeout=timeout)
+                    rep = verify_claim(g, claim, graph_id, k=k, timeout=timeout)
                 except Exception as exc:
                     rep = VerificationReport(graph_id, claim, ERROR, None, None,
                                              {"error": f"{type(exc).__name__}: {exc}"})

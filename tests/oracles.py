@@ -192,12 +192,12 @@ def contraction_decision(g, e, k: int, quasi: bool) -> bool:
     against brute force on small graphs; it is fast enough to take every
     edge of both corpora at k = 2..6.
     """
-    from quasigraph.connectivity import _min_separators, _vertex_connectivity_with_cut
+    from quasigraph.connectivity import _Flows, _min_separators, _vertex_connectivity_with_cut
     from quasigraph.core import contract_edge
 
     if quasi and k < 2:
         raise ValueError("k must be at least 2")
-    h = contract_edge(g, e).graph
+    h = _Flows(contract_edge(g, e).graph)
     kappa, _ = _vertex_connectivity_with_cut(h, k)
     if kappa >= k or not quasi:
         return kappa >= k

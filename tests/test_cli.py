@@ -89,7 +89,7 @@ def test_analyze_builds_one_network(g, count_calls):
 def test_verify_exit_zero_and_reports(tmp_path, corpus_file, capsys):
     out = tmp_path / "rep.jsonl"
     code = main(["verify", "--claim", "theorem1", "--claim", "lemma4",
-                 "--corpus", str(corpus_file), "--out", str(out), "--exhaustive"])
+                 "--corpus", str(corpus_file), "--out", str(out)])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["counts"]["falsified"] == 0

@@ -93,7 +93,7 @@ class TestVertexConnectivity:
         # separators must not depend on the order of augmentation
         h = hashlib.sha256()
         for gid, g in small_corpus:
-            kappa, cut = connectivity._vertex_connectivity_with_cut(g)
+            kappa, cut = connectivity._vertex_connectivity_with_cut(connectivity._Flows(g))
             seps = [min_vertex_cut_between(g, s, t).to_json()
                     for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
             h.update((json.dumps({"graph_id": gid, "kappa": kappa,
@@ -113,9 +113,10 @@ BOUNDARY_GRAPHS = [
 
 def _check_threshold(g, kappa, t):
     """kappa and the cut as without t when kappa < t; else >= t and no cut."""
-    value, cut = connectivity._vertex_connectivity_with_cut(g, t)
+    value, cut = connectivity._vertex_connectivity_with_cut(connectivity._Flows(g), t)
     if kappa < t:
-        assert (value, cut) == connectivity._vertex_connectivity_with_cut(g), (g.edges(), t)
+        assert (value, cut) == connectivity._vertex_connectivity_with_cut(
+            connectivity._Flows(g)), (g.edges(), t)
     else:
         assert value >= t and cut is None, (g.edges(), t)
 
@@ -169,7 +170,8 @@ class TestFlowMechanism:
             assert vertex_connectivity(g) == kappa
             assert counts["networks"] == 1 and counts["flows"] > 1
             counts.update(networks=0, flows=0)
-            assert connectivity._vertex_connectivity_with_cut(g, kappa)[0] >= kappa
+            assert connectivity._vertex_connectivity_with_cut(
+                connectivity._Flows(g), kappa)[0] >= kappa
             assert counts["networks"] == 1 and counts["flows"] > 1
             # kappa and the listing of minimum cuts share one network
             counts.update(networks=0, flows=0)
@@ -309,7 +311,7 @@ class TestEnumerateCuts:
 
 def _listing(g):
     """The minimum separators of g as `_min_separators` yields them."""
-    return list(connectivity._min_separators(g, vertex_connectivity(g)))
+    return list(connectivity._min_separators(connectivity._Flows(g), vertex_connectivity(g)))
 
 
 def _separator_families():
@@ -402,7 +404,7 @@ class TestMinSeparators:
         g = complete_bipartite_graph(4, 30)
         pairs = len(connectivity._flow_pairs(g))
         counts = self._count_leaves(monkeypatch, most=pairs)
-        got = list(connectivity._min_separators(g, 4))
+        got = list(connectivity._min_separators(connectivity._Flows(g), 4))
         assert [c.vertices for c in got] == [(0, 1, 2, 3)]
         assert len(got[0].components) == 30
         assert counts["flows"] == pairs == 29 + 6
@@ -429,7 +431,7 @@ class TestMinSeparators:
         g = circulant_graph(60, (1, 2))
         cuts = minimum_cuts(g)
         assert len(cuts) == 1650 and all(c.size == 4 for c in cuts)
-        quasi, listed = connectivity._quasi_with_cuts(quasi_5_apex(60, 1), 5)
+        quasi, listed = connectivity._quasi_with_cuts(connectivity._Flows(quasi_5_apex(60, 1)), 5)
         assert quasi.holds and len(listed) == 1
 
 
@@ -447,14 +449,14 @@ class TestWithoutAnEdge:
             if h.n == 0:
                 continue
             kappa = brute_vertex_connectivity(h)
-            value, cut = connectivity._vertex_connectivity_with_cut(g, None, flows, e)
+            value, cut = connectivity._vertex_connectivity_with_cut(flows, None, e)
             assert value == kappa, (g.edges(), e)
             if cut is not None:
                 assert set(e) <= set(cut.vertices) and cut.size == kappa + 2
                 assert is_cut(g, cut.vertices)
             expected = [] if h.is_complete() else [
                 tuple(sorted(old_id[v] for v in t)) for t in brute_cuts_of_size(h, kappa)]
-            listed = list(connectivity._min_separators(g, kappa, flows, e))
+            listed = list(connectivity._min_separators(flows, kappa, e))
             assert all(set(e) <= set(c.vertices) for c in listed)
             separators = [tuple(v for v in c.vertices if v not in e) for c in listed]
             assert sorted(separators) == sorted(expected), (g.edges(), e)
@@ -482,8 +484,9 @@ class TestWithoutAnEdge:
         counts = TestMinSeparators._count_leaves(monkeypatch)
         listed = 0
         for e in g.edges():
-            kappa = connectivity._vertex_connectivity_with_cut(g, without=e)[0]
-            listed += len(list(connectivity._min_separators(g, kappa, None, e)))
+            kappa = connectivity._vertex_connectivity_with_cut(
+                connectivity._Flows(g), without=e)[0]
+            listed += len(list(connectivity._min_separators(connectivity._Flows(g), kappa, e)))
         assert counts["leaves"] == listed == 113
 
     def test_network_is_restored(self):
@@ -493,10 +496,10 @@ class TestWithoutAnEdge:
         flows = connectivity._Flows(g)
         fresh = connectivity._split_network(g)
         for without in [(), (0, 1)]:
-            kappa = connectivity._vertex_connectivity_with_cut(g, None, flows, without)[0]
-            assert len(list(connectivity._min_separators(g, kappa, flows, without))) > 1
+            kappa = connectivity._vertex_connectivity_with_cut(flows, None, without)[0]
+            assert len(list(connectivity._min_separators(flows, kappa, without))) > 1
             assert flows.net == fresh
-            listing = connectivity._min_separators(g, kappa, flows, without)
+            listing = connectivity._min_separators(flows, kappa, without)
             grown = next(len(flows.net.to) for _ in listing
                          if len(flows.net.to) > len(fresh.to))
             assert grown > len(fresh.to)
@@ -532,10 +535,10 @@ class TestQuasiKCuts:
         with kappa <= k and not complete, and check that the shared network
         is G's again afterwards; whether it was compared."""
         flows = connectivity._Flows(g)
-        quasi, _ = connectivity._quasi_with_cuts(g, k, flows)
+        quasi, _ = connectivity._quasi_with_cuts(flows, k)
         if not quasi.holds or quasi.kappa > k or g.is_complete():
             return False
-        got = connectivity._quasi_k_cuts(g, k, quasi.kappa, flows)
+        got = connectivity._quasi_k_cuts(flows, k, quasi.kappa)
         fresh = connectivity._split_network(g)
         for field in fresh._fields:
             assert getattr(flows.net, field) == getattr(fresh, field), (g.edges(), k, field)
@@ -583,10 +586,10 @@ class TestQuasiKCuts:
         for n in range(16, 31):
             for g in (quasi_5_apex(n, 1), quasi_5_apex(n, 1, attach_triangle=True)):
                 flows = connectivity._Flows(g)
-                assert connectivity._vertex_connectivity_with_cut(g, flows=flows)[0] == 4
+                assert connectivity._vertex_connectivity_with_cut(flows)[0] == 4
                 values.clear()
                 calls["_pair_separators"] = 0
-                if any(c.nontrivial for c in connectivity._quasi_k_cuts(g, 5, 4, flows)):
+                if any(c.nontrivial for c in connectivity._quasi_k_cuts(flows, 5, 4)):
                     continue
                 checked += 1
                 assert calls["_pair_separators"] == 0, n
@@ -697,7 +700,7 @@ class TestQuasiKConnected:
         rep = is_quasi_k_connected(g, 5)
         assert rep.failure == "nontrivial-cut" and rep.cut.vertices == (0, 1, 4, 5)
         assert len(calls) < 1000
-        quasi, cuts = connectivity._quasi_with_cuts(g, 5)
+        quasi, cuts = connectivity._quasi_with_cuts(connectivity._Flows(g), 5)
         assert quasi == rep and cuts == []
 
     def test_scans_subsets_only_for_a_certificate(self, monkeypatch):

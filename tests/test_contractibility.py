@@ -162,7 +162,8 @@ def _check_against_single_edge_reports(g, k):
     single-edge report, which contracts each edge."""
     expected = [is_quasi_k_contractible(g, e, k) for e in g.edges()]
     assert contraction_reports(g, k) == expected, (g.edges(), k)
-    classes = _classify(g, k, *_quasi_with_cuts(g, k))
+    flows = _Flows(g)
+    classes = _classify(flows, k, *_quasi_with_cuts(flows, k))
     assert [(c.quasi_k_contractible, c.in_E0, c.kappa_after < k - 1, c.kappa_after >= k)
             for c in classes] == [
         (r.quasi_k_contractible, r.in_E0, r.kappa_after < k - 1, r.k_contractible)
@@ -362,7 +363,7 @@ class TestContractsTo:
                 quasi = kappa >= k or (kappa == k - 1 and brute_is_quasi_k(h, k))
                 for mode in modes:
                     expected = quasi if mode else kappa >= k
-                    assert _contracts_to(g, e, k, mode, flows) == expected, (g.edges(), e, k, mode)
+                    assert _contracts_to(flows, e, k, mode) == expected, (g.edges(), e, k, mode)
                     checked += 1
         return checked
 
@@ -398,7 +399,7 @@ class TestContractsTo:
             for k in range(2, 7):
                 for quasi in _hypotheses(g, k):
                     for e in g.edges():
-                        assert _contracts_to(g, e, k, quasi, flows) == contraction_decision(
+                        assert _contracts_to(flows, e, k, quasi) == contraction_decision(
                             g, e, k, quasi), (g.edges(), e, k, quasi)
                         decisions += 1
         assert decisions == 58928
@@ -420,8 +421,8 @@ class TestContractsTo:
         checked = 0
         for k in range(2, 7):
             for quasi in _hypotheses(g, k):
-                assert _contracts_to(g, e, k, quasi) == contraction_decision(g, e, k, quasi), (
-                    g.edges(), k, quasi)
+                assert _contracts_to(_Flows(g), e, k, quasi) == contraction_decision(
+                    g, e, k, quasi), (g.edges(), k, quasi)
                 checked += 1
         assert checked
         self._check(g, range(2, 7))
@@ -433,7 +434,7 @@ class TestContractsTo:
         flows = _Flows(g)
         for quasi in _hypotheses(g, k):
             for e in g.edges():
-                assert _contracts_to(g, e, k, quasi, flows) == contraction_decision(
+                assert _contracts_to(flows, e, k, quasi) == contraction_decision(
                     g, e, k, quasi), (g.edges(), e, k, quasi)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -444,13 +445,13 @@ class TestContractsTo:
         g = Graph(7, complete_graph(5).edges() + [(5, 6), (0, 5), (0, 6)])
         assert vertex_connectivity(g) == 1
         assert vertex_connectivity(contract_edge(g, (5, 6)).graph) == 1
-        assert connectivity._vertex_connectivity_with_cut(g, without=(5, 6))[0] == 4
-        assert _contracts_to(g, (5, 6), k, quasi=False) is True
+        assert connectivity._vertex_connectivity_with_cut(_Flows(g), without=(5, 6))[0] == 4
+        assert _contracts_to(_Flows(g), (5, 6), k, quasi=False) is True
         assert is_k_contractible(g, (5, 6), k) is False
 
     def test_quasi_needs_k_at_least_two(self):
         with pytest.raises(ValueError, match="at least 2"):
-            _contracts_to(complete_graph(4), (0, 1), 1, quasi=True)
+            _contracts_to(_Flows(complete_graph(4)), (0, 1), 1, quasi=True)
 
     def test_is_k_contractible_caps_every_flow(self, monkeypatch):
         # C8(1,2) is 4-connected and contraction critical: kappa(G/e) = 3,

@@ -1,0 +1,87 @@
+"""The deadline of a flow context: every flow loop, cut listing, subset scan
+and contractible-edge search checks it, and a listing cut short by it
+leaves the shared network as G's."""
+
+import pytest
+
+import quasigraph.connectivity as connectivity
+from quasigraph.connectivity import DeadlineExceeded, _Flows
+from quasigraph.contractibility import first_contractible_edge
+from quasigraph.generators import circulant_graph, quasi_5_apex
+
+from corpus import planted_pair
+
+
+@pytest.mark.parametrize("g", [quasi_5_apex(40, 1), planted_pair(40, 4)],
+                         ids=["apex40", "planted40"])
+def test_expired_context_stops_before_any_flow_or_subset(g, count_calls):
+    kappa = connectivity.vertex_connectivity(g)
+    assert kappa == 4
+    calls = count_calls("_local_vertex_cut", "component_masks")
+    runs = {
+        "kappa": lambda flows: connectivity._vertex_connectivity_with_cut(flows),
+        "listing": lambda flows: list(connectivity._min_separators(flows, kappa)),
+        "k-cuts": lambda flows: connectivity._quasi_k_cuts(flows, 5, kappa),
+        "edge search": lambda flows: first_contractible_edge(g, 5, True, flows),
+    }
+    for name, run in runs.items():
+        with pytest.raises(DeadlineExceeded):
+            run(_Flows(g, deadline=0.0))
+        assert calls["_local_vertex_cut"] == 0, name
+    calls["component_masks"] = 0
+    with pytest.raises(DeadlineExceeded):
+        list(connectivity._cuts(_Flows(g, deadline=0.0), 4, g.n * g.n))
+    assert calls == {"_local_vertex_cut": 0, "component_masks": 0}
+
+
+@pytest.mark.parametrize("g", [quasi_5_apex(30, 1), circulant_graph(20, (1, 2))],
+                         ids=["apex30", "C20(1,2)"])
+@pytest.mark.parametrize("listing", ["min_separators", "quasi_k_cuts"])
+def test_network_is_restored_after_a_timeout(g, listing, monkeypatch):
+    # the deadline passes after j checks, at a point where the listing has
+    # added pair edges; C20(1,2) lists separators at most of the pairs of
+    # _min_separators, so some timeouts fall between the separators of one
+    # pair
+    fresh = connectivity._split_network(g)
+    for j in range(1, 9):
+        ticks = iter([0.0] * j)
+        monkeypatch.setattr(connectivity, "monotonic", lambda: next(ticks, 1.0))
+        flows = _Flows(g, deadline=0.5)
+        with pytest.raises(DeadlineExceeded):
+            if listing == "min_separators":
+                list(connectivity._min_separators(flows, 4))
+            else:
+                connectivity._quasi_k_cuts(flows, 5, 4)
+        for field in ("to", "cap", "adj", "out_arc"):
+            assert getattr(flows.net, field) == getattr(fresh, field), (j, field)
+
+
+@pytest.mark.parametrize("g, listing", [
+    (circulant_graph(20, (1, 2)), lambda flows: list(connectivity._min_separators(flows, 4))),
+    (quasi_5_apex(17, 1), lambda flows: connectivity._quasi_k_cuts(flows, 5, 4)),
+], ids=["min_separators-C20(1,2)", "quasi_k_cuts-apex17"])
+def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
+    # quasi_5_apex(17, 1) has a nontrivial 5-cut, so one of its k-cut flows
+    # stops at k and lists separators
+    counts = {"checks": 0, "flows": 0, "separators": 0}
+    flow, separators = connectivity._local_vertex_cut, connectivity._pair_separators
+
+    def clock():
+        counts["checks"] += 1
+        return 0.0
+
+    def counted_flow(*args):
+        counts["flows"] += 1
+        return flow(*args)
+
+    def counted_separators(*args):
+        for sep in separators(*args):
+            counts["separators"] += 1
+            yield sep
+
+    monkeypatch.setattr(connectivity, "monotonic", clock)
+    monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
+    monkeypatch.setattr(connectivity, "_pair_separators", counted_separators)
+    listing(_Flows(g, deadline=1.0))
+    assert counts["separators"] > 0
+    assert counts["checks"] == counts["flows"] + counts["separators"]

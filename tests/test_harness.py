@@ -113,10 +113,6 @@ class TestLemmas:
         assert rep.status == "vacuous"
         assert "not contraction critical" in rep.witness["failed_hypothesis"]
 
-    def test_lemma1_gated_without_exhaustive(self):
-        rep = verify_lemma(icosahedron_graph(), "lemma1", exhaustive=False)
-        assert rep.status == "vacuous" and rep.hypotheses_hold is None
-
     def test_lemma2_icosahedron_all_edges(self):
         rep = verify_lemma(icosahedron_graph(), "lemma2")
         assert rep.status == "verified"
@@ -162,10 +158,6 @@ class TestLemmas:
         rep = verify_lemma(glued_cliques(7, 5), "lemma5")
         assert rep.status == "vacuous"
         assert "not contraction critical" in rep.witness["failed_hypothesis"]
-
-    def test_lemma5_gated_without_exhaustive(self):
-        rep = verify_lemma(glued_cliques(7, 5), "lemma5", exhaustive=False)
-        assert rep.status == "vacuous" and rep.hypotheses_hold is None
 
     def test_unknown_lemma_rejected(self):
         with pytest.raises(ValueError, match="unknown lemma"):
@@ -273,7 +265,7 @@ class TestVerifyClaimDispatch:
         with pytest.raises(DeadlineExceeded):
             verify_degree_condition_BC(g, k=5, deadline=0.0)
 
-    @pytest.mark.parametrize("claim", ["theorem1", "lemma1", "lemma4", "lemma5"])
+    @pytest.mark.parametrize("claim", CLAIMS)
     def test_timeout_reports_timeout(self, claim):
         rep = verify_claim(circulant_graph(20, (1, 2, 3)), claim, timeout=0.0)
         assert rep.status == "timeout"
