@@ -12,21 +12,21 @@ One class pass (`_classify`) reads every edge's class from the cuts of G
 itself, found once per graph: the (k-1)-cuts from the quasi test, and the
 k-cuts from max-flows between disjoint edges and terminals
 (`connectivity._quasi_k_cuts`), with no scan of the k-subsets unless G is
-too small to hold k+1 disjoint edges. It contracts no edge and runs no
-flow on any G/e. For G quasi k-connected and e = xy, a cut of G/e either
+too small to hold k+1 disjoint edges. For e = xy, a cut of G/e either
 avoids the merged vertex, and is then a cut of G avoiding x and y with
 the same components up to merging x and y, or contains it, and is then
-the image of a cut T of G containing x and y with the same components.
-Hence, unless G/e is complete:
+the image of a cut T of G containing x and y with the same components:
+y drops out and every id above it moves down one. Hence, for G quasi
+k-connected and G/e not complete:
 
-- kappa(G/e) < k-1 exactly when some (k-1)-cut of G contains x and y, and
-  then kappa(G/e) = k-2;
+- kappa(G/e) < k-1 exactly when some (k-1)-cut of G contains x and y;
+  then kappa(G/e) = k-2, and the least such cut is the least minimum cut
+  of G/e;
 - otherwise kappa(G/e) = k-1 exactly when some (k-1)-cut of G avoids x
   and y or some k-cut of G contains both;
 - the nontrivial (k-1)-cuts of G/e are the images of the nontrivial k-cuts
   T of G containing x and y (a (k-1)-cut of G is trivial and stays
-  trivial), and the first in contracted ids is the T with the least
-  sorted(T - {y}), which is also the least T.
+  trivial), and the first in contracted ids is the least such T.
 
 G/e is complete exactly when m - 1 - c = C(n-1, 2), c the number of common
 neighbors of x and y, and then kappa(G/e) = n-2 with no cut at all:
@@ -34,39 +34,34 @@ P3 at k = 2 and C4 at k = 3 have kappa(G/e) = k-1, and K_k has
 kappa(G/e) = k-2, though no cut of G holds both ends or avoids both. This
 covers a complete G, which has no cuts.
 
-The class pass has two readers: `quasigraph analyze` and `compute_E0`,
-which print or return the classes, and `contraction_reports`, which
-builds the full reports from them. The builder contracts an edge only for
-a field the class does not give: an edge that drops connectivity needs
-the flow min-cut as its certificate, an edge with kappa(G/e) >= k needs
-the exact value, and an E0 edge's refuting cut is given in contracted ids.
-`_edge_report`, the full report with the exact kappa(G/e) and the refuting
-cut, is the one helper that contracts an edge and tests the result; it is
-behind `is_quasi_k_contractible` and those two builder cases.
+`quasigraph analyze` and `compute_E0` print or return the classes, and
+`contraction_reports` and `is_quasi_k_contractible` build each report from
+its class (`_report`): the refuting cut is the class cut above, in G/e's
+ids, and kappa(G/e) is computed only where the class bounds it below by k,
+by `_kappa_after`. For any G, kappa(G/e) is the smaller of
+kappa(G - x - y) + 1, over the cuts that hold the merged vertex, and the
+least cut of G that avoids x and y and separates xy from a vertex outside
+N[x] + N[y], over the rest; the second is at least kappa(G), so it is
+skipped when the first is not larger. `is_k_contractible` and lemma 2's
+witness read it too.
 
 The yes/no decision (`_contracts_to`: is G/e quasi k-connected, or
-k-connected) contracts nothing either. It is behind both modes of
-`first_contractible_edge`, lemma 3 and `is_k_contractible`, and it holds
-under the caller's hypothesis on G. By the correspondence above, with the
-cuts of G/e that hold the merged vertex being the cuts T' + merged vertex
-for T' a cut of G - x - y, with the same components:
+k-connected), behind both modes of `first_contractible_edge` and lemma 3,
+holds under the caller's hypothesis on G:
 
 - for G k-connected, G/e is k-connected exactly when it has at least
   k+1 vertices and kappa(G - x - y) >= k-1;
-- for G quasi k-connected, whose (k-1)-cuts are trivial and stay trivial
-  in G/e, G/e is quasi k-connected exactly when it has at least k vertices
-  and either kappa(G - x - y) >= k-1, or kappa(G - x - y) = k-2 and no
-  minimum separator T' of G - x - y makes T' + {x, y} nontrivial in G.
+- for G quasi k-connected, whose (k-1)-cuts stay trivial in G/e, G/e is
+  quasi k-connected exactly when it has at least k vertices and either
+  kappa(G - x - y) >= k-1, or kappa(G - x - y) = k-2 and no minimum
+  separator T' of G - x - y makes T' + {x, y} nontrivial in G.
 
-kappa(G - x - y), capped at k-1, and those separators come from flows on
-G's own network with the internal arcs of x and y closed, so every edge of
-a search shares one network and no G/e is built. Outside the hypothesis,
-`is_k_contractible` contracts the edge and computes kappa(G/e).
-
-The private helpers here take G's flow context (`connectivity._Flows`) in
-place of G, as the flow layer's do; only the public functions create one.
-A search checks the context's deadline once per edge, on top of the flow
-layer's own checks, and raises `DeadlineExceeded` when it has passed.
+Every flow here runs on G's own network, those of G - x - y with the
+internal arcs of x and y closed, and no edge is contracted. The private
+helpers take G's flow context (`connectivity._Flows`) in place of G, as the
+flow layer's do; only the public functions create one. A search checks the
+context's deadline once per edge, on top of the flow layer's own checks,
+and raises `DeadlineExceeded` when it has passed.
 """
 
 from __future__ import annotations
@@ -76,18 +71,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import Graph, contract_edge, require_edge, vertices_to_mask
+from .core import Graph, mask_to_vertices, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
     DeadlineExceeded,  # re-exported: part of this module's interface
     QuasiConnectivity,
     _Flows,
+    _local_vertex_cut,
     _min_separators,
     _quasi_k_cuts,
     _quasi_with_cuts,
     _vertex_connectivity_with_cut,
-    is_quasi_k_connected,
-    make_cut,
 )
 
 
@@ -133,17 +127,11 @@ def _require_quasi(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut]]
 
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
-    """Contraction of e leaves a k-connected graph.
-
-    When kappa(G) >= k the answer is read from G - x - y (`_contracts_to`);
-    otherwise G/e is built and its kappa computed, since the rule needs G
-    k-connected.
-    """
+    """Contraction of e leaves a k-connected graph: kappa(G/e) >= k, read
+    from G by `_kappa_after` for any G."""
     e = require_edge(g, e)
     flows = _Flows(g)
-    if _vertex_connectivity_with_cut(flows, k)[0] >= k:
-        return _contracts_to(flows, e, k, False)
-    return _vertex_connectivity_with_cut(_Flows(contract_edge(g, e).graph), k)[0] >= k
+    return _kappa_after(flows, e, min(_vertex_connectivity_with_cut(flows, k)[0], k), k) >= k
 
 
 def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> bool:
@@ -169,71 +157,77 @@ def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> boo
         return not any(cut.nontrivial for cut in listing)
 
 
-def _edge_report(g: Graph, e: tuple[int, int], k: int) -> ContractionReport:
-    con = contract_edge(g, e)
-    rep = is_quasi_k_connected(con.graph, k)
-    refuting = rep.cut
-    preimage = None
-    if refuting is not None:
-        preimage = con.preimage_set(refuting.vertices)
+def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
+    """Whether G/e is complete: it has m - 1 - c edges, c the common
+    neighbors of x and y, against C(n-1, 2)."""
+    x, y = e
+    return g.edge_count - 1 - (g.masks[x] & g.masks[y]).bit_count() == comb(g.n - 1, 2)
+
+
+def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = None) -> int:
+    """kappa(G/e) for G, the graph of `flows`, of connectivity kappa; with a
+    threshold t, the same value when it is below t, otherwise some value
+    >= t, and kappa may then be capped at t. By the module docstring; the
+    flows of the second term run on G's network from x, with y's internal
+    arc uncuttable, each capped at the smallest term so far."""
+    g = flows.g
+    if _complete_after(g, e):
+        return g.n - 2
+    x, y = e
+    best = _vertex_connectivity_with_cut(flows, None if t is None else t - 1, e)[0] + 1
+    if best <= kappa:  # a cut avoiding the merged vertex is a cut of G
+        return best
+    net, masks = flows.net, g.masks
+    for w in mask_to_vertices(g.full_mask & ~(masks[x] | masks[y])):
+        flows.check()
+        cap = net.cap[:]
+        cap[2 * y] = g.n
+        size, sep = _local_vertex_cut(net, x, w, best, cap)
+        if sep is not None:
+            best = size
+    return best
+
+
+def _report(flows: _Flows, kappa: int, c: _EdgeClass) -> ContractionReport:
+    """The report of c's edge, for G, the graph of `flows`, of connectivity
+    kappa: the class cut in G/e's ids refutes G/e, and kappa(G/e) is made
+    exact by `_kappa_after` only where the class bounds it below by k."""
+    kappa_after = _kappa_after(flows, c.edge, kappa) if c.kappa_after >= c.k else c.kappa_after
+    refuting = None
+    if c.cut is not None:
+        y = c.edge[1]
+        low = (1 << y) - 1  # y is in the cut, so in no component mask
+        refuting = Cut(tuple([v - (v > y) for v in c.cut.vertices if v != y]),
+                       tuple([m & low | m >> 1 & ~low for m in c.cut.masks]), c.cut.nontrivial)
     return ContractionReport(
-        edge=e,
-        k=k,
-        kappa_after=rep.kappa,
-        k_contractible=rep.kappa >= k,
-        quasi_k_contractible=rep.holds,
-        in_E0=rep.kappa >= k - 1 and not rep.holds,
-        refuting_cut=refuting,
-        refuting_cut_preimage=preimage,
-    )
+        c.edge, c.k, kappa_after, k_contractible=kappa_after >= c.k,
+        quasi_k_contractible=c.quasi_k_contractible, in_E0=c.in_E0, refuting_cut=refuting,
+        refuting_cut_preimage=None if c.cut is None else c.cut.vertices)
 
 
 def is_quasi_k_contractible(g: Graph, e: tuple[int, int], k: int = 5) -> ContractionReport:
-    """Full contraction report for e; requires g quasi k-connected."""
+    """Full contraction report for e; requires g quasi k-connected. Read
+    off e's class, as in `contraction_reports`."""
     e = require_edge(g, e)
-    _require_quasi(_Flows(g), k)
-    return _edge_report(g, e, k)
+    flows = _Flows(g)
+    quasi, cuts = _require_quasi(flows, k)
+    c = next(c for c in _classify(flows, k, quasi, cuts) if c.edge == e)
+    return _report(flows, quasi.kappa, c)
 
 
 def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
     """Edges whose contraction keeps (k-1)-connectivity but is not quasi
-    k-connected; requires g quasi k-connected. Read from the edge classes,
-    so no edge is contracted."""
+    k-connected; requires g quasi k-connected. Read from the edge classes."""
     flows = _Flows(g)
     return tuple(c.edge for c in _classify(flows, k, *_require_quasi(flows, k)) if c.in_E0)
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
-    """Per-edge reports for the whole graph, sorted by edge.
-
-    Each report is read off its edge's class. An edge is contracted only
-    for a field its class does not give: the flow min-cut certificate of an
-    edge that drops kappa and the exact kappa(G/e) >= k, both from
-    `_edge_report`, and the refuting cut of an E0 edge in contracted ids.
-    """
-    reports = []
+    """Per-edge reports for the whole graph, sorted by edge, each read off
+    its edge's class (`_report`)."""
     flows = _Flows(g)
-    for c in _classify(flows, k, *_require_quasi(flows, k)):
-        # The class gives every field at kappa(G/e) = k-1, and at n-2, where
-        # G/e is complete and has no cut.
-        if c.kappa_after not in (k - 1, g.n - 2):
-            reports.append(_edge_report(g, c.edge, k))
-            continue
-        refuting = None
-        if c.cut is not None:
-            con = contract_edge(g, c.edge)
-            refuting = make_cut(con.graph, (con.vertex_map[v] for v in c.cut.vertices))
-        reports.append(ContractionReport(
-            edge=c.edge,
-            k=k,
-            kappa_after=c.kappa_after,
-            k_contractible=c.kappa_after >= k,
-            quasi_k_contractible=c.quasi_k_contractible,
-            in_E0=c.in_E0,
-            refuting_cut=refuting,
-            refuting_cut_preimage=None if c.cut is None else c.cut.vertices,
-        ))
-    return reports
+    quasi, cuts = _require_quasi(flows, k)
+    return [_report(flows, quasi.kappa, c) for c in _classify(flows, k, quasi, cuts)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,8 +235,9 @@ class _EdgeClass:
     """The class of edge e of a quasi k-connected G, read from the cuts of G.
 
     `kappa_after` is kappa(G/e) when it is below k or G/e is complete, and
-    k otherwise, where it is a lower bound. `cut` is the least nontrivial
-    k-cut of G holding both ends when e is in E0, else None.
+    k otherwise, where it is a lower bound. `cut` is the least cut of G that
+    refutes G/e: a (k-1)-cut holding both ends when kappa(G/e) < k-1, a
+    nontrivial k-cut holding both when e is in E0, else None.
     """
 
     edge: tuple[int, int]
@@ -252,7 +247,7 @@ class _EdgeClass:
 
     @property
     def in_E0(self) -> bool:
-        return self.cut is not None
+        return self.kappa_after == self.k - 1 and self.cut is not None
 
     @property
     def quasi_k_contractible(self) -> bool:
@@ -265,8 +260,7 @@ def _classify(flows: _Flows, k: int, quasi: QuasiConnectivity,
     from a quasi verdict that holds and its (k-1)-cuts, as
     `_quasi_with_cuts` returns them, and the k-cuts of G, as `_quasi_k_cuts`
     lists them on G's network; by the rules of the module docstring, with
-    G/e complete settled in closed form. No edge is contracted and no flow
-    runs on any G/e."""
+    G/e complete settled in closed form."""
     g = flows.g
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
@@ -281,22 +275,20 @@ def _classify(flows: _Flows, k: int, quasi: QuasiConnectivity,
                 in_k_cut.add(e)
                 if cut.nontrivial:
                     first_nontrivial.setdefault(e, cut)
-    masks = g.masks
-    complete = comb(g.n - 1, 2)  # the edge count of a complete G/e
     classes = []
     for e in g.edges():
         x, y = e
         both = 1 << x | 1 << y
-        # G/e has m - 1 - c edges, c the common neighbors of x and y
-        if g.edge_count - 1 - (masks[x] & masks[y]).bit_count() == complete:
+        cut = None
+        if _complete_after(g, e):
             kappa = g.n - 2
-        elif any(m & both == both for m in low_cuts):
+        elif cut := next((c for c, m in zip(cuts, low_cuts) if m & both == both), None):
             kappa = k - 2
         elif e in in_k_cut or any(not m & both for m in low_cuts):
             kappa = k - 1
+            cut = first_nontrivial.get(e)
         else:
             kappa = k
-        cut = first_nontrivial.get(e) if kappa == k - 1 else None
         classes.append(_EdgeClass(e, k, kappa, cut))
     return classes
 

@@ -36,7 +36,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        # Built from a list, not a generator, as in degrees and contract_edge:
+        # Built from a list, not a generator, as elsewhere in this module:
         # CPython resizes a tuple built from a generator, so once freed it is
         # parked on its size's free list (up to 2000 per size) and not reused,
         # and a process that runs campaigns grows by about 0.2 MiB per run.

@@ -215,7 +215,12 @@ class CorpusSpec:
         family = obj.get("family")
         if family not in KNOWN_FAMILIES:
             raise ValueError(f"unknown family {family!r}; known: {KNOWN_FAMILIES}")
-        return cls(family=family, params=dict(obj.get("params", {})),
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"'params' must be a JSON object, got {params!r}")
+        if family.endswith("_file") and not isinstance(params.get("path"), str):
+            raise ValueError(f"family {family!r} requires a 'path' parameter")
+        return cls(family=family, params=dict(params),
                    count=int(obj.get("count", 1)),
                    seed=None if obj.get("seed") is None else int(obj["seed"]))
 
@@ -226,8 +231,9 @@ def _sizes(params: dict) -> list[int]:
         raise ValueError("family requires an 'n' parameter")
     if isinstance(n, int):
         return [n]
-    lo, hi = n
-    return list(range(int(lo), int(hi) + 1))
+    if not (isinstance(n, (list, tuple)) and len(n) == 2 and all(isinstance(v, int) for v in n)):
+        raise ValueError(f"'n' must be an int or an inclusive [lo, hi] range, got {n!r}")
+    return list(range(n[0], n[1] + 1))
 
 
 def _expand(spec: CorpusSpec) -> list[tuple[str, Graph]]:
@@ -240,7 +246,9 @@ def _expand(spec: CorpusSpec) -> list[tuple[str, Graph]]:
                 raise AssertionError("complete family validation failed")
             out.append((f"K{n}", g))
     elif fam == "circulant":
-        jumps = tuple(spec.params.get("jumps", (1,)))
+        jumps = spec.params.get("jumps", [1])
+        if not (isinstance(jumps, (list, tuple)) and all(isinstance(j, int) for j in jumps)):
+            raise ValueError(f"'jumps' must be a list of ints, got {jumps!r}")
         for n in _sizes(spec.params):
             g = circulant_graph(n, jumps)
             expected = sum(1 if 2 * j == n else 2 for j in set(jumps))

@@ -27,7 +27,6 @@ from typing import Iterable, NamedTuple
 
 from .core import (
     Graph,
-    contract_edge,
     contracted_min_degree,
     classify_neighborhood,
     degree_k_vertices,
@@ -45,6 +44,7 @@ from .connectivity import (
 )
 from .contractibility import (
     _contracts_to,
+    _kappa_after,
     first_contractible_edge,
     is_regular_triangular,
 )
@@ -209,8 +209,7 @@ def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
         configs += 1
         both = vertices_to_mask(e)
         if any(m & both == both for m in cut_masks):
-            kappa = vertex_connectivity(contract_edge(g, e).graph)
-            return False, {"edge": list(e), "kappa_after": kappa}
+            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e, quasi.kappa)}
     if configs == 0:
         return _Vacuous("no contraction keeps minimum degree 4", True)
     return True, {"configurations": configs}

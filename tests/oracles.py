@@ -2,9 +2,10 @@
 
 Everything here works on plain Python sets with its own BFS, touching only
 the Graph accessors (n, edges, neighbors), and shares no code with the
-library paths it is used to check. The one exception is
-`contraction_decision`, which runs the library's kappa and cut listing on a
-contracted graph; the tests check it against brute force.
+library paths it is used to check. The two exceptions are
+`contraction_decision` and `contraction_report`, which run the library's
+kappa, cut listing and quasi test on a contracted graph; the tests check
+them against brute force.
 """
 
 from __future__ import annotations
@@ -202,3 +203,35 @@ def contraction_decision(g, e, k: int, quasi: bool) -> bool:
     if kappa >= k or not quasi:
         return kappa >= k
     return kappa == k - 1 and not any(cut.nontrivial for cut in _min_separators(h, k - 1))
+
+
+def contraction_report(g, e, k: int):
+    """The full contraction report of edge e of a quasi k-connected G, by
+    contracting e and testing G/e: kappa(G/e) and the verdict from
+    `is_quasi_k_connected(G/e)`, whose certificate is the refuting cut of an
+    E0 edge. An edge that drops kappa below k-1 is refuted by the least
+    minimum cut of G/e. The preimage expands the merged vertex through
+    `Contraction.preimage_set`.
+
+    This is the contract-and-rescan route that the library's reports, read
+    off the cuts of G, replaced.
+    """
+    from quasigraph.connectivity import is_quasi_k_connected, minimum_cuts
+    from quasigraph.contractibility import ContractionReport
+    from quasigraph.core import contract_edge
+
+    con = contract_edge(g, e)
+    rep = is_quasi_k_connected(con.graph, k)
+    cut = rep.cut
+    if cut is not None and rep.kappa < k - 1:
+        cut = minimum_cuts(con.graph)[0]
+    return ContractionReport(
+        edge=e,
+        k=k,
+        kappa_after=rep.kappa,
+        k_contractible=rep.kappa >= k,
+        quasi_k_contractible=rep.holds,
+        in_E0=rep.kappa >= k - 1 and not rep.holds,
+        refuting_cut=cut,
+        refuting_cut_preimage=None if cut is None else con.preimage_set(cut.vertices),
+    )

@@ -174,3 +174,26 @@ def test_verify_exits_two_on_error_reports(tmp_path, capsys):
     assert summary["errors"] == 1 and summary["counts"]["verified"] == 1
     statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
     assert statuses == ["verified", "error"]
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "graph6_file"}, "'path'"),
+    ({"family": "circulant", "params": [1]}, "'params'"),
+    ({"family": "circulant", "params": {"n": 8, "jumps": "12"}}, "'jumps'"),
+    ({"family": "complete", "params": {"n": 5.5}}, "'n'"),
+], ids=["no-path", "params-list", "jumps-string", "n-float"])
+@pytest.mark.parametrize("command", ["verify", "generate"])
+def test_malformed_corpus_spec_exits_two(spec, field, command, tmp_path, capsys):
+    # a bad spec is a usage error, named on one stderr line; exit 1 is kept
+    # for a campaign that found a falsified claim
+    if command == "verify":
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"corpus": [spec]}))
+        argv = ["verify", "--claim", "theorem1", "--corpus", str(corpus),
+                "--out", str(tmp_path / "rep.jsonl")]
+    else:
+        argv = ["generate", "--family", spec["family"],
+                "--params", json.dumps(spec.get("params", {})), "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1

@@ -16,6 +16,7 @@ from quasigraph.connectivity import (
 from quasigraph.contractibility import (
     _classify,
     _contracts_to,
+    _kappa_after,
     check_martinov,
     compute_E0,
     contraction_reports,
@@ -45,6 +46,7 @@ from oracles import (
     brute_vertex_connectivity,
     components_of,
     contraction_decision,
+    contraction_report,
 )
 
 
@@ -157,11 +159,13 @@ def _quasi_pairs(corpus, max_n, ks=(4, 5)):
 
 
 def _check_against_single_edge_reports(g, k):
-    """contraction_reports, and four flags of the class pass (quasi
-    k-contractible, in E0, drops kappa, k-contractible), against the
-    single-edge report, which contracts each edge."""
-    expected = [is_quasi_k_contractible(g, e, k) for e in g.edges()]
+    """contraction_reports and is_quasi_k_contractible, and four flags of
+    the class pass (quasi k-contractible, in E0, drops kappa,
+    k-contractible), against the single-edge oracle, which contracts each
+    edge and tests G/e."""
+    expected = [contraction_report(g, e, k) for e in g.edges()]
     assert contraction_reports(g, k) == expected, (g.edges(), k)
+    assert [is_quasi_k_contractible(g, e, k) for e in g.edges()] == expected, (g.edges(), k)
     flows = _Flows(g)
     classes = _classify(flows, k, *_quasi_with_cuts(flows, k))
     assert [(c.quasi_k_contractible, c.in_E0, c.kappa_after < k - 1, c.kappa_after >= k)
@@ -186,7 +190,7 @@ class TestContractionReportsFromCuts:
                     lines += 1
         assert lines == 183
         assert h.hexdigest() == (
-            "fc56f5d2f972102f3ab01b5de043a1a8656455b55a6c880c45cd372923249c45")
+            "7d54b145869cb90754c91dfb385906a655933e2254895bd5d073684497f257bb")
 
     def test_cut_facts_match_oracles(self, small_corpus, quasi5_corpus):
         # the facts contraction_reports rests on, checked edge by edge
@@ -250,8 +254,7 @@ class TestContractionReportsFromCuts:
         (icosahedron_graph(), False),  # kappa = k
     ], ids=["analyze-apex24", "reports-apex40", "reports-icosahedron"])
     def test_no_subset_walk(self, g, analyze, monkeypatch):
-        # the k-cuts come from flows: no k-subset of G is walked, and no
-        # fallback of these graphs walks the subsets of a contraction
+        # the k-cuts come from flows: no k-subset of G is walked
         walks = []
         scan = connectivity._cuts
 
@@ -284,6 +287,57 @@ class TestContractionReportsFromCuts:
     def test_hypothesis_violated(self):
         with pytest.raises(ValueError, match="hypothesis violated"):
             contraction_reports(circulant_graph(8, (1, 2)), 5)
+
+    @pytest.mark.parametrize("g", [
+        quasi_5_apex(40, 1), quasi_5_apex(24, 1, attach_triangle=True),
+        icosahedron_graph(), planted_pair(40, 5),
+    ], ids=["apex40", "apex24-triangle", "icosahedron", "planted40"])
+    def test_reports_contract_nothing(self, g, count_calls):
+        # every report, and every single-edge report, is read off G's own
+        # cuts and network: kappa-dropping, E0 and kappa(G/e) >= k alike
+        calls = count_calls("contract_edge", "_split_network")
+        reports = contraction_reports(g, 5)
+        assert calls == {"contract_edge": 0, "_split_network": 1}
+        assert is_quasi_k_contractible(g, g.edges()[-1], 5) == reports[-1]
+        assert calls == {"contract_edge": 0, "_split_network": 2}
+
+
+class TestKappaAfter:
+    """kappa(G/e) read from G, against brute force on G/e, for any G: both
+    sides capped at t, and exact at t = None."""
+
+    @staticmethod
+    def _check(graphs):
+        checked = 0
+        for g in graphs:
+            flows = _Flows(g)
+            kappas = {t: min(connectivity._vertex_connectivity_with_cut(flows, t)[0], t)
+                      for t in range(2, 7)}
+            kappas[None] = vertex_connectivity(g, flows)
+            for e in g.edges():
+                expected = brute_vertex_connectivity(contract_edge(g, e).graph)
+                for t, kappa in kappas.items():
+                    cap = g.n if t is None else t
+                    assert min(_kappa_after(flows, e, kappa, t), cap) == min(expected, cap), (
+                        g.edges(), e, t)
+                    checked += 1
+        return checked
+
+    def test_all_small_graphs(self):
+        assert self._check(all_small_graphs(5)) == 6 * 5325
+
+    def test_fixture_corpus(self, small_corpus):
+        assert self._check(g for _, g in small_corpus) == 6 * 5090
+
+    def test_quasi_five_corpus(self, quasi5_corpus):
+        assert self._check(g for _, g in quasi5_corpus) == 6 * 3857
+
+    def test_outside_the_hypothesis(self):
+        # kappa(G) = 1 < kappa(G - 5 - 6) + 1 = 5: the cut {0} of G avoids
+        # 5 and 6 and keeps kappa(G/56) at 1
+        g = Graph(7, complete_graph(5).edges() + [(5, 6), (0, 5), (0, 6)])
+        assert self._check([g]) == 6 * g.edge_count
+        assert _kappa_after(_Flows(g), (5, 6), 1) == 1
 
 
 class TestContractionCritical:

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+import quasigraph.connectivity as connectivity
 from quasigraph import harness
 from quasigraph.connectivity import vertex_connectivity
-from quasigraph.core import Graph
+from quasigraph.core import Graph, contract_edge
 from quasigraph.io import to_graph6
 from quasigraph.generators import (
     CorpusSpec,
@@ -32,6 +33,8 @@ from quasigraph.harness import (
     verify_theorem1,
     verify_theorem2,
 )
+
+from oracles import brute_vertex_connectivity
 
 
 def k12_minus_perfect_matching():
@@ -122,6 +125,33 @@ class TestLemmas:
         # contracting any K5 edge leaves minimum degree 3
         rep = verify_lemma(complete_graph(5), "lemma2")
         assert rep.status == "vacuous" and rep.hypotheses_hold is True
+
+    def test_lemma2_witness_runs_under_the_budget(self, monkeypatch):
+        # no honest graph falsifies lemma 2, so report minimum degree 4 for
+        # every contraction: the triangle edges of this apex graph lie in
+        # its 4-cut, and the witness gives kappa(G/e), read from G on the
+        # claim's own flow context
+        g = quasi_5_apex(24, 1, attach_triangle=True)
+        monkeypatch.setattr(harness, "contracted_min_degree", lambda h, e: 4)
+        rep = verify_lemma(g, "lemma2")
+        assert rep.status == "falsified"
+        e = tuple(rep.witness["edge"])
+        assert rep.witness["kappa_after"] == brute_vertex_connectivity(
+            contract_edge(g, e).graph) == 3
+
+        # a deadline that passes once the witness edge is reached ends the
+        # claim inside the witness
+        now = [0.0]
+
+        def min_degree(h, edge):
+            if edge == e:
+                now[0] = float("inf")
+            return 4
+
+        monkeypatch.setattr(harness, "contracted_min_degree", min_degree)
+        monkeypatch.setattr(connectivity, "monotonic", lambda: now[0])
+        assert verify_claim(g, "lemma2", timeout=60).status == "timeout"
+        assert now[0] == float("inf")
 
     def test_lemma3_c6_vacuous(self):
         rep = verify_lemma(cycle_graph(6), "lemma3")
