@@ -37,20 +37,21 @@ covers a complete G, which has no cuts.
 `quasigraph analyze` and `compute_E0` print or return the classes, and
 `contraction_reports` and `is_quasi_k_contractible` build each report from
 its class (`_report`): the refuting cut is the class cut above, in G/e's
-ids, and kappa(G/e) is computed only where the class bounds it below by k,
-by `_kappa_after`. For any G, kappa(G/e) is the smaller of
-kappa(G - x - y) + 1, over the cuts that hold the merged vertex, and the
-least cut of G that avoids x and y and separates xy from a vertex outside
-N[x] + N[y], over the rest; the second is at least kappa(G), so it is
-skipped when the first is not larger. `is_k_contractible` and lemma 2's
-witness read it too.
+ids (`core.contracted_mask`), and kappa(G/e) is computed only where the
+class bounds it below by k, by `_kappa_after`, for any G, from G/e's own
+flow pairs for the merged vertex z. A minimal cut of G/e holding z is z
+plus a cut of G - x - y between two non-adjacent neighbors of z (the pairs
+deciding kappa(G - x - y) bound these too; the shorter list runs). A cut
+avoiding z is a cut of G, of size at least kappa(G), that separates xy from
+some w outside N[x] + N[y]; these flows run only when the first term is
+larger than kappa(G). `is_k_contractible` and lemma 2's witness read it too.
 
 The yes/no decision (`_contracts_to`: is G/e quasi k-connected, or
 k-connected), behind both modes of `first_contractible_edge` and lemma 3,
 holds under the caller's hypothesis on G:
 
-- for G k-connected, G/e is k-connected exactly when it has at least
-  k+1 vertices and kappa(G - x - y) >= k-1;
+- for G k-connected, `_kappa_after` capped at k decides from the first
+  term alone;
 - for G quasi k-connected, whose (k-1)-cuts stay trivial in G/e, G/e is
   quasi k-connected exactly when it has at least k vertices and either
   kappa(G - x - y) >= k-1, or kappa(G - x - y) = k-2 and no minimum
@@ -71,12 +72,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .core import Graph, mask_to_vertices, require_edge, vertices_to_mask
+from .core import Graph, contracted_mask, mask_to_vertices, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
     DeadlineExceeded,  # re-exported: part of this module's interface
     QuasiConnectivity,
     _Flows,
+    _capacities,
+    _flow_pairs,
     _local_vertex_cut,
     _min_separators,
     _quasi_k_cuts,
@@ -137,22 +140,17 @@ def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
 def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> bool:
     """Whether G/e is quasi k-connected (`quasi`) or k-connected, for G,
     the graph of `flows`, quasi k-connected or k-connected respectively (not
-    checked), by the rules of the module docstring: kappa(G - x - y) is
-    capped at k-1, and the minimum separators of G - x - y are listed, until
-    the first that makes a nontrivial cut of G with x and y, only when it is
-    k-2. Every flow runs on G's network."""
-    g = flows.g
-    if quasi and k < 2:
+    checked), by the rules of the module docstring. Every flow runs on G's
+    network."""
+    if not quasi:
+        return _kappa_after(flows, e, k, k) >= k
+    if k < 2:
         raise ValueError("k must be at least 2")
-    if g.n - 1 < (k if quasi else k + 1):
+    if flows.g.n - 1 < k:
         return False
-    if k < 2:  # G/e is connected, with at least k + 1 vertices
-        return True
     kappa, _ = _vertex_connectivity_with_cut(flows, k - 1, e)
-    if kappa >= k - 1 or not quasi:
+    if kappa != k - 2:
         return kappa >= k - 1
-    if kappa < k - 2:
-        return False
     with closing(_min_separators(flows, k - 2, e)) as listing:
         return not any(cut.nontrivial for cut in listing)
 
@@ -167,24 +165,28 @@ def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
 def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = None) -> int:
     """kappa(G/e) for G, the graph of `flows`, of connectivity kappa; with a
     threshold t, the same value when it is below t, otherwise some value
-    >= t, and kappa may then be capped at t. By the module docstring; the
-    flows of the second term run on G's network from x, with y's internal
-    arc uncuttable, each capped at the smallest term so far."""
+    >= t, and kappa may then be capped at t. By the module docstring; each
+    flow is capped at the smallest cut so far, and z's flows run from x with
+    y's internal arc uncuttable."""
     g = flows.g
     if _complete_after(g, e):
         return g.n - 2
     x, y = e
-    best = _vertex_connectivity_with_cut(flows, None if t is None else t - 1, e)[0] + 1
-    if best <= kappa:  # a cut avoiding the merged vertex is a cut of G
-        return best
     net, masks = flows.net, g.masks
+    best = g.n - 3 if t is None else min(t, g.n - 3)  # G/e is not complete
+    both = 1 << x | 1 << y
+    z_pairs = [(a, b) for a, b in combinations(mask_to_vertices((masks[x] | masks[y]) & ~both), 2)
+               if not masks[a] >> b & 1]
+    for a, b in min(z_pairs, _flow_pairs(g, g.full_mask & ~both), key=len):
+        flows.check()
+        best = min(best, _local_vertex_cut(net, a, b, best - 1, _capacities(net, e))[0] + 1)
+    if best <= kappa:  # a cut avoiding z is a cut of G
+        return best
     for w in mask_to_vertices(g.full_mask & ~(masks[x] | masks[y])):
         flows.check()
         cap = net.cap[:]
         cap[2 * y] = g.n
-        size, sep = _local_vertex_cut(net, x, w, best, cap)
-        if sep is not None:
-            best = size
+        best = _local_vertex_cut(net, x, w, best, cap)[0]
     return best
 
 
@@ -195,10 +197,8 @@ def _report(flows: _Flows, kappa: int, c: _EdgeClass) -> ContractionReport:
     kappa_after = _kappa_after(flows, c.edge, kappa) if c.kappa_after >= c.k else c.kappa_after
     refuting = None
     if c.cut is not None:
-        y = c.edge[1]
-        low = (1 << y) - 1  # y is in the cut, so in no component mask
-        refuting = Cut(tuple([v - (v > y) for v in c.cut.vertices if v != y]),
-                       tuple([m & low | m >> 1 & ~low for m in c.cut.masks]), c.cut.nontrivial)
+        refuting = Cut(mask_to_vertices(contracted_mask(vertices_to_mask(c.cut.vertices), c.edge)),
+                       tuple([contracted_mask(m, c.edge) for m in c.cut.masks]), c.cut.nontrivial)
     return ContractionReport(
         c.edge, c.k, kappa_after, k_contractible=kappa_after >= c.k,
         quasi_k_contractible=c.quasi_k_contractible, in_E0=c.in_E0, refuting_cut=refuting,

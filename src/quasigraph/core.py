@@ -218,27 +218,25 @@ class Contraction:
         return tuple(v for v, nv in enumerate(self.vertex_map) if nv in wanted)
 
 
+def contracted_mask(mask: int, e: tuple[int, int]) -> int:
+    """The vertex set `mask` of G as a mask of G/e's ids, for e = (x, y),
+    x < y: y merges into x, and every id above y moves down one."""
+    x, y = e
+    low = (1 << y) - 1
+    return mask & low | mask >> 1 & ~low | (mask >> y & 1) << x
+
+
 def contract_edge(g: Graph, e: tuple[int, int]) -> Contraction:
     """Contract edge e = (x, y): delete it, identify its ends, merge any
-    parallel edges produced. Ids are re-compacted to 0..n-2.
+    parallel edges produced. Ids are re-compacted to 0..n-2 by
+    `contracted_mask`, so the merged vertex is min(x, y).
     """
-    x, y = require_edge(g, e)
-    keep = [v for v in range(g.n) if v != y]
-    new_id = {old: i for i, old in enumerate(keep)}
-    merged = new_id[x]
-
-    def translate(v: int) -> int:
-        return merged if v == y else new_id[v]
-
-    edges = set()
-    for u, v in g.edges():
-        nu, nv = translate(u), translate(v)
-        if nu != nv:
-            edges.add((min(nu, nv), max(nu, nv)))
-    labels = [g.label_of(old) for old in keep]
-    labels[merged] = f"{g.label_of(x)}~{g.label_of(y)}"
-    vertex_map = tuple([translate(v) for v in range(g.n)])
-    return Contraction(Graph(g.n - 1, sorted(edges), labels), vertex_map, merged)
+    e = x, y = require_edge(g, e)
+    vertex_map = tuple([contracted_mask(1 << v, e).bit_length() - 1 for v in range(g.n)])
+    edges = {tuple(sorted((vertex_map[u], vertex_map[v]))) for u, v in g.edges() if (u, v) != e}
+    labels = [g.label_of(v) for v in range(g.n) if v != y]
+    labels[x] = f"{g.label_of(x)}~{g.label_of(y)}"
+    return Contraction(Graph(g.n - 1, sorted(edges), labels), vertex_map, x)
 
 
 def contracted_min_degree(g: Graph, e: tuple[int, int]) -> int:

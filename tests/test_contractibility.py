@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
+import quasigraph.contractibility as contractibility
 from quasigraph.cli import _analyze_one
 from quasigraph.connectivity import (
     _Flows,
@@ -513,7 +514,8 @@ class TestContractsTo:
         # with flows capped at k = 4, which all reach it. Then the flows of
         # G - 0 - 1, with the internal arcs of 0 and 1 closed, are capped at
         # k - 1 = 3 at first, and once a pair falls below that, each later
-        # flow at the smallest separator found so far.
+        # flow at the smallest separator found so far; a cut holding the
+        # merged vertex is then below kappa(G), so no other flow runs.
         calls = []
         flow = connectivity._local_vertex_cut
 
@@ -523,6 +525,7 @@ class TestContractsTo:
             return calls[-1][2]
 
         monkeypatch.setattr(connectivity, "_local_vertex_cut", recorded)
+        monkeypatch.setattr(contractibility, "_local_vertex_cut", recorded)
         assert is_k_contractible(circulant_graph(8, (1, 2)), (0, 1), 4) is False
         hypothesis = [c for c in calls if not c[0]]
         assert calls[:len(hypothesis)] == hypothesis and len(hypothesis) > 1
