@@ -50,11 +50,6 @@ from .harness import (
     check_min_degree_condition,
     run_campaign,
     verify_claim,
-    verify_degree_condition_A,
-    verify_degree_condition_BC,
-    verify_lemma,
-    verify_theorem1,
-    verify_theorem2,
 )
 from .generators import CorpusSpec, generate_corpus
 

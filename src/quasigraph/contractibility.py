@@ -60,9 +60,10 @@ holds under the caller's hypothesis on G:
 Every flow here runs on G's own network, those of G - x - y with the
 internal arcs of x and y closed, and no edge is contracted. The private
 helpers take G's flow context (`connectivity._Flows`) in place of G, as the
-flow layer's do; only the public functions create one. A search checks the
-context's deadline once per edge, on top of the flow layer's own checks,
-and raises `DeadlineExceeded` when it has passed.
+flow layer's do; only the public functions create one, with no deadline. A
+search checks the context's deadline once per edge, on top of the flow
+layer's own checks; only a claim call (`harness.verify_claim`) sets one,
+and reports a deadline that passes as `timeout`.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from math import comb
 from .core import Graph, contracted_mask, mask_to_vertices, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
-    DeadlineExceeded,  # re-exported: part of this module's interface
     QuasiConnectivity,
     _Flows,
     _capacities,
@@ -340,8 +340,4 @@ def check_martinov(g: Graph) -> tuple[bool, bool]:
     """Both sides of the 4-connected criticality characterization,
     computed independently: (contraction critical, 4-regular with every
     edge in a triangle)."""
-    flows = _Flows(g)
-    if _vertex_connectivity_with_cut(flows, 4)[0] < 4:
-        raise ValueError("hypothesis violated: graph is not 4-connected")
-    return (first_contractible_edge(g, 4, quasi=False, flows=flows) is None,
-            is_regular_triangular(g))
+    return is_contraction_critical(g, 4)[0], is_regular_triangular(g)

@@ -1,20 +1,23 @@
 """Claim verification over graph corpora, with witness certificates.
 
-Each claim has one runner in `_RUNNERS`, called as (g, flows, k). A
+`verify_claim(g, claim, graph_id, k, timeout)` is the one way to run a
+claim. Each claim has one runner in `_RUNNERS`, called as (g, flows, k). A
 runner recomputes the claim's hypotheses from scratch, in a fixed order,
 and returns either the first failed one or whether the conclusion holds,
-with a witness. `_verify` creates the one work context of the call, the
-graph's flow context with the call's deadline, and hands it to the runner.
-Every flow of the call, in its hypotheses and in its search for a
-contractible edge, runs on that context's one network, and every loop of
-the call checks its deadline, so a budget holds in every phase; lemmas 1
-and 5 always check their criticality hypothesis. `_verify` turns
-that outcome into the report, so a claim is reported falsified only when
-its hypotheses hold and the conclusion fails, and every falsified witness
-carries the graph's graph6; cut enumeration is always exhaustive. Every
-search for a contractible edge goes through `first_contractible_edge`.
-Reports stream to JSON lines with canonical key order, so a fixed corpus
-and seed produce byte-identical output.
+with a witness. `verify_claim` creates the one work context of the call,
+the graph's flow context with the call's time budget, hands it to the
+runner and turns the outcome into the report. Every flow of the call, in
+its hypotheses and in its search for a contractible edge, runs on that
+context's one network, and every loop of the call checks the budget, so
+it holds in every phase and an expired one is reported as `timeout`;
+lemmas 1 and 5 always check their criticality hypothesis. A claim is
+reported falsified only when its hypotheses hold and the conclusion fails,
+and every falsified witness carries the graph's graph6; cut enumeration is
+always exhaustive. Every search for a contractible edge goes through
+`first_contractible_edge`. `run_campaign` runs each claim on each
+(graph_id, Graph) pair through `verify_claim`. Reports stream to JSON
+lines with canonical key order, so a fixed corpus and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .contractibility import (
     is_regular_triangular,
 )
 from .fragments import fragments_of_cut
-from .generators import generate_corpus
 from . import io as gio
 
 VERIFIED = "verified"
@@ -120,7 +122,7 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Claim runners. Each takes (g, flows, k), flows being g's flow context with
-# the call's deadline, checks its hypotheses in order and returns an _Outcome;
+# the call's budget, checks its hypotheses in order and returns an _Outcome;
 # lemmas are universally quantified checks over the configurations in the
 # graph matching their hypotheses, and no configurations means vacuous.
 
@@ -330,68 +332,40 @@ _RUNNERS = {
 CLAIMS = tuple(_RUNNERS)
 
 
-def _verify(g: Graph, claim: str, graph_id: str, k: int | None,
-            deadline: float | None) -> VerificationReport:
-    """Run one claim and build its report: the one constructor of every
-    non-timeout report. Falsified witnesses carry the graph's graph6.
-    Raises DeadlineExceeded once the deadline, a time.monotonic() value,
-    has passed."""
-    outcome = _RUNNERS[claim](g, _Flows(g, deadline), k)
-    if isinstance(outcome, _Vacuous):
-        return VerificationReport(graph_id, claim, VACUOUS, outcome.hypotheses_hold, None,
-                                  {"failed_hypothesis": outcome.reason})
-    holds, witness = outcome
-    if holds:
-        return VerificationReport(graph_id, claim, VERIFIED, True, True, witness)
-    return VerificationReport(graph_id, claim, FALSIFIED, True, False,
-                              {**witness, "graph6": gio.to_graph6(g)})
-
-
-def verify_theorem1(g: Graph, graph_id: str = "",
-                    deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "theorem1", graph_id, None, deadline)
-
-
-def verify_theorem2(g: Graph, graph_id: str = "",
-                    deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "theorem2", graph_id, None, deadline)
-
-
-def verify_degree_condition_A(g: Graph, k: int | None = None, graph_id: str = "",
-                              deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "degree_condition_A", graph_id, k, deadline)
-
-
-def verify_degree_condition_BC(g: Graph, k: int | None = None, graph_id: str = "",
-                               deadline: float | None = None) -> VerificationReport:
-    return _verify(g, "degree_condition_BC", graph_id, k, deadline)
-
-
-def verify_lemma(g: Graph, which: str, graph_id: str = "",
-                 deadline: float | None = None) -> VerificationReport:
-    if not which.startswith("lemma") or which not in _RUNNERS:
-        raise ValueError(f"unknown lemma id {which!r}")
-    return _verify(g, which, graph_id, None, deadline)
-
-
 def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
                  timeout: float | None = None) -> VerificationReport:
+    """Run one claim on g and build its report: the one entry point of a
+    claim, and the one constructor of every report but a campaign's error
+    line. `k` is read by the degree conditions only (default kappa(g)).
+    A claim still running `timeout` seconds after the call began is
+    reported as `timeout`; falsified witnesses carry the graph's graph6."""
     if claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
-    deadline = None if timeout is None else time.monotonic() + timeout
     start = time.monotonic()
+    deadline = None if timeout is None else start + timeout
     try:
-        rep = _verify(g, claim, graph_id, k, deadline)
+        outcome = _RUNNERS[claim](g, _Flows(g, deadline), k)
     except DeadlineExceeded:
         rep = VerificationReport(graph_id, claim, TIMEOUT, None, None, None)
+    else:
+        if isinstance(outcome, _Vacuous):
+            rep = VerificationReport(graph_id, claim, VACUOUS, outcome.hypotheses_hold, None,
+                                     {"failed_hypothesis": outcome.reason})
+        elif outcome[0]:
+            rep = VerificationReport(graph_id, claim, VERIFIED, True, True, outcome[1])
+        else:
+            rep = VerificationReport(graph_id, claim, FALSIFIED, True, False,
+                                     {**outcome[1], "graph6": gio.to_graph6(g)})
     rep.elapsed = time.monotonic() - start
     return rep
 
 
-def run_campaign(corpus, claims: Iterable[str], out: str | Path,
-                 k: int | None = None, exhaustive: bool = True,
+def run_campaign(corpus: Iterable[tuple[str, Graph]], claims: Iterable[str],
+                 out: str | Path, k: int | None = None, exhaustive: bool = True,
                  timeout: float | None = None) -> dict:
-    """Verify each claim against each corpus graph, streaming JSON lines.
+    """Verify each claim against each (graph_id, Graph) pair of `corpus`,
+    in order, streaming JSON lines; `generate_corpus` expands a spec into
+    such pairs.
 
     An exception from one (graph, claim) becomes that pair's report, with
     status "error" and the exception in the witness, and the campaign goes
@@ -405,8 +379,7 @@ def run_campaign(corpus, claims: Iterable[str], out: str | Path,
     for claim in claims:
         if claim not in _RUNNERS:
             raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
-    graphs = corpus if isinstance(corpus, list) and corpus and isinstance(corpus[0], tuple) \
-        else generate_corpus(corpus)
+    graphs = list(corpus)
     counts = {VERIFIED: 0, VACUOUS: 0, FALSIFIED: 0, TIMEOUT: 0}
     errors = 0
     out = Path(out)

@@ -25,9 +25,7 @@ from quasigraph.generators import (
 from quasigraph.harness import (
     check_degree_sum_condition,
     run_campaign,
-    verify_lemma,
-    verify_theorem1,
-    verify_theorem2,
+    verify_claim,
 )
 from quasigraph import io as gio
 
@@ -99,7 +97,7 @@ def test_ac03_theorem1_desk_scale(tmp_path):
     checked = 0
     for gid, g in population:
         assert vertex_connectivity(g) >= 5, f"{gid} must be 5-connected"
-        rep = verify_theorem1(g, gid)
+        rep = verify_claim(g, "theorem1", gid)
         assert rep.status == "verified", f"{gid}: {rep.status}"
         assert rep.enumeration_mode == "exhaustive"
         assert rep.witness and "edge" in rep.witness
@@ -118,7 +116,7 @@ def test_ac04_theorem2_desk_scale(quasi5):
         if not ok:
             continue
         eligible += 1
-        rep = verify_theorem2(g, gid)
+        rep = verify_claim(g, "theorem2", gid)
         assert rep.status == "verified", f"{gid}: {rep.status} {rep.witness}"
         assert rep.witness and "edge" in rep.witness
     assert eligible >= 100
@@ -153,7 +151,7 @@ def test_ac06_degree_preserving_contractions(quasi5):
     violations = 0
     configs = 0
     for gid, g in quasi5:
-        rep = verify_lemma(g, "lemma2", gid)
+        rep = verify_claim(g, "lemma2", gid)
         assert rep.status in ("verified", "vacuous"), f"{gid}: {rep.status}"
         if rep.status == "verified":
             configs += rep.witness["configurations"]
@@ -171,7 +169,7 @@ def test_ac07_triangle_neighborhood_contractions(quasi5):
     for gid, g in quasi5:
         if g.n < 8:
             continue
-        rep = verify_lemma(g, "lemma3", gid)
+        rep = verify_claim(g, "lemma3", gid)
         assert rep.status in ("verified", "vacuous"), f"{gid}: {rep.status}"
         if rep.status == "verified":
             configs += rep.witness["configurations"]
@@ -246,7 +244,7 @@ def test_ac09_contraction_invariants(corpus500):
 
 
 def test_ac10_campaign_determinism(tmp_path):
-    corpus = {"corpus": [
+    spec = {"corpus": [
         {"family": "complete", "params": {"n": [6, 8]}},
         {"family": "icosahedron"},
         {"family": "circulant", "params": {"n": 9, "jumps": [1, 2]}},
@@ -256,8 +254,8 @@ def test_ac10_campaign_determinism(tmp_path):
     claims = ["theorem1", "theorem2", "lemma2", "lemma3", "lemma4"]
     first = tmp_path / "first.jsonl"
     second = tmp_path / "second.jsonl"
-    summary_a = run_campaign(corpus, claims, first)
-    summary_b = run_campaign(corpus, claims, second)
+    summary_a = run_campaign(generate_corpus(spec), claims, first)
+    summary_b = run_campaign(generate_corpus(spec), claims, second)
     bytes_a, bytes_b = first.read_bytes(), second.read_bytes()
     assert bytes_a == bytes_b
     assert summary_a["counts"] == summary_b["counts"]

@@ -1,8 +1,12 @@
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import quasigraph
 import quasigraph.connectivity as connectivity
 from quasigraph import harness
 from quasigraph.connectivity import vertex_connectivity
@@ -22,16 +26,10 @@ from quasigraph.generators import (
 )
 from quasigraph.harness import (
     CLAIMS,
-    DeadlineExceeded,
     check_degree_sum_condition,
     check_min_degree_condition,
     run_campaign,
     verify_claim,
-    verify_degree_condition_A,
-    verify_degree_condition_BC,
-    verify_lemma,
-    verify_theorem1,
-    verify_theorem2,
 )
 
 from oracles import brute_vertex_connectivity
@@ -73,17 +71,17 @@ class TestDegreeConditions:
 
 class TestTheorem1:
     def test_icosahedron_verified_with_witness(self):
-        rep = verify_theorem1(icosahedron_graph(), "ico")
+        rep = verify_claim(icosahedron_graph(), "theorem1", "ico")
         assert rep.status == "verified"
         assert rep.hypotheses_hold and rep.conclusion_holds
         assert rep.witness == {"edge": [0, 1]}
         assert rep.enumeration_mode == "exhaustive"
 
     def test_complete_graph_verified(self):
-        assert verify_theorem1(complete_graph(6)).status == "verified"
+        assert verify_claim(complete_graph(6), "theorem1").status == "verified"
 
     def test_c6_vacuous(self):
-        rep = verify_theorem1(cycle_graph(6), "C6")
+        rep = verify_claim(cycle_graph(6), "theorem1", "C6")
         assert rep.status == "vacuous"
         assert rep.hypotheses_hold is False and rep.conclusion_holds is None
         assert "kappa=2<5" in rep.witness["failed_hypothesis"]
@@ -91,39 +89,39 @@ class TestTheorem1:
 
 class TestTheorem2:
     def test_k5_vacuous_on_degree_sum(self):
-        rep = verify_theorem2(complete_graph(5), "K5")
+        rep = verify_claim(complete_graph(5), "theorem2", "K5")
         assert rep.status == "vacuous"
         assert "degree sum" in rep.witness["failed_hypothesis"]
 
     def test_k6_and_icosahedron_verified(self):
-        assert verify_theorem2(complete_graph(6)).status == "verified"
-        assert verify_theorem2(icosahedron_graph()).status == "verified"
+        assert verify_claim(complete_graph(6), "theorem2").status == "verified"
+        assert verify_claim(icosahedron_graph(), "theorem2").status == "verified"
 
     def test_apex_graph_verified(self):
-        rep = verify_theorem2(quasi_5_apex(11, seed=0), "apex")
+        rep = verify_claim(quasi_5_apex(11, seed=0), "theorem2", "apex")
         assert rep.status == "verified"
         assert rep.witness and "edge" in rep.witness
 
     def test_squared_cycle_vacuous_not_quasi(self):
-        rep = verify_theorem2(circulant_graph(8, (1, 2)))
+        rep = verify_claim(circulant_graph(8, (1, 2)), "theorem2")
         assert rep.status == "vacuous"
         assert "not quasi 5-connected" in rep.witness["failed_hypothesis"]
 
 
 class TestLemmas:
     def test_lemma1_icosahedron_vacuous_not_critical(self):
-        rep = verify_lemma(icosahedron_graph(), "lemma1")
+        rep = verify_claim(icosahedron_graph(), "lemma1")
         assert rep.status == "vacuous"
         assert "not contraction critical" in rep.witness["failed_hypothesis"]
 
     def test_lemma2_icosahedron_all_edges(self):
-        rep = verify_lemma(icosahedron_graph(), "lemma2")
+        rep = verify_claim(icosahedron_graph(), "lemma2")
         assert rep.status == "verified"
         assert rep.witness == {"configurations": 30}
 
     def test_lemma2_k5_vacuous_no_configuration(self):
         # contracting any K5 edge leaves minimum degree 3
-        rep = verify_lemma(complete_graph(5), "lemma2")
+        rep = verify_claim(complete_graph(5), "lemma2")
         assert rep.status == "vacuous" and rep.hypotheses_hold is True
 
     def test_lemma2_witness_runs_under_the_budget(self, monkeypatch):
@@ -133,7 +131,7 @@ class TestLemmas:
         # claim's own flow context
         g = quasi_5_apex(24, 1, attach_triangle=True)
         monkeypatch.setattr(harness, "contracted_min_degree", lambda h, e: 4)
-        rep = verify_lemma(g, "lemma2")
+        rep = verify_claim(g, "lemma2")
         assert rep.status == "falsified"
         e = tuple(rep.witness["edge"])
         assert rep.witness["kappa_after"] == brute_vertex_connectivity(
@@ -154,76 +152,76 @@ class TestLemmas:
         assert now[0] == float("inf")
 
     def test_lemma3_c6_vacuous(self):
-        rep = verify_lemma(cycle_graph(6), "lemma3")
+        rep = verify_claim(cycle_graph(6), "lemma3")
         assert rep.status == "vacuous"
 
     def test_lemma3_apex_triangle_verified(self):
-        rep = verify_lemma(quasi_5_apex(11, seed=104, attach_triangle=True), "lemma3")
+        rep = verify_claim(quasi_5_apex(11, seed=104, attach_triangle=True), "lemma3")
         assert rep.status == "verified"
         assert rep.witness["configurations"] >= 1
 
     def test_lemma3_small_graph_vacuous(self):
-        rep = verify_lemma(complete_graph(6), "lemma3")
+        rep = verify_claim(complete_graph(6), "lemma3")
         assert rep.status == "vacuous"
         assert "n=6<8" in rep.witness["failed_hypothesis"]
 
     def test_lemma4_on_k44(self):
         from quasigraph.generators import complete_bipartite_graph
 
-        rep = verify_lemma(complete_bipartite_graph(4, 4), "lemma4")
+        rep = verify_claim(complete_bipartite_graph(4, 4), "lemma4")
         assert rep.status == "verified"
         assert rep.witness["is_critical"] is False
         assert rep.witness["is_regular_triangular"] is False
         assert rep.witness["contractible_edge"] is not None
 
     def test_lemma4_on_squared_cycle(self):
-        rep = verify_lemma(circulant_graph(8, (1, 2)), "lemma4")
+        rep = verify_claim(circulant_graph(8, (1, 2)), "lemma4")
         assert rep.status == "verified"
         assert rep.witness["is_critical"] is True
 
     def test_lemma4_vacuous_below_4_connected(self):
-        assert verify_lemma(cycle_graph(8), "lemma4").status == "vacuous"
+        assert verify_claim(cycle_graph(8), "lemma4").status == "vacuous"
 
     def test_lemma5_glued_vacuous_not_critical(self):
-        rep = verify_lemma(glued_cliques(7, 5), "lemma5")
+        rep = verify_claim(glued_cliques(7, 5), "lemma5")
         assert rep.status == "vacuous"
         assert "not contraction critical" in rep.witness["failed_hypothesis"]
 
     def test_unknown_lemma_rejected(self):
-        with pytest.raises(ValueError, match="unknown lemma"):
-            verify_lemma(complete_graph(6), "lemma9")
+        with pytest.raises(ValueError, match="unknown claim 'lemma9'"):
+            verify_claim(complete_graph(6), "lemma9")
 
 
 class TestDegreeConditionClaims:
     def test_A_on_petersen_at_three(self):
-        rep = verify_degree_condition_A(petersen_graph(), k=3)
+        rep = verify_claim(petersen_graph(), "degree_condition_A", k=3)
         assert rep.status == "verified" and rep.witness["k"] == 3
 
     def test_A_on_icosahedron_at_four(self):
-        rep = verify_degree_condition_A(icosahedron_graph(), k=4)
+        rep = verify_claim(icosahedron_graph(), "degree_condition_A", k=4)
         assert rep.status == "verified"
 
     def test_A_vacuous_on_complete(self):
-        assert verify_degree_condition_A(complete_graph(6)).status == "vacuous"
+        assert verify_claim(complete_graph(6), "degree_condition_A").status == "vacuous"
 
     def test_A_vacuous_when_degree_low(self):
-        rep = verify_degree_condition_A(circulant_graph(8, (1, 2)), k=4)
+        rep = verify_claim(circulant_graph(8, (1, 2)), "degree_condition_A", k=4)
         assert rep.status == "vacuous"
         assert "min degree" in rep.witness["failed_hypothesis"]
 
     def test_BC_excludes_k7(self):
-        rep = verify_degree_condition_BC(complete_graph(9), k=7)
+        rep = verify_claim(complete_graph(9), "degree_condition_BC", k=7)
         assert rep.status == "vacuous"
         assert "k=7" in rep.witness["failed_hypothesis"]
 
     def test_BC_on_icosahedron(self):
-        rep = verify_degree_condition_BC(icosahedron_graph(), k=4)
+        rep = verify_claim(icosahedron_graph(), "degree_condition_BC", k=4)
         assert rep.status == "verified"
 
     def test_BC_adjacent_only_branch_at_k8(self):
         g = k12_minus_perfect_matching()
         assert vertex_connectivity(g) >= 8
-        rep = verify_degree_condition_BC(g, k=8)
+        rep = verify_claim(g, "degree_condition_BC", k=8)
         assert rep.status == "verified" and rep.witness["k"] == 8
 
 
@@ -238,14 +236,14 @@ class TestFalsifiedReports:
 
     def test_theorem1_on_k6(self):
         g = complete_graph(6)
-        rep = verify_theorem1(g, "K6")
+        rep = verify_claim(g, "theorem1", "K6")
         assert (rep.status, rep.hypotheses_hold, rep.conclusion_holds) == (
             "falsified", True, False)
         assert rep.witness == {"graph6": to_graph6(g)}
 
     def test_degree_condition_A(self):
         g = icosahedron_graph()
-        rep = verify_degree_condition_A(g, k=4, graph_id="ico")
+        rep = verify_claim(g, "degree_condition_A", "ico", k=4)
         assert (rep.status, rep.hypotheses_hold, rep.conclusion_holds) == (
             "falsified", True, False)
         assert rep.witness == {"k": 4, "graph6": to_graph6(g)}
@@ -287,23 +285,32 @@ class TestVerifyClaimDispatch:
                 assert verify_claim(g, claim, graph_id).status in ("verified", "vacuous")
                 assert calls == {"_split_network": 1, "contract_edge": 0}, (graph_id, claim)
 
-    def test_direct_calls_raise_deadline_exceeded(self):
-        # only verify_claim turns an expired deadline into a timeout report
-        g = circulant_graph(20, (1, 2, 3))
-        with pytest.raises(DeadlineExceeded):
-            verify_theorem1(g, deadline=0.0)
-        with pytest.raises(DeadlineExceeded):
-            verify_degree_condition_BC(g, k=5, deadline=0.0)
-
     @pytest.mark.parametrize("claim", CLAIMS)
     def test_timeout_reports_timeout(self, claim):
         rep = verify_claim(circulant_graph(20, (1, 2, 3)), claim, timeout=0.0)
         assert rep.status == "timeout"
         assert rep.hypotheses_hold is None and rep.conclusion_holds is None
 
+    def test_no_public_callable_takes_a_deadline(self):
+        # a claim's one budget is verify_claim's timeout; the deadline it
+        # sets stays on the private flow context
+        modules = [quasigraph] + [importlib.import_module(f"quasigraph.{info.name}")
+                                  for info in pkgutil.iter_modules(quasigraph.__path__)]
+        checked = set()
+        for module in modules:
+            for name, obj in vars(module).items():
+                if name.startswith("_") or not callable(obj) \
+                        or not getattr(obj, "__module__", "").startswith("quasigraph") \
+                        or isinstance(obj, type) and issubclass(obj, Exception):
+                    continue
+                assert "deadline" not in inspect.signature(obj).parameters, \
+                    f"{module.__name__}.{name}"
+                checked.add(obj)
+        assert verify_claim in checked and run_campaign in checked
+
 
 class TestRunCampaign:
-    CORPUS = {"corpus": [
+    SPEC = {"corpus": [
         {"family": "complete", "params": {"n": [6, 8]}},
         {"family": "icosahedron"},
         {"family": "random_5_connected", "params": {"n": 9}, "count": 2, "seed": 5},
@@ -311,7 +318,7 @@ class TestRunCampaign:
 
     def test_summary_counts(self, tmp_path):
         out = tmp_path / "reports.jsonl"
-        summary = run_campaign(self.CORPUS, ["theorem1", "lemma2"], out)
+        summary = run_campaign(generate_corpus(self.SPEC), ["theorem1", "lemma2"], out)
         assert summary["graphs"] == 6
         assert summary["counts"]["verified"] == 12
         assert summary["counts"]["falsified"] == 0
@@ -322,7 +329,7 @@ class TestRunCampaign:
         assert "elapsed" not in first  # canonical output carries no timing
 
     def test_complete_six_to_nine_all_verified(self, tmp_path):
-        corpus = {"corpus": [{"family": "complete", "params": {"n": [6, 9]}}]}
+        corpus = generate_corpus({"corpus": [{"family": "complete", "params": {"n": [6, 9]}}]})
         summary = run_campaign(corpus, ["theorem1"], tmp_path / "kn.jsonl")
         assert summary["counts"] == {
             "verified": 4, "vacuous": 0, "falsified": 0, "timeout": 0}
@@ -334,21 +341,21 @@ class TestRunCampaign:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run_campaign(self.CORPUS, ["theorem2", "lemma3", "lemma4"], a)
-        run_campaign(self.CORPUS, ["theorem2", "lemma3", "lemma4"], b)
+        run_campaign(generate_corpus(self.SPEC), ["theorem2", "lemma3", "lemma4"], a)
+        run_campaign(generate_corpus(self.SPEC), ["theorem2", "lemma3", "lemma4"], b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_report_bytes_pinned(self, tmp_path):
         # sha256 of the all-claims report; a deliberate schema change
         # updates this digest and is listed in CHANGES.md
         out = tmp_path / "pinned.jsonl"
-        run_campaign(self.CORPUS, CLAIMS, out, exhaustive=True)
+        run_campaign(generate_corpus(self.SPEC), CLAIMS, out, exhaustive=True)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "bc0a9eb43a6163fbef3e207615dcbe690c7421c85704f32f8bd1166352b26053")
 
     def test_empty_corpus(self, tmp_path):
         out = tmp_path / "empty.jsonl"
-        summary = run_campaign({"corpus": []}, ["theorem1"], out)
+        summary = run_campaign([], ["theorem1"], out)
         assert summary["counts"] == {
             "verified": 0, "vacuous": 0, "falsified": 0, "timeout": 0}
         assert out.read_text() == ""
@@ -359,9 +366,18 @@ class TestRunCampaign:
         assert summary["counts"]["verified"] == 1
         assert summary["counts"]["vacuous"] == 1
 
+    def test_accepts_any_iterable_of_pairs(self, tmp_path):
+        pairs = [("K6", complete_graph(6)), ("C6", cycle_graph(6))]
+        run_campaign(pairs, ["theorem1"], tmp_path / "list.jsonl")
+        for name, corpus in [("tuple", tuple(pairs)), ("generator", (pair for pair in pairs))]:
+            out = tmp_path / f"{name}.jsonl"
+            summary = run_campaign(corpus, ["theorem1"], out)
+            assert summary["graphs"] == 2 and summary["errors"] == 0, name
+            assert out.read_bytes() == (tmp_path / "list.jsonl").read_bytes(), name
+
     def test_unknown_claim_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            run_campaign(self.CORPUS, ["nope"], tmp_path / "x.jsonl")
+            run_campaign(generate_corpus(self.SPEC), ["nope"], tmp_path / "x.jsonl")
 
     def test_failing_graph_reported_as_error(self, tmp_path):
         out = tmp_path / "err.jsonl"
