@@ -6,18 +6,14 @@ from .core import (
     Graph,
     Pattern4,
     classify_neighborhood,
-    components_after_removal,
     contract_edge,
     distance,
     induced_subgraph,
-    is_connected,
 )
 from .connectivity import (
     Cut,
     QuasiConnectivity,
     enumerate_cuts,
-    is_cut,
-    is_nontrivial_cut,
     is_quasi_k_connected,
     make_cut,
     min_vertex_cut_between,
@@ -26,11 +22,8 @@ from .connectivity import (
 )
 from .fragments import (
     Fragment,
-    fragment_from_body,
     fragments_of_cut,
     nontrivial_atom,
-    nontrivial_fragments_wrt_edge,
-    quasi_atom_wrt_edges,
     quasi_fragments_wrt_edge,
 )
 from .contractibility import (

@@ -171,22 +171,6 @@ def make_cut(g: Graph, t: Iterable[int]) -> Cut:
     return _cut_from_masks(t_sorted, masks)
 
 
-def is_cut(g: Graph, t: Iterable[int]) -> bool:
-    alive = _alive_after_removal(g, t)
-    return len(component_masks(g.masks, alive)) >= 2
-
-
-def is_nontrivial_cut(
-    g: Graph, t: Iterable[int],
-) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Decide whether cut t admits a two-sided grouping with both sides >= 2.
-
-    Returns (verdict, witness bipartition or None). Raises if t is not a cut.
-    """
-    cut = make_cut(g, t)
-    return cut.nontrivial, cut.bipartition
-
-
 # ---------------------------------------------------------------------------
 # Local connectivity by max-flow on the split digraph.
 
@@ -380,12 +364,16 @@ class _Flows:
         return _flow_pairs(self.g)
 
 
-def _capacities(net: _SplitNetwork, without: tuple[int, ...]) -> list[int]:
+def _capacities(net: _SplitNetwork, without: Iterable[int] = (),
+                merged: Iterable[int] = ()) -> list[int]:
     """A copy of the network's capacities with the internal arcs of the
-    vertices `without` closed, so no path passes through them."""
+    vertices `without` closed, so no path passes through them, and those of
+    the vertices `merged` uncuttable, so no separator holds them."""
     cap = net.cap[:]
     for v in without:
         cap[2 * v] = 0
+    for v in merged:
+        cap[2 * v] = len(net.out_arc)
     return cap
 
 
@@ -602,9 +590,7 @@ def _quasi_k_cuts(flows: _Flows, k: int, kappa: int) -> list[Cut]:
                 if any(near >> v & 1 for v in tau):
                     continue  # a terminal in N[e] shares e's component
                 flows.check()
-                cap = net.cap[:]
-                for v in (y,) + tau[1:]:
-                    cap[2 * v] = g.n
+                cap = _capacities(net, merged=(y,) + tau[1:])
                 if _local_vertex_cut(net, x, tau[0], k + 1, cap)[0] == k:
                     for sep in _pair_separators(net, cap, x, tau[0]):
                         flows.check()

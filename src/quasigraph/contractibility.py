@@ -184,9 +184,7 @@ def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = 
         return best
     for w in mask_to_vertices(g.full_mask & ~(masks[x] | masks[y])):
         flows.check()
-        cap = net.cap[:]
-        cap[2 * y] = g.n
-        best = _local_vertex_cut(net, x, w, best, cap)[0]
+        best = _local_vertex_cut(net, x, w, best, _capacities(net, merged=(y,)))[0]
     return best
 
 

@@ -181,20 +181,6 @@ def vertices_to_mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def components_after_removal(g: Graph, removed: Iterable[int]) -> list[tuple[int, ...]]:
-    """Vertex sets of the components of G - removed, each sorted, ordered by minimum."""
-    rm = vertices_to_mask(removed)
-    alive = g.full_mask & ~rm
-    return [mask_to_vertices(c) for c in component_masks(g.masks, alive)]
-
-
-def is_connected(g: Graph) -> bool:
-    """A graph on 0 or 1 vertices counts as connected."""
-    if g.n <= 1:
-        return True
-    return len(component_masks(g.masks, g.full_mask)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Contraction.
 

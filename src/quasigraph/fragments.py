@@ -45,19 +45,15 @@ class Fragment:
         }
 
 
-def fragment_from_body(g: Graph, body: Iterable[int], source_cut: Iterable[int],
-                       quasi: bool = False) -> Fragment:
-    """Build a Fragment with boundary = N(body) computed exactly."""
-    body_mask = vertices_to_mask(body)
+def _fragment(g: Graph, body_mask: int, source_cut: tuple[int, ...],
+              quasi: bool) -> Fragment:
+    """The Fragment with body `body_mask`, boundary N(body) computed exactly."""
+    body_t = mask_to_vertices(body_mask)
     nbr_mask = 0
-    m = body_mask
-    while m:
-        b = m & -m
-        nbr_mask |= g.masks[b.bit_length() - 1]
-        m ^= b
+    for v in body_t:
+        nbr_mask |= g.masks[v]
     boundary_mask = nbr_mask & ~body_mask
     complement_mask = g.full_mask & ~body_mask & ~boundary_mask
-    body_t = mask_to_vertices(body_mask)
     complement_t = mask_to_vertices(complement_mask)
     if quasi:
         kind = "quasi"
@@ -65,25 +61,22 @@ def fragment_from_body(g: Graph, body: Iterable[int], source_cut: Iterable[int],
         kind = "nontrivial"
     else:
         kind = "plain"
-    return Fragment(body_t, mask_to_vertices(boundary_mask), complement_t,
-                    kind, tuple(sorted(set(source_cut))))
+    return Fragment(body_t, mask_to_vertices(boundary_mask), complement_t, kind, source_cut)
 
 
 def _component_unions(g: Graph, cut: Cut, max_parts: int,
                       quasi: bool = False) -> Iterator[Fragment]:
     """Fragments whose body is the union of 1..max_parts components of
     G - cut (never all of them), by part count, then component order."""
-    comps = cut.components
-    c = len(comps)
+    c = len(cut.masks)
     parts = range(1, min(max_parts, c - 1) + 1)
     total = sum(comb(c, r) for r in parts)
     if total > 1 << 16:
         raise ValueError(f"cut {list(cut.vertices)} leaves {c} components: "
                          f"{total} fragments are too many to enumerate")
     for r in parts:
-        for chosen in combinations(comps, r):
-            body = tuple(sorted(v for comp in chosen for v in comp))
-            yield fragment_from_body(g, body, cut.vertices, quasi)
+        for chosen in combinations(cut.masks, r):
+            yield _fragment(g, sum(chosen), cut.vertices, quasi)
 
 
 def fragments_of_cut(g: Graph, cut: Cut | Iterable[int]) -> list[Fragment]:
@@ -91,25 +84,7 @@ def fragments_of_cut(g: Graph, cut: Cut | Iterable[int]) -> list[Fragment]:
     fragments for c components, so more than 16 components raise."""
     if not isinstance(cut, Cut):
         cut = make_cut(g, cut)
-    return list(_component_unions(g, cut, len(cut.components)))
-
-
-def nontrivial_fragments_wrt_edge(g: Graph, e: tuple[int, int]) -> list[Fragment]:
-    """Nontrivial fragments A over minimum cuts S with both ends of e in S.
-
-    Empty exactly when no minimum cut through both endpoints leaves a
-    two-sided split, i.e. when e is either contraction-safe at kappa or only
-    trivially non-contractible.
-    """
-    x, y = require_edge(g, e)
-    out = []
-    for cut in minimum_cuts(g):
-        if x in cut.vertices and y in cut.vertices:
-            for frag in fragments_of_cut(g, cut):
-                if frag.is_nontrivial():
-                    out.append(frag)
-    out.sort(key=lambda f: (f.size, f.body, f.source_cut))
-    return out
+    return list(_component_unions(g, cut, len(cut.masks)))
 
 
 def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[Fragment]:
@@ -134,7 +109,7 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
             continue
         cut = _cut_from_masks(t, comps)
         if cut.nontrivial:
-            out.extend(f for f in _component_unions(g, cut, len(cut.components), quasi=True)
+            out.extend(f for f in _component_unions(g, cut, len(cut.masks), quasi=True)
                        if 2 <= f.size <= split_total - 2)
     out.sort(key=lambda f: (f.size, f.body, f.source_cut))
     return out
@@ -154,17 +129,6 @@ def nontrivial_atom(g: Graph, cuts: list[Cut] | None = None) -> Fragment | None:
         for frag in _component_unions(g, cut, 2):
             if not frag.is_nontrivial():
                 continue
-            if best is None or (frag.size, frag.body) < (best.size, best.body):
-                best = frag
-    return best
-
-
-def quasi_atom_wrt_edges(g: Graph, edges: Iterable[tuple[int, int]],
-                         k: int = 5) -> Fragment | None:
-    """Minimum-cardinality quasi fragment over the given edges, or None."""
-    best: Fragment | None = None
-    for e in sorted((min(e), max(e)) for e in edges):
-        for frag in quasi_fragments_wrt_edge(g, e, k):
             if best is None or (frag.size, frag.body) < (best.size, best.body):
                 best = frag
     return best

@@ -212,6 +212,8 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CorpusSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a 'corpus' entry must be a JSON object, got {obj!r}")
         family = obj.get("family")
         if family not in KNOWN_FAMILIES:
             raise ValueError(f"unknown family {family!r}; known: {KNOWN_FAMILIES}")
@@ -286,12 +288,12 @@ def generate_corpus(spec) -> list[tuple[str, Graph]]:
     """Expand a CorpusSpec, a list of them, or parsed corpus JSON into
     (graph_id, Graph) pairs, in declaration order."""
     if isinstance(spec, CorpusSpec):
-        specs = [spec]
-    elif isinstance(spec, dict):
-        specs = [CorpusSpec.from_json(entry) for entry in spec.get("corpus", [])]
-    else:
-        specs = [s if isinstance(s, CorpusSpec) else CorpusSpec.from_json(s)
-                 for s in spec]
+        spec = [spec]
+    entries = spec.get("corpus", []) if isinstance(spec, dict) else spec
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"a corpus must be a list of entries or an object with a "
+                         f"'corpus' list, got {entries!r}")
+    specs = [s if isinstance(s, CorpusSpec) else CorpusSpec.from_json(s) for s in entries]
     out = []
     for s in specs:
         out.extend(_expand(s))

@@ -128,7 +128,10 @@ def from_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("n="):
-                n_decl = int(comment[2:].split()[0])
+                value = comment[2:].split()
+                if not (value and value[0].isdigit()):
+                    raise ValueError(f"line {lineno}: 'n=' needs an integer, got {raw!r}")
+                n_decl = int(value[0])
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -160,8 +163,15 @@ def to_adjacency_json(g: Graph) -> dict:
 
 
 def from_adjacency_json(obj: dict) -> Graph:
-    n = obj["n"]
-    adjacency = obj["adjacency"]
+    if not isinstance(obj, dict):
+        raise ValueError(f"adjacency JSON must be an object, got {type(obj).__name__}")
+    n = obj.get("n")
+    if not isinstance(n, int):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    adjacency = obj.get("adjacency")
+    if not (isinstance(adjacency, list) and all(
+            isinstance(row, list) and all(isinstance(v, int) for v in row) for row in adjacency)):
+        raise ValueError("'adjacency' must be a list of integer lists")
     if len(adjacency) != n:
         raise ValueError("adjacency length does not match n")
     return Graph.from_adjacency(adjacency, obj.get("labels"))

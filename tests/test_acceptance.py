@@ -12,7 +12,7 @@ import pytest
 
 from quasigraph.connectivity import (
     enumerate_cuts,
-    is_nontrivial_cut,
+    make_cut,
     vertex_connectivity,
 )
 from quasigraph.contractibility import check_martinov
@@ -80,8 +80,7 @@ def test_ac02_nontriviality_partition_suite():
             edges.extend((base + i, base + i + 1) for i in range(sz - 1))
             base += sz
         g = Graph(base, edges)
-        verdict, _ = is_nontrivial_cut(g, [0])
-        assert verdict is expected, f"component sizes {sizes}"
+        assert make_cut(g, [0]).nontrivial is expected, f"component sizes {sizes}"
     _report("[AC-02] nontriviality partition unit suite: PASS (5/5 multisets)")
 
 

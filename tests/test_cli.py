@@ -176,24 +176,50 @@ def test_verify_exits_two_on_error_reports(tmp_path, capsys):
     assert statuses == ["verified", "error"]
 
 
-@pytest.mark.parametrize("spec, field", [
-    ({"family": "graph6_file"}, "'path'"),
-    ({"family": "circulant", "params": [1]}, "'params'"),
-    ({"family": "circulant", "params": {"n": 8, "jumps": "12"}}, "'jumps'"),
-    ({"family": "complete", "params": {"n": 5.5}}, "'n'"),
-], ids=["no-path", "params-list", "jumps-string", "n-float"])
-@pytest.mark.parametrize("command", ["verify", "generate"])
-def test_malformed_corpus_spec_exits_two(spec, field, command, tmp_path, capsys):
+BAD_SPECS = [
+    ("no-path", {"family": "graph6_file"}, "'path'"),
+    ("params-list", {"family": "circulant", "params": [1]}, "'params'"),
+    ("jumps-string", {"family": "circulant", "params": {"n": 8, "jumps": "12"}}, "'jumps'"),
+    ("n-float", {"family": "complete", "params": {"n": 5.5}}, "'n'"),
+]
+
+
+@pytest.mark.parametrize("command, corpus, field", [
+    pytest.param(command, {"corpus": [spec]}, field, id=f"{command}-{name}")
+    for command in ("verify", "generate") for name, spec, field in BAD_SPECS
+] + [
+    pytest.param("verify", {"corpus": ["K5"]}, "'corpus' entry", id="verify-entry-string"),
+    pytest.param("verify", {"corpus": 3}, "'corpus' list", id="verify-corpus-int"),
+    pytest.param("verify", 3, "'corpus' list", id="verify-top-int"),
+    pytest.param("verify", [1, 2], "'corpus' entry", id="verify-top-list"),
+])
+def test_malformed_corpus_spec_exits_two(command, corpus, field, tmp_path, capsys):
     # a bad spec is a usage error, named on one stderr line; exit 1 is kept
     # for a campaign that found a falsified claim
     if command == "verify":
-        corpus = tmp_path / "corpus.json"
-        corpus.write_text(json.dumps({"corpus": [spec]}))
-        argv = ["verify", "--claim", "theorem1", "--corpus", str(corpus),
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus))
+        argv = ["verify", "--claim", "theorem1", "--corpus", str(path),
                 "--out", str(tmp_path / "rep.jsonl")]
     else:
+        [spec] = corpus["corpus"]
         argv = ["generate", "--family", spec["family"],
                 "--params", json.dumps(spec.get("params", {})), "--out", str(tmp_path / "d")]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, text, field", [
+    ("g.edges", "# n=\n0 1\n", "'n='"),
+    ("g.json", json.dumps({"adjacency": [[1], [0]]}), "'n'"),
+    ("g.json", json.dumps([[1], [0]]), "object"),
+    ("g.json", json.dumps({"n": 2, "adjacency": [["1"], [0]]}), "'adjacency'"),
+], ids=["edgelist-empty-n", "json-no-n", "json-list", "json-string-ids"])
+def test_malformed_graph_file_exits_two(name, text, field, tmp_path, capsys):
+    # like a bad corpus spec, a malformed graph file is a usage error
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and err.count("\n") == 1

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from quasigraph.core import (
     Graph,
     classify_neighborhood,
-    components_after_removal,
     contract_edge,
     distance,
     induced_subgraph,
@@ -20,7 +19,6 @@ from quasigraph.generators import (
     disjoint_union,
     path_graph,
     random_graph,
-    star_graph,
 )
 
 from oracles import brute_distance
@@ -254,14 +252,6 @@ class TestClassifyNeighborhood:
 
 
 class TestComponents:
-    def test_components_after_removal(self):
-        comps = components_after_removal(cycle_graph(6), [0, 3])
-        assert comps == [(1, 2), (4, 5)]
-
-    def test_star_center_removal(self):
-        comps = components_after_removal(star_graph(5), [0])
-        assert comps == [(1,), (2,), (3,), (4,)]
-
     def test_triangles_in_neighborhood(self):
         g = _neighborhood_graph([(0, 1), (1, 2), (0, 2), (2, 3)])
         assert list(triangles_in_neighborhood(g, 4)) == [(0, 1, 2)]

@@ -9,11 +9,8 @@ from quasigraph.connectivity import (
 from quasigraph.contractibility import compute_E0
 from quasigraph.core import contract_edge
 from quasigraph.fragments import (
-    fragment_from_body,
     fragments_of_cut,
     nontrivial_atom,
-    nontrivial_fragments_wrt_edge,
-    quasi_atom_wrt_edges,
     quasi_fragments_wrt_edge,
 )
 from quasigraph.generators import (
@@ -80,43 +77,11 @@ class TestFragmentsOfCut:
                     assert nbh - set(frag.complement) <= set(frag.boundary)
 
     def test_boundary_is_exact_neighborhood(self):
-        g = cycle_graph(8)
-        frag = fragment_from_body(g, [2, 3], [1, 4])
-        assert frag.boundary == (1, 4)
+        rest, frag = fragments_of_cut(cycle_graph(8), [1, 4])
+        assert frag.body == (2, 3) and rest.body == (0, 5, 6, 7)
+        assert frag.boundary == rest.boundary == frag.source_cut == (1, 4)
         assert frag.complement == (0, 5, 6, 7)
         assert frag.kind == "nontrivial"
-
-
-class TestNontrivialFragmentsWrtEdge:
-    def test_complete_graph_has_none(self):
-        assert nontrivial_fragments_wrt_edge(complete_graph(6), (0, 1)) == []
-
-    def test_c4_has_none(self):
-        # both 2-cuts of C4 are non-adjacent pairs, so no cut contains an edge
-        g = cycle_graph(4)
-        for e in g.edges():
-            assert nontrivial_fragments_wrt_edge(g, e) == []
-
-    def test_glued_cliques_shared_edge(self):
-        g = glued_cliques(7, 5)
-        frags = nontrivial_fragments_wrt_edge(g, (0, 1))
-        assert [f.body for f in frags] == [(5, 6), (7, 8)]
-        assert all(f.boundary == (0, 1, 2, 3, 4) for f in frags)
-        assert all(f.kind == "nontrivial" for f in frags)
-
-    def test_private_edge_has_none(self):
-        # (5, 6) lies inside one clique; no minimum cut contains it
-        assert nontrivial_fragments_wrt_edge(glued_cliques(7, 5), (5, 6)) == []
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError, match="not an edge"):
-            nontrivial_fragments_wrt_edge(cycle_graph(5), (0, 2))
-
-    @pytest.mark.parametrize("e", [(-1, 0), (0, -1), (7, 0), (0, 5)])
-    def test_out_of_range_ids_rejected(self, e):
-        # -1 must not wrap to vertex 4, the neighbor of 0 in C5
-        with pytest.raises(ValueError, match="not an edge"):
-            nontrivial_fragments_wrt_edge(cycle_graph(5), e)
 
 
 class TestQuasiFragmentsWrtEdge:
@@ -226,14 +191,3 @@ class TestAtoms:
                 assert nontrivial_atom(g) is None
                 assert brute_nontrivial_fragment_bodies(g) == []
         assert checked > 0
-
-    def test_quasi_atom_over_edge_star(self):
-        g = glued_cliques(7, 5)
-        edges_at_0 = [(0, w) for w in g.sorted_neighbors(0)]
-        atom = quasi_atom_wrt_edges(g, edges_at_0, 5)
-        assert atom is not None and atom.body == (5, 6)
-
-    def test_quasi_atom_empty_cases(self):
-        g = complete_graph(6)
-        assert quasi_atom_wrt_edges(g, [(0, w) for w in range(1, 6)], 5) is None
-        assert quasi_atom_wrt_edges(g, [], 5) is None
