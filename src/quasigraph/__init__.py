@@ -7,7 +7,6 @@ from .core import (
     Pattern4,
     classify_neighborhood,
     contract_edge,
-    distance,
     induced_subgraph,
 )
 from .connectivity import (

@@ -19,12 +19,14 @@ augmenting paths. The separator is read from what the source reaches in
 the final residual graph, which is the same for every maximum flow, so
 witness cuts do not depend on the order of augmentation.
 
-kappa(G - x - y) and the minimum separators of G - x - y, which decide
-whether contracting an edge xy keeps G (quasi) k-connected, are computed
-on G's own digraph: the capacity copies close the internal arcs of x and
-y, so no path passes through them, and the pairs are taken from G's
-adjacency with x and y removed. A separator T of G - x - y is returned
-as the cut T + {x, y} of G, which leaves the same components.
+The separators of G - x - y that decide whether contracting an edge xy
+keeps G quasi k-connected are listed on G's own digraph: the capacity
+copies close the internal arcs of x and y, so no path passes through
+them, and the pairs are taken from G's adjacency with x and y removed. A
+separator T of G - x - y is returned as the cut T + {x, y} of G, which
+leaves the same components. One listing at size j both finds the
+separators of size j and meets a smaller one if there is any, so the
+decision needs no kappa(G - x - y) first.
 
 Minimum cuts are listed from the same pairs' flows, each capped at
 kappa + 1 (after Kanevsky, and Picard and Queyranne): a pair whose flow is
@@ -383,40 +385,35 @@ def _complete(g: Graph, alive: int) -> bool:
     return all((masks[v] | 1 << v) & alive == alive for v in mask_to_vertices(alive))
 
 
-def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None,
-                                  without: tuple[int, ...] = ()) -> tuple[int, Cut | None]:
-    """kappa(H), H = G - without, and a minimum cut T of H as the cut
-    T + without of G (None when H has none: K1 and complete graphs), for G
-    the graph of the flow context `flows`.
+def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None) -> tuple[int, Cut | None]:
+    """kappa(G) and a minimum cut of G (None when it has none: K1 and
+    complete graphs), for G the graph of the flow context `flows`.
 
     With a threshold t: when kappa < t, the same value and cut as without
     it; otherwise some value >= t and no cut. Each pair's flow is capped at
     the smallest separator found so far (t at first), since only a smaller
-    one is kept. The flows run on G's network with the vertices `without`
-    closed.
+    one is kept.
     """
     g = flows.g
-    alive = g.full_mask & ~vertices_to_mask(without)
-    n = alive.bit_count()
+    n = g.n
     if n == 0:
         raise ValueError("empty graph")
     if t is None:
         t = n
     if n == 1:
         return 0, None
-    if len(component_masks(g.masks, alive)) > 1:
-        return 0, (make_cut(g, without) if t > 0 else None)
-    if _complete(g, alive):
+    if len(component_masks(g.masks, g.full_mask)) > 1:
+        return 0, (make_cut(g, ()) if t > 0 else None)
+    if g.is_complete():
         return n - 1, None
-    net = flows.net
     best = min(t, n - 1)
     best_sep: tuple[int, ...] | None = None
-    for s, w in _flow_pairs(g, alive) if without else flows.pairs:
+    for s, w in flows.pairs:
         flows.check()
-        size, sep = _local_vertex_cut(net, s, w, best, _capacities(net, without))
+        size, sep = _local_vertex_cut(flows.net, s, w, best)
         if sep is not None:
             best, best_sep = size, sep
-    return best, None if best_sep is None else make_cut(g, best_sep + without)
+    return best, None if best_sep is None else make_cut(g, best_sep)
 
 
 def vertex_connectivity(g: Graph, flows: _Flows | None = None) -> int:
@@ -485,28 +482,32 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
             stack.append((inside | grow, outside))
 
 
-def _min_separators(flows: _Flows, kappa: int,
+def _min_separators(flows: _Flows, j: int,
                     without: tuple[int, ...] = ()) -> Iterator[Cut]:
-    """Every minimum separator T of H = G - without once, in discovery
+    """Every separator T of size j of H = G - without once, in discovery
     order, as the cut T + without of G, for G the graph of `flows` and
-    kappa(H) = kappa; nothing when H is complete, and the one empty
-    separator when H is disconnected.
+    kappa(H) >= j; nothing when H is complete, and the one empty separator
+    when H is disconnected and j = 0. When kappa(H) < j, a separator
+    smaller than j is yielded, perhaps after some of size j.
 
-    Each pair of `_flow_pairs` gets one flow capped at kappa + 1, on G's
-    network with the vertices `without` closed. When the flow is kappa, the
-    pair's minimum separators are listed from its residual graph. Then the
-    pair's edge is added to the network, so later pairs find no separator
-    that splits an earlier pair. A separator that leaves three or more
-    components can still split a later pair; a seen set drops those
-    repeats. The added edges are removed when the listing ends, raises or
-    is closed.
+    Each pair of `_flow_pairs` gets one flow capped at j + 1, on G's
+    network with the vertices `without` closed. A flow of j lists the
+    pair's minimum separators from its residual graph; a flow below j
+    yields its one separator. Then the pair's edge is added to the network,
+    so later pairs find no separator that splits an earlier pair. A
+    separator S is still met at the first pair it splits: no edge added
+    before crosses S, so that pair's flow is at most |S|. A separator that
+    leaves three or more components can still split a later pair; a seen
+    set drops those repeats. The added edges are removed when the listing
+    ends, raises or is closed.
     """
     g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
     if _complete(g, alive):
         return
-    if kappa == 0:
-        yield make_cut(g, without)
+    if j == 0:
+        if len(component_masks(g.masks, alive)) > 1:
+            yield make_cut(g, without)
         return
     net = flows.net
     mark = len(net.to)
@@ -515,7 +516,10 @@ def _min_separators(flows: _Flows, kappa: int,
         for s, t in _flow_pairs(g, alive) if without else flows.pairs:
             flows.check()
             cap = _capacities(net, without)
-            if _local_vertex_cut(net, s, t, kappa + 1, cap)[0] == kappa:
+            size, sep = _local_vertex_cut(net, s, t, j + 1, cap)
+            if size < j:
+                yield make_cut(g, sep + without)
+            elif size == j:
                 for sep in _pair_separators(net, cap, s, t, without):
                     flows.check()
                     if sep not in seen:

@@ -53,9 +53,11 @@ holds under the caller's hypothesis on G:
 - for G k-connected, `_kappa_after` capped at k decides from the first
   term alone;
 - for G quasi k-connected, whose (k-1)-cuts stay trivial in G/e, G/e is
-  quasi k-connected exactly when it has at least k vertices and either
-  kappa(G - x - y) >= k-1, or kappa(G - x - y) = k-2 and no minimum
-  separator T' of G - x - y makes T' + {x, y} nontrivial in G.
+  quasi k-connected exactly when it has at least k vertices and one
+  listing of the (k-2)-separators of G - x - y
+  (`connectivity._min_separators`) meets neither a smaller separator nor
+  one, T', that makes T' + {x, y} nontrivial in G; that listing meets a
+  smaller separator whenever one exists.
 
 Every flow here runs on G's own network, those of G - x - y with the
 internal arcs of x and y closed, and no edge is contracted. The private
@@ -148,11 +150,8 @@ def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> boo
         raise ValueError("k must be at least 2")
     if flows.g.n - 1 < k:
         return False
-    kappa, _ = _vertex_connectivity_with_cut(flows, k - 1, e)
-    if kappa != k - 2:
-        return kappa >= k - 1
     with closing(_min_separators(flows, k - 2, e)) as listing:
-        return not any(cut.nontrivial for cut in listing)
+        return not any(cut.nontrivial or cut.size < k for cut in listing)
 
 
 def _complete_after(g: Graph, e: tuple[int, int]) -> bool:

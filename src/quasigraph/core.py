@@ -1,5 +1,5 @@
-"""Simple undirected graphs: contraction, distance, induced subgraphs, and
-classification of 4-vertex neighborhoods.
+"""Simple undirected graphs: contraction, balls of small radius, induced
+subgraphs, and classification of 4-vertex neighborhoods.
 
 Vertices are contiguous ids 0..n-1. Graphs are immutable after construction;
 every operation returns a new value, so results are safe to share and reuse.
@@ -7,7 +7,6 @@ every operation returns a new value, so results are safe to share and reuse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -17,14 +16,11 @@ from typing import Iterable, Iterator
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1.
 
-    Adjacency is symmetric, loop-free and deduplicated. Optional per-vertex
-    labels carry provenance strings (contractions produce labels such as
-    "2~5" for the vertex obtained by identifying 2 and 5). Equality and
-    hashing are structural; labels are ignored.
+    Adjacency is symmetric, loop-free and deduplicated. Equality and
+    hashing are structural.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Iterable[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -41,18 +37,12 @@ class Graph:
         # parked on its size's free list (up to 2000 per size) and not reused,
         # and a process that runs campaigns grows by about 0.2 MiB per run.
         self._adj = tuple([frozenset(s) for s in adj])
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels length must equal vertex count")
-        self.labels = labels
 
     @classmethod
-    def from_adjacency(cls, adjacency: Iterable[Iterable[int]],
-                       labels: Iterable[str] | None = None) -> "Graph":
+    def from_adjacency(cls, adjacency: Iterable[Iterable[int]]) -> "Graph":
         adj = [list(row) for row in adjacency]
         edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
-        g = cls(len(adj), edges, labels)
+        g = cls(len(adj), edges)
         for u, row in enumerate(adj):
             if g.neighbors(u) != frozenset(row):
                 raise ValueError(f"adjacency rows are not symmetric at vertex {u}")
@@ -92,9 +82,6 @@ class Graph:
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
-
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -220,9 +207,7 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Contraction:
     e = x, y = require_edge(g, e)
     vertex_map = tuple([contracted_mask(1 << v, e).bit_length() - 1 for v in range(g.n)])
     edges = {tuple(sorted((vertex_map[u], vertex_map[v]))) for u, v in g.edges() if (u, v) != e}
-    labels = [g.label_of(v) for v in range(g.n) if v != y]
-    labels[x] = f"{g.label_of(x)}~{g.label_of(y)}"
-    return Contraction(Graph(g.n - 1, sorted(edges), labels), vertex_map, x)
+    return Contraction(Graph(g.n - 1, sorted(edges)), vertex_map, x)
 
 
 def contracted_min_degree(g: Graph, e: tuple[int, int]) -> int:
@@ -245,39 +230,11 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
         _check_vertex(g, v)
     new_id = {old: i for i, old in enumerate(sel)}
     edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u in new_id and v in new_id]
-    labels = [g.label_of(v) for v in sel] if g.labels is not None else None
-    return Graph(len(sel), edges, labels), new_id
+    return Graph(len(sel), edges), new_id
 
 
 # ---------------------------------------------------------------------------
 # Distance.
-
-def distance(g: Graph, u: int, v: int) -> int | float:
-    """Shortest-path length between u and v; math.inf if disconnected."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return 0
-    masks = g.masks
-    target = 1 << v
-    seen = 1 << u
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= masks[b.bit_length() - 1]
-            f ^= b
-        nxt &= ~seen
-        if nxt & target:
-            return d
-        seen |= nxt
-        frontier = nxt
-    return math.inf
-
 
 def vertices_within_distance(g: Graph, u: int, radius: int) -> tuple[int, ...]:
     """Vertices at distance 1..radius from u, sorted."""

@@ -103,7 +103,7 @@ def complement_graph(g: Graph) -> Graph:
 
 
 def with_edges(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(g.n, list(g.edges()) + list(extra), g.labels)
+    return Graph(g.n, list(g.edges()) + list(extra))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -222,9 +222,12 @@ class CorpusSpec:
             raise ValueError(f"'params' must be a JSON object, got {params!r}")
         if family.endswith("_file") and not isinstance(params.get("path"), str):
             raise ValueError(f"family {family!r} requires a 'path' parameter")
-        return cls(family=family, params=dict(params),
-                   count=int(obj.get("count", 1)),
-                   seed=None if obj.get("seed") is None else int(obj["seed"]))
+        count, seed = obj.get("count", 1), obj.get("seed")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"'count' must be an integer >= 1, got {count!r}")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"'seed' must be an integer or null, got {seed!r}")
+        return cls(family=family, params=dict(params), count=count, seed=seed)
 
 
 def _sizes(params: dict) -> list[int]:

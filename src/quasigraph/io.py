@@ -156,13 +156,12 @@ def write_edge_list_file(path: str | Path, g: Graph) -> None:
 # Adjacency JSON.
 
 def to_adjacency_json(g: Graph) -> dict:
-    obj: dict = {"n": g.n, "adjacency": [list(g.sorted_neighbors(v)) for v in g.vertices]}
-    if g.labels is not None:
-        obj["labels"] = list(g.labels)
-    return obj
+    return {"n": g.n, "adjacency": [list(g.sorted_neighbors(v)) for v in g.vertices]}
 
 
 def from_adjacency_json(obj: dict) -> Graph:
+    """The graph of an object with keys "n" and "adjacency"; other keys are
+    ignored."""
     if not isinstance(obj, dict):
         raise ValueError(f"adjacency JSON must be an object, got {type(obj).__name__}")
     n = obj.get("n")
@@ -174,7 +173,7 @@ def from_adjacency_json(obj: dict) -> Graph:
         raise ValueError("'adjacency' must be a list of integer lists")
     if len(adjacency) != n:
         raise ValueError("adjacency length does not match n")
-    return Graph.from_adjacency(adjacency, obj.get("labels"))
+    return Graph.from_adjacency(adjacency)
 
 
 def read_adjacency_json_file(path: str | Path) -> Graph:

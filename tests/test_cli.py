@@ -48,6 +48,20 @@ def test_analyze_star_with_many_components(tmp_path, capsys):
     assert summary["nontrivial_atom"]["boundary"] == [0]
 
 
+def test_analyze_reads_past_other_json_keys(tmp_path, capsys):
+    # an adjacency JSON file is read for "n" and "adjacency" only, so a
+    # "labels" key of any value leaves the summary as it is
+    obj = gio.to_adjacency_json(icosahedron_graph())
+    lines = []
+    for name, extra in [("plain", {}), ("labelled", {"labels": 5})]:
+        path = tmp_path / name / "g.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({**obj, **extra}))
+        assert main(["analyze", str(path)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and json.loads(lines[0])["kappa"] == 5
+
+
 ANALYZE_DIGESTS = {
     4: "a5d1ea87512c88f9c066697cf5e4814e021d2fc39773707ee9c42b4c08f86660",
     5: "1de8e2ba8f0b7f6d0ef44e46080ea95e009cd511b34ce206c1f4431b640cea3f",
@@ -183,10 +197,23 @@ BAD_SPECS = [
     ("n-float", {"family": "complete", "params": {"n": 5.5}}, "'n'"),
 ]
 
+BAD_COUNTS = [
+    ("count-null", {"family": "icosahedron", "count": None}, "'count'"),
+    ("count-float", {"family": "icosahedron", "count": 2.7}, "'count'"),
+    ("count-zero", {"family": "icosahedron", "count": 0}, "'count'"),
+    ("count-bool", {"family": "icosahedron", "count": True}, "'count'"),
+    ("seed-list", {"family": "icosahedron", "seed": [1]}, "'seed'"),
+    ("seed-bool", {"family": "icosahedron", "seed": False}, "'seed'"),
+    ("seed-string", {"family": "icosahedron", "seed": "1"}, "'seed'"),
+]
+
 
 @pytest.mark.parametrize("command, corpus, field", [
     pytest.param(command, {"corpus": [spec]}, field, id=f"{command}-{name}")
     for command in ("verify", "generate") for name, spec, field in BAD_SPECS
+] + [
+    pytest.param("verify", {"corpus": [spec]}, field, id=f"verify-{name}")
+    for name, spec, field in BAD_COUNTS
 ] + [
     pytest.param("verify", {"corpus": ["K5"]}, "'corpus' entry", id="verify-entry-string"),
     pytest.param("verify", {"corpus": 3}, "'corpus' list", id="verify-corpus-int"),

@@ -26,7 +26,7 @@ from quasigraph.contractibility import (
     is_k_contractible,
     is_quasi_k_contractible,
 )
-from quasigraph.core import Graph, contract_edge, contracted_min_degree
+from quasigraph.core import Graph, contract_edge, contracted_min_degree, induced_subgraph
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
@@ -500,9 +500,29 @@ class TestContractsTo:
         g = Graph(7, complete_graph(5).edges() + [(5, 6), (0, 5), (0, 6)])
         assert vertex_connectivity(g) == 1
         assert vertex_connectivity(contract_edge(g, (5, 6)).graph) == 1
-        assert connectivity._vertex_connectivity_with_cut(_Flows(g), without=(5, 6))[0] == 4
+        assert brute_vertex_connectivity(induced_subgraph(g, range(5))[0]) == 4
         assert _contracts_to(_Flows(g), (5, 6), k, quasi=False) is True
         assert is_k_contractible(g, (5, 6), k) is False
+
+    def test_quasi_decision_is_one_listing(self, monkeypatch):
+        # every icosahedron edge has kappa(G - x - y) = 3 = k - 2, so each
+        # decision needs the separators of that size: one flow per pair of
+        # G - x - y lists them and would meet any smaller one
+        g = icosahedron_graph()
+        flows = _Flows(g)
+        calls = []
+        flow = connectivity._local_vertex_cut
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return flow(*args)
+
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", counted)
+        for e in g.edges():
+            pairs = connectivity._flow_pairs(g, g.full_mask & ~(1 << e[0] | 1 << e[1]))
+            calls.clear()
+            assert _contracts_to(flows, e, 5, quasi=True) is True
+            assert 0 < len(calls) <= len(pairs), e
 
     def test_quasi_needs_k_at_least_two(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -519,8 +539,8 @@ class TestContractsTo:
         calls = []
         flow = connectivity._local_vertex_cut
 
-        def recorded(net, s, t, limit, cap):
-            closed = cap[0] == cap[2] == 0
+        def recorded(net, s, t, limit, cap=None):
+            closed = cap is not None and cap[0] == cap[2] == 0
             calls.append((closed, limit, flow(net, s, t, limit, cap)))
             return calls[-1][2]
 

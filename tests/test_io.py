@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,11 +111,15 @@ class TestEdgeList:
 
 class TestAdjacencyJson:
     def test_round_trip_with_labels(self, tmp_path):
-        g = Graph(3, [(0, 1)], labels=["a", "b", "c"])
+        # the file holds "n" and "adjacency" only; a "labels" key, as older
+        # files carry, is read past
+        g = Graph(3, [(0, 1)])
         path = tmp_path / "g.json"
         gio.write_adjacency_json_file(path, g)
-        back = gio.read_adjacency_json_file(path)
-        assert back == g and back.labels == ("a", "b", "c")
+        assert json.loads(path.read_text()) == {"n": 3, "adjacency": [[1], [0], []]}
+        assert gio.read_adjacency_json_file(path) == g
+        labelled = {**gio.to_adjacency_json(g), "labels": ["a", "b", "c"]}
+        assert gio.from_adjacency_json(labelled) == g
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
