@@ -19,40 +19,34 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .connectivity import _Flows, _minimum_cuts, _quasi_with_cuts, is_quasi_k_connected
-from .contractibility import _classify, first_contractible_edge
-from .fragments import nontrivial_atom
+from .connectivity import _Flows
+from .contractibility import _classify, _first_contractible_edge
+from .fragments import _nontrivial_atom
 from .generators import CorpusSpec, generate_corpus, read_corpus_file
 from .harness import CLAIMS, run_campaign
 
 
 def _analyze_one(graph_id: str, g, k: int) -> dict:
     flows = _Flows(g)
-    quasi, cuts = _quasi_with_cuts(flows, k)
-    summary = {
+    quasi = flows.quasi(k)[0]
+    # Quasi k-connected at kappa = k-1: every minimum cut is trivial, so no fragment is.
+    atom = None if quasi.holds and quasi.kappa == k - 1 else _nontrivial_atom(flows)
+    classes = _classify(flows, k) if quasi.holds else None
+
+    def edges(keep) -> list | None:
+        return None if classes is None else [list(c.edge) for c in classes if keep(c)]
+
+    return {
         "graph_id": graph_id,
         "n": g.n,
         "m": g.edge_count,
         "kappa": quasi.kappa,
         "quasi_k": quasi.to_json(),
-        "nontrivial_atom": None,
-        "E0": None,
-        "quasi_contractible_edges": None,
-        "kappa_dropping_edges": None,
+        "nontrivial_atom": None if atom is None else atom.to_json(),
+        "E0": edges(lambda c: c.in_E0),
+        "quasi_contractible_edges": edges(lambda c: c.quasi_k_contractible),
+        "kappa_dropping_edges": edges(lambda c: c.kappa_after < k - 1),
     }
-    # Quasi k-connected at kappa = k-1: every minimum cut is trivial, so no fragment is.
-    atom = None if quasi.holds and quasi.kappa == k - 1 else nontrivial_atom(
-        g, _minimum_cuts(flows, quasi.kappa))
-    if atom is not None:
-        summary["nontrivial_atom"] = atom.to_json()
-    if quasi.holds:
-        classes = _classify(flows, k, quasi, cuts)
-        summary["E0"] = [list(c.edge) for c in classes if c.in_E0]
-        summary["quasi_contractible_edges"] = [
-            list(c.edge) for c in classes if c.quasi_k_contractible]
-        summary["kappa_dropping_edges"] = [
-            list(c.edge) for c in classes if c.kappa_after < k - 1]
-    return summary
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -79,9 +73,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     for graph_id, g in read_corpus_file(args.corpus):
         scanned += 1
         flows = _Flows(g)
-        if not is_quasi_k_connected(g, 5, flows).holds:
-            continue
-        if first_contractible_edge(g, 5, quasi=True, flows=flows) is None:
+        if flows.quasi(5)[0].holds and _first_contractible_edge(flows, 5, True) is None:
             hit = {"graph_id": graph_id, "n": g.n, "graph6": gio.to_graph6(g)}
             hits.append(hit)
             print(json.dumps(hit, sort_keys=True))

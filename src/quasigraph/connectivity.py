@@ -8,13 +8,14 @@ between every non-adjacent pair of neighbors of v. The digraph is built
 at most once per call, in a flow context (`_Flows`) that the call's entry
 point creates and hands to every kappa computation, cut listing and
 per-edge decision on the same graph; the private functions below take the
-context in place of the graph and never build one. The context also
-carries the call's deadline, checked once per flow pair, listed separator
-and scanned subset, so a call that runs out of time raises
-`DeadlineExceeded` within one such step. Each pair's flow works on a copy
-of its capacities and stops once it reaches the smallest separator found
-so far, since only a smaller one is kept. Each flow routes one unit
-through every common neighbor of its pair before it searches for
+context in place of the graph and never build one, and read kappa, the
+minimum cuts and the quasi verdicts from it, where each is computed once
+per call. The context also carries the call's deadline, checked once per
+flow pair, listed separator and scanned subset, so a call that runs out of
+time raises `DeadlineExceeded` within one such step. Each pair's flow
+works on a copy of its capacities and stops once it reaches the smallest
+separator found so far, since only a smaller one is kept. Each flow routes
+one unit through every common neighbor of its pair before it searches for
 augmenting paths. The separator is read from what the source reaches in
 the final residual graph, which is the same for every maximum flow, so
 witness cuts do not depend on the order of augmentation.
@@ -337,20 +338,23 @@ class DeadlineExceeded(Exception):
 
 class _Flows:
     """The work context of one call on a graph G: G, the call's deadline (a
-    time.monotonic() value, or None for no budget), and G's split network
-    and kappa flow pairs, each built on first use.
+    time.monotonic() value, or None for no budget), G's split network and
+    kappa flow pairs, and the facts of G: kappa(G) with a minimum cut, the
+    sorted minimum cuts, and for each k the quasi k-verdict with its
+    (k-1)-cuts. Each is computed on first use and kept for the call; a fact
+    whose computation raises is not kept.
 
-    Only an entry point creates one, and passes it to every kappa
-    computation, cut listing and per-edge decision of the call, so G's
-    network is built at most once and every flow runs within the call's
-    budget. Flows work on copies of the capacities, and a listing that adds
-    arcs removes them before it ends, also when it raises, so the network
-    is G's between uses.
+    Only an entry point creates one and passes it to every kappa
+    computation, cut listing and per-edge decision of the call, so every
+    flow runs within the call's budget. Flows work on copies of the
+    capacities, and a listing that adds arcs removes them before it ends,
+    also when it raises, so the network is G's between uses.
     """
 
     def __init__(self, g: Graph, deadline: float | None = None) -> None:
         self.g = g
         self.deadline = deadline
+        self._quasi: dict[int, tuple[QuasiConnectivity, list[Cut]]] = {}
 
     def check(self) -> None:
         """Raise DeadlineExceeded once the deadline has passed."""
@@ -364,6 +368,24 @@ class _Flows:
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
         return _flow_pairs(self.g)
+
+    @cached_property
+    def kappa_with_cut(self) -> tuple[int, Cut | None]:
+        return _vertex_connectivity_with_cut(self)
+
+    @property
+    def kappa(self) -> int:
+        return self.kappa_with_cut[0]
+
+    @cached_property
+    def minimum_cuts(self) -> list[Cut]:
+        return sorted(_min_separators(self, self.kappa), key=lambda cut: cut.vertices)
+
+    def quasi(self, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
+        """The quasi k-verdict of G with its (k-1)-cuts (`_quasi_with_cuts`)."""
+        if k not in self._quasi:
+            self._quasi[k] = _quasi_with_cuts(self, k)
+        return self._quasi[k]
 
 
 def _capacities(net: _SplitNetwork, without: Iterable[int] = (),
@@ -392,7 +414,8 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None) -> tuple[
     With a threshold t: when kappa < t, the same value and cut as without
     it; otherwise some value >= t and no cut. Each pair's flow is capped at
     the smallest separator found so far (t at first), since only a smaller
-    one is kept.
+    one is kept. Only the value without t is a fact of G that the context
+    keeps.
     """
     g = flows.g
     n = g.n
@@ -416,11 +439,9 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None) -> tuple[
     return best, None if best_sep is None else make_cut(g, best_sep)
 
 
-def vertex_connectivity(g: Graph, flows: _Flows | None = None) -> int:
-    """kappa(G); n - 1 for complete graphs, 0 when disconnected. A caller
-    that runs more flows on g passes its flow context as `flows`, so they
-    share g's network and its deadline."""
-    return _vertex_connectivity_with_cut(flows or _Flows(g))[0]
+def vertex_connectivity(g: Graph) -> int:
+    """kappa(G); n - 1 for complete graphs, 0 when disconnected."""
+    return _Flows(g).kappa
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +551,14 @@ def _min_separators(flows: _Flows, j: int,
         _remove_added_edges(net, mark)
 
 
-def _minimum_cuts(flows: _Flows, kappa: int) -> list[Cut]:
-    """minimum_cuts for G, the graph of `flows`, of connectivity kappa."""
-    return sorted(_min_separators(flows, kappa), key=lambda cut: cut.vertices)
-
-
-def _quasi_k_cuts(flows: _Flows, k: int, kappa: int) -> list[Cut]:
+def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
     """enumerate_cuts(g, k) for G, the graph of `flows`, quasi k-connected,
-    not complete, with kappa(G) = kappa in {k-1, k}; the flows run on G's
-    network.
+    not complete, with kappa(G) in {k-1, k}; the flows run on G's network.
 
-    At kappa = k these are the minimum cuts. At kappa = k-1 the minimum
-    degree is at least k-1, so a k-cut with a singleton component {u} is
-    N(u) with deg u = k, or N(u) + v with deg u = k-1 and v outside N[u].
-    Every other k-cut T leaves components of >= 2 vertices each. Of k+1
+    At kappa = k these are the context's minimum cuts. At kappa = k-1 the
+    minimum degree is at least k-1, so a k-cut with a singleton component
+    {u} is N(u) with deg u = k, or N(u) + v with deg u = k-1 and v outside
+    N[u]. Every other k-cut T leaves components of >= 2 vertices each. Of k+1
     disjoint edges T misses one, e = xy, which lies in one component; every
     other component holds a terminal: a vertex of degree > k, or else an
     edge between two vertices of degree <= k, as the component is connected.
@@ -564,8 +579,8 @@ def _quasi_k_cuts(flows: _Flows, k: int, kappa: int) -> list[Cut]:
     disjoint edges G is small, and the k-subsets are scanned.
     """
     g = flows.g
-    if kappa == k:
-        return _minimum_cuts(flows, k)
+    if flows.kappa == k:
+        return flows.minimum_cuts
     matching, used = [], 0
     for x, y in g.edges():
         if not used & (1 << x | 1 << y):
@@ -639,8 +654,7 @@ def minimum_cuts(g: Graph) -> list[Cut]:
     complete graphs). A disconnected graph has the one empty cut; otherwise
     the cuts are listed from the residual graphs of the kappa flows, so the
     cost grows with the number of cuts rather than with C(n, kappa)."""
-    flows = _Flows(g)
-    return _minimum_cuts(flows, vertex_connectivity(g, flows))
+    return _Flows(g).minimum_cuts
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +703,7 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     if k < 2:
         raise ValueError("k must be at least 2")
     g = flows.g
-    kappa, mincut = _vertex_connectivity_with_cut(flows)
+    kappa, mincut = flows.kappa_with_cut
     if kappa < k - 1:
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
     if kappa >= k:
@@ -708,16 +722,13 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     return QuasiConnectivity(True, k, kappa, None, None), cuts
 
 
-def is_quasi_k_connected(g: Graph, k: int = 5,
-                         flows: _Flows | None = None) -> QuasiConnectivity:
+def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     """(k-1)-connected with no nontrivial (k-1)-cut.
 
     When kappa is exactly k-1, the (k-1)-cuts are listed from the residual
     graphs of the kappa flows, which find every one, so a verdict that
     holds has seen them all. At the first nontrivial one the listing stops,
     and the certificate is the lexicographically least nontrivial cut,
-    found in polynomial time (see `_quasi_with_cuts`). A caller that runs
-    more flows on g passes its flow context as `flows`, so they share g's
-    network and its deadline.
+    found in polynomial time (see `_quasi_with_cuts`).
     """
-    return _quasi_with_cuts(flows or _Flows(g), k)[0]
+    return _Flows(g).quasi(k)[0]

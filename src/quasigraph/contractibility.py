@@ -1,7 +1,7 @@
 """Per-edge contraction verdicts, the set of quasi-breaking edges, and
 contraction-criticality tests.
 
-Every search for a contractible edge runs through `first_contractible_edge`.
+Every search for a contractible edge runs through `_first_contractible_edge`.
 
 For a quasi k-connected graph the edge set partitions into three classes:
 quasi k-contractible edges, edges whose contraction keeps (k-1)-connectivity
@@ -62,10 +62,11 @@ holds under the caller's hypothesis on G:
 Every flow here runs on G's own network, those of G - x - y with the
 internal arcs of x and y closed, and no edge is contracted. The private
 helpers take G's flow context (`connectivity._Flows`) in place of G, as the
-flow layer's do; only the public functions create one, with no deadline. A
-search checks the context's deadline once per edge, on top of the flow
-layer's own checks; only a claim call (`harness.verify_claim`) sets one,
-and reports a deadline that passes as `timeout`.
+flow layer's do, and read kappa(G) and the cuts of G from it; the public
+functions here take G and create one, with no deadline. A search checks
+the context's deadline once per edge, on top of the flow layer's own
+checks; only a claim call (`harness.verify_claim`) sets one, and reports a
+deadline that passes as `timeout`.
 """
 
 from __future__ import annotations
@@ -78,14 +79,12 @@ from math import comb
 from .core import Graph, contracted_mask, mask_to_vertices, require_edge, vertices_to_mask
 from .connectivity import (
     Cut,
-    QuasiConnectivity,
     _Flows,
     _capacities,
     _flow_pairs,
     _local_vertex_cut,
     _min_separators,
     _quasi_k_cuts,
-    _quasi_with_cuts,
     _vertex_connectivity_with_cut,
 )
 
@@ -122,13 +121,10 @@ class ContractionReport:
         }
 
 
-def _require_quasi(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
-    """The quasi k-connectivity test of G, the graph of `flows`, with every
-    (k-1)-cut of G; error unless G is quasi k-connected."""
-    quasi, cuts = _quasi_with_cuts(flows, k)
-    if not quasi.holds:
+def _require_quasi(flows: _Flows, k: int) -> None:
+    """Error unless G, the graph of `flows`, is quasi k-connected."""
+    if not flows.quasi(k)[0].holds:
         raise ValueError(f"hypothesis violated: graph is not quasi {k}-connected")
-    return quasi, cuts
 
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
@@ -161,12 +157,13 @@ def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
     return g.edge_count - 1 - (g.masks[x] & g.masks[y]).bit_count() == comb(g.n - 1, 2)
 
 
-def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = None) -> int:
-    """kappa(G/e) for G, the graph of `flows`, of connectivity kappa; with a
-    threshold t, the same value when it is below t, otherwise some value
-    >= t, and kappa may then be capped at t. By the module docstring; each
-    flow is capped at the smallest cut so far, and z's flows run from x with
-    y's internal arc uncuttable."""
+def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int | None = None,
+                 t: int | None = None) -> int:
+    """kappa(G/e) for G, the graph of `flows`, of connectivity kappa (read
+    from the context when None); with a threshold t, the same value when it
+    is below t, otherwise some value >= t, and kappa may then be capped at
+    t. By the module docstring; each flow is capped at the smallest cut so
+    far, and z's flows run from x with y's internal arc uncuttable."""
     g = flows.g
     if _complete_after(g, e):
         return g.n - 2
@@ -179,7 +176,7 @@ def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = 
     for a, b in min(z_pairs, _flow_pairs(g, g.full_mask & ~both), key=len):
         flows.check()
         best = min(best, _local_vertex_cut(net, a, b, best - 1, _capacities(net, e))[0] + 1)
-    if best <= kappa:  # a cut avoiding z is a cut of G
+    if best <= (flows.kappa if kappa is None else kappa):  # a cut avoiding z is one of G
         return best
     for w in mask_to_vertices(g.full_mask & ~(masks[x] | masks[y])):
         flows.check()
@@ -187,11 +184,11 @@ def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = 
     return best
 
 
-def _report(flows: _Flows, kappa: int, c: _EdgeClass) -> ContractionReport:
-    """The report of c's edge, for G, the graph of `flows`, of connectivity
-    kappa: the class cut in G/e's ids refutes G/e, and kappa(G/e) is made
-    exact by `_kappa_after` only where the class bounds it below by k."""
-    kappa_after = _kappa_after(flows, c.edge, kappa) if c.kappa_after >= c.k else c.kappa_after
+def _report(flows: _Flows, c: _EdgeClass) -> ContractionReport:
+    """The report of c's edge, for G, the graph of `flows`: the class cut in
+    G/e's ids refutes G/e, and kappa(G/e) is made exact by `_kappa_after`
+    only where the class bounds it below by k."""
+    kappa_after = _kappa_after(flows, c.edge) if c.kappa_after >= c.k else c.kappa_after
     refuting = None
     if c.cut is not None:
         refuting = Cut(mask_to_vertices(contracted_mask(vertices_to_mask(c.cut.vertices), c.edge)),
@@ -207,24 +204,20 @@ def is_quasi_k_contractible(g: Graph, e: tuple[int, int], k: int = 5) -> Contrac
     off e's class, as in `contraction_reports`."""
     e = require_edge(g, e)
     flows = _Flows(g)
-    quasi, cuts = _require_quasi(flows, k)
-    c = next(c for c in _classify(flows, k, quasi, cuts) if c.edge == e)
-    return _report(flows, quasi.kappa, c)
+    return _report(flows, next(c for c in _classify(flows, k) if c.edge == e))
 
 
 def compute_E0(g: Graph, k: int = 5) -> tuple[tuple[int, int], ...]:
     """Edges whose contraction keeps (k-1)-connectivity but is not quasi
     k-connected; requires g quasi k-connected. Read from the edge classes."""
-    flows = _Flows(g)
-    return tuple(c.edge for c in _classify(flows, k, *_require_quasi(flows, k)) if c.in_E0)
+    return tuple(c.edge for c in _classify(_Flows(g), k) if c.in_E0)
 
 
 def contraction_reports(g: Graph, k: int = 5) -> list[ContractionReport]:
     """Per-edge reports for the whole graph, sorted by edge, each read off
     its edge's class (`_report`)."""
     flows = _Flows(g)
-    quasi, cuts = _require_quasi(flows, k)
-    return [_report(flows, quasi.kappa, c) for c in _classify(flows, k, quasi, cuts)]
+    return [_report(flows, c) for c in _classify(flows, k)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,22 +244,23 @@ class _EdgeClass:
         return self.kappa_after >= self.k - 1 and self.cut is None
 
 
-def _classify(flows: _Flows, k: int, quasi: QuasiConnectivity,
-              cuts: list[Cut]) -> list[_EdgeClass]:
-    """The class of every edge of G, the graph of `flows`, sorted by edge,
-    from a quasi verdict that holds and its (k-1)-cuts, as
-    `_quasi_with_cuts` returns them, and the k-cuts of G, as `_quasi_k_cuts`
-    lists them on G's network; by the rules of the module docstring, with
-    G/e complete settled in closed form."""
+def _classify(flows: _Flows, k: int) -> list[_EdgeClass]:
+    """The class of every edge of G, the graph of `flows`, sorted by edge;
+    error unless G is quasi k-connected. Read from the context's (k-1)-cuts
+    of G and the k-cuts that `_quasi_k_cuts` lists on G's network, by the
+    rules of the module docstring, with G/e complete settled in closed
+    form."""
+    _require_quasi(flows, k)
     g = flows.g
+    cuts = flows.quasi(k)[1]
     low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
     # There are k-cuts only when kappa <= k, and a complete graph has none.
     in_k_cut: set[tuple[int, int]] = set()
     first_nontrivial: dict[tuple[int, int], Cut] = {}
-    has_k_cuts = quasi.kappa <= k and not g.is_complete()
-    for cut in _quasi_k_cuts(flows, k, quasi.kappa) if has_k_cuts else []:
+    has_k_cuts = flows.kappa <= k and not g.is_complete()
+    for cut in _quasi_k_cuts(flows, k) if has_k_cuts else []:
         for e in combinations(cut.vertices, 2):
             if g.has_edge(*e):
                 in_k_cut.add(e)
@@ -290,8 +284,7 @@ def _classify(flows: _Flows, k: int, quasi: QuasiConnectivity,
     return classes
 
 
-def first_contractible_edge(g: Graph, k: int, quasi: bool,
-                            flows: _Flows | None = None) -> tuple[int, int] | None:
+def first_contractible_edge(g: Graph, k: int, quasi: bool) -> tuple[int, int] | None:
     """The first edge in sorted order whose contraction leaves a quasi
     k-connected graph (`quasi`) or a k-connected graph (not `quasi`), or
     None when no edge does.
@@ -299,11 +292,15 @@ def first_contractible_edge(g: Graph, k: int, quasi: bool,
     g must be quasi k-connected (`quasi`) or k-connected (not `quasi`):
     each edge is decided from G - x - y by a rule that holds only then
     (`_contracts_to`), and the hypothesis is not checked here. Every edge
-    shares g's network, from `flows` when the caller has built g's flow
-    context, whose deadline is checked before each edge.
+    shares g's network.
     """
-    flows = flows or _Flows(g)
-    for e in g.edges():
+    return _first_contractible_edge(_Flows(g), k, quasi)
+
+
+def _first_contractible_edge(flows: _Flows, k: int, quasi: bool) -> tuple[int, int] | None:
+    """first_contractible_edge for G, the graph of `flows`, whose deadline
+    is checked before each edge."""
+    for e in flows.g.edges():
         flows.check()
         if _contracts_to(flows, e, k, quasi):
             return e
@@ -322,7 +319,7 @@ def is_contraction_critical(g: Graph, k: int,
         _require_quasi(flows, k)
     elif _vertex_connectivity_with_cut(flows, k)[0] < k:
         raise ValueError(f"hypothesis violated: graph is not {k}-connected")
-    edge = first_contractible_edge(g, k, quasi, flows=flows)
+    edge = _first_contractible_edge(flows, k, quasi)
     return edge is None, edge
 
 

@@ -5,19 +5,18 @@ of G - T; one helper forms these unions for every query. Its boundary is
 the exact neighborhood of the body, which for minimum cuts coincides with
 T. Quasi fragments arise from k-cuts containing both ends of an edge whose
 removal splits the graph into two sides of at least two vertices each.
-Atoms need only unions of one or two components, so they stay cheap on
-cuts that shatter the graph.
+An atom is formed from at most two components of each size, so it stays
+cheap on cuts that shatter the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator
 
 from .core import Graph, component_masks, mask_to_vertices, require_edge, vertices_to_mask
-from .connectivity import Cut, _cut_from_masks, make_cut, minimum_cuts
+from .connectivity import Cut, _Flows, _cut_from_masks, make_cut
 
 
 @dataclass(frozen=True)
@@ -64,17 +63,14 @@ def _fragment(g: Graph, body_mask: int, source_cut: tuple[int, ...],
     return Fragment(body_t, mask_to_vertices(boundary_mask), complement_t, kind, source_cut)
 
 
-def _component_unions(g: Graph, cut: Cut, max_parts: int,
-                      quasi: bool = False) -> Iterator[Fragment]:
-    """Fragments whose body is the union of 1..max_parts components of
-    G - cut (never all of them), by part count, then component order."""
+def _component_unions(g: Graph, cut: Cut, quasi: bool = False) -> Iterator[Fragment]:
+    """Fragments whose body is the union of some components of G - cut
+    (never all of them), by part count, then component order."""
     c = len(cut.masks)
-    parts = range(1, min(max_parts, c - 1) + 1)
-    total = sum(comb(c, r) for r in parts)
-    if total > 1 << 16:
+    if c > 16:
         raise ValueError(f"cut {list(cut.vertices)} leaves {c} components: "
-                         f"{total} fragments are too many to enumerate")
-    for r in parts:
+                         f"{(1 << c) - 2} fragments are too many to enumerate")
+    for r in range(1, c):
         for chosen in combinations(cut.masks, r):
             yield _fragment(g, sum(chosen), cut.vertices, quasi)
 
@@ -84,7 +80,7 @@ def fragments_of_cut(g: Graph, cut: Cut | Iterable[int]) -> list[Fragment]:
     fragments for c components, so more than 16 components raise."""
     if not isinstance(cut, Cut):
         cut = make_cut(g, cut)
-    return list(_component_unions(g, cut, len(cut.masks)))
+    return list(_component_unions(g, cut))
 
 
 def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[Fragment]:
@@ -109,26 +105,38 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
             continue
         cut = _cut_from_masks(t, comps)
         if cut.nontrivial:
-            out.extend(f for f in _component_unions(g, cut, len(cut.masks), quasi=True)
+            out.extend(f for f in _component_unions(g, cut, quasi=True)
                        if 2 <= f.size <= split_total - 2)
     out.sort(key=lambda f: (f.size, f.body, f.source_cut))
     return out
 
 
-def nontrivial_atom(g: Graph, cuts: list[Cut] | None = None) -> Fragment | None:
+def nontrivial_atom(g: Graph) -> Fragment | None:
     """A minimum-cardinality nontrivial fragment; ties break on the
-    lexicographically least body. None when no nontrivial fragment exists.
-    `cuts` are the minimum cuts of g when the caller has listed them.
+    lexicographically least body. None when no nontrivial fragment exists."""
+    return _nontrivial_atom(_Flows(g))
+
+
+def _nontrivial_atom(flows: _Flows) -> Fragment | None:
+    """nontrivial_atom for G, the graph of `flows`, from the context's
+    minimum cuts S.
 
     Only unions of one or two components of G - S are formed: dropping the
     smallest component from a nontrivial body of three or more components
-    leaves a smaller nontrivial body.
+    leaves a smaller nontrivial body. Of the components of one size only the
+    first two are used: swapping a body's component for an earlier one of
+    its size keeps both sides' sizes, and the body that holds the least
+    vertex where two bodies of one size differ is the lexicographically
+    smaller.
     """
-    best: Fragment | None = None
-    for cut in minimum_cuts(g) if cuts is None else cuts:
-        for frag in _component_unions(g, cut, 2):
-            if not frag.is_nontrivial():
-                continue
-            if best is None or (frag.size, frag.body) < (best.size, best.body):
+    best, rank = None, lambda f: (f.size, f.body)
+    for cut in flows.minimum_cuts:
+        by_size: dict[int, list[int]] = {}
+        for m in cut.masks:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        parts = [m for same in by_size.values() for m in same[:2]]
+        for body in parts + [a | b for a, b in combinations(parts, 2)]:
+            frag = _fragment(flows.g, body, cut.vertices, False)
+            if frag.is_nontrivial() and (best is None or rank(frag) < rank(best)):
                 best = frag
     return best

@@ -234,9 +234,9 @@ def _sizes(params: dict) -> list[int]:
     n = params.get("n")
     if n is None:
         raise ValueError("family requires an 'n' parameter")
-    if isinstance(n, int):
+    if type(n) is int:
         return [n]
-    if not (isinstance(n, (list, tuple)) and len(n) == 2 and all(isinstance(v, int) for v in n)):
+    if not (isinstance(n, (list, tuple)) and len(n) == 2 and all(type(v) is int for v in n)):
         raise ValueError(f"'n' must be an int or an inclusive [lo, hi] range, got {n!r}")
     return list(range(n[0], n[1] + 1))
 
@@ -252,7 +252,7 @@ def _expand(spec: CorpusSpec) -> list[tuple[str, Graph]]:
             out.append((f"K{n}", g))
     elif fam == "circulant":
         jumps = spec.params.get("jumps", [1])
-        if not (isinstance(jumps, (list, tuple)) and all(isinstance(j, int) for j in jumps)):
+        if not (isinstance(jumps, (list, tuple)) and all(type(j) is int for j in jumps)):
             raise ValueError(f"'jumps' must be a list of ints, got {jumps!r}")
         for n in _sizes(spec.params):
             g = circulant_graph(n, jumps)
@@ -272,7 +272,9 @@ def _expand(spec: CorpusSpec) -> list[tuple[str, Graph]]:
                 out.append((f"rand5-n{n}-s{base + i}", random_5_connected(n, base + i)))
     elif fam == "quasi_5_apex":
         base = 0 if spec.seed is None else spec.seed
-        tri = bool(spec.params.get("attach_triangle", False))
+        tri = spec.params.get("attach_triangle", False)
+        if not isinstance(tri, bool):
+            raise ValueError(f"'attach_triangle' must be true or false, got {tri!r}")
         suffix = "-tri" if tri else ""
         for n in _sizes(spec.params):
             for i in range(spec.count):

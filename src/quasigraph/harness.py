@@ -2,22 +2,24 @@
 
 `verify_claim(g, claim, graph_id, k, timeout)` is the one way to run a
 claim. Each claim has one runner in `_RUNNERS`, called as (g, flows, k). A
-runner recomputes the claim's hypotheses from scratch, in a fixed order,
-and returns either the first failed one or whether the conclusion holds,
-with a witness. `verify_claim` creates the one work context of the call,
-the graph's flow context with the call's time budget, hands it to the
-runner and turns the outcome into the report. Every flow of the call, in
-its hypotheses and in its search for a contractible edge, runs on that
-context's one network, and every loop of the call checks the budget, so
-it holds in every phase and an expired one is reported as `timeout`;
-lemmas 1 and 5 always check their criticality hypothesis. A claim is
-reported falsified only when its hypotheses hold and the conclusion fails,
-and every falsified witness carries the graph's graph6; cut enumeration is
-always exhaustive. Every search for a contractible edge goes through
-`first_contractible_edge`. `run_campaign` runs each claim on each
-(graph_id, Graph) pair through `verify_claim`. Reports stream to JSON
-lines with canonical key order, so a fixed corpus and seed produce
-byte-identical output.
+runner checks the claim's hypotheses in a fixed order and returns either
+the first failed one or whether the conclusion holds, with a witness.
+`verify_claim` creates the one work context of the call, the graph's flow
+context with the call's time budget, hands it to the runner and turns the
+outcome into the report. A runner reads kappa, the minimum cuts and the
+quasi 5-verdict from that context, which computes each at most once per
+call and keeps nothing past it. Every flow of the call, in its hypotheses
+and in its search for a contractible edge, runs on that context's one
+network, and every loop of the call checks the budget, so it holds in
+every phase and an expired one is reported as `timeout`; lemmas 1 and 5
+always check their criticality hypothesis. A claim is reported falsified
+only when its hypotheses hold and the conclusion fails, and every
+falsified witness carries the graph's graph6; cut enumeration is always
+exhaustive. Every search for a contractible edge goes through
+`contractibility._first_contractible_edge`. `run_campaign` runs each
+claim on each (graph_id, Graph) pair through `verify_claim`. Reports
+stream to JSON lines with canonical key order, so a fixed corpus and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,18 +39,11 @@ from .core import (
     vertices_to_mask,
     vertices_within_distance,
 )
-from .connectivity import (
-    DeadlineExceeded,
-    _Flows,
-    _minimum_cuts,
-    _quasi_with_cuts,
-    is_quasi_k_connected,
-    vertex_connectivity,
-)
+from .connectivity import DeadlineExceeded, _Flows
 from .contractibility import (
     _contracts_to,
+    _first_contractible_edge,
     _kappa_after,
-    first_contractible_edge,
     is_regular_triangular,
 )
 from .fragments import fragments_of_cut
@@ -126,19 +121,18 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 # lemmas are universally quantified checks over the configurations in the
 # graph matching their hypotheses, and no configurations means vacuous.
 
-def _contractible_edge(g: Graph, flows: _Flows, k: int, quasi: bool,
-                       extra: dict) -> tuple[bool, dict]:
+def _contractible_edge(flows: _Flows, k: int, quasi: bool, extra: dict) -> tuple[bool, dict]:
     """Conclusion of the theorems and degree conditions: some edge contracts
     to a (quasi) k-connected graph. Both witnesses carry `extra`."""
-    edge = first_contractible_edge(g, k, quasi, flows)
+    edge = _first_contractible_edge(flows, k, quasi)
     if edge is None:
         return False, extra
     return True, {"edge": list(edge), **extra}
 
 
-def _critical(g: Graph, flows: _Flows) -> _Vacuous | None:
+def _critical(flows: _Flows) -> _Vacuous | None:
     """The criticality hypothesis of lemmas 1 and 5; None when it holds."""
-    edge = first_contractible_edge(g, 5, True, flows)
+    edge = _first_contractible_edge(flows, 5, True)
     if edge is not None:
         return _Vacuous(f"not contraction critical: edge {list(edge)} contracts safely")
     return None
@@ -146,37 +140,35 @@ def _critical(g: Graph, flows: _Flows) -> _Vacuous | None:
 
 def _theorem1(g: Graph, flows: _Flows, k) -> _Outcome:
     """Every 5-connected graph has a quasi 5-contractible edge."""
-    kappa = vertex_connectivity(g, flows)
-    if kappa < 5:
-        return _Vacuous(f"kappa={kappa}<5")
-    return _contractible_edge(g, flows, 5, True, {})
+    if flows.kappa < 5:
+        return _Vacuous(f"kappa={flows.kappa}<5")
+    return _contractible_edge(flows, 5, True, {})
 
 
 def _theorem2(g: Graph, flows: _Flows, k) -> _Outcome:
     """Every quasi 5-connected graph whose degree sums reach 9 on all pairs
     at distance one or two has a quasi 5-contractible edge."""
-    quasi = is_quasi_k_connected(g, 5, flows)
+    quasi = flows.quasi(5)[0]
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
     _, pair = check_degree_sum_condition(g, 9, 2)
     if pair is not None:
         return _Vacuous(
             f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<9 for pair {list(pair)}")
-    return _contractible_edge(g, flows, 5, True, {})
+    return _contractible_edge(flows, 5, True, {})
 
 
 def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a graph that is both 5-connected and critical for quasi
     5-contraction, a nontrivial fragment met by exactly one neighbor of a
     boundary vertex has exactly two vertices."""
-    kappa = vertex_connectivity(g, flows)
-    if kappa < 5:
-        return _Vacuous(f"kappa={kappa}<5")
+    if flows.kappa < 5:
+        return _Vacuous(f"kappa={flows.kappa}<5")
     # kappa >= 5 makes g quasi 5-connected, so criticality is well posed.
-    if vacuous := _critical(g, flows):
+    if vacuous := _critical(flows):
         return vacuous
     configs = 0
-    for cut in _minimum_cuts(flows, kappa):
+    for cut in flows.minimum_cuts:
         flows.check()
         for frag in fragments_of_cut(g, cut):
             if not frag.is_nontrivial():
@@ -196,7 +188,7 @@ def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
 def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
-    quasi, cuts = _quasi_with_cuts(flows, 5)
+    quasi, cuts = flows.quasi(5)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     # kappa(G/e) < 4 exactly when some 4-cut of g contains both ends of e
@@ -211,7 +203,7 @@ def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
         configs += 1
         both = vertices_to_mask(e)
         if any(m & both == both for m in cut_masks):
-            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e, quasi.kappa)}
+            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e)}
     if configs == 0:
         return _Vacuous("no contraction keeps minimum degree 4", True)
     return True, {"configurations": configs}
@@ -221,7 +213,7 @@ def _lemma3(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph on at least 8 vertices, a degree-4
     vertex whose neighborhood contains a triangle contracts safely onto its
     remaining neighbor."""
-    quasi = is_quasi_k_connected(g, 5, flows)
+    quasi = flows.quasi(5)[0]
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     if g.n < 8:
@@ -245,10 +237,9 @@ def _lemma4(g: Graph, flows: _Flows, k) -> _Outcome:
     """A 4-connected graph is contraction critical exactly when it is
     4-regular with every edge in a triangle; both sides computed
     independently."""
-    kappa = vertex_connectivity(g, flows)
-    if kappa < 4:
-        return _Vacuous(f"kappa={kappa}<4")
-    witness_edge = first_contractible_edge(g, 4, False, flows)
+    if flows.kappa < 4:
+        return _Vacuous(f"kappa={flows.kappa}<4")
+    witness_edge = _first_contractible_edge(flows, 4, False)
     critical = witness_edge is None
     structural = is_regular_triangular(g)
     return critical == structural, {
@@ -261,13 +252,13 @@ def _lemma4(g: Graph, flows: _Flows, k) -> _Outcome:
 def _lemma5(g: Graph, flows: _Flows, k) -> _Outcome:
     """A critical quasi 5-connected graph meeting the degree sum condition
     has no degree-4 vertex with an edgeless neighborhood."""
-    quasi = is_quasi_k_connected(g, 5, flows)
+    quasi = flows.quasi(5)[0]
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
     _, pair = check_degree_sum_condition(g, 9, 2)
     if pair is not None:
         return _Vacuous(f"degree sum below 9 for pair {list(pair)}")
-    if vacuous := _critical(g, flows):
+    if vacuous := _critical(flows):
         return vacuous
     for x in degree_k_vertices(g, 4):
         flows.check()
@@ -280,17 +271,15 @@ def _k_connected(g: Graph, flows: _Flows, k: int | None, excluded: int | None = 
                  ) -> tuple[int, _Vacuous | None]:
     """The degree conditions' prelude: k (default kappa) and the first
     failed hypothesis among k >= 2, k != excluded, non-complete, kappa >= k."""
-    kappa = vertex_connectivity(g, flows)
-    if k is None:
-        k = kappa
+    k = flows.kappa if k is None else k
     if k < 2:
         return k, _Vacuous(f"k={k}<2")
     if k == excluded:
         return k, _Vacuous(f"k={k} is excluded from this condition")
     if g.is_complete():
         return k, _Vacuous("graph is complete")
-    if kappa < k:
-        return k, _Vacuous(f"kappa={kappa}<{k}")
+    if flows.kappa < k:
+        return k, _Vacuous(f"kappa={flows.kappa}<{k}")
     return k, None
 
 
@@ -302,7 +291,7 @@ def _degree_condition_A(g: Graph, flows: _Flows, k) -> _Outcome:
         return vacuous
     if not check_min_degree_condition(g, k):
         return _Vacuous(f"min degree {g.min_degree()} < {(5 * k) // 4}")
-    return _contractible_edge(g, flows, k, False, {"k": k})
+    return _contractible_edge(flows, k, False, {"k": k})
 
 
 def _degree_condition_BC(g: Graph, flows: _Flows, k) -> _Outcome:
@@ -317,7 +306,7 @@ def _degree_condition_BC(g: Graph, flows: _Flows, k) -> _Outcome:
     _, pair = check_degree_sum_condition(g, bound, 1 if k >= 8 else 2)
     if pair is not None:
         return _Vacuous(f"degree sum below {bound} for pair {list(pair)}")
-    return _contractible_edge(g, flows, k, False, {"k": k})
+    return _contractible_edge(flows, k, False, {"k": k})
 
 
 # ---------------------------------------------------------------------------

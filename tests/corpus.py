@@ -136,6 +136,22 @@ def planted_pair(n: int, width: int) -> Graph:
                                for w in range(n - 2 - width, n - 2)]
     return Graph(n, list(host.edges()) + pair)
 
+def line_graph(g: Graph) -> Graph:
+    """L(G): one vertex per edge of G, in G's sorted edge order, two of them
+    adjacent when their edges share an end."""
+    edges = g.edges()
+    return Graph(len(edges), [(i, j) for i in range(len(edges)) for j in range(i)
+                              if len(set(edges[i]) & set(edges[j])) == 1])
+
+
+def dodecahedron_graph() -> Graph:
+    """The dodecahedron as the generalized Petersen graph GP(10, 2): outer
+    10-cycle 0..9, spokes i -- i+10, inner edges i+10 -- (i+2 mod 10)+10."""
+    return Graph(20, [(i, (i + 1) % 10) for i in range(10)]
+                 + [(i, i + 10) for i in range(10)]
+                 + [(10 + i, 10 + (i + 2) % 10) for i in range(10)])
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of 5-connected graphs on <= 8 vertices.
 #

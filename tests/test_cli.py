@@ -88,6 +88,15 @@ def test_analyze_tests_quasi_once(count_calls):
     assert calls == {"_vertex_connectivity_with_cut": 1, "_min_separators": 1, "_cuts": 0}
 
 
+def test_analyze_lists_minimum_cuts_once(count_calls):
+    # at kappa = k the atom and the k-cuts that classify the edges both read
+    # the minimum cuts, which the call's context lists once
+    calls = count_calls("_min_separators")
+    summary = _analyze_one("icosahedron", icosahedron_graph(), 5)
+    assert summary["kappa"] == 5 and summary["quasi_k"]["holds"]
+    assert calls == {"_min_separators": 1}
+
+
 @pytest.mark.parametrize("g", [
     quasi_5_apex(24, 1), quasi_5_apex(24, 1, attach_triangle=True),
     icosahedron_graph(), circulant_graph(8, (1, 2)), cycle_graph(6), star_graph(6),
@@ -195,6 +204,11 @@ BAD_SPECS = [
     ("params-list", {"family": "circulant", "params": [1]}, "'params'"),
     ("jumps-string", {"family": "circulant", "params": {"n": 8, "jumps": "12"}}, "'jumps'"),
     ("n-float", {"family": "complete", "params": {"n": 5.5}}, "'n'"),
+    ("n-bool", {"family": "complete", "params": {"n": True}}, "'n'"),
+    ("n-range-bool", {"family": "complete", "params": {"n": [True, 5]}}, "'n'"),
+    ("jumps-bool", {"family": "circulant", "params": {"n": 8, "jumps": [True, 2]}}, "'jumps'"),
+    ("attach-triangle-string",
+     {"family": "quasi_5_apex", "params": {"n": 10, "attach_triangle": "no"}}, "'attach_triangle'"),
 ]
 
 BAD_COUNTS = [

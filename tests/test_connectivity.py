@@ -541,7 +541,7 @@ class TestQuasiKCuts:
         quasi, _ = connectivity._quasi_with_cuts(flows, k)
         if not quasi.holds or quasi.kappa > k or g.is_complete():
             return False
-        got = connectivity._quasi_k_cuts(flows, k, quasi.kappa)
+        got = connectivity._quasi_k_cuts(flows, k)
         fresh = connectivity._split_network(g)
         for field in fresh._fields:
             assert getattr(flows.net, field) == getattr(fresh, field), (g.edges(), k, field)
@@ -589,10 +589,10 @@ class TestQuasiKCuts:
         for n in range(16, 31):
             for g in (quasi_5_apex(n, 1), quasi_5_apex(n, 1, attach_triangle=True)):
                 flows = connectivity._Flows(g)
-                assert connectivity._vertex_connectivity_with_cut(flows)[0] == 4
+                assert flows.kappa == 4
                 values.clear()
                 calls["_pair_separators"] = 0
-                if any(c.nontrivial for c in connectivity._quasi_k_cuts(flows, 5, 4)):
+                if any(c.nontrivial for c in connectivity._quasi_k_cuts(flows, 5)):
                     continue
                 checked += 1
                 assert calls["_pair_separators"] == 0, n

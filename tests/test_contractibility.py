@@ -10,7 +10,6 @@ import quasigraph.contractibility as contractibility
 from quasigraph.cli import _analyze_one
 from quasigraph.connectivity import (
     _Flows,
-    _quasi_with_cuts,
     is_quasi_k_connected,
     vertex_connectivity,
 )
@@ -168,7 +167,7 @@ def _check_against_single_edge_reports(g, k):
     assert contraction_reports(g, k) == expected, (g.edges(), k)
     assert [is_quasi_k_contractible(g, e, k) for e in g.edges()] == expected, (g.edges(), k)
     flows = _Flows(g)
-    classes = _classify(flows, k, *_quasi_with_cuts(flows, k))
+    classes = _classify(flows, k)
     assert [(c.quasi_k_contractible, c.in_E0, c.kappa_after < k - 1, c.kappa_after >= k)
             for c in classes] == [
         (r.quasi_k_contractible, r.in_E0, r.kappa_after < k - 1, r.k_contractible)
@@ -314,7 +313,7 @@ class TestKappaAfter:
             flows = _Flows(g)
             kappas = {t: min(connectivity._vertex_connectivity_with_cut(flows, t)[0], t)
                       for t in range(2, 7)}
-            kappas[None] = vertex_connectivity(g, flows)
+            kappas[None] = flows.kappa
             for e in g.edges():
                 expected = brute_vertex_connectivity(contract_edge(g, e).graph)
                 for t, kappa in kappas.items():

@@ -6,7 +6,7 @@ import pytest
 
 import quasigraph.connectivity as connectivity
 from quasigraph.connectivity import DeadlineExceeded, _Flows
-from quasigraph.contractibility import first_contractible_edge
+from quasigraph.contractibility import _first_contractible_edge
 from quasigraph.generators import circulant_graph, quasi_5_apex
 
 from corpus import planted_pair
@@ -21,8 +21,8 @@ def test_expired_context_stops_before_any_flow_or_subset(g, count_calls):
     runs = {
         "kappa": lambda flows: connectivity._vertex_connectivity_with_cut(flows),
         "listing": lambda flows: list(connectivity._min_separators(flows, kappa)),
-        "k-cuts": lambda flows: connectivity._quasi_k_cuts(flows, 5, kappa),
-        "edge search": lambda flows: first_contractible_edge(g, 5, True, flows),
+        "k-cuts": lambda flows: connectivity._quasi_k_cuts(flows, 5),
+        "edge search": lambda flows: _first_contractible_edge(flows, 5, True),
     }
     for name, run in runs.items():
         with pytest.raises(DeadlineExceeded):
@@ -44,21 +44,25 @@ def test_network_is_restored_after_a_timeout(g, listing, monkeypatch):
     # pair
     fresh = connectivity._split_network(g)
     for j in range(1, 9):
+        # kappa is computed before the clock starts, so the checks counted
+        # are the listing's own
+        flows = _Flows(g)
+        assert flows.kappa == 4
+        flows.deadline = 0.5
         ticks = iter([0.0] * j)
         monkeypatch.setattr(connectivity, "monotonic", lambda: next(ticks, 1.0))
-        flows = _Flows(g, deadline=0.5)
         with pytest.raises(DeadlineExceeded):
             if listing == "min_separators":
                 list(connectivity._min_separators(flows, 4))
             else:
-                connectivity._quasi_k_cuts(flows, 5, 4)
+                connectivity._quasi_k_cuts(flows, 5)
         for field in ("to", "cap", "adj", "out_arc"):
             assert getattr(flows.net, field) == getattr(fresh, field), (j, field)
 
 
 @pytest.mark.parametrize("g, listing", [
     (circulant_graph(20, (1, 2)), lambda flows: list(connectivity._min_separators(flows, 4))),
-    (quasi_5_apex(17, 1), lambda flows: connectivity._quasi_k_cuts(flows, 5, 4)),
+    (quasi_5_apex(17, 1), lambda flows: connectivity._quasi_k_cuts(flows, 5)),
 ], ids=["min_separators-C20(1,2)", "quasi_k_cuts-apex17"])
 def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
     # quasi_5_apex(17, 1) has a nontrivial 5-cut, so one of its k-cut flows

@@ -156,9 +156,11 @@ class TestAtoms:
     @pytest.mark.parametrize("g, body, boundary", [
         (star_graph(18), (1, 2), (0,)),
         (complete_bipartite_graph(2, 17), (2, 3), (0, 1)),
+        (star_graph(400), (1, 2), (0,)),
     ])
     def test_atom_on_cut_with_many_components(self, g, body, boundary):
-        # the minimum cut leaves 17 components, too many for fragments_of_cut
+        # the minimum cut leaves 17 or 399 components, too many for
+        # fragments_of_cut, and 399 too many for all unions of two
         atom = nontrivial_atom(g)
         assert atom is not None
         assert (atom.body, atom.boundary) == (body, boundary)

@@ -9,7 +9,8 @@ import pytest
 import quasigraph
 import quasigraph.connectivity as connectivity
 from quasigraph import harness
-from quasigraph.connectivity import vertex_connectivity
+from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
+from quasigraph.contractibility import first_contractible_edge
 from quasigraph.core import Graph, contract_edge
 from quasigraph.io import to_graph6
 from quasigraph.generators import (
@@ -32,7 +33,8 @@ from quasigraph.harness import (
     verify_claim,
 )
 
-from oracles import brute_vertex_connectivity
+from corpus import dodecahedron_graph, line_graph
+from oracles import brute_is_quasi_k, brute_vertex_connectivity
 
 
 def k12_minus_perfect_matching():
@@ -106,6 +108,43 @@ class TestTheorem2:
         rep = verify_claim(circulant_graph(8, (1, 2)), "theorem2")
         assert rep.status == "vacuous"
         assert "not quasi 5-connected" in rep.witness["failed_hypothesis"]
+
+
+class TestTheorem2Sharpness:
+    """L(Petersen) and L(dodecahedron), the dodecahedron built as GP(10, 2),
+    are 4-regular, quasi 5-connected with kappa = 4 and have no quasi
+    5-contractible edge: Theorem 2 fails without its degree-sum condition,
+    which their degree sums of 8 miss."""
+
+    GRAPH6 = {
+        "petersen-line": "N{cOiGDOPCCDAHAC_RG",
+        "dodecahedron-line": "]{cOgGD?OA_A?D?@??g?A??T??O??i??Ga??G??gP??@??H?a?G?G_A?@C?O?COA?"
+                             "?GcG??HCO",
+    }
+
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        return {"petersen-line": line_graph(petersen_graph()),
+                "dodecahedron-line": line_graph(dodecahedron_graph())}
+
+    @pytest.mark.parametrize("name", ["petersen-line", "dodecahedron-line"])
+    def test_sharpness_witness(self, name, witnesses):
+        g = witnesses[name]
+        assert to_graph6(g) == self.GRAPH6[name]
+        assert all(g.degree(v) == 4 for v in g.vertices)
+        quasi = is_quasi_k_connected(g, 5)
+        assert quasi.holds and quasi.kappa == 4
+        ok, pair = check_degree_sum_condition(g, 9, 2)
+        assert not ok
+        assert first_contractible_edge(g, 5, True) is None
+        rep = verify_claim(g, "theorem2", name)
+        assert rep.status == "vacuous" and rep.hypotheses_hold is False
+        assert rep.witness == {"failed_hypothesis": f"degree sum 8<9 for pair {list(pair)}"}
+
+    def test_petersen_line_graph_by_brute_force(self, witnesses):
+        g = witnesses["petersen-line"]
+        assert brute_vertex_connectivity(g) == 4 and brute_is_quasi_k(g, 5)
+        assert not any(brute_is_quasi_k(contract_edge(g, e).graph, 5) for e in g.edges())
 
 
 class TestLemmas:
@@ -232,7 +271,7 @@ class TestFalsifiedReports:
     def no_contractible_edge(self, monkeypatch):
         import quasigraph.harness as harness
 
-        monkeypatch.setattr(harness, "first_contractible_edge", lambda *a, **kw: None)
+        monkeypatch.setattr(harness, "_first_contractible_edge", lambda *a, **kw: None)
 
     def test_theorem1_on_k6(self):
         g = complete_graph(6)
@@ -278,12 +317,14 @@ class TestVerifyClaimDispatch:
             {"family": "circulant", "params": {"n": [10, 12], "jumps": [1, 2, 3]}},
             {"family": "icosahedron"},
         ]})
-        calls = count_calls("_split_network", "contract_edge")
+        calls = count_calls("_split_network", "contract_edge", "_vertex_connectivity_with_cut")
         for graph_id, g in graphs:
             for claim in CLAIMS:
-                calls.update(_split_network=0, contract_edge=0)
+                calls.update(_split_network=0, contract_edge=0, _vertex_connectivity_with_cut=0)
                 assert verify_claim(g, claim, graph_id).status in ("verified", "vacuous")
-                assert calls == {"_split_network": 1, "contract_edge": 0}, (graph_id, claim)
+                assert calls["_vertex_connectivity_with_cut"] <= 1, (graph_id, claim)
+                assert calls["_split_network"] == 1 and calls["contract_edge"] == 0, (
+                    graph_id, claim)
 
     @pytest.mark.parametrize("claim", CLAIMS)
     def test_timeout_reports_timeout(self, claim):
@@ -307,6 +348,25 @@ class TestVerifyClaimDispatch:
                     f"{module.__name__}.{name}"
                 checked.add(obj)
         assert verify_claim in checked and run_campaign in checked
+
+    def test_no_public_callable_takes_a_flow_context(self):
+        # a public function takes a Graph and builds its own context; the
+        # harness and the CLI call the private functions on theirs
+        modules = [quasigraph] + [importlib.import_module(f"quasigraph.{info.name}")
+                                  for info in pkgutil.iter_modules(quasigraph.__path__)]
+        checked = set()
+        for module in modules:
+            for name, obj in vars(module).items():
+                if name.startswith("_") or not inspect.isfunction(obj) \
+                        or not obj.__module__.startswith("quasigraph"):
+                    continue
+                params = inspect.signature(obj).parameters.values()
+                assert not any(p.name == "flows" or "_Flows" in str(p.annotation)
+                               for p in params), f"{module.__name__}.{name}"
+                checked.add(obj)
+        assert "cuts" not in inspect.signature(quasigraph.nontrivial_atom).parameters
+        assert {quasigraph.vertex_connectivity, quasigraph.is_quasi_k_connected,
+                quasigraph.first_contractible_edge, quasigraph.nontrivial_atom} <= checked
 
 
 class TestRunCampaign:
