@@ -157,13 +157,12 @@ def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
     return g.edge_count - 1 - (g.masks[x] & g.masks[y]).bit_count() == comb(g.n - 1, 2)
 
 
-def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int | None = None,
-                 t: int | None = None) -> int:
-    """kappa(G/e) for G, the graph of `flows`, of connectivity kappa (read
-    from the context when None); with a threshold t, the same value when it
-    is below t, otherwise some value >= t, and kappa may then be capped at
-    t. By the module docstring; each flow is capped at the smallest cut so
-    far, and z's flows run from x with y's internal arc uncuttable."""
+def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = None) -> int:
+    """kappa(G/e) for G, the graph of `flows`, of connectivity kappa; with a
+    threshold t, the same value when it is below t, otherwise some value
+    >= t, and kappa may then be capped at t. By the module docstring; each
+    flow is capped at the smallest cut so far, and z's flows run from x with
+    y's internal arc uncuttable."""
     g = flows.g
     if _complete_after(g, e):
         return g.n - 2
@@ -176,7 +175,7 @@ def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int | None = None,
     for a, b in min(z_pairs, _flow_pairs(g, g.full_mask & ~both), key=len):
         flows.check()
         best = min(best, _local_vertex_cut(net, a, b, best - 1, _capacities(net, e))[0] + 1)
-    if best <= (flows.kappa if kappa is None else kappa):  # a cut avoiding z is one of G
+    if best <= kappa:  # a cut avoiding z is one of G
         return best
     for w in mask_to_vertices(g.full_mask & ~(masks[x] | masks[y])):
         flows.check()
@@ -188,7 +187,8 @@ def _report(flows: _Flows, c: _EdgeClass) -> ContractionReport:
     """The report of c's edge, for G, the graph of `flows`: the class cut in
     G/e's ids refutes G/e, and kappa(G/e) is made exact by `_kappa_after`
     only where the class bounds it below by k."""
-    kappa_after = _kappa_after(flows, c.edge) if c.kappa_after >= c.k else c.kappa_after
+    kappa_after = (_kappa_after(flows, c.edge, flows.kappa) if c.kappa_after >= c.k
+                   else c.kappa_after)
     refuting = None
     if c.cut is not None:
         refuting = Cut(mask_to_vertices(contracted_mask(vertices_to_mask(c.cut.vertices), c.edge)),

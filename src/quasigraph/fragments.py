@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .core import Graph, component_masks, mask_to_vertices, require_edge, vertices_to_mask
@@ -63,15 +64,17 @@ def _fragment(g: Graph, body_mask: int, source_cut: tuple[int, ...],
     return Fragment(body_t, mask_to_vertices(boundary_mask), complement_t, kind, source_cut)
 
 
-def _component_unions(g: Graph, cut: Cut, quasi: bool = False) -> Iterator[Fragment]:
-    """Fragments whose body is the union of some components of G - cut
-    (never all of them), by part count, then component order."""
-    c = len(cut.masks)
-    if c > 16:
-        raise ValueError(f"cut {list(cut.vertices)} leaves {c} components: "
-                         f"{(1 << c) - 2} fragments are too many to enumerate")
-    for r in range(1, c):
-        for chosen in combinations(cut.masks, r):
+def _component_unions(g: Graph, cut: Cut, parts: list[int], max_parts: int,
+                      quasi: bool = False) -> Iterator[Fragment]:
+    """Fragments whose body is the union of 1..max_parts of `parts`, components
+    of G - cut, never of all components; by part count, then `parts` order."""
+    sizes = range(1, min(max_parts, len(cut.masks) - 1) + 1)
+    total = sum(comb(len(parts), r) for r in sizes)
+    if total > 1 << 16:
+        raise ValueError(f"cut {list(cut.vertices)} leaves {len(cut.masks)} components: "
+                         f"{total} fragments are too many to enumerate")
+    for r in sizes:
+        for chosen in combinations(parts, r):
             yield _fragment(g, sum(chosen), cut.vertices, quasi)
 
 
@@ -80,7 +83,7 @@ def fragments_of_cut(g: Graph, cut: Cut | Iterable[int]) -> list[Fragment]:
     fragments for c components, so more than 16 components raise."""
     if not isinstance(cut, Cut):
         cut = make_cut(g, cut)
-    return list(_component_unions(g, cut))
+    return list(_component_unions(g, cut, cut.masks, len(cut.masks)))
 
 
 def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[Fragment]:
@@ -105,7 +108,7 @@ def quasi_fragments_wrt_edge(g: Graph, e: tuple[int, int], k: int = 5) -> list[F
             continue
         cut = _cut_from_masks(t, comps)
         if cut.nontrivial:
-            out.extend(f for f in _component_unions(g, cut, quasi=True)
+            out.extend(f for f in _component_unions(g, cut, cut.masks, len(cut.masks), quasi=True)
                        if 2 <= f.size <= split_total - 2)
     out.sort(key=lambda f: (f.size, f.body, f.source_cut))
     return out
@@ -118,15 +121,13 @@ def nontrivial_atom(g: Graph) -> Fragment | None:
 
 
 def _nontrivial_atom(flows: _Flows) -> Fragment | None:
-    """nontrivial_atom for G, the graph of `flows`, from the context's
-    minimum cuts S.
+    """nontrivial_atom for G, the graph of `flows`, from its minimum cuts S.
 
     Only unions of one or two components of G - S are formed: dropping the
     smallest component from a nontrivial body of three or more components
-    leaves a smaller nontrivial body. Of the components of one size only the
-    first two are used: swapping a body's component for an earlier one of
-    its size keeps both sides' sizes, and the body that holds the least
-    vertex where two bodies of one size differ is the lexicographically
+    leaves a smaller nontrivial body. Of each size only the first two
+    components are used: swapping a body's component for an earlier one of
+    its size keeps both sides' sizes and makes the body lexicographically
     smaller.
     """
     best, rank = None, lambda f: (f.size, f.body)
@@ -135,8 +136,7 @@ def _nontrivial_atom(flows: _Flows) -> Fragment | None:
         for m in cut.masks:
             by_size.setdefault(m.bit_count(), []).append(m)
         parts = [m for same in by_size.values() for m in same[:2]]
-        for body in parts + [a | b for a, b in combinations(parts, 2)]:
-            frag = _fragment(flows.g, body, cut.vertices, False)
+        for frag in _component_unions(flows.g, cut, parts, 2):
             if frag.is_nontrivial() and (best is None or rank(frag) < rank(best)):
                 best = frag
     return best

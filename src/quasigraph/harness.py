@@ -203,7 +203,7 @@ def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
         configs += 1
         both = vertices_to_mask(e)
         if any(m & both == both for m in cut_masks):
-            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e)}
+            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e, flows.kappa)}
     if configs == 0:
         return _Vacuous("no contraction keeps minimum degree 4", True)
     return True, {"configurations": configs}

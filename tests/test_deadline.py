@@ -18,15 +18,22 @@ def test_expired_context_stops_before_any_flow_or_subset(g, count_calls):
     kappa = connectivity.vertex_connectivity(g)
     assert kappa == 4
     calls = count_calls("_local_vertex_cut", "component_masks")
+    # the k-cuts row computes kappa before the deadline passes, so it
+    # reaches the listing's own first check
     runs = {
-        "kappa": lambda flows: connectivity._vertex_connectivity_with_cut(flows),
-        "listing": lambda flows: list(connectivity._min_separators(flows, kappa)),
-        "k-cuts": lambda flows: connectivity._quasi_k_cuts(flows, 5),
-        "edge search": lambda flows: _first_contractible_edge(flows, 5, True),
+        "kappa": (False, lambda flows: connectivity._vertex_connectivity_with_cut(flows)),
+        "listing": (False, lambda flows: list(connectivity._min_separators(flows, kappa))),
+        "k-cuts": (True, lambda flows: connectivity._quasi_k_cuts(flows, 5)),
+        "edge search": (False, lambda flows: _first_contractible_edge(flows, 5, True)),
     }
-    for name, run in runs.items():
+    for name, (kappa_first, run) in runs.items():
+        flows = _Flows(g)
+        if kappa_first:
+            assert flows.kappa == kappa
+            calls["_local_vertex_cut"] = 0
+        flows.deadline = 0.0
         with pytest.raises(DeadlineExceeded):
-            run(_Flows(g, deadline=0.0))
+            run(flows)
         assert calls["_local_vertex_cut"] == 0, name
     calls["component_masks"] = 0
     with pytest.raises(DeadlineExceeded):
@@ -83,9 +90,14 @@ def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
             counts["separators"] += 1
             yield sep
 
+    # kappa is computed before the counting starts, so the checks and
+    # flows counted are the listing's own
+    flows = _Flows(g)
+    assert flows.kappa == 4
     monkeypatch.setattr(connectivity, "monotonic", clock)
     monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
     monkeypatch.setattr(connectivity, "_pair_separators", counted_separators)
-    listing(_Flows(g, deadline=1.0))
+    flows.deadline = 1.0
+    listing(flows)
     assert counts["separators"] > 0
     assert counts["checks"] == counts["flows"] + counts["separators"]
