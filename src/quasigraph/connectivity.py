@@ -37,16 +37,22 @@ added to the network, so no later pair finds those separators again, and
 a seen set drops the few that leave three or more components and survive
 the edge; the added arcs are removed when the listing ends, so the shared
 network is G's again. The cost follows the number of minimum cuts, not
-C(n, kappa).
-`minimum_cuts`, the quasi k-connectivity test at kappa = k-1 and the
-contraction decision read this listing; the quasi test stops at the first
-nontrivial cut. The k-cuts of a quasi k-connected graph, which classify
-its edges, are listed the same way from flows between k+1 disjoint edges
-and terminals: vertices of degree > k and edges between vertices of
-degree <= k (`_quasi_k_cuts`). For each disjoint edge the edges from one
-of its ends to the vertex terminals done so far are added, and removed
-before the next disjoint edge. The neighborhoods that cut off one vertex
-are added from the degrees.
+C(n, kappa). `minimum_cuts` and the contraction decision read this
+listing (`_min_separators`). The k-cuts of a quasi k-connected graph,
+which classify its edges, are listed the same way from flows between k+1
+disjoint edges and terminals: vertices of degree > k and edges between
+vertices of degree <= k (`_quasi_k_cuts`). For each disjoint edge the
+edges from one of its ends to the vertex terminals done so far are added,
+and removed before the next disjoint edge. The neighborhoods that cut off
+one vertex are added from the degrees.
+
+The quasi k-connectivity test is one pass over the kappa flow pairs. The
+kappa pass adds each pair's edge too, which changes neither kappa nor its
+cut (`_vertex_connectivity_with_cut`), so once the smallest separator so
+far is k-1 it caps each flow at k and lists the (k-1)-separators of a pair
+whose flow is k-1 from that same residual graph, stopping at the first
+nontrivial one. On quasi_5_apex(40, 1) the test makes 39 flows, one per
+pair, where a kappa pass followed by a listing made 78.
 
 Cut enumeration of an arbitrary size scans every vertex subset of that
 size in lexicographic order, with one component BFS each, so it is always
@@ -54,10 +60,10 @@ complete. It serves `enumerate_cuts` and the k-cuts of a quasi k-connected
 graph without k+1 disjoint edges.
 
 A quasi test that fails on a nontrivial (k-1)-cut certifies it with the
-lexicographically least one. Once the listing meets a nontrivial cut, the
+lexicographically least one. Once the pass meets a nontrivial cut, the
 first n^2 (k-1)-subsets are scanned, which ends at the least nontrivial
-cut when it lies among them; otherwise the least is taken from the rest of
-the listing, which at kappa = k-1 holds every (k-1)-cut. Both branches give
+cut when it lies among them; otherwise the least is taken from a full
+listing, which at kappa = k-1 holds every (k-1)-cut. Both branches give
 the same cut, and neither is exponential: the scan costs at most n^2
 component BFS runs, and the listing one capped flow per pair plus a
 closure search per separator that a pair lists, where a graph of
@@ -67,7 +73,6 @@ connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
@@ -341,14 +346,15 @@ class _Flows:
     time.monotonic() value, or None for no budget), G's split network and
     kappa flow pairs, and the facts of G: kappa(G) with a minimum cut, the
     sorted minimum cuts, and for each k the quasi k-verdict with its
-    (k-1)-cuts. Each is computed on first use and kept for the call; a fact
-    whose computation raises is not kept.
+    (k-1)-cuts. Each is computed on first use and kept for the call; the
+    pass of a quasi test keeps kappa with its cut as well. A fact whose
+    computation raises is not kept.
 
     Only an entry point creates one and passes it to every kappa
     computation, cut listing and per-edge decision of the call, so every
     flow runs within the call's budget. Flows work on copies of the
-    capacities, and a listing that adds arcs removes them before it ends,
-    also when it raises, so the network is G's between uses.
+    capacities, and a pass or listing that adds arcs removes them before it
+    ends, also when it raises, so the network is G's between uses.
     """
 
     def __init__(self, g: Graph, deadline: float | None = None) -> None:
@@ -407,7 +413,8 @@ def _complete(g: Graph, alive: int) -> bool:
     return all((masks[v] | 1 << v) & alive == alive for v in mask_to_vertices(alive))
 
 
-def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None) -> tuple[int, Cut | None]:
+def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | None = None,
+                                  listed: list[Cut] | None = None) -> tuple[int, Cut | None]:
     """kappa(G) and a minimum cut of G (None when it has none: K1 and
     complete graphs), for G the graph of the flow context `flows`.
 
@@ -416,6 +423,30 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None) -> tuple[
     the smallest separator found so far (t at first), since only a smaller
     one is kept. Only the value without t is a fact of G that the context
     keeps.
+
+    After each pair its edge is added to the network, as `_min_separators`
+    does, and the added arcs are removed when the pass ends or raises.
+    Neither the value nor the cut changes, for any t. Let p be the first
+    pair that some kappa-separator splits. An added edge st crosses only
+    separators that split (s, t), so no edge added before p crosses a
+    kappa-separator, and p's flow is kappa. Every pair before p has a
+    local connectivity above kappa in G, and added edges lower no flow, so
+    p is still the first pair to reach kappa, and every flow is at least
+    kappa. The cut kept is p's least minimum cut, the set its source
+    reaches in the residual graph. That set S is a minimum cut of G, no
+    added arc leaves it (the arc would join two sides of a kappa-separator
+    that then split an earlier pair), and added arcs make no new minimum
+    cut, so S is p's least minimum cut with the added edges too.
+
+    With a size j and a list `listed` (the quasi test at kappa = j, from
+    `_quasi_with_cuts`), the same pass lists the j-separators of G into
+    `listed`, as `_min_separators(flows, j)` does, until the first
+    nontrivial one. While the smallest separator so far is j and none
+    nontrivial has been listed, each flow is capped at j + 1, so a pair
+    whose flow is exactly j ends at a maximum flow, and its separators are
+    read from that same residual graph. Pairs whose flow ends above j list
+    nothing in either pass. After a nontrivial cut the pass only confirms
+    kappa; at kappa > j it is the plain pass and lists nothing.
     """
     g = flows.g
     n = g.n
@@ -431,11 +462,29 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None) -> tuple[
         return n - 1, None
     best = min(t, n - 1)
     best_sep: tuple[int, ...] | None = None
-    for s, w in flows.pairs:
-        flows.check()
-        size, sep = _local_vertex_cut(flows.net, s, w, best)
-        if sep is not None:
-            best, best_sep = size, sep
+    net = flows.net
+    mark = len(net.to)
+    seen: set[tuple[int, ...]] = set()
+    try:
+        for s, w in flows.pairs:
+            flows.check()
+            cap = net.cap[:]
+            listing = best == j and not (listed and listed[-1].nontrivial)
+            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best, cap)
+            if size < best:
+                best, best_sep = size, sep
+            if size == j and sep is not None:
+                # a maximum flow of j below the cap: list the pair's j-separators
+                for pair_sep in _pair_separators(net, cap, s, w):
+                    flows.check()
+                    if pair_sep not in seen:
+                        seen.add(pair_sep)
+                        listed.append(make_cut(g, pair_sep))
+                        if listed[-1].nontrivial:
+                            break
+            _add_edge(net, s, w)
+    finally:
+        _remove_added_edges(net, mark)
     return best, None if best_sep is None else make_cut(g, best_sep)
 
 
@@ -482,6 +531,13 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
     whose in-copy is in X and whose out-copy is not. The out-copy of a
     closed vertex has no residual arc into it, so Y starts with it: the
     vertex is never branched on, and is left out of every separator.
+
+    The branch in which a joins S is searched first, and no path takes it
+    more than |S| times, so the first separators lie near s and take a few
+    closure searches, however far t is: on C480(1,2) the pair (0, 3)
+    yields its first separator after 6 searches, where taking the other
+    branch first made 476. Callers check the deadline once per separator,
+    so their checks stay close together.
     """
     in_copies = (1 << len(net.adj)) // 3  # the even node bits
     closed = vertices_to_mask(2 * v for v in without)
@@ -495,12 +551,12 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
             yield tuple([v for v in range(len(net.adj) // 2) if cut >> 2 * v & 1])
             continue
         out_copy = (free & -free).bit_length()
-        shrink = _reach(net, cap, out_copy, outside, False)
-        if not shrink & inside:
-            stack.append((inside, outside | shrink))
         grow = _reach(net, cap, out_copy, inside, True)
         if not grow & outside:
             stack.append((inside | grow, outside))
+        shrink = _reach(net, cap, out_copy, outside, False)
+        if not shrink & inside:
+            stack.append((inside, outside | shrink))
 
 
 def _min_separators(flows: _Flows, j: int,
@@ -692,32 +748,34 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     """is_quasi_k_connected's verdict on G, the graph of `flows`, with the
     (k-1)-cuts it listed; the flows run on G's network.
 
-    When kappa is exactly k-1 the minimum cuts are listed until the first
-    nontrivial one, and the certificate is then the lexicographically least
-    nontrivial (k-1)-cut: from a scan of the first n^2 (k-1)-subsets when
-    it lies among them, else from the rest of the listing, since at
-    kappa = k-1 every (k-1)-cut is a minimum separator. The list is empty
-    whenever the verdict fails, and whenever it holds it is the complete,
-    sorted list of (k-1)-cuts (there are none once kappa >= k).
+    One pass over the kappa flow pairs (`_vertex_connectivity_with_cut`
+    with j = k-1) gives kappa with its cut, which the context keeps, and,
+    when kappa is exactly k-1, the minimum cuts up to the first nontrivial
+    one, from the same flows. The certificate is then the lexicographically
+    least nontrivial (k-1)-cut: from a scan of the first n^2 (k-1)-subsets
+    when it lies among them, else from a full listing of the (k-1)-cuts
+    (`_min_separators`), since at kappa = k-1 every (k-1)-cut is a minimum
+    separator; only that case runs the pairs' flows a second time. The
+    list is empty whenever the verdict fails, and whenever it holds it is
+    the complete, sorted list of (k-1)-cuts (there are none once
+    kappa >= k).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     g = flows.g
-    kappa, mincut = flows.kappa_with_cut
+    cuts: list[Cut] = []
+    kappa, mincut = _vertex_connectivity_with_cut(flows, j=k - 1, listed=cuts)
+    flows.kappa_with_cut = kappa, mincut
     if kappa < k - 1:
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
-    cuts = []
-    with closing(_min_separators(flows, k - 1)) as listing:
-        for cut in listing:
-            if cut.nontrivial:
-                least = next((c for c in _cuts(flows, k - 1, g.n * g.n) if c.nontrivial), None)
-                if least is None:
-                    least = min([cut] + [c for c in listing if c.nontrivial],
-                                key=lambda c: c.vertices)
-                return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
-            cuts.append(cut)
+    if cuts and cuts[-1].nontrivial:
+        least = next((c for c in _cuts(flows, k - 1, g.n * g.n) if c.nontrivial), None)
+        if least is None:
+            least = min((c for c in _min_separators(flows, k - 1) if c.nontrivial),
+                        key=lambda c: c.vertices)
+        return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
     cuts.sort(key=lambda cut: cut.vertices)
     return QuasiConnectivity(True, k, kappa, None, None), cuts
 

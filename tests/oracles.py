@@ -2,10 +2,11 @@
 
 Everything here works on plain Python sets with its own BFS, touching only
 the Graph accessors (n, edges, neighbors), and shares no code with the
-library paths it is used to check. The two exceptions are
+library paths it is used to check. The three exceptions are
 `contraction_decision` and `contraction_report`, which run the library's
-kappa, cut listing and quasi test on a contracted graph; the tests check
-them against brute force.
+kappa, cut listing and quasi test on a contracted graph, and
+`reference_kappa_with_cut`, the library's kappa loop as it was before it
+added each pair's edge; the tests check them against brute force.
 """
 
 from __future__ import annotations
@@ -235,3 +236,31 @@ def contraction_report(g, e, k: int):
         refuting_cut=cut,
         refuting_cut_preimage=None if cut is None else con.preimage_set(cut.vertices),
     )
+
+
+def reference_kappa_with_cut(g, t: int | None = None):
+    """kappa(G) and a minimum cut, with a threshold t as in
+    `connectivity._vertex_connectivity_with_cut`, by the plain loop over the
+    kappa flow pairs: each pair's flow runs on G's own network, capped at
+    the smallest separator found so far (t at first), and no edge is added
+    between pairs. The cut is the separator of the first pair to reach the
+    final value, as its source reaches in the residual graph.
+    """
+    from quasigraph.connectivity import (
+        _flow_pairs, _local_vertex_cut, _split_network, make_cut)
+
+    n = g.n
+    t = n if t is None else t
+    if n == 1:
+        return 0, None
+    if is_disconnected(adjacency_sets(g), set()):
+        return 0, (make_cut(g, ()) if t > 0 else None)
+    if g.edge_count == n * (n - 1) // 2:
+        return n - 1, None
+    net = _split_network(g)
+    best, best_sep = min(t, n - 1), None
+    for s, w in _flow_pairs(g):
+        size, sep = _local_vertex_cut(net, s, w, best)
+        if sep is not None:
+            best, best_sep = size, sep
+    return best, None if best_sep is None else make_cut(g, best_sep)

@@ -79,13 +79,14 @@ def test_analyze_bytes_pinned(k, small_corpus):
 
 
 def test_analyze_tests_quasi_once(count_calls):
-    # one kappa computation and one listing of minimum cuts in all, on G and
-    # on every other graph, and no subset walk
+    # one pass of the kappa flow pairs in all, on G and on every other
+    # graph: it gives kappa and lists the minimum cuts, so there is no
+    # second listing and no subset walk
     g = quasi_5_apex(16, 1)
     calls = count_calls("_vertex_connectivity_with_cut", "_min_separators", "_cuts")
     summary = _analyze_one("apex", g, 5)
     assert summary["quasi_k"]["holds"] and summary["kappa"] == 4
-    assert calls == {"_vertex_connectivity_with_cut": 1, "_min_separators": 1, "_cuts": 0}
+    assert calls == {"_vertex_connectivity_with_cut": 1, "_min_separators": 0, "_cuts": 0}
 
 
 def test_analyze_lists_minimum_cuts_once(count_calls):

@@ -40,6 +40,7 @@ from oracles import (
     brute_nontrivial,
     brute_vertex_connectivity,
     components_of,
+    reference_kappa_with_cut,
 )
 
 
@@ -132,6 +133,63 @@ class TestThreshold:
     @settings(max_examples=150, deadline=None)
     def test_threshold_property(self, g, t):
         _check_threshold(g, brute_vertex_connectivity(g), t)
+
+
+def _check_one_pass(g):
+    """The kappa pass, which adds each pair's edge, against the reference
+    loop, which adds none, for t = None and each t in 1..delta+1; the
+    (k-1)-cuts of quasi(k), listed in the same pass, against the sorted
+    `_min_separators` listing; and the shared network, G's again after
+    each pass."""
+    fresh = connectivity._split_network(g)
+    flows = connectivity._Flows(g)
+    for t in [None] + list(range(1, g.min_degree() + 2)):
+        assert connectivity._vertex_connectivity_with_cut(flows, t) == \
+            reference_kappa_with_cut(g, t), (g.edges(), t)
+    nets = [flows.net]
+    for k in range(2, 7):
+        flows = connectivity._Flows(g)
+        quasi, cuts = flows.quasi(k)
+        assert flows.kappa_with_cut == reference_kappa_with_cut(g), (g.edges(), k)
+        if quasi.holds:
+            listed = sorted(connectivity._min_separators(flows, k - 1), key=lambda c: c.vertices)
+            assert cuts == listed, (g.edges(), k)
+        else:
+            assert cuts == [], (g.edges(), k)
+        nets.append(flows.net)
+    for net in nets:
+        for field in fresh._fields:
+            assert getattr(net, field) == getattr(fresh, field), (g.edges(), field)
+
+
+class TestOnePass:
+    """One pass of the kappa flow pairs adds each pair's edge after its
+    flow and lists the quasi test's (k-1)-cuts from the same flows."""
+
+    def test_corpora(self, small_corpus, quasi5_corpus):
+        for _, g in small_corpus + quasi5_corpus:
+            _check_one_pass(g)
+
+    @pytest.mark.parametrize("g", [
+        quasi_5_apex(40, 1), quasi_5_apex(24, 1, attach_triangle=True),
+        circulant_graph(20, (1, 2)), planted_pair(30, 4), icosahedron_graph(),
+        petersen_graph(),
+    ], ids=["apex40", "apex24-triangle", "C20(1,2)", "planted30", "icosahedron", "petersen"])
+    def test_larger_graphs(self, g):
+        _check_one_pass(g)
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, g):
+        _check_one_pass(g)
+
+    def test_quasi_test_makes_one_flow_per_pair(self, count_calls):
+        # the 4-cuts are listed from the kappa flows themselves, where a
+        # kappa pass and then a listing made two flows per pair (78)
+        g = quasi_5_apex(40, 1)
+        calls = count_calls("_local_vertex_cut")
+        assert is_quasi_k_connected(g, 5).holds
+        assert calls["_local_vertex_cut"] == len(connectivity._flow_pairs(g)) == 39
 
 
 class _CountingRows(list):
@@ -422,6 +480,21 @@ class TestMinSeparators:
 
     def test_complete_graph_has_none(self):
         assert _listing(complete_graph(6)) == []
+
+    def test_first_separator_lies_near_the_source(self, count_calls):
+        # the branch that puts a vertex in the separator is searched first, so
+        # the first separator of C_n(1,2)'s first pair (0, 3) is N(0), after as
+        # many closure searches for every n; the other order searched its way
+        # to N(3) first, one closure search per vertex on the long arc
+        calls = count_calls("_reach")
+        for n in (40, 480):
+            flows = connectivity._Flows(circulant_graph(n, (1, 2)))
+            cap = flows.net.cap[:]
+            assert flows.pairs[0] == (0, 3)
+            assert connectivity._local_vertex_cut(flows.net, 0, 3, n, cap)[0] == 4
+            calls["_reach"] = 0
+            first = next(connectivity._pair_separators(flows.net, cap, 0, 3))
+            assert first == (1, 2, n - 2, n - 1) and calls["_reach"] == 6, n
 
     def test_cost_follows_the_cuts_not_the_subsets(self):
         # C60(1,2) has n(n-5)/2 = 1650 4-cuts among 487,635 4-subsets, and
@@ -798,9 +871,10 @@ class TestQuasiCertificate:
 
     def test_each_branch_runs(self, monkeypatch):
         # a circulant's least nontrivial cut lies within the scan budget, so
-        # the scan stops there and the listing at its first nontrivial cut;
-        # the planted graph's scan runs through all n^2 subsets in vain, and
-        # the same listing then runs to its end
+        # the scan stops there, and the kappa pass, whose listing stopped at
+        # its first nontrivial cut, is the only listing; the planted graph's
+        # scan runs through all n^2 subsets in vain, and one full listing
+        # then runs to its end
         walks, listed = [], []
         scan, listing = connectivity._cuts, connectivity._min_separators
 
@@ -826,7 +900,7 @@ class TestQuasiCertificate:
             assert is_quasi_k_connected(g, 5).cut.vertices == (0, 1, 4, 5)
             # (0, 1, 4, 5) is the (2n-6)th 4-subset
             assert walks == [{"limit": n * n, "last": (0, 1, 4, 5), "exhausted": False}]
-            assert listed == [False]
+            assert listed == []
         g = planted_pair(30, 4)
         walks.clear()
         listed.clear()

@@ -275,14 +275,16 @@ class TestContractionReportsFromCuts:
         (quasi_5_apex(40, 1), False),
     ], ids=["analyze-apex24", "analyze-apex24-triangle", "E0-apex40"])
     def test_no_contraction_and_one_kappa(self, g, analyze, count_calls):
-        # analyze and compute_E0 read the edge classes: the quasi test's
-        # kappa(G) is the only kappa computation, on any graph
-        calls = count_calls("contract_edge", "_vertex_connectivity_with_cut")
+        # analyze and compute_E0 read the edge classes: the quasi test's one
+        # pass of the kappa flow pairs is the only kappa computation, on any
+        # graph, and it lists the 4-cuts, so no listing of minimum cuts runs
+        calls = count_calls("contract_edge", "_vertex_connectivity_with_cut", "_min_separators")
         if analyze:
             assert _analyze_one("x", g, 5)["kappa_dropping_edges"]
         else:
             assert compute_E0(g, 5) == ()
-        assert calls == {"contract_edge": 0, "_vertex_connectivity_with_cut": 1}
+        assert calls == {"contract_edge": 0, "_vertex_connectivity_with_cut": 1,
+                         "_min_separators": 0}
 
     def test_hypothesis_violated(self):
         with pytest.raises(ValueError, match="hypothesis violated"):

@@ -43,37 +43,47 @@ def test_expired_context_stops_before_any_flow_or_subset(g, count_calls):
 
 @pytest.mark.parametrize("g", [quasi_5_apex(30, 1), circulant_graph(20, (1, 2))],
                          ids=["apex30", "C20(1,2)"])
-@pytest.mark.parametrize("listing", ["min_separators", "quasi_k_cuts"])
+@pytest.mark.parametrize("listing", ["min_separators", "quasi_k_cuts", "kappa_pass"])
 def test_network_is_restored_after_a_timeout(g, listing, monkeypatch):
     # the deadline passes after j checks, at a point where the listing has
     # added pair edges; C20(1,2) lists separators at most of the pairs of
     # _min_separators, so some timeouts fall between the separators of one
-    # pair
+    # pair. The quasi test's one kappa pass adds pair edges and lists
+    # 4-cuts too, and keeps neither kappa nor the verdict when it raises.
     fresh = connectivity._split_network(g)
     for j in range(1, 9):
-        # kappa is computed before the clock starts, so the checks counted
-        # are the listing's own
         flows = _Flows(g)
-        assert flows.kappa == 4
+        if listing != "kappa_pass":
+            # kappa is computed before the clock starts, so the checks
+            # counted are the listing's own
+            assert flows.kappa == 4
         flows.deadline = 0.5
         ticks = iter([0.0] * j)
         monkeypatch.setattr(connectivity, "monotonic", lambda: next(ticks, 1.0))
         with pytest.raises(DeadlineExceeded):
             if listing == "min_separators":
                 list(connectivity._min_separators(flows, 4))
-            else:
+            elif listing == "quasi_k_cuts":
                 connectivity._quasi_k_cuts(flows, 5)
+            else:
+                flows.quasi(5)
         for field in ("to", "cap", "adj", "out_arc"):
             assert getattr(flows.net, field) == getattr(fresh, field), (j, field)
+        if listing == "kappa_pass":
+            assert "kappa_with_cut" not in vars(flows) and not flows._quasi, j
+            flows.deadline = None
+            assert flows.quasi(5) == _Flows(g).quasi(5), j
 
 
 @pytest.mark.parametrize("g, listing", [
     (circulant_graph(20, (1, 2)), lambda flows: list(connectivity._min_separators(flows, 4))),
     (quasi_5_apex(17, 1), lambda flows: connectivity._quasi_k_cuts(flows, 5)),
-], ids=["min_separators-C20(1,2)", "quasi_k_cuts-apex17"])
+    (quasi_5_apex(17, 1), lambda flows: flows.quasi(5)),
+], ids=["min_separators-C20(1,2)", "quasi_k_cuts-apex17", "kappa_pass-apex17"])
 def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
     # quasi_5_apex(17, 1) has a nontrivial 5-cut, so one of its k-cut flows
-    # stops at k and lists separators
+    # stops at k and lists separators; its quasi test holds at kappa = 4,
+    # so its kappa pass lists the 4-cuts
     counts = {"checks": 0, "flows": 0, "separators": 0}
     flow, separators = connectivity._local_vertex_cut, connectivity._pair_separators
 
