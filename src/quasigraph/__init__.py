@@ -4,10 +4,7 @@ batch verification harness for graph corpora."""
 from .core import (
     Contraction,
     Graph,
-    Pattern4,
-    classify_neighborhood,
     contract_edge,
-    induced_subgraph,
 )
 from .connectivity import (
     Cut,
@@ -15,7 +12,6 @@ from .connectivity import (
     enumerate_cuts,
     is_quasi_k_connected,
     make_cut,
-    min_vertex_cut_between,
     minimum_cuts,
     vertex_connectivity,
 )

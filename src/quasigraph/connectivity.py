@@ -304,18 +304,6 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
         flow += 1
 
 
-def min_vertex_cut_between(g: Graph, s: int, t: int) -> Cut:
-    """A minimum s-t vertex separator, deterministic for fixed input."""
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError("vertex out of range")
-    if s == t:
-        raise ValueError("endpoints must be distinct")
-    if g.has_edge(s, t):
-        raise ValueError("adjacent pair has no separator")
-    _, sep = _local_vertex_cut(_split_network(g), s, t, g.n)
-    return make_cut(g, sep)
-
-
 def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
     """The pairs whose flows decide kappa(H), for H the subgraph of G on the
     `alive` vertex mask (all of G when None), connected and not complete:
@@ -753,12 +741,12 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     when kappa is exactly k-1, the minimum cuts up to the first nontrivial
     one, from the same flows. The certificate is then the lexicographically
     least nontrivial (k-1)-cut: from a scan of the first n^2 (k-1)-subsets
-    when it lies among them, else from a full listing of the (k-1)-cuts
-    (`_min_separators`), since at kappa = k-1 every (k-1)-cut is a minimum
-    separator; only that case runs the pairs' flows a second time. The
-    list is empty whenever the verdict fails, and whenever it holds it is
-    the complete, sorted list of (k-1)-cuts (there are none once
-    kappa >= k).
+    when it lies among them, else the first nontrivial one of the
+    context's minimum cuts, which at kappa = k-1 are exactly the sorted
+    (k-1)-cuts; only that case runs the pairs' flows a second time, and
+    the context keeps that listing for the atom to read. The list is
+    empty whenever the verdict fails, and whenever it holds it is the
+    complete, sorted list of (k-1)-cuts (there are none once kappa >= k).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -773,8 +761,7 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     if cuts and cuts[-1].nontrivial:
         least = next((c for c in _cuts(flows, k - 1, g.n * g.n) if c.nontrivial), None)
         if least is None:
-            least = min((c for c in _min_separators(flows, k - 1) if c.nontrivial),
-                        key=lambda c: c.vertices)
+            least = next(c for c in flows.minimum_cuts if c.nontrivial)
         return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
     cuts.sort(key=lambda cut: cut.vertices)
     return QuasiConnectivity(True, k, kappa, None, None), cuts

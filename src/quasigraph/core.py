@@ -1,5 +1,4 @@
-"""Simple undirected graphs: contraction, balls of small radius, induced
-subgraphs, and classification of 4-vertex neighborhoods.
+"""Simple undirected graphs: contraction and balls of small radius.
 
 Vertices are contiguous ids 0..n-1. Graphs are immutable after construction;
 every operation returns a new value, so results are safe to share and reuse.
@@ -9,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -223,16 +222,6 @@ def contracted_min_degree(g: Graph, e: tuple[int, int]) -> int:
                                      for v in range(g.n) if v != x and v != y])
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on vertex set s, with the old->new id mapping."""
-    sel = sorted(set(s))
-    for v in sel:
-        _check_vertex(g, v)
-    new_id = {old: i for i, old in enumerate(sel)}
-    edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u in new_id and v in new_id]
-    return Graph(len(sel), edges), new_id
-
-
 # ---------------------------------------------------------------------------
 # Distance.
 
@@ -255,81 +244,6 @@ def vertices_within_distance(g: Graph, u: int, radius: int) -> tuple[int, ...]:
         seen |= nxt
         frontier = nxt
     return mask_to_vertices(reached)
-
-
-# ---------------------------------------------------------------------------
-# Classification of 4-vertex neighborhoods.
-
-# Canonical edge sets on role indices 0..3 (role i is the vertex called
-# x_{i+1} in reports). In every pattern that has an edge at all, roles 0 and
-# 1 are adjacent; roles 2 and 3 avoid the matched {x1, x2} edge wherever the
-# pattern permits.
-PATTERN_EDGES: dict[str, tuple[tuple[int, int], ...]] = {
-    "4K1": (),
-    "K2u2K1": ((0, 1),),
-    "P3uK1": ((0, 1), (1, 2)),
-    "2K2": ((0, 1), (2, 3)),
-    "P4": ((0, 1), (0, 2), (1, 3)),
-    "K3uK1": ((0, 1), (0, 2), (1, 2)),
-    "K1,3": ((0, 1), (0, 2), (0, 3)),
-    "C4": ((0, 1), (0, 2), (1, 3), (2, 3)),
-    "paw": ((0, 1), (0, 2), (1, 2), (2, 3)),
-    "diamond": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)),
-    "K4": ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
-
-
-def _invariant(edge_pairs: frozenset[frozenset[int]]) -> tuple[int, tuple[int, ...], int]:
-    degs = [0, 0, 0, 0]
-    for pair in edge_pairs:
-        for v in pair:
-            degs[v] += 1
-    triangles = sum(
-        1 for trio in combinations(range(4), 3)
-        if all(frozenset(p) in edge_pairs for p in combinations(trio, 2))
-    )
-    return len(edge_pairs), tuple(sorted(degs)), triangles
-
-
-_INVARIANT_TO_TAG = {
-    _invariant(frozenset(frozenset(p) for p in pairs)): tag
-    for tag, pairs in PATTERN_EDGES.items()
-}
-assert len(_INVARIANT_TO_TAG) == 11, "4-vertex classes must be separable"
-
-
-@dataclass(frozen=True)
-class Pattern4:
-    """Isomorphism class of a 4-vertex graph plus a concrete role assignment.
-
-    mapping[i] is the vertex placed in role i (the vertex written x_{i+1}).
-    """
-
-    tag: str
-    mapping: tuple[int, int, int, int]
-
-
-def classify_neighborhood(g: Graph, x: int) -> Pattern4:
-    """Classify the subgraph induced by the four neighbors of x.
-
-    Requires d(x) = 4. The returned mapping is the lexicographically first
-    role assignment (over the sorted neighbor list) realizing the class's
-    canonical edge set.
-    """
-    _check_vertex(g, x)
-    nbrs = g.sorted_neighbors(x)
-    if len(nbrs) != 4:
-        raise ValueError("degree not four")
-    actual = frozenset(
-        frozenset((i, j)) for i, j in combinations(range(4), 2)
-        if g.has_edge(nbrs[i], nbrs[j])
-    )
-    tag = _INVARIANT_TO_TAG[_invariant(actual)]
-    pattern = PATTERN_EDGES[tag]
-    for perm in permutations(range(4)):
-        if {frozenset((perm[a], perm[b])) for a, b in pattern} == actual:
-            return Pattern4(tag, tuple(nbrs[perm[r]] for r in range(4)))
-    raise AssertionError("no role assignment found for a matched class")
 
 
 def degree_k_vertices(g: Graph, k: int) -> tuple[int, ...]:

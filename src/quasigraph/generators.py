@@ -238,6 +238,8 @@ def _sizes(params: dict) -> list[int]:
         return [n]
     if not (isinstance(n, (list, tuple)) and len(n) == 2 and all(type(v) is int for v in n)):
         raise ValueError(f"'n' must be an int or an inclusive [lo, hi] range, got {n!r}")
+    if n[0] > n[1]:
+        raise ValueError(f"'n' range [lo, hi] must have lo <= hi, got {n!r}")
     return list(range(n[0], n[1] + 1))
 
 

@@ -33,7 +33,6 @@ from typing import Iterable, NamedTuple
 from .core import (
     Graph,
     contracted_min_degree,
-    classify_neighborhood,
     degree_k_vertices,
     triangles_in_neighborhood,
     vertices_to_mask,
@@ -262,7 +261,7 @@ def _lemma5(g: Graph, flows: _Flows, k) -> _Outcome:
         return vacuous
     for x in degree_k_vertices(g, 4):
         flows.check()
-        if classify_neighborhood(g, x).tag == "4K1":
+        if not any(g.masks[v] & g.masks[x] for v in g.neighbors(x)):
             return False, {"vertex": x}
     return True, None
 

@@ -144,6 +144,16 @@ def line_graph(g: Graph) -> Graph:
                               if len(set(edges[i]) & set(edges[j])) == 1])
 
 
+def induced_subgraph(g: Graph, s) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced on vertex set s, with the old->new id mapping."""
+    sel = sorted(set(s))
+    if not all(0 <= v < g.n for v in sel):
+        raise ValueError(f"vertex set {sel} out of range for n={g.n}")
+    new_id = {old: i for i, old in enumerate(sel)}
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u in new_id and v in new_id]
+    return Graph(len(sel), edges), new_id
+
+
 def dodecahedron_graph() -> Graph:
     """The dodecahedron as the generalized Petersen graph GP(10, 2): outer
     10-cycle 0..9, spokes i -- i+10, inner edges i+10 -- (i+2 mod 10)+10."""

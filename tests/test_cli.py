@@ -14,6 +14,8 @@ from quasigraph.generators import (
     star_graph,
 )
 
+from corpus import planted_pair
+
 
 @pytest.fixture
 def corpus_file(tmp_path):
@@ -95,6 +97,17 @@ def test_analyze_lists_minimum_cuts_once(count_calls):
     calls = count_calls("_min_separators")
     summary = _analyze_one("icosahedron", icosahedron_graph(), 5)
     assert summary["kappa"] == 5 and summary["quasi_k"]["holds"]
+    assert calls == {"_min_separators": 1}
+
+
+def test_failed_quasi_test_and_atom_share_one_listing(count_calls):
+    # the planted pair's least nontrivial 4-cut lies past the n^2-subset
+    # scan, so the certificate comes from the minimum cuts, which the atom
+    # then reads from the same context
+    calls = count_calls("_min_separators")
+    summary = _analyze_one("planted", planted_pair(30, 4), 5)
+    assert summary["quasi_k"]["failure"] == "nontrivial-cut"
+    assert summary["quasi_k"]["cut"]["vertices"] == [24, 25, 26, 27]
     assert calls == {"_min_separators": 1}
 
 
@@ -207,6 +220,7 @@ BAD_SPECS = [
     ("n-float", {"family": "complete", "params": {"n": 5.5}}, "'n'"),
     ("n-bool", {"family": "complete", "params": {"n": True}}, "'n'"),
     ("n-range-bool", {"family": "complete", "params": {"n": [True, 5]}}, "'n'"),
+    ("n-range-inverted", {"family": "complete", "params": {"n": [10, 5]}}, "'n'"),
     ("jumps-bool", {"family": "circulant", "params": {"n": 8, "jumps": [True, 2]}}, "'jumps'"),
     ("attach-triangle-string",
      {"family": "quasi_5_apex", "params": {"n": 10, "attach_triangle": "no"}}, "'attach_triangle'"),

@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quasigraph.connectivity as connectivity
-from quasigraph.core import Graph, induced_subgraph
+from quasigraph.core import Graph
 from quasigraph.connectivity import (
     enumerate_cuts,
     is_quasi_k_connected,
     make_cut,
-    min_vertex_cut_between,
     minimum_cuts,
     vertex_connectivity,
 )
@@ -32,7 +31,7 @@ from quasigraph.generators import (
     star_graph,
 )
 
-from corpus import all_small_graphs, planted_graphs, planted_pair
+from corpus import all_small_graphs, induced_subgraph, planted_graphs, planted_pair
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -93,7 +92,8 @@ class TestVertexConnectivity:
         h = hashlib.sha256()
         for gid, g in small_corpus:
             kappa, cut = connectivity._vertex_connectivity_with_cut(connectivity._Flows(g))
-            seps = [min_vertex_cut_between(g, s, t).to_json()
+            net = connectivity._split_network(g)
+            seps = [make_cut(g, connectivity._local_vertex_cut(net, s, t, g.n)[1]).to_json()
                     for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
             h.update((json.dumps({"graph_id": gid, "kappa": kappa,
                                   "cut": None if cut is None else cut.to_json(),
@@ -259,9 +259,17 @@ class TestFlowMechanism:
 
 
 class TestMinVertexCutBetween:
+    """The minimum s-t vertex separator of a non-adjacent pair, read from
+    an uncapped `_local_vertex_cut` flow on G's network."""
+
+    @staticmethod
+    def _cut(g, s, t):
+        return make_cut(g, connectivity._local_vertex_cut(connectivity._split_network(g),
+                                                          s, t, g.n)[1])
+
     def test_c6_opposite_pair(self):
         g = cycle_graph(6)
-        cut = min_vertex_cut_between(g, 0, 3)
+        cut = self._cut(g, 0, 3)
         assert brute_min_separator_size(g, 0, 3) == 2
         assert cut.size == 2
         # one vertex from each arc of the cycle
@@ -270,27 +278,19 @@ class TestMinVertexCutBetween:
 
     def test_k23_unique_separator(self):
         g = complete_bipartite_graph(2, 3)
-        cut = min_vertex_cut_between(g, 0, 1)
+        cut = self._cut(g, 0, 1)
         assert cut.vertices == (2, 3, 4)
 
     def test_p3_middle_vertex(self):
-        cut = min_vertex_cut_between(path_graph(3), 0, 2)
+        cut = self._cut(path_graph(3), 0, 2)
         assert cut.vertices == (1,)
-
-    def test_adjacent_pair_rejected(self):
-        with pytest.raises(ValueError, match="adjacent pair"):
-            min_vertex_cut_between(cycle_graph(5), 0, 1)
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            min_vertex_cut_between(cycle_graph(5), 2, 2)
 
     def test_reproducible_witness(self):
         g = random_graph(10, 0.35, seed=3)
         pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)
                  if not g.has_edge(u, v)]
         for u, v in pairs:
-            assert min_vertex_cut_between(g, u, v) == min_vertex_cut_between(g, u, v)
+            assert self._cut(g, u, v) == self._cut(g, u, v)
 
     @given(graphs(min_n=3, max_n=8))
     @settings(max_examples=80, deadline=None)
@@ -298,7 +298,7 @@ class TestMinVertexCutBetween:
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 if not g.has_edge(s, t):
-                    cut = min_vertex_cut_between(g, s, t)
+                    cut = self._cut(g, s, t)
                     assert cut.size == brute_min_separator_size(g, s, t)
                     comps_with = [c for c in cut.components if s in c or t in c]
                     assert all(not (s in c and t in c) for c in comps_with)

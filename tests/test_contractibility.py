@@ -25,7 +25,7 @@ from quasigraph.contractibility import (
     is_k_contractible,
     is_quasi_k_contractible,
 )
-from quasigraph.core import Graph, contract_edge, contracted_min_degree, induced_subgraph
+from quasigraph.core import Graph, contract_edge, contracted_min_degree
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
@@ -37,7 +37,7 @@ from quasigraph.generators import (
     quasi_5_apex,
 )
 
-from corpus import all_small_graphs, planted_graphs, planted_pair
+from corpus import all_small_graphs, induced_subgraph, planted_graphs, planted_pair
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,

@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from quasigraph.core import (
     Graph,
-    classify_neighborhood,
     contract_edge,
-    induced_subgraph,
     triangles_in_neighborhood,
     vertices_within_distance,
 )
@@ -18,6 +16,7 @@ from quasigraph.generators import (
     random_graph,
 )
 
+from corpus import induced_subgraph
 from oracles import brute_distance
 
 
@@ -189,70 +188,6 @@ def _neighborhood_graph(nbr_edges):
     """Vertex 4 adjacent to 0..3 which carry the given edges."""
     edges = [(4, i) for i in range(4)] + list(nbr_edges)
     return Graph(5, edges)
-
-
-class TestClassifyNeighborhood:
-    def test_p4_neighborhood(self):
-        pat = classify_neighborhood(_neighborhood_graph([(0, 1), (1, 2), (2, 3)]), 4)
-        assert pat.tag == "P4"
-
-    def test_2k2_neighborhood(self):
-        pat = classify_neighborhood(_neighborhood_graph([(0, 1), (2, 3)]), 4)
-        assert pat.tag == "2K2"
-        x1, x2, x3, x4 = pat.mapping
-        g = _neighborhood_graph([(0, 1), (2, 3)])
-        assert g.has_edge(x1, x2) and g.has_edge(x3, x4)
-
-    def test_edgeless_neighborhood(self):
-        assert classify_neighborhood(_neighborhood_graph([]), 4).tag == "4K1"
-
-    def test_degree_not_four_rejected(self):
-        with pytest.raises(ValueError, match="degree not four"):
-            classify_neighborhood(cycle_graph(6), 0)
-
-    ALL_CLASSES = {
-        "4K1": [],
-        "K2u2K1": [(0, 1)],
-        "P3uK1": [(0, 1), (1, 2)],
-        "2K2": [(0, 1), (2, 3)],
-        "P4": [(0, 1), (1, 2), (2, 3)],
-        "K3uK1": [(0, 1), (1, 2), (0, 2)],
-        "K1,3": [(0, 1), (0, 2), (0, 3)],
-        "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
-        "paw": [(0, 1), (1, 2), (0, 2), (2, 3)],
-        "diamond": [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)],
-        "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-    }
-
-    @pytest.mark.parametrize("tag,edges", sorted(ALL_CLASSES.items()))
-    def test_all_eleven_classes(self, tag, edges):
-        g = _neighborhood_graph(edges)
-        pat = classify_neighborhood(g, 4)
-        assert pat.tag == tag
-        x1, x2, x3, x4 = pat.mapping
-        assert sorted(pat.mapping) == [0, 1, 2, 3]
-        if edges:
-            assert g.has_edge(x1, x2)
-
-    def test_role_assignment_reproduces_pattern(self):
-        from quasigraph.core import PATTERN_EDGES
-
-        for tag, edges in self.ALL_CLASSES.items():
-            g = _neighborhood_graph(edges)
-            pat = classify_neighborhood(g, 4)
-            realized = {
-                frozenset((a, b))
-                for a in range(4) for b in range(a + 1, 4)
-                if g.has_edge(pat.mapping[a], pat.mapping[b])
-            }
-            assert realized == {frozenset(p) for p in PATTERN_EDGES[tag]}
-
-    @given(st.permutations(range(5)), st.sampled_from(sorted(ALL_CLASSES)))
-    @settings(max_examples=120)
-    def test_isomorphism_invariance(self, perm, tag):
-        base = _neighborhood_graph(self.ALL_CLASSES[tag])
-        relabeled = Graph(5, [(perm[u], perm[v]) for u, v in base.edges()])
-        assert classify_neighborhood(relabeled, perm[4]).tag == tag
 
 
 class TestComponents:

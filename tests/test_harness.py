@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib
 import inspect
 import json
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +289,21 @@ class TestFalsifiedReports:
             "falsified", True, False)
         assert rep.witness == {"k": 4, "graph6": to_graph6(g)}
 
+    def test_lemma5_on_an_edgeless_apex_neighborhood(self):
+        # apex 19 is the one degree-4 vertex, its neighborhood has no edge,
+        # and the degree sums reach 9 at distance <= 2
+        g = quasi_5_apex(20, 5)
+        rep = verify_claim(g, "lemma5", "apex")
+        assert (rep.status, rep.hypotheses_hold, rep.conclusion_holds) == (
+            "falsified", True, False)
+        assert rep.witness == {"vertex": 19, "graph6": to_graph6(g)}
+
+    def test_lemma5_on_a_2k2_apex_neighborhood(self):
+        rep = verify_claim(quasi_5_apex(20, 1), "lemma5", "apex")
+        assert (rep.status, rep.hypotheses_hold, rep.conclusion_holds) == (
+            "verified", True, True)
+        assert rep.witness is None
+
     def test_verify_claim_reports_falsified(self):
         rep = verify_claim(complete_graph(6), "theorem1", "K6")
         assert rep.status == "falsified" and rep.witness["graph6"]
@@ -367,6 +384,23 @@ class TestVerifyClaimDispatch:
         assert "cuts" not in inspect.signature(quasigraph.nontrivial_atom).parameters
         assert {quasigraph.vertex_connectivity, quasigraph.is_quasi_k_connected,
                 quasigraph.first_contractible_edge, quasigraph.nontrivial_atom} <= checked
+
+
+def test_readme_library_block_runs():
+    # README's first python block runs as written, and each commented line
+    # evaluates to the value its comment starts with
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    values = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment and not code.startswith("g = "):
+            value = eval(code, namespace)
+            assert value == ast.literal_eval(comment.split(",")[0]), line
+            values.append(value)
+    assert values == [5, True, (), "verified"]
 
 
 class TestRunCampaign:
