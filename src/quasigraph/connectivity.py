@@ -16,9 +16,18 @@ time raises `DeadlineExceeded` within one such step. Each pair's flow
 works on a copy of its capacities and stops once it reaches the smallest
 separator found so far, since only a smaller one is kept. Each flow routes
 one unit through every common neighbor of its pair before it searches for
-augmenting paths. The separator is read from what the source reaches in
-the final residual graph, which is the same for every maximum flow, so
-witness cuts do not depend on the order of augmentation.
+augmenting paths. In a sweep of sinks from one source (the kappa pass and
+the listings), each flow then routes the previous sink's paths again, each
+cut short at its first vertex adjacent to the new sink, since consecutive
+sinks share most of their paths (the amortised sink sweep of Hao and
+Orlin, and of Henzinger, Rao and Gabow). Each augmenting path is found by
+a breadth-first search from both ends, which meets in the middle and
+steps over a vertex with no flow through it without reading its row. The
+separator is read from what the source reaches in the final residual
+graph, which is the same for every maximum flow, and augmenting from any
+feasible flow ends at a maximum flow, so witness cuts depend neither on
+the routed paths nor on the order of augmentation. On C40(1,2) the quasi
+test runs 7 augmenting searches, where one-ended cold flows ran 73.
 
 The separators of G - x - y that decide whether contracting an edge xy
 keeps G quasi k-connected are listed on G's own digraph: the capacity
@@ -50,8 +59,8 @@ The quasi k-connectivity test is one pass over the kappa flow pairs. The
 kappa pass adds each pair's edge too, which changes neither kappa nor its
 cut (`_vertex_connectivity_with_cut`), so once the smallest separator so
 far is k-1 it caps each flow at k and lists the (k-1)-separators of a pair
-whose flow is k-1 from that same residual graph, stopping at the first
-nontrivial one. On quasi_5_apex(40, 1) the test makes 39 flows, one per
+whose flow is k-1 from that same residual graph, until the certificate
+below is known. On quasi_5_apex(40, 1) the test makes 39 flows, one per
 pair, where a kappa pass followed by a listing made 78.
 
 Cut enumeration of an arbitrary size scans every vertex subset of that
@@ -60,15 +69,15 @@ complete. It serves `enumerate_cuts` and the k-cuts of a quasi k-connected
 graph without k+1 disjoint edges.
 
 A quasi test that fails on a nontrivial (k-1)-cut certifies it with the
-lexicographically least one. Once the pass meets a nontrivial cut, the
-first n^2 (k-1)-subsets are scanned, which ends at the least nontrivial
-cut when it lies among them; otherwise the least is taken from a full
-listing, which at kappa = k-1 holds every (k-1)-cut. Both branches give
-the same cut, and neither is exponential: the scan costs at most n^2
-component BFS runs, and the listing one capped flow per pair plus a
-closure search per separator that a pair lists, where a graph of
-connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
-(Kanevsky).
+lexicographically least one. When the pass lists its first nontrivial
+cut, the first n^2 (k-1)-subsets are scanned, which ends at the least
+nontrivial cut when it lies among them, and the listing stops there;
+otherwise the pass lists on to the end, and at kappa = k-1 that listing
+holds every (k-1)-cut, the least nontrivial one among them. Both branches
+give the same cut, with one flow per pair, and neither is exponential:
+the scan costs at most n^2 component BFS runs, and the listing a closure
+search per separator that a pair lists, where a graph of connectivity
+kappa has O(2^kappa n^2 / kappa) minimum separators (Kanevsky).
 """
 
 from __future__ import annotations
@@ -244,7 +253,8 @@ def _split_network(g: Graph) -> _SplitNetwork:
 
 
 def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
-                      cap: list[int] | None = None) -> tuple[int, tuple[int, ...] | None]:
+                      cap: list[int] | None = None, paths: list[list[int]] | None = None,
+                      ) -> tuple[int, tuple[int, ...] | None]:
     """(flow value, minimum s-t vertex separator) for non-adjacent s, t,
     unless the flow reaches `limit` first: then (limit, None).
 
@@ -252,56 +262,154 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
     network's capacities unless the caller passes one, which is then left
     holding the residual capacities. It first routes one unit along
     s -> c -> t for each common neighbor c whose internal arc is open, in
-    ascending order (a closed one is a vertex removed from the graph), then
-    augments along shortest paths. An augmenting path enters an in-copy
-    other than the sink's and leaves it by the internal arc or by the
-    reverse of an edge arc, both of residual capacity at most 1, so each
-    path adds exactly one unit. Minimum cuts consist of internal arcs only
-    and read off as a vertex set: the vertices whose in-copy the source
-    reaches in the final residual graph and whose out-copy it does not.
-    That reachable set is the source side of the unique minimal minimum
-    cut, the same for every maximum flow, so the separator does not depend
-    on the order of augmentation.
+    ascending order (a closed one is a vertex removed from the graph).
+
+    `paths` warm-starts a sweep of sinks from one source: it holds the
+    vertex sequences of the previous flow from s, without s and its sink.
+    Each is routed again, cut short at its first vertex adjacent to t, when
+    every vertex up to there has its internal arc open. On return `paths`
+    holds this flow's paths of two or more vertices, read back from `cap`
+    when a search ran; it is left as it was when the common neighbors
+    alone reach `limit`.
+
+    Then the flow augments along paths that `_search` finds from both
+    ends. An augmenting path enters an in-copy other than the sink's and
+    leaves it by the internal arc or by the reverse of an edge arc, both of
+    residual capacity at most 1, so each path adds exactly one unit. No path
+    leaves the sink's in-copy or enters the source's out-copy, so no unit
+    routed out of s or into t is taken back, and `paths` is read back from
+    the first vertex of each unit routed after the common neighbors.
+    Minimum cuts consist of internal arcs only and read off as a vertex
+    set: the vertices whose in-copy the source reaches in the final
+    residual graph and whose out-copy it does not. That reachable set is the
+    source side of the unique minimal minimum cut, the same for every
+    maximum flow, and augmenting from any feasible flow ends at a maximum
+    flow, so neither the routed paths nor the order of augmentation changes
+    the value or the separator.
     """
-    to, adj = net.to, net.adj
+    to, adj, out_arc = net.to, net.adj, net.out_arc
     if cap is None:
         cap = net.cap[:]
     src, snk = 2 * s + 1, 2 * t
     flow = 0
-    out_s, out_t = net.out_arc[s], net.out_arc[t]
+    out_s, out_t = out_arc[s], out_arc[t]
     for c in sorted(out_s.keys() & out_t.keys()):
         if flow == limit:
             return flow, None
         if not cap[2 * c]:
             continue
-        for a in (out_s[c], 2 * c, net.out_arc[c][t]):
+        for a in (out_s[c], 2 * c, out_arc[c][t]):
             cap[a] -= 1
             cap[a ^ 1] += 1
         flow += 1
-    while True:
-        if flow == limit:
-            return flow, None
-        prev = [-1] * len(adj)
-        prev[src] = -2
-        queue = [src]
-        for u in queue:
-            for a, v in adj[u]:
-                if cap[a] and prev[v] == -1:
-                    prev[v] = a
-                    queue.append(v)
-            if prev[snk] != -1:
+    if flow == limit:
+        return flow, None
+    # The warm paths routed, of two or more vertices, and the first vertex
+    # of each of them and of each searched path. A one-vertex path would
+    # pass through a common neighbor of s and t, all of which are taken.
+    routed: list[list[int]] = []
+    starts: list[int] = []
+    for path in paths or ():
+        u, arcs = s, []
+        for v in path:
+            if not cap[2 * v]:
                 break
-        else:
-            # no augmenting path: prev marks what the source reaches
-            return flow, tuple([v for v in range(len(adj) // 2)
-                                if prev[2 * v] != -1 and prev[2 * v + 1] == -1])
-        node = snk
-        while node != src:
-            a = prev[node]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            node = to[a ^ 1]
+            arcs += (out_arc[u][v], 2 * v)
+            u = v
+            if t in out_arc[v]:
+                for a in arcs + [out_arc[v][t]]:
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                flow += 1
+                if len(arcs) > 2:
+                    routed.append(path[:len(arcs) // 2])
+                    starts.append(path[0])
+                break
+        if flow == limit:
+            paths[:] = routed
+            return flow, None
+    sep = None
+    while flow != limit:
+        pred, succ, meet = _search(adj, cap, src, snk)
+        if meet < 0:
+            # no augmenting path: pred marks what the source reaches
+            sep = tuple([v for v in range(len(adj) // 2)
+                         if pred[2 * v] != -1 and pred[2 * v + 1] == -1])
+            break
+        first = _augment(to, cap, pred, meet, src, 1)
+        _augment(to, cap, succ, meet, snk, 0)
+        # the path's arc out of the source, on the backward tree when that
+        # search reached the source itself
+        starts.append(to[first if first >= 0 else succ[src]] // 2)
         flow += 1
+    if paths is not None:
+        paths[:] = _flow_paths(net, cap, starts, t)
+    return flow, sep
+
+
+def _search(adj: list[list[tuple[int, int]]], cap: list[int], src: int,
+            snk: int) -> tuple[list[int], list[int], int]:
+    """A breadth-first search from both ends for a path from `src` to `snk`
+    in the residual graph of `cap`: (pred, succ, the node where the two
+    searches met, or -1 when there is no path). Each step grows the smaller
+    frontier by one level, forward over residual arcs (flip 0) or backward
+    over reverse residual arcs (flip 1). pred[v] is the arc that enters v
+    on the forward tree, succ[v] the arc that leaves v on the backward tree,
+    and -1 marks a node not reached; without a path the forward search has
+    run to its end. A node whose copy-parity is `flip` (an in-copy forward,
+    an out-copy backward) with no flow through its vertex has only the
+    internal arc to follow, and its row is not read."""
+    pred, succ = [-1] * len(adj), [-1] * len(adj)
+    pred[src] = succ[snk] = -2
+    ahead, behind = [src], [snk]
+    while ahead:
+        flip = 1 if behind and len(behind) < len(ahead) else 0
+        mine, other = (succ, pred) if flip else (pred, succ)
+        grown = []
+        for u in behind if flip else ahead:
+            for a, v in ((u, u ^ 1),) if u & 1 == flip and not cap[u | 1] else adj[u]:
+                if cap[a ^ flip] and mine[v] == -1:
+                    mine[v] = a ^ flip
+                    if other[v] != -1:
+                        return pred, succ, v
+                    grown.append(v)
+        if flip:
+            behind = grown
+        else:
+            ahead = grown
+    return pred, succ, -1
+
+
+def _augment(to: list[int], cap: list[int], tree: list[int], node: int, root: int,
+             end: int) -> int:
+    """Push one unit along the arcs of `tree` between `node` and `root`, a
+    tree that records arcs into each node (`end` 1) or out of it (`end` 0);
+    the arc at `root`, or -1 when node is root."""
+    a = -1
+    while node != root:
+        a = tree[node]
+        cap[a] -= 1
+        cap[a ^ 1] += 1
+        node = to[a ^ end]
+    return a
+
+
+def _flow_paths(net: _SplitNetwork, cap: list[int], starts: list[int],
+                t: int) -> list[list[int]]:
+    """The paths of the flow on `cap` from the vertices `starts` to t, as
+    vertex sequences without t, each followed along the edge arcs with
+    flow. With no vertex merged, a vertex other than the flow's ends
+    carries at most one unit, so one edge arc with flow leaves it."""
+    paths = []
+    for v in starts:
+        path = []
+        while v != t:
+            path.append(v)
+            for v, a in net.out_arc[v].items():
+                if cap[a ^ 1]:
+                    break
+        paths.append(path)
+    return paths
 
 
 def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
@@ -335,8 +443,9 @@ class _Flows:
     kappa flow pairs, and the facts of G: kappa(G) with a minimum cut, the
     sorted minimum cuts, and for each k the quasi k-verdict with its
     (k-1)-cuts. Each is computed on first use and kept for the call; the
-    pass of a quasi test keeps kappa with its cut as well. A fact whose
-    computation raises is not kept.
+    pass of a quasi test keeps kappa with its cut as well, and the minimum
+    cuts when it lists all of them. A fact whose computation raises is not
+    kept.
 
     Only an entry point creates one and passes it to every kappa
     computation, cut listing and per-edge decision of the call, so every
@@ -426,15 +535,23 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     that then split an earlier pair), and added arcs make no new minimum
     cut, so S is p's least minimum cut with the added edges too.
 
-    With a size j and a list `listed` (the quasi test at kappa = j, from
-    `_quasi_with_cuts`), the same pass lists the j-separators of G into
-    `listed`, as `_min_separators(flows, j)` does, until the first
-    nontrivial one. While the smallest separator so far is j and none
-    nontrivial has been listed, each flow is capped at j + 1, so a pair
-    whose flow is exactly j ends at a maximum flow, and its separators are
-    read from that same residual graph. Pairs whose flow ends above j list
-    nothing in either pass. After a nontrivial cut the pass only confirms
-    kappa; at kappa > j it is the plain pass and lists nothing.
+    With a size j and a list `listed` (the quasi test, from
+    `_quasi_with_cuts`, with no t), the same pass lists the j-separators of
+    G into `listed`, as `_min_separators(flows, j)` does. While the
+    smallest separator so far is j and the listing has not ended, each flow
+    is capped at j + 1, so a pair whose flow is exactly j ends at a maximum
+    flow, and its separators are read from that same residual graph. Pairs
+    whose flow ends above j list nothing in either pass. At the first
+    nontrivial cut the first n^2 j-subsets are scanned: when the scan meets
+    a nontrivial j-cut, the least one, it is listed too and the listing
+    ends, and the pass only confirms kappa. Otherwise the listing runs to
+    the end, and at kappa = j it holds every j-cut, which the context keeps,
+    sorted, as G's minimum cuts. At kappa > j it is the plain pass and
+    lists nothing.
+
+    The flows of a run of pairs from one source warm-start from the
+    previous sink's paths (see `_local_vertex_cut`), which changes no flow
+    value and no separator.
     """
     g = flows.g
     n = g.n
@@ -453,12 +570,16 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     net = flows.net
     mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
+    scanned, least = False, None
+    source, paths = -1, []
     try:
         for s, w in flows.pairs:
             flows.check()
+            if s != source:
+                source, paths = s, []
             cap = net.cap[:]
-            listing = best == j and not (listed and listed[-1].nontrivial)
-            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best, cap)
+            listing = best == j and least is None
+            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best, cap, paths)
             if size < best:
                 best, best_sep = size, sep
             if size == j and sep is not None:
@@ -468,11 +589,17 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
                     if pair_sep not in seen:
                         seen.add(pair_sep)
                         listed.append(make_cut(g, pair_sep))
-                        if listed[-1].nontrivial:
-                            break
+                        if listed[-1].nontrivial and not scanned:
+                            scanned = True
+                            least = next((c for c in _cuts(flows, j, n * n) if c.nontrivial), None)
+                            if least is not None:
+                                listed.append(least)
+                                break
             _add_edge(net, s, w)
     finally:
         _remove_added_edges(net, mark)
+    if best == j and least is None:
+        flows.minimum_cuts = sorted(listed, key=lambda cut: cut.vertices)
     return best, None if best_sep is None else make_cut(g, best_sep)
 
 
@@ -558,13 +685,14 @@ def _min_separators(flows: _Flows, j: int,
     Each pair of `_flow_pairs` gets one flow capped at j + 1, on G's
     network with the vertices `without` closed. A flow of j lists the
     pair's minimum separators from its residual graph; a flow below j
-    yields its one separator. Then the pair's edge is added to the network,
-    so later pairs find no separator that splits an earlier pair. A
-    separator S is still met at the first pair it splits: no edge added
-    before crosses S, so that pair's flow is at most |S|. A separator that
-    leaves three or more components can still split a later pair; a seen
-    set drops those repeats. The added edges are removed when the listing
-    ends, raises or is closed.
+    yields its one separator. The flows of a run of pairs from one source
+    warm-start from the previous sink's paths. Then the pair's edge is
+    added to the network, so later pairs find no separator that splits an
+    earlier pair. A separator S is still met at the first pair it splits:
+    no edge added before crosses S, so that pair's flow is at most |S|. A
+    separator that leaves three or more components can still split a later
+    pair; a seen set drops those repeats. The added edges are removed when
+    the listing ends, raises or is closed.
     """
     g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
@@ -577,11 +705,14 @@ def _min_separators(flows: _Flows, j: int,
     net = flows.net
     mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
+    source, paths = -1, []
     try:
         for s, t in _flow_pairs(g, alive) if without else flows.pairs:
             flows.check()
+            if s != source:
+                source, paths = s, []
             cap = _capacities(net, without)
-            size, sep = _local_vertex_cut(net, s, t, j + 1, cap)
+            size, sep = _local_vertex_cut(net, s, t, j + 1, cap, paths)
             if size < j:
                 yield make_cut(g, sep + without)
             elif size == j:
@@ -738,19 +869,17 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
 
     One pass over the kappa flow pairs (`_vertex_connectivity_with_cut`
     with j = k-1) gives kappa with its cut, which the context keeps, and,
-    when kappa is exactly k-1, the minimum cuts up to the first nontrivial
-    one, from the same flows. The certificate is then the lexicographically
-    least nontrivial (k-1)-cut: from a scan of the first n^2 (k-1)-subsets
-    when it lies among them, else the first nontrivial one of the
-    context's minimum cuts, which at kappa = k-1 are exactly the sorted
-    (k-1)-cuts; only that case runs the pairs' flows a second time, and
-    the context keeps that listing for the atom to read. The list is
-    empty whenever the verdict fails, and whenever it holds it is the
-    complete, sorted list of (k-1)-cuts (there are none once kappa >= k).
+    when kappa is exactly k-1, the (k-1)-cuts from the same flows: all of
+    them, which the context keeps as its minimum cuts, unless a nontrivial
+    one turns up and the scan of the first n^2 (k-1)-subsets then meets
+    the least nontrivial one, which ends the listing. Either way the
+    certificate is the lexicographically least nontrivial cut listed, and
+    no pair runs a second flow. The list is empty whenever the verdict
+    fails, and whenever it holds it is the complete, sorted list of
+    (k-1)-cuts (there are none once kappa >= k).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    g = flows.g
     cuts: list[Cut] = []
     kappa, mincut = _vertex_connectivity_with_cut(flows, j=k - 1, listed=cuts)
     flows.kappa_with_cut = kappa, mincut
@@ -758,13 +887,11 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
         return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
     if kappa >= k:
         return QuasiConnectivity(True, k, kappa, None, None), []
-    if cuts and cuts[-1].nontrivial:
-        least = next((c for c in _cuts(flows, k - 1, g.n * g.n) if c.nontrivial), None)
-        if least is None:
-            least = next(c for c in flows.minimum_cuts if c.nontrivial)
+    nontrivial = [cut for cut in cuts if cut.nontrivial]
+    if nontrivial:
+        least = min(nontrivial, key=lambda cut: cut.vertices)
         return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
-    cuts.sort(key=lambda cut: cut.vertices)
-    return QuasiConnectivity(True, k, kappa, None, None), cuts
+    return QuasiConnectivity(True, k, kappa, None, None), flows.minimum_cuts
 
 
 def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:

@@ -2,11 +2,13 @@
 
 Everything here works on plain Python sets with its own BFS, touching only
 the Graph accessors (n, edges, neighbors), and shares no code with the
-library paths it is used to check. The three exceptions are
+library paths it is used to check. The exceptions are
 `contraction_decision` and `contraction_report`, which run the library's
-kappa, cut listing and quasi test on a contracted graph, and
+kappa, cut listing and quasi test on a contracted graph;
 `reference_kappa_with_cut`, the library's kappa loop as it was before it
-added each pair's edge; the tests check them against brute force.
+added each pair's edge; and `reference_local_vertex_cut`, a plain flow on
+the library's split network that searches from the source alone and
+starts each pair cold. The tests check them against brute force.
 """
 
 from __future__ import annotations
@@ -246,8 +248,7 @@ def reference_kappa_with_cut(g, t: int | None = None):
     between pairs. The cut is the separator of the first pair to reach the
     final value, as its source reaches in the residual graph.
     """
-    from quasigraph.connectivity import (
-        _flow_pairs, _local_vertex_cut, _split_network, make_cut)
+    from quasigraph.connectivity import _flow_pairs, _split_network, make_cut
 
     n = g.n
     t = n if t is None else t
@@ -260,7 +261,58 @@ def reference_kappa_with_cut(g, t: int | None = None):
     net = _split_network(g)
     best, best_sep = min(t, n - 1), None
     for s, w in _flow_pairs(g):
-        size, sep = _local_vertex_cut(net, s, w, best)
+        size, sep = reference_local_vertex_cut(net, s, w, best)
         if sep is not None:
             best, best_sep = size, sep
     return best, None if best_sep is None else make_cut(g, best_sep)
+
+
+def reference_local_vertex_cut(net, s: int, t: int, limit: int, cap=None):
+    """(flow value, minimum s-t vertex separator) for non-adjacent s, t on a
+    split network of `connectivity._split_network`, or (limit, None) once
+    the flow reaches `limit`, as `connectivity._local_vertex_cut` gives
+    them: one unit through each common neighbor whose internal arc is open,
+    in ascending order, then shortest augmenting paths from one breadth-first
+    search from the source each, with no warm start. The separator is what
+    the source reaches in the final residual graph. `cap` is left holding
+    the residual capacities when the caller passes it.
+    """
+    to, adj = net.to, net.adj
+    if cap is None:
+        cap = net.cap[:]
+    src, snk = 2 * s + 1, 2 * t
+    flow = 0
+    out_s, out_t = net.out_arc[s], net.out_arc[t]
+    for c in sorted(out_s.keys() & out_t.keys()):
+        if flow == limit:
+            return flow, None
+        if not cap[2 * c]:
+            continue
+        for a in (out_s[c], 2 * c, net.out_arc[c][t]):
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+        flow += 1
+    while True:
+        if flow == limit:
+            return flow, None
+        prev = [-1] * len(adj)
+        prev[src] = -2
+        queue = [src]
+        for u in queue:
+            for a, v in adj[u]:
+                if cap[a] and prev[v] == -1:
+                    prev[v] = a
+                    queue.append(v)
+            if prev[snk] != -1:
+                break
+        else:
+            # no augmenting path: prev marks what the source reaches
+            return flow, tuple([v for v in range(len(adj) // 2)
+                                if prev[2 * v] != -1 and prev[2 * v + 1] == -1])
+        node = snk
+        while node != src:
+            a = prev[node]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            node = to[a ^ 1]
+        flow += 1

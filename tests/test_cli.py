@@ -5,6 +5,7 @@ import pytest
 
 from quasigraph import io as gio
 from quasigraph.cli import _analyze_one, main
+from quasigraph.connectivity import _flow_pairs
 from quasigraph.generators import (
     circulant_graph,
     complete_graph,
@@ -102,13 +103,15 @@ def test_analyze_lists_minimum_cuts_once(count_calls):
 
 def test_failed_quasi_test_and_atom_share_one_listing(count_calls):
     # the planted pair's least nontrivial 4-cut lies past the n^2-subset
-    # scan, so the certificate comes from the minimum cuts, which the atom
-    # then reads from the same context
-    calls = count_calls("_min_separators")
-    summary = _analyze_one("planted", planted_pair(30, 4), 5)
+    # scan, so the kappa pass lists the 4-cuts to the end and the
+    # certificate comes from them; the context keeps them as the minimum
+    # cuts, which the atom then reads: one flow per pair, no other listing
+    g = planted_pair(30, 4)
+    calls = count_calls("_min_separators", "_local_vertex_cut")
+    summary = _analyze_one("planted", g, 5)
     assert summary["quasi_k"]["failure"] == "nontrivial-cut"
     assert summary["quasi_k"]["cut"]["vertices"] == [24, 25, 26, 27]
-    assert calls == {"_min_separators": 1}
+    assert calls == {"_min_separators": 0, "_local_vertex_cut": len(_flow_pairs(g))}
 
 
 @pytest.mark.parametrize("g", [

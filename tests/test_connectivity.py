@@ -40,6 +40,7 @@ from oracles import (
     brute_vertex_connectivity,
     components_of,
     reference_kappa_with_cut,
+    reference_local_vertex_cut,
 )
 
 
@@ -193,15 +194,16 @@ class TestOnePass:
 
 
 class _CountingRows(list):
-    """Adjacency rows that count reads of one node's row: every augmenting
-    path search starts by reading the source's row, and only a search does."""
+    """Adjacency rows that count reads of one node's row, or of every row
+    when `node` is None: every augmenting path search reads the source's
+    row once, and only a search does."""
 
-    def __init__(self, rows, node):
+    def __init__(self, rows, node=None):
         super().__init__(rows)
         self.node, self.reads = node, 0
 
     def __getitem__(self, i):
-        self.reads += i == self.node
+        self.reads += self.node is None or i == self.node
         return super().__getitem__(i)
 
 
@@ -256,6 +258,100 @@ class TestFlowMechanism:
         assert self._flow(g, 0, 4, 1) == ((1, None), 1)
         assert self._flow(g, 0, 4, 2) == ((2, None), 2)
         assert self._flow(g, 0, 4, 3) == ((2, (1, 7)), 3)
+
+
+def _check_paths(net, s, t, paths):
+    """`paths` are vertex-disjoint paths of two or more vertices in `net`,
+    each from a neighbor of s to a neighbor of t, avoiding both."""
+    used = [v for path in paths for v in path]
+    assert len(used) == len(set(used)) and not {s, t} & set(used), paths
+    for path in paths:
+        assert len(path) > 1 and path[0] in net.out_arc[s] and t in net.out_arc[path[-1]], paths
+        assert all(w in net.out_arc[v] for v, w in zip(path, path[1:])), paths
+
+
+def _reference_flow(net, s, t, limit, cap=None, paths=None):
+    """`reference_local_vertex_cut` with the library flow's signature."""
+    return reference_local_vertex_cut(net, s, t, limit, cap)
+
+
+class TestWarmStart:
+    """Each flow of a sweep from one source starts from the paths of the
+    previous sink's flow and searches from both ends; neither changes a
+    value, a separator or a listing against the one-ended cold flow."""
+
+    @staticmethod
+    def _sweep(g, limit):
+        # the kappa pass's sweep: one paths list per run of pairs with the
+        # same source, and each pair's edge added after its flow. `owner` is
+        # the sink whose flow the paths are from: when the common neighbors
+        # alone reach the cap, the paths stay as they were
+        net = connectivity._split_network(g)
+        source, paths, owner = -1, [], -1
+        for s, t in connectivity._flow_pairs(g):
+            if s != source:
+                source, paths = s, []
+            before = [list(path) for path in paths]
+            expected = reference_local_vertex_cut(net, s, t, limit)
+            assert connectivity._local_vertex_cut(net, s, t, limit, None, paths) == expected, \
+                (g.edges(), s, t, limit)
+            if len(net.out_arc[s].keys() & net.out_arc[t].keys()) >= limit:
+                assert paths == before, (g.edges(), s, t, limit)
+            else:
+                owner = t
+            _check_paths(net, s, owner, paths)
+            connectivity._add_edge(net, s, t)
+
+    @given(graphs(), st.integers(1, 8))
+    @settings(max_examples=250, deadline=None)
+    def test_sweep_matches_reference_property(self, g, limit):
+        self._sweep(g, limit)
+
+    @pytest.mark.parametrize("g", [
+        circulant_graph(40, (1, 2)), quasi_5_apex(40, 1), planted_pair(30, 4),
+        petersen_graph(), icosahedron_graph(),
+    ], ids=["C40(1,2)", "apex40", "planted30", "petersen", "icosahedron"])
+    def test_sweep_matches_reference(self, g):
+        for limit in (vertex_connectivity(g) + 1, g.n):
+            self._sweep(g, limit)
+
+    def test_listing_matches_reference(self, small_corpus, quasi5_corpus, monkeypatch):
+        # the same separators in the same order, also with the ends of an
+        # edge closed, as the contraction decision lists them
+        cases = []
+        for _, g in small_corpus + quasi5_corpus:
+            kappa = vertex_connectivity(g)
+            cases.append((g, kappa, ()))
+            cases += [(g, max(kappa - 1, 0), e) for e in g.edges()[:3] if g.n > 3]
+        warm = [list(connectivity._min_separators(connectivity._Flows(g), j, e))
+                for g, j, e in cases]
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", _reference_flow)
+        cold = [list(connectivity._min_separators(connectivity._Flows(g), j, e))
+                for g, j, e in cases]
+        assert len(cases) > 1000
+        for case, got, expected in zip(cases, warm, cold):
+            assert got == expected, (case[0].edges(), case[1:])
+
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_circulant_sweep_needs_few_searches(self, n, count_calls):
+        # consecutive sinks of C_n(1,2) share their paths but for the ends,
+        # which the warm start cuts short: 7 augmenting searches, where
+        # cold flows ran 73 at n = 40 and 233 at n = 120
+        calls = count_calls("_search")
+        assert is_quasi_k_connected(circulant_graph(n, (1, 2)), 5).cut.vertices == (0, 1, 4, 5)
+        assert 0 < calls["_search"] <= 7
+
+    # A one-ended search with no warm start read 55,373 adjacency rows on
+    # C120(1,2) and 38,771 on quasi_5_apex(120, 1).
+    @pytest.mark.parametrize("g, cold_reads", [
+        (circulant_graph(120, (1, 2)), 55_373), (quasi_5_apex(120, 1), 38_771),
+    ], ids=["C120(1,2)", "apex120"])
+    def test_quasi_test_reads_few_rows(self, g, cold_reads):
+        flows = connectivity._Flows(g)
+        rows = _CountingRows(flows.net.adj)
+        flows.net = flows.net._replace(adj=rows)
+        flows.quasi(5)
+        assert 0 < rows.reads <= cold_reads // 4
 
 
 class TestMinVertexCutBetween:
@@ -825,12 +921,19 @@ class TestQuasiCertificate:
     @staticmethod
     def _check(g, k):
         """Compare the certificate with the scan; which branch gave it, or
-        None when the test does not fail on a nontrivial cut."""
-        rep = is_quasi_k_connected(g, k)
+        None when the test does not fail on a nontrivial cut. A listing run
+        to its end is every (k-1)-cut, which the context keeps as the
+        minimum cuts; a listing the scan stopped is kept nowhere."""
+        flows = connectivity._Flows(g)
+        rep = flows.quasi(k)[0]
         if rep.failure != "nontrivial-cut":
             return None
         assert rep.cut == _least_nontrivial(g, k - 1), (g.edges(), k)
-        return "listing" if _past_budget(g, rep.cut) else "scan"
+        if _past_budget(g, rep.cut):
+            assert vars(flows)["minimum_cuts"] == minimum_cuts(g), (g.edges(), k)
+            return "listing"
+        assert "minimum_cuts" not in vars(flows), (g.edges(), k)
+        return "scan"
 
     def test_matches_scan_on_the_corpora(self, small_corpus, quasi5_corpus):
         branches = {"scan": 0, "listing": 0, None: 0}
@@ -869,12 +972,12 @@ class TestQuasiCertificate:
         assert self._check(g, 5) == "listing"
         assert is_quasi_k_connected(g, 5).cut.vertices == tuple(range(n - 6, n - 2))
 
-    def test_each_branch_runs(self, monkeypatch):
+    def test_each_branch_runs(self, monkeypatch, count_calls):
         # a circulant's least nontrivial cut lies within the scan budget, so
         # the scan stops there, and the kappa pass, whose listing stopped at
         # its first nontrivial cut, is the only listing; the planted graph's
-        # scan runs through all n^2 subsets in vain, and one full listing
-        # then runs to its end
+        # scan runs through all n^2 subsets in vain, and the pass's own
+        # listing then runs to its end, with no second flow for any pair
         walks, listed = [], []
         scan, listing = connectivity._cuts, connectivity._min_separators
 
@@ -904,9 +1007,11 @@ class TestQuasiCertificate:
         g = planted_pair(30, 4)
         walks.clear()
         listed.clear()
+        calls = count_calls("_local_vertex_cut")
         assert is_quasi_k_connected(g, 5).cut.vertices == (24, 25, 26, 27)
         assert [(w["limit"], w["exhausted"]) for w in walks] == [(900, True)]
-        assert listed == [True]
+        assert listed == []
+        assert calls["_local_vertex_cut"] == len(connectivity._flow_pairs(g))
 
 
 class TestPartitionIdentity:

@@ -540,9 +540,9 @@ class TestContractsTo:
         calls = []
         flow = connectivity._local_vertex_cut
 
-        def recorded(net, s, t, limit, cap=None):
+        def recorded(net, s, t, limit, cap=None, *rest):
             closed = cap is not None and cap[0] == cap[2] == 0
-            calls.append((closed, limit, flow(net, s, t, limit, cap)))
+            calls.append((closed, limit, flow(net, s, t, limit, cap, *rest)))
             return calls[-1][2]
 
         monkeypatch.setattr(connectivity, "_local_vertex_cut", recorded)
