@@ -11,23 +11,31 @@ per-edge decision on the same graph; the private functions below take the
 context in place of the graph and never build one, and read kappa, the
 minimum cuts and the quasi verdicts from it, where each is computed once
 per call. The context also carries the call's deadline, checked once per
-flow pair, listed separator and scanned subset, so a call that runs out of
-time raises `DeadlineExceeded` within one such step. Each pair's flow
-works on a copy of its capacities and stops once it reaches the smallest
-separator found so far, since only a smaller one is kept. Each flow routes
-one unit through every common neighbor of its pair before it searches for
-augmenting paths. In a sweep of sinks from one source (the kappa pass and
-the listings), each flow then routes the previous sink's paths again, each
-cut short at its first vertex adjacent to the new sink, since consecutive
+flow pair, listed separator, scanned prefix and component search of a
+scan, so a call that runs out of time raises `DeadlineExceeded` within one
+such step. Each pair's flow
+stops once it reaches the smallest separator found so far, since only a
+smaller one is kept. In a sweep of sinks from one source (the kappa pass
+and the listings), one capacity list carries the flow from each sink to
+the next (`_Sweep`): each unit of the previous sink's flow is cut short at
+its first vertex adjacent to the new sink, found from each vertex's unit
+and position, and only the tail after it is undone, since consecutive
 sinks share most of their paths (the amortised sink sweep of Hao and
-Orlin, and of Henzinger, Rao and Gabow). Each augmenting path is found by
-a breadth-first search from both ends, which meets in the middle and
-steps over a vertex with no flow through it without reading its row. The
-separator is read from what the source reaches in the final residual
-graph, which is the same for every maximum flow, and augmenting from any
-feasible flow ends at a maximum flow, so witness cuts depend neither on
-the routed paths nor on the order of augmentation. On C40(1,2) the quasi
-test runs 7 augmenting searches, where one-ended cold flows ran 73.
+Orlin, and of Henzinger, Rao and Gabow). After a search the units are
+read back only at the next sink, and when the kept heads are shorter than
+the tails the flow starts again from them alone. Other flows start empty
+on a copy of the capacities. Each flow then routes one unit through every
+free common neighbor of its pair before it searches for augmenting paths.
+Each augmenting path is found by a breadth-first search from both ends,
+which meets in the middle and steps over a vertex with no flow through it
+without reading its row. The separator is read from what the source
+reaches in the final residual graph, which is the same for every maximum
+flow, and augmenting from any feasible flow ends at a maximum flow, so
+witness cuts depend neither on the carried flow nor on the order of
+augmentation. On C40(1,2) the quasi test runs 7 augmenting searches, where
+one-ended cold flows ran 73, and the capacities it writes grow linearly
+in n, where routing each sink's paths again from the source grew with
+n^2.
 
 The separators of G - x - y that decide whether contracting an edge xy
 keeps G quasi k-connected are listed on G's own digraph: the capacity
@@ -63,9 +71,12 @@ whose flow is k-1 from that same residual graph, until the certificate
 below is known. On quasi_5_apex(40, 1) the test makes 39 flows, one per
 pair, where a kappa pass followed by a listing made 78.
 
-Cut enumeration of an arbitrary size scans every vertex subset of that
-size in lexicographic order, with one component BFS each, so it is always
-complete. It serves `enumerate_cuts` and the k-cuts of a quasi k-connected
+Cut enumeration of an arbitrary size decides every vertex subset of that
+size in lexicographic order, so it is always complete. The subsets that
+share a prefix P of all but their last vertex are decided together by one
+search for the cut vertices of G - P (Hopcroft and Tarjan's low points)
+when P leaves many last vertices, and otherwise by one component BFS
+each. It serves `enumerate_cuts` and the k-cuts of a quasi k-connected
 graph without k+1 disjoint edges.
 
 A quasi test that fails on a nontrivial (k-1)-cut certifies it with the
@@ -75,16 +86,19 @@ nontrivial cut when it lies among them, and the listing stops there;
 otherwise the pass lists on to the end, and at kappa = k-1 that listing
 holds every (k-1)-cut, the least nontrivial one among them. Both branches
 give the same cut, with one flow per pair, and neither is exponential:
-the scan costs at most n^2 component BFS runs, and the listing a closure
-search per separator that a pair lists, where a graph of connectivity
-kappa has O(2^kappa n^2 / kappa) minimum separators (Kanevsky).
+the scan costs at most n^2 component BFS or cut-vertex searches, and the
+listing a closure search per separator that a pair lists, where a graph
+of connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
+(Kanevsky). On C40(1,2) the scan to the certificate runs 3 cut-vertex
+searches, where a BFS per subset ran 74.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
+from math import comb
 from time import monotonic
 from typing import Iterable, Iterator, NamedTuple
 
@@ -201,7 +215,7 @@ class _SplitNetwork(NamedTuple):
     2w+1 -> 2u with capacity n, more than any all-internal cut costs.
     `adj[node]` lists (arc, head) for the arcs leaving node, reverse arcs
     included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. A flow
-    works on a copy of `cap`.
+    works on a copy of `cap`, or a sweep of flows on one (`_Sweep`).
     """
 
     to: list[int]
@@ -210,23 +224,20 @@ class _SplitNetwork(NamedTuple):
     out_arc: list[dict[int, int]]
 
 
-def _arc(net: _SplitNetwork, u: int, v: int, c: int) -> None:
-    """Append arc u -> v of capacity c and its reverse, of capacity 0."""
-    net.adj[u].append((len(net.to), v))
-    net.to.append(v)
-    net.cap.append(c)
-    net.adj[v].append((len(net.to), u))
-    net.to.append(u)
-    net.cap.append(0)
-
-
 def _add_edge(net: _SplitNetwork, u: int, w: int) -> None:
-    """Add the arcs of edge uw, each of capacity n."""
+    """Add the arcs of edge uw, each of capacity n: arc 2u+1 -> 2w, its
+    reverse, arc 2w+1 -> 2u and its reverse."""
+    a, uo, wo = len(net.to), 2 * u + 1, 2 * w + 1
+    net.to.extend((wo - 1, uo, uo - 1, wo))
     n = len(net.out_arc)
-    net.out_arc[u][w] = len(net.to)
-    _arc(net, 2 * u + 1, 2 * w, n)
-    net.out_arc[w][u] = len(net.to)
-    _arc(net, 2 * w + 1, 2 * u, n)
+    net.cap.extend((n, 0, n, 0))
+    adj = net.adj
+    adj[uo].append((a, wo - 1))
+    adj[wo - 1].append((a + 1, uo))
+    adj[wo].append((a + 2, uo - 1))
+    adj[uo - 1].append((a + 3, wo))
+    net.out_arc[u][w] = a
+    net.out_arc[w][u] = a + 2
 
 
 def _remove_added_edges(net: _SplitNetwork, mark: int) -> None:
@@ -242,9 +253,10 @@ def _remove_added_edges(net: _SplitNetwork, mark: int) -> None:
 
 def _split_network(g: Graph) -> _SplitNetwork:
     n = g.n
-    net = _SplitNetwork([], [], [[] for _ in range(2 * n)], [{} for _ in range(n)])
-    for v in range(n):
-        _arc(net, 2 * v, 2 * v + 1, 1)
+    # the internal arcs: arc 2v is 2v -> 2v+1, arc 2v+1 its reverse
+    net = _SplitNetwork([node ^ 1 for node in range(2 * n)], [1, 0] * n,
+                        [[(node, node ^ 1)] for node in range(2 * n)],
+                        [{} for _ in range(n)])
     for u in range(n):
         for w in g.sorted_neighbors(u):
             if u < w:
@@ -252,99 +264,215 @@ def _split_network(g: Graph) -> _SplitNetwork:
     return net
 
 
+class _Sweep:
+    """The flow of a sweep of sinks from one source s, carried from each
+    sink to the next (see `_local_vertex_cut`).
+
+    `cap` holds the residual capacities of a flow from s to `sink`, which
+    is -1 before the sweep's first flow, when there is none, on the
+    network with the vertices `without` closed. `paths` maps the first
+    vertex of each unit of that flow to the unit's vertices without s and
+    the sink (a unit through a common neighbor of the two is one vertex
+    long), and a vertex v with flow through it is the `pos[v]`th vertex
+    of the unit that starts at `head[v]`; the entries of a vertex with no
+    flow through it mean nothing. The units are `stale` once a search has
+    changed the flow, and are then not read back until the next sink
+    needs them.
+    """
+
+    __slots__ = ("without", "cap", "sink", "paths", "head", "pos", "stale")
+
+    def __init__(self, net: _SplitNetwork, without: tuple[int, ...] = ()) -> None:
+        self.without, self.cap = without, _capacities(net, without)
+        self.sink, self.stale = -1, False
+        self.paths: dict[int, list[int]] = {}
+        self.head, self.pos = [0] * len(net.out_arc), [0] * len(net.out_arc)
+
+    def add_edge(self, net: _SplitNetwork, u: int, w: int) -> None:
+        """`_add_edge` on the network, with the new arcs' capacities
+        appended to `cap`."""
+        _add_edge(net, u, w)
+        self.cap += net.cap[-4:]
+
+    def restart(self, net: _SplitNetwork, s: int, t: int, heads: list[list[int]]) -> int:
+        """Start the flow again from no units and route one unit from s
+        along each of the vertex-disjoint `heads` into t; their number."""
+        cap, out_arc, head, pos = self.cap, net.out_arc, self.head, self.pos
+        cap[:] = net.cap
+        for v in self.without:
+            cap[2 * v] = 0
+        self.paths = {path[0]: path for path in heads}
+        self.stale = False
+        for path in heads:
+            u = s
+            for i, v in enumerate(path):
+                head[v], pos[v] = path[0], i
+                a = out_arc[u][v]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                cap[2 * v] -= 1
+                cap[2 * v + 1] += 1
+                u = v
+            a = out_arc[u][t]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+        return len(heads)
+
+
+def _retarget(net: _SplitNetwork, s: int, t: int, sweep: _Sweep) -> int:
+    """Turn the sweep's flow from s into a flow from s to t, and return
+    its number of units.
+
+    Each unit is cut short at its first vertex adjacent to t and takes
+    that vertex's arc into t; a unit with no vertex adjacent to t is
+    dropped. t is on no unit that is kept: its predecessor on a unit is
+    adjacent to it, and s is not. The cuts come from looking t's neighbors
+    up in `head` and `pos`, and the arcs after them are undone, down to
+    the one into the old sink, so the work follows the changed tails, not
+    the lengths of the units. The flow starts again from no units, with
+    the kept heads routed alone, when they hold fewer vertices than the
+    tails, and when the units are stale: each head is then read back from
+    its vertex adjacent to t along the arcs with flow into it, which is
+    the only work done on the units of a flow that a search changed.
+    """
+    cap, out_arc, old = sweep.cap, net.out_arc, sweep.sink
+    paths, head, pos = sweep.paths, sweep.head, sweep.pos
+    sweep.sink = t
+    if old < 0:
+        return 0
+    if sweep.stale:
+        return sweep.restart(net, s, t, _heads(net, cap, s, t))
+    # with no search since the units were read, every vertex with flow
+    # through it is on a unit
+    cut: dict[int, int] = {}
+    for u in out_arc[t]:
+        if cap[2 * u + 1] and (head[u] not in cut or pos[u] < cut[head[u]]):
+            cut[head[u]] = pos[u]
+    if 2 * (sum(cut.values()) + len(cut)) < sum(map(len, paths.values())):
+        return sweep.restart(net, s, t, [paths[h][:i + 1] for h, i in cut.items()])
+    for h, path in list(paths.items()):
+        i = cut.get(h, -1)
+        u = path[i] if i >= 0 else s
+        for v in path[i + 1:]:
+            a = out_arc[u][v]
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+            cap[2 * v] += 1
+            cap[2 * v + 1] -= 1
+            u = v
+        a = out_arc[u][old]
+        cap[a] += 1
+        cap[a ^ 1] -= 1
+        if i < 0:
+            del paths[h]
+        else:
+            del path[i + 1:]
+            a = out_arc[path[i]][t]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+    return len(paths)
+
+
+def _heads(net: _SplitNetwork, cap: list[int], s: int, t: int) -> list[list[int]]:
+    """The units of the flow from s on `cap` that pass a neighbor of t,
+    each up to its first one, read back from that neighbor along the arcs
+    with flow into it.
+
+    A vertex with flow through it has one edge arc with flow into its
+    in-copy, whose reverse arc is then open. A walk back that meets
+    another neighbor of t is dropped, as that one's walk reads the same
+    unit. A walk from a vertex on a circulation, which a search can
+    leave, comes back to that vertex and is dropped too.
+    """
+    adj, near = net.adj, net.out_arc[t]
+    heads = []
+    for u in near:
+        if not cap[2 * u + 1]:
+            continue  # no flow through u
+        path, v = [u], u
+        while True:
+            for a, w in adj[2 * v]:
+                if a & 1 and cap[a]:
+                    break
+            v = w // 2
+            if v == s:
+                path.reverse()
+                heads.append(path)
+                break
+            if v in near:
+                break
+            path.append(v)
+    return heads
+
+
 def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
-                      cap: list[int] | None = None, paths: list[list[int]] | None = None,
+                      cap: list[int] | None = None, sweep: _Sweep | None = None,
                       ) -> tuple[int, tuple[int, ...] | None]:
     """(flow value, minimum s-t vertex separator) for non-adjacent s, t,
     unless the flow reaches `limit` first: then (limit, None).
 
     The flow runs from s's out-copy to t's in-copy on `cap`, a copy of the
     network's capacities unless the caller passes one, which is then left
-    holding the residual capacities. It first routes one unit along
-    s -> c -> t for each common neighbor c whose internal arc is open, in
-    ascending order (a closed one is a vertex removed from the graph).
-
-    `paths` warm-starts a sweep of sinks from one source: it holds the
-    vertex sequences of the previous flow from s, without s and its sink.
-    Each is routed again, cut short at its first vertex adjacent to t, when
-    every vertex up to there has its internal arc open. On return `paths`
-    holds this flow's paths of two or more vertices, read back from `cap`
-    when a search ran; it is left as it was when the common neighbors
-    alone reach `limit`.
+    holding the residual capacities. A cold flow starts empty. With a
+    `sweep` of sinks from s, `cap` is the sweep's and holds its flow to
+    the previous sink, which `_retarget` turns into a flow to t; on return
+    the sweep holds this flow and its units. The flow then routes one unit
+    along s -> c -> t for each common neighbor c whose internal arc is
+    open, in ascending order (a closed one is a vertex removed from the
+    graph, or one that a unit already passes through).
 
     Then the flow augments along paths that `_search` finds from both
     ends. An augmenting path enters an in-copy other than the sink's and
     leaves it by the internal arc or by the reverse of an edge arc, both of
     residual capacity at most 1, so each path adds exactly one unit. No path
     leaves the sink's in-copy or enters the source's out-copy, so no unit
-    routed out of s or into t is taken back, and `paths` is read back from
-    the first vertex of each unit routed after the common neighbors.
+    routed out of s is taken back. A search leaves the sweep's units stale
+    (see `_retarget`). A carried flow can hold more units than `limit`,
+    which only ends the flow at once.
     Minimum cuts consist of internal arcs only and read off as a vertex
     set: the vertices whose in-copy the source reaches in the final
     residual graph and whose out-copy it does not. That reachable set is the
     source side of the unique minimal minimum cut, the same for every
     maximum flow, and augmenting from any feasible flow ends at a maximum
-    flow, so neither the routed paths nor the order of augmentation changes
+    flow, so neither the carried flow nor the order of augmentation changes
     the value or the separator.
     """
     to, adj, out_arc = net.to, net.adj, net.out_arc
-    if cap is None:
-        cap = net.cap[:]
+    if sweep is not None:
+        flow = _retarget(net, s, t, sweep)
+    else:
+        flow = 0
+        if cap is None:
+            cap = net.cap[:]
     src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    out_s, out_t = out_arc[s], out_arc[t]
-    for c in sorted(out_s.keys() & out_t.keys()):
-        if flow == limit:
-            return flow, None
-        if not cap[2 * c]:
-            continue
-        for a in (out_s[c], 2 * c, out_arc[c][t]):
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-        flow += 1
-    if flow == limit:
-        return flow, None
-    # The warm paths routed, of two or more vertices, and the first vertex
-    # of each of them and of each searched path. A one-vertex path would
-    # pass through a common neighbor of s and t, all of which are taken.
-    routed: list[list[int]] = []
-    starts: list[int] = []
-    for path in paths or ():
-        u, arcs = s, []
-        for v in path:
-            if not cap[2 * v]:
+    if flow < limit:
+        out_s, out_t = out_arc[s], out_arc[t]
+        for c in sorted(out_s.keys() & out_t.keys()):
+            if not cap[2 * c]:
+                continue
+            for a in (out_s[c], 2 * c, out_arc[c][t]):
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+            if sweep is not None:
+                sweep.paths[c] = [c]
+                sweep.head[c], sweep.pos[c] = c, 0
+            flow += 1
+            if flow == limit:
                 break
-            arcs += (out_arc[u][v], 2 * v)
-            u = v
-            if t in out_arc[v]:
-                for a in arcs + [out_arc[v][t]]:
-                    cap[a] -= 1
-                    cap[a ^ 1] += 1
-                flow += 1
-                if len(arcs) > 2:
-                    routed.append(path[:len(arcs) // 2])
-                    starts.append(path[0])
-                break
-        if flow == limit:
-            paths[:] = routed
-            return flow, None
     sep = None
-    while flow != limit:
+    while flow < limit:
         pred, succ, meet = _search(adj, cap, src, snk)
         if meet < 0:
             # no augmenting path: pred marks what the source reaches
             sep = tuple([v for v in range(len(adj) // 2)
                          if pred[2 * v] != -1 and pred[2 * v + 1] == -1])
             break
-        first = _augment(to, cap, pred, meet, src, 1)
+        _augment(to, cap, pred, meet, src, 1)
         _augment(to, cap, succ, meet, snk, 0)
-        # the path's arc out of the source, on the backward tree when that
-        # search reached the source itself
-        starts.append(to[first if first >= 0 else succ[src]] // 2)
         flow += 1
-    if paths is not None:
-        paths[:] = _flow_paths(net, cap, starts, t)
-    return flow, sep
+        if sweep is not None:
+            sweep.stale = True
+    return min(flow, limit), sep
 
 
 def _search(adj: list[list[tuple[int, int]]], cap: list[int], src: int,
@@ -352,64 +480,49 @@ def _search(adj: list[list[tuple[int, int]]], cap: list[int], src: int,
     """A breadth-first search from both ends for a path from `src` to `snk`
     in the residual graph of `cap`: (pred, succ, the node where the two
     searches met, or -1 when there is no path). Each step grows the smaller
-    frontier by one level, forward over residual arcs (flip 0) or backward
-    over reverse residual arcs (flip 1). pred[v] is the arc that enters v
-    on the forward tree, succ[v] the arc that leaves v on the backward tree,
-    and -1 marks a node not reached; without a path the forward search has
-    run to its end. A node whose copy-parity is `flip` (an in-copy forward,
-    an out-copy backward) with no flow through its vertex has only the
-    internal arc to follow, and its row is not read."""
+    frontier by one level, forward over residual arcs or backward over
+    reverse residual arcs. pred[v] is the arc that enters v on the forward
+    tree, succ[v] the arc that leaves v on the backward tree, and -1 marks
+    a node not reached; without a path the forward search has run to its
+    end. A vertex with no flow through it has only its internal arc to
+    follow from its in-copy forward and from its out-copy backward, and
+    there its row is not read. cap[node | 1], the residual capacity of the
+    reverse internal arc, is the flow through either copy's vertex."""
     pred, succ = [-1] * len(adj), [-1] * len(adj)
     pred[src] = succ[snk] = -2
     ahead, behind = [src], [snk]
     while ahead:
-        flip = 1 if behind and len(behind) < len(ahead) else 0
-        mine, other = (succ, pred) if flip else (pred, succ)
         grown = []
-        for u in behind if flip else ahead:
-            for a, v in ((u, u ^ 1),) if u & 1 == flip and not cap[u | 1] else adj[u]:
-                if cap[a ^ flip] and mine[v] == -1:
-                    mine[v] = a ^ flip
-                    if other[v] != -1:
-                        return pred, succ, v
-                    grown.append(v)
-        if flip:
+        if behind and len(behind) < len(ahead):
+            for u in behind:
+                for a, v in ((u, u ^ 1),) if u & 1 and not cap[u] else adj[u]:
+                    if cap[a ^ 1] and succ[v] == -1:
+                        succ[v] = a ^ 1
+                        if pred[v] != -1:
+                            return pred, succ, v
+                        grown.append(v)
             behind = grown
         else:
+            for u in ahead:
+                for a, v in ((u, u ^ 1),) if not u & 1 and not cap[u | 1] else adj[u]:
+                    if cap[a] and pred[v] == -1:
+                        pred[v] = a
+                        if succ[v] != -1:
+                            return pred, succ, v
+                        grown.append(v)
             ahead = grown
     return pred, succ, -1
 
 
 def _augment(to: list[int], cap: list[int], tree: list[int], node: int, root: int,
-             end: int) -> int:
+             end: int) -> None:
     """Push one unit along the arcs of `tree` between `node` and `root`, a
-    tree that records arcs into each node (`end` 1) or out of it (`end` 0);
-    the arc at `root`, or -1 when node is root."""
-    a = -1
+    tree that records arcs into each node (`end` 1) or out of it (`end` 0)."""
     while node != root:
         a = tree[node]
         cap[a] -= 1
         cap[a ^ 1] += 1
         node = to[a ^ end]
-    return a
-
-
-def _flow_paths(net: _SplitNetwork, cap: list[int], starts: list[int],
-                t: int) -> list[list[int]]:
-    """The paths of the flow on `cap` from the vertices `starts` to t, as
-    vertex sequences without t, each followed along the edge arcs with
-    flow. With no vertex merged, a vertex other than the flow's ends
-    carries at most one unit, so one edge arc with flow leaves it."""
-    paths = []
-    for v in starts:
-        path = []
-        while v != t:
-            path.append(v)
-            for v, a in net.out_arc[v].items():
-                if cap[a ^ 1]:
-                    break
-        paths.append(path)
-    return paths
 
 
 def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
@@ -549,9 +662,10 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     sorted, as G's minimum cuts. At kappa > j it is the plain pass and
     lists nothing.
 
-    The flows of a run of pairs from one source warm-start from the
-    previous sink's paths (see `_local_vertex_cut`), which changes no flow
-    value and no separator.
+    The pairs of a run from one source share one `_Sweep`, which carries
+    each flow on to the next sink (see `_local_vertex_cut`) and takes the
+    capacities of each pair's added arcs; this changes no flow value and
+    no separator.
     """
     g = flows.g
     n = g.n
@@ -571,15 +685,15 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
     scanned, least = False, None
-    source, paths = -1, []
+    source, sweep = -1, None
     try:
         for s, w in flows.pairs:
             flows.check()
             if s != source:
-                source, paths = s, []
-            cap = net.cap[:]
+                source, sweep = s, _Sweep(net)
+            cap = sweep.cap
             listing = best == j and least is None
-            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best, cap, paths)
+            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best, cap, sweep)
             if size < best:
                 best, best_sep = size, sep
             if size == j and sep is not None:
@@ -595,7 +709,7 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
                             if least is not None:
                                 listed.append(least)
                                 break
-            _add_edge(net, s, w)
+            sweep.add_edge(net, s, w)
     finally:
         _remove_added_edges(net, mark)
     if best == j and least is None:
@@ -685,8 +799,9 @@ def _min_separators(flows: _Flows, j: int,
     Each pair of `_flow_pairs` gets one flow capped at j + 1, on G's
     network with the vertices `without` closed. A flow of j lists the
     pair's minimum separators from its residual graph; a flow below j
-    yields its one separator. The flows of a run of pairs from one source
-    warm-start from the previous sink's paths. Then the pair's edge is
+    yields its one separator. The pairs of a run from one source carry one
+    flow from sink to sink in a `_Sweep`, whose capacities start with the
+    vertices `without` closed. Then the pair's edge is
     added to the network, so later pairs find no separator that splits an
     earlier pair. A separator S is still met at the first pair it splits:
     no edge added before crosses S, so that pair's flow is at most |S|. A
@@ -705,23 +820,22 @@ def _min_separators(flows: _Flows, j: int,
     net = flows.net
     mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
-    source, paths = -1, []
+    source, sweep = -1, None
     try:
         for s, t in _flow_pairs(g, alive) if without else flows.pairs:
             flows.check()
             if s != source:
-                source, paths = s, []
-            cap = _capacities(net, without)
-            size, sep = _local_vertex_cut(net, s, t, j + 1, cap, paths)
+                source, sweep = s, _Sweep(net, without)
+            size, sep = _local_vertex_cut(net, s, t, j + 1, sweep.cap, sweep)
             if size < j:
                 yield make_cut(g, sep + without)
             elif size == j:
-                for sep in _pair_separators(net, cap, s, t, without):
+                for sep in _pair_separators(net, sweep.cap, s, t, without):
                     flows.check()
                     if sep not in seen:
                         seen.add(sep)
                         yield make_cut(g, sep + without)
-            _add_edge(net, s, t)
+            sweep.add_edge(net, s, t)
     finally:
         _remove_added_edges(net, mark)
 
@@ -799,23 +913,106 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
 # ---------------------------------------------------------------------------
 # Cut enumeration.
 
+# A depth-first search for cut vertices costs about as much as 1.5 to 4
+# component searches, so a prefix with fewer last vertices than this to
+# check gets one component search per subset instead.
+_MANY_CANDIDATES = 4
+
+
+def _cut_vertices(rows: list[frozenset[int]], removed: tuple[int, ...]) -> int | None:
+    """The cut vertices of G - removed, as a bitmask, or None when G -
+    removed is disconnected, for G the graph of the neighbor sets `rows`
+    and `removed` not all of it.
+
+    One depth-first search with Hopcroft-Tarjan low points: a vertex's low
+    point is the least discovery index among its neighbors and its
+    children's low points, a vertex other than the root is a cut vertex
+    when some child's low point is not below its own index, and the root
+    is one when it has two children. A removed vertex gets index n, so it
+    is never entered and lowers no low point."""
+    n = len(rows)
+    disc = [-1] * n
+    for v in removed:
+        disc[v] = n
+    low = disc[:]
+    root = disc.index(-1)
+    disc[root] = low[root] = 0
+    stack = [(root, iter(rows[root]))]
+    order, points, children = 1, 0, 0
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = order
+                order += 1
+                stack.append((w, iter(rows[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] >= disc[parent]:
+                    if parent == root:
+                        children += 1
+                    else:
+                        points |= 1 << parent
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    if order < n - len(removed):
+        return None
+    return points | 1 << root if children > 1 else points
+
+
 def _cuts(flows: _Flows, size: int, limit: int | None = None) -> Iterator[Cut]:
     """The cuts among the first `limit` (all when None) `size`-subsets of
-    G, the graph of `flows`, in lexicographic order, one component BFS per
-    subset; needs 0 <= size < n."""
+    G, the graph of `flows`, in lexicographic order; needs 0 <= size < n.
+
+    The subsets run by their (size-1)-prefixes P, each followed by its
+    last vertices v > max P in ascending order. When P leaves at least
+    `_MANY_CANDIDATES` of them to check, one depth-first search finds the
+    cut vertices of G - P (`_cut_vertices`), and P + v is a cut exactly
+    when v is one of them; otherwise, and when G - P is disconnected, each
+    P + v gets a component BFS. Only a cut has its components listed by
+    BFS in the first case. The deadline is checked once per prefix and
+    once per BFS.
+    """
     g = flows.g
-    masks, full = g.masks, g.full_mask
-    for t in islice(combinations(g.vertices, size), limit):
+    masks, full, n = g.masks, g.full_mask, g.n
+    rows = [g.neighbors(v) for v in g.vertices]
+    left = comb(n, size) if limit is None else limit
+    if size == 0:
+        if left > 0:
+            flows.check()
+            comps = component_masks(masks, full)
+            if len(comps) >= 2:
+                yield _cut_from_masks((), comps)
+        return
+    for prefix in combinations(range(n - 1), size - 1):
+        if left <= 0:
+            return
         flows.check()
-        comps = component_masks(masks, full & ~vertices_to_mask(t))
-        if len(comps) >= 2:
-            yield _cut_from_masks(t, comps)
+        low = prefix[-1] + 1 if prefix else 0
+        count = min(n - low, left)
+        left -= count
+        alive = full & ~vertices_to_mask(prefix)
+        points = _cut_vertices(rows, prefix) if count >= _MANY_CANDIDATES else None
+        for v in range(low, low + count):
+            if points is not None and not points >> v & 1:
+                continue
+            flows.check()
+            comps = component_masks(masks, alive & ~(1 << v))
+            if len(comps) >= 2:
+                yield _cut_from_masks(prefix + (v,), comps)
 
 
 def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
     """All cuts of exactly `size` vertices, lexicographically sorted.
 
-    Every `size`-subset is visited, so the list is always complete.
+    Every `size`-subset is decided, by a component search of its own or by
+    a cut-vertex search of its prefix (`_cuts`), so the list is always
+    complete.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")

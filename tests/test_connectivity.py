@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -207,6 +207,27 @@ class _CountingRows(list):
         return super().__getitem__(i)
 
 
+class _CountingCap(list):
+    """Capacities that count the entries written into `writes[0]`, a slice
+    assignment by its length; a slice of them counts on the same tally."""
+
+    def __init__(self, items, writes):
+        super().__init__(items)
+        self.writes = writes
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        return _CountingCap(got, self.writes) if isinstance(i, slice) else got
+
+    def __setitem__(self, i, value):
+        if isinstance(i, slice):
+            value = list(value)
+            self.writes[0] += len(value)
+        else:
+            self.writes[0] += 1
+        super().__setitem__(i, value)
+
+
 class TestFlowMechanism:
     def test_one_network_per_kappa_computation(self, monkeypatch):
         counts = {"networks": 0, "flows": 0}
@@ -260,47 +281,70 @@ class TestFlowMechanism:
         assert self._flow(g, 0, 4, 3) == ((2, (1, 7)), 3)
 
 
-def _check_paths(net, s, t, paths):
-    """`paths` are vertex-disjoint paths of two or more vertices in `net`,
-    each from a neighbor of s to a neighbor of t, avoiding both."""
-    used = [v for path in paths for v in path]
-    assert len(used) == len(set(used)) and not {s, t} & set(used), paths
-    for path in paths:
-        assert len(path) > 1 and path[0] in net.out_arc[s] and t in net.out_arc[path[-1]], paths
-        assert all(w in net.out_arc[v] for v, w in zip(path, path[1:])), paths
+def _units(net, cap, s, t):
+    """The units of the flow on `cap` out of s, by first vertex, each
+    followed to t along the edge arcs with flow."""
+    units = {}
+    for head, a in net.out_arc[s].items():
+        if cap[a ^ 1]:
+            path, v = [], head
+            while v != t:
+                path.append(v)
+                v = next(w for w, b in net.out_arc[v].items() if cap[b ^ 1])
+            units[head] = path
+    return units
 
 
-def _reference_flow(net, s, t, limit, cap=None, paths=None):
-    """`reference_local_vertex_cut` with the library flow's signature."""
+def _check_sweep(net, s, t, limit, value, sweep):
+    """The sweep holds a flow from s to t of `value` units, or of at least
+    `limit` when the flow reached it: vertex-disjoint paths from a
+    neighbor of s to a neighbor of t that avoid both. Unless a search has
+    left them stale, the sweep's `paths` are those units and `head` and
+    `pos` index them."""
+    assert sweep.sink == t and len(sweep.cap) == len(net.cap)
+    units = _units(net, sweep.cap, s, t)
+    used = [v for path in units.values() for v in path]
+    assert len(used) == len(set(used)) and not {s, t} & set(used), units
+    for path in units.values():
+        assert all(w in net.out_arc[v] for v, w in zip(path, path[1:])), units
+    assert len(units) == value if value < limit else len(units) >= limit, units
+    if not sweep.stale:
+        assert sweep.paths == units
+        for head, path in units.items():
+            assert [(sweep.head[v], sweep.pos[v]) for v in path] == \
+                [(head, i) for i in range(len(path))], units
+
+
+def _reference_flow(net, s, t, limit, cap=None, sweep=None):
+    """`reference_local_vertex_cut` with the library flow's signature. In a
+    sweep it runs cold: the carried flow is taken off the sweep's `cap`,
+    which then holds the reference's residual capacities."""
+    if sweep is not None:
+        cap[:] = [0 if a & 1 else c + cap[a + 1] for a, c in enumerate(cap)]
     return reference_local_vertex_cut(net, s, t, limit, cap)
 
 
 class TestWarmStart:
-    """Each flow of a sweep from one source starts from the paths of the
-    previous sink's flow and searches from both ends; neither changes a
-    value, a separator or a listing against the one-ended cold flow."""
+    """Each flow of a sweep from one source starts from the flow of the
+    previous sink, carried over, and searches from both ends; neither
+    changes a value, a separator or a listing against the one-ended cold
+    flow."""
 
     @staticmethod
     def _sweep(g, limit):
-        # the kappa pass's sweep: one paths list per run of pairs with the
-        # same source, and each pair's edge added after its flow. `owner` is
-        # the sink whose flow the paths are from: when the common neighbors
-        # alone reach the cap, the paths stay as they were
+        # the kappa pass's sweep: one carried flow per run of pairs with
+        # the same source, and each pair's edge added after its flow, its
+        # arcs' capacities appended to the sweep's
         net = connectivity._split_network(g)
-        source, paths, owner = -1, [], -1
+        source, sweep = -1, None
         for s, t in connectivity._flow_pairs(g):
             if s != source:
-                source, paths = s, []
-            before = [list(path) for path in paths]
+                source, sweep = s, connectivity._Sweep(net)
             expected = reference_local_vertex_cut(net, s, t, limit)
-            assert connectivity._local_vertex_cut(net, s, t, limit, None, paths) == expected, \
-                (g.edges(), s, t, limit)
-            if len(net.out_arc[s].keys() & net.out_arc[t].keys()) >= limit:
-                assert paths == before, (g.edges(), s, t, limit)
-            else:
-                owner = t
-            _check_paths(net, s, owner, paths)
-            connectivity._add_edge(net, s, t)
+            assert connectivity._local_vertex_cut(net, s, t, limit, sweep.cap, sweep) \
+                == expected, (g.edges(), s, t, limit)
+            _check_sweep(net, s, t, limit, expected[0], sweep)
+            sweep.add_edge(net, s, t)
 
     @given(graphs(), st.integers(1, 8))
     @settings(max_examples=250, deadline=None)
@@ -340,6 +384,18 @@ class TestWarmStart:
         calls = count_calls("_search")
         assert is_quasi_k_connected(circulant_graph(n, (1, 2)), 5).cut.vertices == (0, 1, 4, 5)
         assert 0 < calls["_search"] <= 7
+
+    @pytest.mark.parametrize("n", [120, 240])
+    def test_circulant_sweep_work_is_linear(self, n):
+        # every capacity the quasi test writes, the network's capacities
+        # copied when a sweep starts its flow again included: 8,200 at
+        # n = 120 and 16,600 at n = 240 (under 70 per vertex), where routing
+        # each sink's paths again from the source wrote 30,188 and 118,028
+        flows = connectivity._Flows(circulant_graph(n, (1, 2)))
+        writes = [0]
+        flows.net = flows.net._replace(cap=_CountingCap(flows.net.cap, writes))
+        assert flows.quasi(5)[0].cut.vertices == (0, 1, 4, 5)
+        assert 0 < writes[0] <= 70 * n
 
     # A one-ended search with no warm start read 55,373 adjacency rows on
     # C120(1,2) and 38,771 on quasi_5_apex(120, 1).
@@ -454,6 +510,40 @@ class TestEnumerateCuts:
                     comps = components_of(adj, set(cut.vertices))
                     assert cut.components == tuple(tuple(sorted(c)) for c in comps)
                     assert cut.nontrivial == brute_nontrivial([len(c) for c in comps])
+
+    def test_bounded_scan_matches_one_bfs_per_subset(self, small_corpus, quasi5_corpus):
+        # the scan decides a prefix with many last vertices by its cut
+        # vertices; the limits end at the first subset, inside a prefix,
+        # past a prefix with a single last vertex, and past the end
+        cases = 0
+        for _, g in small_corpus + quasi5_corpus:
+            adj = adjacency_sets(g)
+            for j in range(1, min(4, g.n - 1) + 1):
+                subsets = list(combinations(g.vertices, j))
+                for limit in sorted({1, g.n - 2, len(subsets) // 2 + 1, len(subsets) - 1,
+                                     len(subsets) + 5}):
+                    expected = []
+                    for t in subsets[:limit]:
+                        comps = components_of(adj, set(t))
+                        if len(comps) >= 2:
+                            expected.append((t, tuple(tuple(sorted(c)) for c in comps)))
+                    got = [(cut.vertices, cut.components) for cut in
+                           connectivity._cuts(connectivity._Flows(g), j, limit)]
+                    assert got == expected, (g.edges(), j, limit)
+                    cases += 1
+        assert cases > 5000
+
+    def test_certificate_scan_searches_cut_vertices_per_prefix(self, count_calls):
+        # the least nontrivial 4-cut of C40(1,2) is the 74th 4-subset, and
+        # a component search per subset ran 74 up to it; one cut-vertex
+        # search per prefix runs 3, and a component search for each of the
+        # two cuts alone
+        g = circulant_graph(40, (1, 2))
+        flows = connectivity._Flows(g)
+        calls = count_calls("_cut_vertices", "component_masks")
+        cuts = [cut.vertices for cut in islice(connectivity._cuts(flows, 4, g.n * g.n), 2)]
+        assert cuts == [(0, 1, 3, 4), (0, 1, 4, 5)]
+        assert calls == {"_cut_vertices": 3, "component_masks": 2}
 
     def test_minimum_cuts_complete_beyond_sixteen_vertices(self):
         # kappa 6 on 18 vertices: every one of the 99 minimum cuts is listed

@@ -541,7 +541,9 @@ class TestContractsTo:
         flow = connectivity._local_vertex_cut
 
         def recorded(net, s, t, limit, cap=None, *rest):
-            closed = cap is not None and cap[0] == cap[2] == 0
+            # a sweep's capacities carry its flow: read what it closes
+            closed = (rest[0].without == (0, 1) if rest and rest[0] is not None
+                      else cap is not None and cap[0] == cap[2] == 0)
             calls.append((closed, limit, flow(net, s, t, limit, cap, *rest)))
             return calls[-1][2]
 

@@ -111,3 +111,19 @@ def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
     listing(flows)
     assert counts["separators"] > 0
     assert counts["checks"] == counts["flows"] + counts["separators"]
+
+
+@pytest.mark.parametrize("passed", [1, 2, 3, 6, 40])
+def test_bounded_scan_stops_within_one_prefix(passed, monkeypatch, count_calls):
+    # the certificate scan checks the deadline before the cut-vertex search
+    # of each prefix and before each component search, so once `passed`
+    # checks have passed and the deadline then expires, it has run exactly
+    # one search per check: at most one prefix's search after the last one
+    g = circulant_graph(200, (1, 2))
+    calls = count_calls("_cut_vertices", "component_masks")
+    ticks = iter([0.0] * passed)
+    monkeypatch.setattr(connectivity, "monotonic", lambda: next(ticks, 1.0))
+    with pytest.raises(DeadlineExceeded):
+        list(connectivity._cuts(_Flows(g, deadline=0.5), 4, g.n * g.n))
+    assert calls["_cut_vertices"] >= 1
+    assert calls["_cut_vertices"] + calls["component_masks"] == passed
