@@ -13,18 +13,17 @@ minimum cuts and the quasi verdicts from it, where each is computed once
 per call. The context also carries the call's deadline, checked once per
 flow pair, listed separator, scanned prefix and component search of a
 scan, so a call that runs out of time raises `DeadlineExceeded` within one
-such step. Each pair's flow
-stops once it reaches the smallest separator found so far, since only a
-smaller one is kept. In a sweep of sinks from one source (the kappa pass
-and the listings), one capacity list carries the flow from each sink to
-the next (`_Sweep`): each unit of the previous sink's flow is cut short at
-its first vertex adjacent to the new sink, found from each vertex's unit
-and position, and only the tail after it is undone, since consecutive
-sinks share most of their paths (the amortised sink sweep of Hao and
-Orlin, and of Henzinger, Rao and Gabow). After a search the units are
-read back only at the next sink, and when the kept heads are shorter than
-the tails the flow starts again from them alone. Other flows start empty
-on a copy of the capacities. Each flow then routes one unit through every
+such step. Each pair's flow stops once it reaches the smallest separator
+found so far, since only a smaller one is kept. In a sweep of sinks from
+one source (the kappa pass and the listings), one capacity list carries
+the flow from each sink to the next (`_Sweep`): each unit of the previous
+sink's flow is cut short at its first vertex adjacent to the new sink,
+found from each vertex's unit and position, and only the tail after it is
+undone, since consecutive sinks share most of their paths (the amortised
+sink sweep of Hao and Orlin, and of Henzinger, Rao and Gabow). After a
+search the units are read back only at the next sink, and when the kept
+heads are shorter than the tails the flow starts again from them alone.
+Other flows start empty on a copy of the capacities. Each flow then routes one unit through every
 free common neighbor of its pair before it searches for augmenting paths.
 Each augmenting path is found by a breadth-first search from both ends,
 which meets in the middle and steps over a vertex with no flow through it
