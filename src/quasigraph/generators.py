@@ -126,20 +126,24 @@ def random_graph(n: int, p: float, seed: int | random.Random | None = None) -> G
 def random_k_connected(n: int, k: int, seed: int | random.Random | None = None) -> Graph:
     """Random graph augmented with edges until it is k-connected.
 
-    Starts near the target density, lifts minimum degree to k, then patches
-    each remaining minimum cut with an edge across two of its components;
-    the loop ends only once kappa >= k has been computed on the final graph.
+    Starts near the target density, lifts minimum degree to k on mutable
+    adjacency sets, builds the graph once, then patches each remaining
+    minimum cut with an edge across two of its components; the loop ends
+    only once kappa >= k has been computed on the final graph.
     """
     if n <= k:
         raise ValueError(f"a {k}-connected graph needs more than {k} vertices")
     rng = _rng(seed)
     g = random_graph(n, min(1.0, (k + 0.5) / (n - 1)), rng)
+    adj = [set(g.neighbors(v)) for v in g.vertices]
     while True:
-        v = min(range(n), key=lambda u: (g.degree(u), u))
-        if g.degree(v) >= k:
+        v = min(range(n), key=lambda u: (len(adj[u]), u))
+        if len(adj[v]) >= k:
             break
-        candidates = [w for w in range(n) if w != v and not g.has_edge(v, w)]
-        g = with_edges(g, [(v, rng.choice(candidates))])
+        w = rng.choice([w for w in range(n) if w != v and w not in adj[v]])
+        adj[v].add(w)
+        adj[w].add(v)
+    g = Graph(n, [(v, w) for v in range(n) for w in adj[v] if v < w])
     while True:
         kappa, cut = _vertex_connectivity_with_cut(_Flows(g), k)
         if kappa >= k:

@@ -114,6 +114,16 @@ def test_failed_quasi_test_and_atom_share_one_listing(count_calls):
     assert calls == {"_min_separators": 0, "_local_vertex_cut": len(_flow_pairs(g))}
 
 
+def test_analyze_routes_two_hop_units_without_search(count_calls):
+    # the k-cut flows between disjoint edges and terminals route their
+    # two-hop units through the merged end before any search: 923
+    # augmenting searches, where common neighbors alone left 4,001
+    g = quasi_5_apex(240, 1)
+    calls = count_calls("_search")
+    assert _analyze_one("apex240", g, 5)["quasi_k"]["holds"]
+    assert 0 < calls["_search"] <= 1_000
+
+
 @pytest.mark.parametrize("g", [
     quasi_5_apex(24, 1), quasi_5_apex(24, 1, attach_triangle=True),
     icosahedron_graph(), circulant_graph(8, (1, 2)), cycle_graph(6), star_graph(6),

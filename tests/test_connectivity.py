@@ -331,16 +331,19 @@ class TestWarmStart:
     flow."""
 
     @staticmethod
-    def _sweep(g, limit):
-        # the kappa pass's sweep: one carried flow per run of pairs with
-        # the same source, and each pair's edge added after its flow, its
-        # arcs' capacities appended to the sweep's
+    def _sweep(g, limit, without=()):
+        # the kappa pass's sweep, or with vertices `without` closed the
+        # listing's: one carried flow per run of pairs with the same
+        # source, and each pair's edge added after its flow, its arcs'
+        # capacities appended to the sweep's
         net = connectivity._split_network(g)
+        alive = g.full_mask & ~connectivity.vertices_to_mask(without)
         source, sweep = -1, None
-        for s, t in connectivity._flow_pairs(g):
+        for s, t in connectivity._flow_pairs(g, alive):
             if s != source:
-                source, sweep = s, connectivity._Sweep(net)
-            expected = reference_local_vertex_cut(net, s, t, limit)
+                source, sweep = s, connectivity._Sweep(net, without)
+            expected = reference_local_vertex_cut(net, s, t, limit,
+                                                  connectivity._capacities(net, without))
             assert connectivity._local_vertex_cut(net, s, t, limit, sweep.cap, sweep) \
                 == expected, (g.edges(), s, t, limit)
             _check_sweep(net, s, t, limit, expected[0], sweep)
@@ -380,10 +383,11 @@ class TestWarmStart:
     def test_circulant_sweep_needs_few_searches(self, n, count_calls):
         # consecutive sinks of C_n(1,2) share their paths but for the ends,
         # which the warm start cuts short: 7 augmenting searches, where
-        # cold flows ran 73 at n = 40 and 233 at n = 120
+        # cold flows ran 73 at n = 40 and 233 at n = 120; the carried units
+        # leave no two-hop unit to route, so the count is exact
         calls = count_calls("_search")
         assert is_quasi_k_connected(circulant_graph(n, (1, 2)), 5).cut.vertices == (0, 1, 4, 5)
-        assert 0 < calls["_search"] <= 7
+        assert calls["_search"] == 7
 
     @pytest.mark.parametrize("n", [120, 240])
     def test_circulant_sweep_work_is_linear(self, n):
@@ -408,6 +412,91 @@ class TestWarmStart:
         flows.net = flows.net._replace(adj=rows)
         flows.quasi(5)
         assert 0 < rows.reads <= cold_reads // 4
+
+
+class TestTwoHopUnits:
+    """After the carried and common-neighbor units, each flow routes one
+    unit s -> c -> d -> t for each free neighbor d of t outside N(s),
+    through the least free c of N(s) and N(d), before it searches; no
+    value, separator or listing changes against the reference flow."""
+
+    @staticmethod
+    def _cold_cases(g):
+        # (s, t, without, merged) as the flows on G's network take them:
+        # plain pairs, pairs of G - x - y, and pairs from x with y merged,
+        # and with a neighbor of t merged as well, as for an edge terminal
+        pairs = [(s, t) for s, t in combinations(g.vertices, 2) if not g.has_edge(s, t)]
+        cases = [(s, t, (), ()) for s, t in pairs]
+        for x, y in g.edges()[:2]:
+            cases += [(s, t, (x, y), ()) for s, t in pairs if not {s, t} & {x, y}]
+            for t in sorted(set(g.vertices) - g.neighbors(x) - {x, y}):
+                cases.append((x, t, (), (y,)))
+                cases += [(x, t, (), (y, z)) for z in sorted(g.neighbors(t))[:1]
+                          if z not in g.neighbors(x) | {x, y}]
+        return cases
+
+    def test_cold_flows_match_reference(self, small_corpus, quasi5_corpus):
+        count = 0
+        for _, g in small_corpus + quasi5_corpus:
+            net = connectivity._split_network(g)
+            for i, (s, t, without, merged) in enumerate(self._cold_cases(g)):
+                limit = (2, 5, g.n)[i % 3]
+                got = connectivity._capacities(net, without, merged)
+                expected = connectivity._capacities(net, without, merged)
+                assert connectivity._local_vertex_cut(net, s, t, limit, got) == \
+                    reference_local_vertex_cut(net, s, t, limit, expected), \
+                    (g.edges(), s, t, without, merged, limit)
+                count += 1
+        assert count > 10_000
+
+    def test_carried_sweeps_match_reference(self, small_corpus, quasi5_corpus):
+        # the kappa pass's sweeps, and the listing's with the ends of an
+        # edge closed; `_check_sweep` checks the two-hop units' entries
+        for _, g in small_corpus + quasi5_corpus:
+            kappa = vertex_connectivity(g)
+            TestWarmStart._sweep(g, kappa + 1)
+            if g.n > 3 and g.edge_count:
+                TestWarmStart._sweep(g, max(kappa, 1), g.edges()[0])
+
+    def test_two_hop_unit_is_recorded_in_the_sweep(self):
+        # 0 and 3 on C6 share no neighbor: both units are two-hop, 0-1-2-3
+        # and 0-5-4-3, each kept in the sweep by its first vertex
+        net = connectivity._split_network(cycle_graph(6))
+        sweep = connectivity._Sweep(net)
+        assert connectivity._local_vertex_cut(net, 0, 3, 2, sweep.cap, sweep) == (2, None)
+        assert sweep.paths == {1: [1, 2], 5: [5, 4]} and not sweep.stale
+        assert [(sweep.head[v], sweep.pos[v]) for v in (1, 2, 5, 4)] == \
+            [(1, 0), (1, 1), (5, 0), (5, 1)]
+
+    def test_merged_vertex_carries_several_units(self, count_calls):
+        # 0 -> 5 -> 4 through the common neighbor, then 0 -> 1 -> 2 -> 4 and
+        # 0 -> 1 -> 3 -> 4 through the merged 1, as x's flows to a terminal
+        # run through y in `_quasi_k_cuts`: no search up to the cap, and
+        # one to prove the flow maximal below it
+        g = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (0, 5), (5, 4)])
+        net = connectivity._split_network(g)
+        calls = count_calls("_search")
+        cap = connectivity._capacities(net, merged=(1,))
+        assert connectivity._local_vertex_cut(net, 0, 4, 3, cap) == (3, None)
+        assert calls["_search"] == 0
+        cap = connectivity._capacities(net, merged=(1,))
+        assert connectivity._local_vertex_cut(net, 0, 4, 4, cap) == (3, (2, 3, 5))
+        assert calls["_search"] == 1
+
+    # Searches before two-hop units: 59 on the quasi test of apex40 and 58
+    # on the k-cuts of apex16-s26.
+    def test_quasi_test_of_apex40_searches_little(self, count_calls):
+        g = quasi_5_apex(40, 1)
+        calls = count_calls("_search")
+        assert is_quasi_k_connected(g, 5).holds
+        assert 0 < calls["_search"] <= 15
+
+    def test_k_cuts_of_apex16_search_little(self, count_calls):
+        flows = connectivity._Flows(quasi_5_apex(16, 26))
+        assert flows.quasi(5)[0].holds and flows.kappa == 4
+        calls = count_calls("_search")
+        assert connectivity._quasi_k_cuts(flows, 5)
+        assert calls["_search"] <= 8
 
 
 class TestMinVertexCutBetween:

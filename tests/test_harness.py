@@ -12,9 +12,9 @@ import quasigraph
 import quasigraph.connectivity as connectivity
 from quasigraph import harness
 from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
-from quasigraph.contractibility import first_contractible_edge
+from quasigraph.contractibility import first_contractible_edge, is_quasi_k_contractible
 from quasigraph.core import Graph, contract_edge
-from quasigraph.io import to_graph6
+from quasigraph.io import from_graph6, to_graph6
 from quasigraph.generators import (
     CorpusSpec,
     circulant_graph,
@@ -36,7 +36,7 @@ from quasigraph.harness import (
 )
 
 from corpus import dodecahedron_graph, line_graph
-from oracles import brute_is_quasi_k, brute_vertex_connectivity
+from oracles import brute_is_quasi_k, brute_vertex_connectivity, contraction_decision
 
 
 def k12_minus_perfect_matching():
@@ -147,6 +147,40 @@ class TestTheorem2Sharpness:
         g = witnesses["petersen-line"]
         assert brute_vertex_connectivity(g) == 4 and brute_is_quasi_k(g, 5)
         assert not any(brute_is_quasi_k(contract_edge(g, e).graph, 5) for e in g.edges())
+
+
+class TestDistanceTwoWitnesses:
+    """Two nine-vertex graphs with degrees 4,4,4,5,5,5,5,5,5, quasi
+    5-connected with kappa = 4 and with no quasi 5-contractible edge. Every
+    pair of adjacent vertices has degree sum at least 9, and the first pair
+    at distance two that falls short is (6, 7): Theorem 2 needs its
+    distance-two clause."""
+
+    GRAPH6 = ["H{S}thk", "Hs\\vUg{"]
+
+    @pytest.mark.parametrize("text", GRAPH6)
+    def test_distance_two_witness(self, text):
+        g = from_graph6(text)
+        assert to_graph6(g) == text
+        assert sorted(g.degrees()) == [4, 4, 4, 5, 5, 5, 5, 5, 5]
+        quasi = is_quasi_k_connected(g, 5)
+        assert quasi.holds and quasi.kappa == 4
+        assert check_degree_sum_condition(g, 9, 1) == (True, None)
+        assert check_degree_sum_condition(g, 9, 2) == (False, (6, 7))
+        assert first_contractible_edge(g, 5, True) is None
+        rep = verify_claim(g, "theorem2", text)
+        assert rep.status == "vacuous" and rep.hypotheses_hold is False
+        assert rep.witness == {"failed_hypothesis": "degree sum 8<9 for pair [6, 7]"}
+
+    @pytest.mark.parametrize("text", GRAPH6)
+    def test_distance_two_witness_by_brute_force(self, text):
+        g = from_graph6(text)
+        assert brute_vertex_connectivity(g) == 4 and brute_is_quasi_k(g, 5)
+        for e in g.edges():
+            brute = brute_is_quasi_k(contract_edge(g, e).graph, 5)
+            assert not brute, e
+            assert contraction_decision(g, e, 5, True) == brute, e
+            assert is_quasi_k_contractible(g, e, 5).quasi_k_contractible == brute, e
 
 
 class TestLemmas:
