@@ -7,8 +7,9 @@ Subcommands:
   generate  write a seeded family to graph6 files
 
 Exit codes: 0 clean, 1 a verified campaign found a falsified claim,
-2 usage or I/O errors, or a campaign in which some (graph, claim) raised
-an error (reported with status "error").
+2 usage or I/O errors, a campaign in which some (graph, claim) raised
+an error (reported with status "error"), or a search in which some graph
+raised one (named on its own stderr line and counted in "errors").
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     for graph_id, g in gio.load_graphs(args.file, args.format):
-        summary = _analyze_one(graph_id, g, args.k)
+        try:
+            summary = _analyze_one(graph_id, g, args.k)
+        except ValueError as exc:
+            raise ValueError(f"{graph_id}: {exc}") from exc
         print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -69,21 +73,30 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.target != "contraction-critical-quasi-5":
         raise ValueError(f"unknown search target {args.target!r}")
     hits = []
-    scanned = 0
+    scanned = errors = 0
     for graph_id, g in read_corpus_file(args.corpus):
         scanned += 1
-        flows = _Flows(g)
-        if flows.quasi(5)[0].holds and _first_contractible_edge(flows, 5, True) is None:
+        try:
+            flows = _Flows(g)
+            critical = (flows.quasi(5)[0].holds
+                        and _first_contractible_edge(flows, 5, True) is None)
+        except Exception as exc:
+            # one bad graph is reported and counted; the scan goes on
+            print(f"error: {graph_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            errors += 1
+            continue
+        if critical:
             hit = {"graph_id": graph_id, "n": g.n, "graph6": gio.to_graph6(g)}
             hits.append(hit)
             print(json.dumps(hit, sort_keys=True))
-    result = {"target": args.target, "scanned": scanned, "found": len(hits)}
+    result = {"target": args.target, "scanned": scanned, "errors": errors,
+              "found": len(hits)}
     if args.out:
         Path(args.out).write_text(
             "".join(json.dumps(h, sort_keys=True) + "\n" for h in hits),
             encoding="utf-8")
     print(json.dumps(result, sort_keys=True), file=sys.stderr)
-    return 0
+    return 2 if errors else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -14,32 +14,30 @@ per call. The context also carries the call's deadline, checked once per
 flow pair, listed separator, scanned prefix and component search of a
 scan, so a call that runs out of time raises `DeadlineExceeded` within one
 such step. Each pair's flow stops once it reaches the smallest separator
-found so far, since only a smaller one is kept. In a sweep of sinks from
-one source (the kappa pass and the listings), one capacity list carries
-the flow from each sink to the next (`_Sweep`): each unit of the previous
-sink's flow is cut short at its first vertex adjacent to the new sink,
-found from each vertex's unit and position, and only the tail after it is
-undone, since consecutive sinks share most of their paths (the amortised
-sink sweep of Hao and Orlin, and of Henzinger, Rao and Gabow). After a
-search the units are read back only at the next sink, and when the kept
-heads are shorter than the tails the flow starts again from them alone.
-Other flows start empty on a copy of the capacities. Each flow then
-routes one unit through every free common neighbor of its pair s, t, and
-one unit s -> c -> d -> t for every free neighbor d of t outside N(s),
-through the least free c in N(s) and N(d), before it searches for
-augmenting paths: the quasi test of quasi_5_apex(40, 1) runs 11 searches,
-where common neighbors alone left 59, and the k-cuts of
-quasi_5_apex(16, 26) run 4, where they left 58.
-Each augmenting path is found by a breadth-first search from both ends,
-which meets in the middle and steps over a vertex with no flow through it
-without reading its row. The separator is read from what the source
-reaches in the final residual graph, which is the same for every maximum
-flow, and augmenting from any feasible flow ends at a maximum flow, so
-witness cuts depend neither on the carried flow nor on the order of
-augmentation. On C40(1,2) the quasi test runs 7 augmenting searches, where
-one-ended cold flows ran 73, and the capacities it writes grow linearly
-in n, where routing each sink's paths again from the source grew with
-n^2.
+found so far, since only a smaller one is kept. The kappa pass and the
+listings sweep the sinks of one source at a time (`_sweeps`), and one
+capacity list carries the flow from each sink to the next (`_Sweep`):
+each unit of the previous sink's flow is cut short at its first vertex
+adjacent to the new sink, found from each vertex's unit and position, and
+only the tail after it is undone, since consecutive sinks share most of
+their paths (the amortised sink sweep of Hao and Orlin, and of
+Henzinger, Rao and Gabow). After a search the units are read back only
+at the next sink, from its neighbors backwards, and the flow starts
+again from their heads. Other flows start empty on a copy of the
+capacities. Each flow then routes one unit through every free common
+neighbor of its pair s, t, and one unit s -> c -> d -> t for every free
+neighbor d of t outside N(s), through the least free c in N(s) and N(d),
+before it searches for augmenting paths: the quasi test of
+quasi_5_apex(40, 1) runs 11 searches, and the k-cuts of
+quasi_5_apex(16, 26) run 4. One routine moves a unit along its vertices,
+or back (`_push`). Each augmenting path is found by a breadth-first
+search from both ends, which meets in the middle and steps over a vertex
+with no flow through it without reading its row. The separator is read
+from what the source reaches in the final residual graph, which is the
+same for every maximum flow, and augmenting from any feasible flow ends
+at a maximum flow, so witness cuts depend neither on the carried flow nor
+on the order of augmentation. On C40(1,2) the quasi test runs 7
+augmenting searches, and the capacities it writes grow linearly in n.
 
 The separators of G - x - y that decide whether contracting an edge xy
 keeps G quasi k-connected are listed on G's own digraph: the capacity
@@ -73,7 +71,7 @@ cut (`_vertex_connectivity_with_cut`), so once the smallest separator so
 far is k-1 it caps each flow at k and lists the (k-1)-separators of a pair
 whose flow is k-1 from that same residual graph, until the certificate
 below is known. On quasi_5_apex(40, 1) the test makes 39 flows, one per
-pair, where a kappa pass followed by a listing made 78.
+pair.
 
 Cut enumeration of an arbitrary size decides every vertex subset of that
 size in lexicographic order, so it is always complete. The subsets that
@@ -94,11 +92,12 @@ the scan costs at most n^2 component BFS or cut-vertex searches, and the
 listing a closure search per separator that a pair lists, where a graph
 of connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
 (Kanevsky). On C40(1,2) the scan to the certificate runs 3 cut-vertex
-searches, where a BFS per subset ran 74.
+searches.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -219,7 +218,7 @@ class _SplitNetwork(NamedTuple):
     2w+1 -> 2u with capacity n, more than any all-internal cut costs.
     `adj[node]` lists (arc, head) for the arcs leaving node, reverse arcs
     included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. A flow
-    works on a copy of `cap`, or a sweep of flows on one (`_Sweep`).
+    works on a copy of `cap`, and a sweep of flows on one (`_Sweep`).
     """
 
     to: list[int]
@@ -268,9 +267,25 @@ def _split_network(g: Graph) -> _SplitNetwork:
     return net
 
 
+def _push(cap: list[int], out_arc: list[dict[int, int]], u: int, path: Iterable[int],
+          t: int, d: int) -> None:
+    """Move d units (1 routes one, -1 undoes one) from u along the vertices
+    of `path`, through each one's internal arc, and into t."""
+    for v in path:
+        a = out_arc[u][v]
+        cap[a] -= d
+        cap[a ^ 1] += d
+        cap[2 * v] -= d
+        cap[2 * v + 1] += d
+        u = v
+    a = out_arc[u][t]
+    cap[a] -= d
+    cap[a ^ 1] += d
+
+
 class _Sweep:
     """The flow of a sweep of sinks from one source s, carried from each
-    sink to the next (see `_local_vertex_cut`).
+    sink to the next (see `_retarget`).
 
     `cap` holds the residual capacities of a flow from s to `sink`, which
     is -1 before the sweep's first flow, when there is none, on the
@@ -280,8 +295,8 @@ class _Sweep:
     long, a two-hop unit two), and a vertex v with flow through it is the
     `pos[v]`th vertex of the unit that starts at `head[v]`; the entries of
     a vertex with no flow through it mean nothing. The units are `stale`
-    once a search has changed the flow, and are then not read back until
-    the next sink needs them.
+    once a search has changed the flow, and are then read back only when
+    the next sink needs them (`restart`).
     """
 
     __slots__ = ("without", "cap", "sink", "paths", "head", "pos", "stale")
@@ -298,28 +313,49 @@ class _Sweep:
         _add_edge(net, u, w)
         self.cap += net.cap[-4:]
 
-    def restart(self, net: _SplitNetwork, s: int, t: int, heads: list[list[int]]) -> int:
-        """Start the flow again from no units and route one unit from s
-        along each of the vertex-disjoint `heads` into t; their number."""
-        cap, out_arc, head, pos = self.cap, net.out_arc, self.head, self.pos
+    def keep(self, path: list[int]) -> None:
+        """Record `path` as a unit of the flow."""
+        self.paths[path[0]] = path
+        for i, v in enumerate(path):
+            self.head[v], self.pos[v] = path[0], i
+
+    def restart(self, net: _SplitNetwork, s: int, t: int) -> int:
+        """Start the stale flow again from the heads of its units that pass
+        a neighbor of t, each up to its first one and then into t; their
+        number.
+
+        Each head is read back from its neighbor of t along the arcs with
+        flow into it: a vertex with flow through it has one edge arc with
+        flow into its in-copy, whose reverse arc is then open. A walk back
+        that meets another neighbor of t is dropped, as that one's walk
+        reads the same unit. A walk from a vertex on a circulation, which a
+        search can leave, comes back to that vertex and is dropped too.
+        """
+        cap, adj, near = self.cap, net.adj, net.out_arc[t]
+        heads = []
+        for u in near:
+            if not cap[2 * u + 1]:
+                continue  # no flow through u
+            path, v = [u], u
+            while True:
+                for a, w in adj[2 * v]:
+                    if a & 1 and cap[a]:
+                        break
+                v = w // 2
+                if v == s:
+                    path.reverse()
+                    heads.append(path)
+                    break
+                if v in near:
+                    break
+                path.append(v)
         cap[:] = net.cap
         for v in self.without:
             cap[2 * v] = 0
-        self.paths = {path[0]: path for path in heads}
-        self.stale = False
+        self.paths, self.stale = {}, False
         for path in heads:
-            u = s
-            for i, v in enumerate(path):
-                head[v], pos[v] = path[0], i
-                a = out_arc[u][v]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                cap[2 * v] -= 1
-                cap[2 * v + 1] += 1
-                u = v
-            a = out_arc[u][t]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
+            self.keep(path)
+            _push(cap, net.out_arc, s, path, t, 1)
         return len(heads)
 
 
@@ -333,11 +369,10 @@ def _retarget(net: _SplitNetwork, s: int, t: int, sweep: _Sweep) -> int:
     adjacent to it, and s is not. The cuts come from looking t's neighbors
     up in `head` and `pos`, and the arcs after them are undone, down to
     the one into the old sink, so the work follows the changed tails, not
-    the lengths of the units. The flow starts again from no units, with
-    the kept heads routed alone, when they hold fewer vertices than the
-    tails, and when the units are stale: each head is then read back from
-    its vertex adjacent to t along the arcs with flow into it, which is
-    the only work done on the units of a flow that a search changed.
+    the lengths of the units. Stale units are not looked up: the flow
+    starts again from their heads, read back from t's neighbors
+    (`_Sweep.restart`), which is the only work done on the units of a
+    flow that a search changed.
     """
     cap, out_arc, old = sweep.cap, net.out_arc, sweep.sink
     paths, head, pos = sweep.paths, sweep.head, sweep.pos
@@ -345,92 +380,45 @@ def _retarget(net: _SplitNetwork, s: int, t: int, sweep: _Sweep) -> int:
     if old < 0:
         return 0
     if sweep.stale:
-        return sweep.restart(net, s, t, _heads(net, cap, s, t))
+        return sweep.restart(net, s, t)
     # with no search since the units were read, every vertex with flow
     # through it is on a unit
     cut: dict[int, int] = {}
     for u in out_arc[t]:
         if cap[2 * u + 1] and (head[u] not in cut or pos[u] < cut[head[u]]):
             cut[head[u]] = pos[u]
-    if 2 * (sum(cut.values()) + len(cut)) < sum(map(len, paths.values())):
-        return sweep.restart(net, s, t, [paths[h][:i + 1] for h, i in cut.items()])
     for h, path in list(paths.items()):
         i = cut.get(h, -1)
-        u = path[i] if i >= 0 else s
-        for v in path[i + 1:]:
-            a = out_arc[u][v]
-            cap[a] += 1
-            cap[a ^ 1] -= 1
-            cap[2 * v] += 1
-            cap[2 * v + 1] -= 1
-            u = v
-        a = out_arc[u][old]
-        cap[a] += 1
-        cap[a ^ 1] -= 1
+        _push(cap, out_arc, path[i] if i >= 0 else s, path[i + 1:], old, -1)
         if i < 0:
             del paths[h]
         else:
             del path[i + 1:]
-            a = out_arc[path[i]][t]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
+            _push(cap, out_arc, path[i], (), t, 1)
     return len(paths)
 
 
-def _heads(net: _SplitNetwork, cap: list[int], s: int, t: int) -> list[list[int]]:
-    """The units of the flow from s on `cap` that pass a neighbor of t,
-    each up to its first one, read back from that neighbor along the arcs
-    with flow into it.
-
-    A vertex with flow through it has one edge arc with flow into its
-    in-copy, whose reverse arc is then open. A walk back that meets
-    another neighbor of t is dropped, as that one's walk reads the same
-    unit. A walk from a vertex on a circulation, which a search can
-    leave, comes back to that vertex and is dropped too.
-    """
-    adj, near = net.adj, net.out_arc[t]
-    heads = []
-    for u in near:
-        if not cap[2 * u + 1]:
-            continue  # no flow through u
-        path, v = [u], u
-        while True:
-            for a, w in adj[2 * v]:
-                if a & 1 and cap[a]:
-                    break
-            v = w // 2
-            if v == s:
-                path.reverse()
-                heads.append(path)
-                break
-            if v in near:
-                break
-            path.append(v)
-    return heads
-
-
-def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
-                      cap: list[int] | None = None, sweep: _Sweep | None = None,
-                      ) -> tuple[int, tuple[int, ...] | None]:
+def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int, cap: list[int],
+                      sweep: _Sweep | None = None) -> tuple[int, tuple[int, ...] | None]:
     """(flow value, minimum s-t vertex separator) for non-adjacent s, t,
     unless the flow reaches `limit` first: then (limit, None).
 
-    The flow runs from s's out-copy to t's in-copy on `cap`, a copy of the
-    network's capacities unless the caller passes one, which is then left
-    holding the residual capacities. A cold flow starts empty. With a
-    `sweep` of sinks from s, `cap` is the sweep's and holds its flow to
-    the previous sink, which `_retarget` turns into a flow to t; on return
-    the sweep holds this flow and its units. The flow then routes one unit
-    along s -> c -> t for each common neighbor c whose internal arc is
-    open, in ascending order (a closed one is a vertex removed from the
-    graph, or one that a unit already passes through), and then one unit
-    along s -> c -> d -> t for each open neighbor d of t outside N(s), in
-    ascending order, through the least open c in N(s) and N(d); c is not
-    t and d is not s, as s and t are not adjacent. The neighbors are read
-    from `out_arc`, so the edges a pass has added count too. A merged
-    vertex, whose internal arc has capacity n, stays open and may carry
-    several such units: the two-hop units of `_quasi_k_cuts` through the
-    merged end. Each unit is kept in the sweep by its first vertex.
+    The flow runs from s's out-copy to t's in-copy on `cap`, which is left
+    holding the residual capacities. Without a `sweep` the flow starts
+    empty on `cap`. With a sweep of sinks from s, `cap` is the sweep's and
+    holds its flow to the previous sink, which `_retarget` turns into a
+    flow to t; on return the sweep holds this flow and its units. The flow
+    then routes one unit along s -> c -> t for each common neighbor c whose
+    internal arc is open, in ascending order (a closed one is a vertex
+    removed from the graph, or one that a unit already passes through), and
+    then one unit along s -> c -> d -> t for each open neighbor d of t
+    outside N(s), in ascending order, through the least open c in N(s) and
+    N(d); c is not t and d is not s, as s and t are not adjacent. The
+    neighbors are read from `out_arc`, so the edges a pass has added count
+    too. A merged vertex, whose internal arc has capacity n, stays open and
+    may carry several such units: the two-hop units of `_quasi_k_cuts`
+    through the merged end. Each unit is kept in the sweep by its first
+    vertex.
 
     Then the flow augments along paths that `_search` finds from both
     ends. An augmenting path enters an in-copy other than the sink's and
@@ -449,12 +437,7 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
     the value or the separator.
     """
     to, adj, out_arc = net.to, net.adj, net.out_arc
-    if sweep is not None:
-        flow = _retarget(net, s, t, sweep)
-    else:
-        flow = 0
-        if cap is None:
-            cap = net.cap[:]
+    flow = 0 if sweep is None else _retarget(net, s, t, sweep)
     src, snk = 2 * s + 1, 2 * t
     if flow < limit:
         out_s, out_t = out_arc[s], out_arc[t]
@@ -471,21 +454,9 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int,
                 if not hops:
                     continue
                 path = [min(hops), d]
-            u = s
-            for i, v in enumerate(path):
-                a = out_arc[u][v]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                cap[2 * v] -= 1
-                cap[2 * v + 1] += 1
-                if sweep is not None:
-                    sweep.head[v], sweep.pos[v] = path[0], i
-                u = v
-            a = out_arc[u][t]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
+            _push(cap, out_arc, s, path, t, 1)
             if sweep is not None:
-                sweep.paths[path[0]] = path
+                sweep.keep(path)
             flow += 1
             if flow == limit:
                 break
@@ -653,6 +624,31 @@ def _complete(g: Graph, alive: int) -> bool:
     return all((masks[v] | 1 << v) & alive == alive for v in mask_to_vertices(alive))
 
 
+def _sweeps(flows: _Flows, pairs: Iterable[tuple[int, int]],
+            without: tuple[int, ...] = ()) -> Iterator[tuple[int, int, _Sweep]]:
+    """Each pair (s, t) of `pairs` with the `_Sweep` that carries its flow:
+    one sweep per run of pairs from one source, on G's network with the
+    vertices `without` closed. The deadline is checked before each pair.
+    When the caller asks for the next pair, the last pair's edge is added
+    to the network, with its arcs' capacities appended to the sweep's, so
+    later pairs find no separator that splits it; the added edges are
+    removed when the pairs end, the caller raises or closes the generator,
+    so the network is G's again. Run it under `contextlib.closing`.
+    """
+    net = flows.net
+    mark = len(net.to)
+    source, sweep = -1, None
+    try:
+        for s, t in pairs:
+            flows.check()
+            if s != source:
+                source, sweep = s, _Sweep(net, without)
+            yield s, t, sweep
+            sweep.add_edge(net, s, t)
+    finally:
+        _remove_added_edges(net, mark)
+
+
 def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | None = None,
                                   listed: list[Cut] | None = None) -> tuple[int, Cut | None]:
     """kappa(G) and a minimum cut of G (None when it has none: K1 and
@@ -664,8 +660,9 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     one is kept. Only the value without t is a fact of G that the context
     keeps.
 
-    After each pair its edge is added to the network, as `_min_separators`
-    does, and the added arcs are removed when the pass ends or raises.
+    The pairs run through `_sweeps`, as in `_min_separators`: after each
+    pair its edge is added to the network, and the added arcs are removed
+    when the pass ends or raises.
     Neither the value nor the cut changes, for any t. Let p be the first
     pair that some kappa-separator splits. An added edge st crosses only
     separators that split (s, t), so no edge added before p crosses a
@@ -693,9 +690,8 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     lists nothing.
 
     The pairs of a run from one source share one `_Sweep`, which carries
-    each flow on to the next sink (see `_local_vertex_cut`) and takes the
-    capacities of each pair's added arcs; this changes no flow value and
-    no separator.
+    each flow on to the next sink (see `_retarget`); this changes no flow
+    value and no separator.
     """
     g = flows.g
     n = g.n
@@ -712,23 +708,18 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     best = min(t, n - 1)
     best_sep: tuple[int, ...] | None = None
     net = flows.net
-    mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
     scanned, least = False, None
-    source, sweep = -1, None
-    try:
-        for s, w in flows.pairs:
-            flows.check()
-            if s != source:
-                source, sweep = s, _Sweep(net)
-            cap = sweep.cap
+    with closing(_sweeps(flows, flows.pairs)) as sweeps:
+        for s, w, sweep in sweeps:
             listing = best == j and least is None
-            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best, cap, sweep)
+            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best,
+                                          sweep.cap, sweep)
             if size < best:
                 best, best_sep = size, sep
             if size == j and sep is not None:
                 # a maximum flow of j below the cap: list the pair's j-separators
-                for pair_sep in _pair_separators(net, cap, s, w):
+                for pair_sep in _pair_separators(net, sweep.cap, s, w):
                     flows.check()
                     if pair_sep not in seen:
                         seen.add(pair_sep)
@@ -739,9 +730,6 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
                             if least is not None:
                                 listed.append(least)
                                 break
-            sweep.add_edge(net, s, w)
-    finally:
-        _remove_added_edges(net, mark)
     if best == j and least is None:
         flows.minimum_cuts = sorted(listed, key=lambda cut: cut.vertices)
     return best, None if best_sep is None else make_cut(g, best_sep)
@@ -829,15 +817,16 @@ def _min_separators(flows: _Flows, j: int,
     Each pair of `_flow_pairs` gets one flow capped at j + 1, on G's
     network with the vertices `without` closed. A flow of j lists the
     pair's minimum separators from its residual graph; a flow below j
-    yields its one separator. The pairs of a run from one source carry one
-    flow from sink to sink in a `_Sweep`, whose capacities start with the
-    vertices `without` closed. Then the pair's edge is
-    added to the network, so later pairs find no separator that splits an
-    earlier pair. A separator S is still met at the first pair it splits:
-    no edge added before crosses S, so that pair's flow is at most |S|. A
-    separator that leaves three or more components can still split a later
-    pair; a seen set drops those repeats. The added edges are removed when
-    the listing ends, raises or is closed.
+    yields its one separator. The pairs run through `_sweeps`: those of a
+    run from one source carry one flow from sink to sink in a `_Sweep`,
+    whose capacities start with the vertices `without` closed, and then
+    the pair's edge is added to the network, so later pairs find no
+    separator that splits an earlier pair. A separator S is still met at
+    the first pair it splits: no edge added before crosses S, so that
+    pair's flow is at most |S|. A separator that leaves three or more
+    components can still split a later pair; a seen set drops those
+    repeats. The added edges are removed when the listing ends, raises or
+    is closed.
     """
     g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
@@ -848,14 +837,10 @@ def _min_separators(flows: _Flows, j: int,
             yield make_cut(g, without)
         return
     net = flows.net
-    mark = len(net.to)
     seen: set[tuple[int, ...]] = set()
-    source, sweep = -1, None
-    try:
-        for s, t in _flow_pairs(g, alive) if without else flows.pairs:
-            flows.check()
-            if s != source:
-                source, sweep = s, _Sweep(net, without)
+    pairs = _flow_pairs(g, alive) if without else flows.pairs
+    with closing(_sweeps(flows, pairs, without)) as sweeps:
+        for s, t, sweep in sweeps:
             size, sep = _local_vertex_cut(net, s, t, j + 1, sweep.cap, sweep)
             if size < j:
                 yield make_cut(g, sep + without)
@@ -865,9 +850,6 @@ def _min_separators(flows: _Flows, j: int,
                     if sep not in seen:
                         seen.add(sep)
                         yield make_cut(g, sep + without)
-            sweep.add_edge(net, s, t)
-    finally:
-        _remove_added_edges(net, mark)
 
 
 def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:

@@ -23,10 +23,6 @@ from .connectivity import (
 from . import io as gio
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 

@@ -157,8 +157,33 @@ def test_search_reports_counts(tmp_path, corpus_file, capsys):
     assert main(["search", "--corpus", str(corpus_file)]) == 0
     err = capsys.readouterr().err
     summary = json.loads(err.strip().splitlines()[-1])
-    assert summary == {"found": 0, "scanned": 3,
+    assert summary == {"errors": 0, "found": 0, "scanned": 3,
                        "target": "contraction-critical-quasi-5"}
+
+
+def test_search_goes_on_past_a_bad_graph(tmp_path, capsys):
+    # K0 raises, and the search still reaches K5, the one hit of K0..K6;
+    # the failure is named on its own line and counted, and exits 2
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"corpus": [{"family": "complete", "params": {"n": [0, 6]}}]}))
+    out = tmp_path / "hits.jsonl"
+    assert main(["search", "--corpus", str(corpus), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    *errors, last = captured.err.strip().splitlines()
+    assert errors == ["error: K0: ValueError: empty graph"]
+    assert json.loads(last) == {"errors": 1, "found": 1, "scanned": 7,
+                                "target": "contraction-critical-quasi-5"}
+    assert [json.loads(line)["graph_id"] for line in out.read_text().splitlines()] == ["K5"]
+
+
+def test_analyze_error_names_the_graph(tmp_path, capsys):
+    # graph6 "?" is the valid empty graph, the second of the file
+    path = tmp_path / "e.g6"
+    path.write_text(gio.to_graph6(complete_graph(5)) + "\n?\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["graph_id"] == "e.g6:0"
+    assert captured.err == "error: e.g6:1: empty graph\n"
 
 
 def test_generate_writes_graph6_and_manifest(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from contextlib import closing
 from itertools import combinations, islice
 
 import pytest
@@ -94,7 +95,7 @@ class TestVertexConnectivity:
         for gid, g in small_corpus:
             kappa, cut = connectivity._vertex_connectivity_with_cut(connectivity._Flows(g))
             net = connectivity._split_network(g)
-            seps = [make_cut(g, connectivity._local_vertex_cut(net, s, t, g.n)[1]).to_json()
+            seps = [make_cut(g, connectivity._local_vertex_cut(net, s, t, g.n, net.cap[:])[1]).to_json()
                     for s in range(g.n) for t in range(s + 1, g.n) if not g.has_edge(s, t)]
             h.update((json.dumps({"graph_id": gid, "kappa": kappa,
                                   "cut": None if cut is None else cut.to_json(),
@@ -261,7 +262,8 @@ class TestFlowMechanism:
     def _flow(g, s, t, limit):
         net = connectivity._split_network(g)
         rows = _CountingRows(net.adj, 2 * s + 1)
-        return connectivity._local_vertex_cut(net._replace(adj=rows), s, t, limit), rows.reads
+        return connectivity._local_vertex_cut(net._replace(adj=rows), s, t, limit,
+                                             net.cap[:]), rows.reads
 
     def test_common_neighbor_paths_need_no_search(self):
         # the two sides of K2,5 share five neighbors
@@ -315,7 +317,7 @@ def _check_sweep(net, s, t, limit, value, sweep):
                 [(head, i) for i in range(len(path))], units
 
 
-def _reference_flow(net, s, t, limit, cap=None, sweep=None):
+def _reference_flow(net, s, t, limit, cap, sweep=None):
     """`reference_local_vertex_cut` with the library flow's signature. In a
     sweep it runs cold: the carried flow is taken off the sweep's `cap`,
     which then holds the reference's residual capacities."""
@@ -332,22 +334,21 @@ class TestWarmStart:
 
     @staticmethod
     def _sweep(g, limit, without=()):
-        # the kappa pass's sweep, or with vertices `without` closed the
-        # listing's: one carried flow per run of pairs with the same
-        # source, and each pair's edge added after its flow, its arcs'
-        # capacities appended to the sweep's
-        net = connectivity._split_network(g)
+        # the kappa pass's sweeps, or with vertices `without` closed the
+        # listing's, from the driver of both: one carried flow per run of
+        # pairs with the same source, and each pair's edge added after its
+        # flow, its arcs' capacities appended to the sweep's
+        flows = connectivity._Flows(g)
+        net = flows.net
         alive = g.full_mask & ~connectivity.vertices_to_mask(without)
-        source, sweep = -1, None
-        for s, t in connectivity._flow_pairs(g, alive):
-            if s != source:
-                source, sweep = s, connectivity._Sweep(net, without)
-            expected = reference_local_vertex_cut(net, s, t, limit,
-                                                  connectivity._capacities(net, without))
-            assert connectivity._local_vertex_cut(net, s, t, limit, sweep.cap, sweep) \
-                == expected, (g.edges(), s, t, limit)
-            _check_sweep(net, s, t, limit, expected[0], sweep)
-            sweep.add_edge(net, s, t)
+        pairs = connectivity._flow_pairs(g, alive)
+        with closing(connectivity._sweeps(flows, pairs, without)) as sweeps:
+            for s, t, sweep in sweeps:
+                expected = reference_local_vertex_cut(net, s, t, limit,
+                                                      connectivity._capacities(net, without))
+                assert connectivity._local_vertex_cut(net, s, t, limit, sweep.cap, sweep) \
+                    == expected, (g.edges(), s, t, limit)
+                _check_sweep(net, s, t, limit, expected[0], sweep)
 
     @given(graphs(), st.integers(1, 8))
     @settings(max_examples=250, deadline=None)
@@ -400,6 +401,18 @@ class TestWarmStart:
         flows.net = flows.net._replace(cap=_CountingCap(flows.net.cap, writes))
         assert flows.quasi(5)[0].cut.vertices == (0, 1, 4, 5)
         assert 0 < writes[0] <= 70 * n
+
+    @pytest.mark.parametrize("n, bound", [(120, 70_000), (240, 250_000)])
+    def test_apex_sweep_work(self, n, bound):
+        # every capacity the quasi test writes: 54,906 at n = 120 and
+        # 184,740 at n = 240, where starting a sweep's flow again from the
+        # kept heads whenever they held fewer vertices than the tails wrote
+        # 247,664 and 1,005,238
+        flows = connectivity._Flows(quasi_5_apex(n, 1))
+        writes = [0]
+        flows.net = flows.net._replace(cap=_CountingCap(flows.net.cap, writes))
+        assert flows.quasi(5)[0].holds
+        assert 0 < writes[0] <= bound
 
     # A one-ended search with no warm start read 55,373 adjacency rows on
     # C120(1,2) and 38,771 on quasi_5_apex(120, 1).
@@ -505,8 +518,8 @@ class TestMinVertexCutBetween:
 
     @staticmethod
     def _cut(g, s, t):
-        return make_cut(g, connectivity._local_vertex_cut(connectivity._split_network(g),
-                                                          s, t, g.n)[1])
+        net = connectivity._split_network(g)
+        return make_cut(g, connectivity._local_vertex_cut(net, s, t, g.n, net.cap[:])[1])
 
     def test_c6_opposite_pair(self):
         g = cycle_graph(6)
@@ -856,6 +869,29 @@ class TestWithoutAnEdge:
             assert grown > len(fresh.to)
             listing.close()
             assert flows.net == fresh
+
+    def test_sweeps_restore_the_network(self):
+        # the driver of every sweep adds each pair's edge once the caller
+        # is done with the pair, and removes them all when the pairs end,
+        # the caller closes it early, or the caller raises
+        g = circulant_graph(12, (1, 2))
+        flows = connectivity._Flows(g)
+        fresh = connectivity._split_network(g)
+        with closing(connectivity._sweeps(flows, flows.pairs)) as sweeps:
+            assert [len(flows.net.to) for _ in sweeps] == \
+                [len(fresh.to) + 4 * i for i in range(len(flows.pairs))]
+        assert flows.net == fresh
+        with closing(connectivity._sweeps(flows, flows.pairs)) as sweeps:
+            next(sweeps), next(sweeps)
+            assert len(flows.net.to) == len(fresh.to) + 4
+        assert flows.net == fresh
+        with pytest.raises(ZeroDivisionError):
+            with closing(connectivity._sweeps(flows, flows.pairs, (0,))) as sweeps:
+                for i, (s, t, sweep) in enumerate(sweeps):
+                    assert sweep.without == (0,)
+                    if i == 3:
+                        1 / 0
+        assert flows.net == fresh
 
 
 # k = 4, n = 12: an edge added to the network after each pair, as
