@@ -23,10 +23,8 @@ from .fragments import (
 )
 from .contractibility import (
     ContractionReport,
-    check_martinov,
     compute_E0,
     contraction_reports,
-    first_contractible_edge,
     is_contraction_critical,
     is_k_contractible,
     is_quasi_k_contractible,

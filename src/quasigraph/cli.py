@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 clean, 1 a verified campaign found a falsified claim,
 2 usage or I/O errors, a campaign in which some (graph, claim) raised
-an error (reported with status "error"), or a search in which some graph
-raised one (named on its own stderr line and counted in "errors").
+an error (reported with status "error"), or an analysis or search in
+which some graph raised one (named on its own stderr line, after which
+the run goes on).
 """
 
 from __future__ import annotations
@@ -50,14 +51,27 @@ def _analyze_one(graph_id: str, g, k: int) -> dict:
     }
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    for graph_id, g in gio.load_graphs(args.file, args.format):
+def _each_graph(graphs, visit) -> tuple[int, int]:
+    """Call visit(graph_id, g) on each graph in order and return (graphs,
+    errors). A graph whose visit raises is named on stderr and counted, and
+    the loop goes on."""
+    seen = errors = 0
+    for graph_id, g in graphs:
+        seen += 1
         try:
-            summary = _analyze_one(graph_id, g, args.k)
-        except ValueError as exc:
-            raise ValueError(f"{graph_id}: {exc}") from exc
-        print(json.dumps(summary, sort_keys=True))
-    return 0
+            visit(graph_id, g)
+        except Exception as exc:
+            print(f"error: {graph_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            errors += 1
+    return seen, errors
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    def visit(graph_id, g) -> None:
+        print(json.dumps(_analyze_one(graph_id, g, args.k), sort_keys=True))
+
+    _, errors = _each_graph(gio.load_graphs(args.file, args.format), visit)
+    return 2 if errors else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -73,22 +87,15 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.target != "contraction-critical-quasi-5":
         raise ValueError(f"unknown search target {args.target!r}")
     hits = []
-    scanned = errors = 0
-    for graph_id, g in read_corpus_file(args.corpus):
-        scanned += 1
-        try:
-            flows = _Flows(g)
-            critical = (flows.quasi(5)[0].holds
-                        and _first_contractible_edge(flows, 5, True) is None)
-        except Exception as exc:
-            # one bad graph is reported and counted; the scan goes on
-            print(f"error: {graph_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            errors += 1
-            continue
-        if critical:
+
+    def visit(graph_id, g) -> None:
+        flows = _Flows(g)
+        if flows.quasi(5)[0].holds and _first_contractible_edge(flows, 5, True) is None:
             hit = {"graph_id": graph_id, "n": g.n, "graph6": gio.to_graph6(g)}
             hits.append(hit)
             print(json.dumps(hit, sort_keys=True))
+
+    scanned, errors = _each_graph(read_corpus_file(args.corpus), visit)
     result = {"target": args.target, "scanned": scanned, "errors": errors,
               "found": len(hits)}
     if args.out:

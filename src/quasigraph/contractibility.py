@@ -47,8 +47,9 @@ some w outside N[x] + N[y]; these flows run only when the first term is
 larger than kappa(G). `is_k_contractible` and lemma 2's witness read it too.
 
 The yes/no decision (`_contracts_to`: is G/e quasi k-connected, or
-k-connected), behind both modes of `first_contractible_edge` and lemma 3,
-holds under the caller's hypothesis on G:
+k-connected), behind both modes of `_first_contractible_edge` and lemma 3,
+holds under the caller's hypothesis on G, which `is_contraction_critical`
+and the claim runners check first:
 
 - for G k-connected, `_kappa_after` capped at k decides from the first
   term alone;
@@ -284,22 +285,18 @@ def _classify(flows: _Flows, k: int) -> list[_EdgeClass]:
     return classes
 
 
-def first_contractible_edge(g: Graph, k: int, quasi: bool) -> tuple[int, int] | None:
+def _first_contractible_edge(flows: _Flows, k: int, quasi: bool) -> tuple[int, int] | None:
     """The first edge in sorted order whose contraction leaves a quasi
     k-connected graph (`quasi`) or a k-connected graph (not `quasi`), or
     None when no edge does.
 
-    g must be quasi k-connected (`quasi`) or k-connected (not `quasi`):
-    each edge is decided from G - x - y by a rule that holds only then
-    (`_contracts_to`), and the hypothesis is not checked here. Every edge
-    shares g's network.
+    G, the graph of `flows`, must be quasi k-connected (`quasi`) or
+    k-connected (not `quasi`): each edge is decided from G - x - y by a rule
+    that holds only then (`_contracts_to`), and the hypothesis is not
+    checked here; `is_contraction_critical` and the claim runners check it
+    first. Every edge shares G's network, and the deadline is checked
+    before each edge.
     """
-    return _first_contractible_edge(_Flows(g), k, quasi)
-
-
-def _first_contractible_edge(flows: _Flows, k: int, quasi: bool) -> tuple[int, int] | None:
-    """first_contractible_edge for G, the graph of `flows`, whose deadline
-    is checked before each edge."""
     for e in flows.g.edges():
         flows.check()
         if _contracts_to(flows, e, k, quasi):
@@ -309,10 +306,13 @@ def _first_contractible_edge(flows: _Flows, k: int, quasi: bool) -> tuple[int, i
 
 def is_contraction_critical(g: Graph, k: int,
                             quasi: bool = False) -> tuple[bool, tuple[int, int] | None]:
-    """No edge of g is (quasi) k-contractible.
+    """No edge of g is (quasi) k-contractible: the public search for a
+    contractible edge.
 
     Returns (True, None) when critical, else (False, witness edge): the
-    first contractible edge in sorted order.
+    first contractible edge in sorted order. Raises ValueError unless g is
+    quasi k-connected (`quasi`) or k-connected (not `quasi`), the
+    hypothesis under which each edge is decided.
     """
     flows = _Flows(g)
     if quasi:
@@ -328,10 +328,3 @@ def is_regular_triangular(g: Graph) -> bool:
     4-connected criticality characterization."""
     return (all(g.degree(v) == 4 for v in g.vertices)
             and all(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()))
-
-
-def check_martinov(g: Graph) -> tuple[bool, bool]:
-    """Both sides of the 4-connected criticality characterization,
-    computed independently: (contraction critical, 4-regular with every
-    edge in a triangle)."""
-    return is_contraction_critical(g, 4)[0], is_regular_triangular(g)

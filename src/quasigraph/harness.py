@@ -3,7 +3,12 @@
 `verify_claim(g, claim, graph_id, k, timeout)` is the one way to run a
 claim. Each claim has one runner in `_RUNNERS`, called as (g, flows, k). A
 runner checks the claim's hypotheses in a fixed order and returns either
-the first failed one or whether the conclusion holds, with a witness.
+the first failed one or whether the conclusion holds, with a witness. A
+hypothesis that several claims share is decided by one checker with one
+message: kappa >= k (`_kappa_at_least`), quasi 5-connectivity
+(`_quasi_5`), a degree-sum bound (`_degree_sums`), quasi 5-contraction
+criticality (`_critical`) and the degree conditions' prelude
+(`_k_connected`).
 `verify_claim` creates the one work context of the call, the graph's flow
 context with the call's time budget, hands it to the runner and turns the
 outcome into the report. A runner reads kappa, the minimum cuts and the
@@ -63,7 +68,6 @@ class VerificationReport:
     hypotheses_hold: bool | None
     conclusion_holds: bool | None
     witness: dict | None
-    enumeration_mode: str = "exhaustive"  # always; kept for the report schema
     elapsed: float = 0.0
 
     def to_json(self) -> dict:
@@ -74,7 +78,6 @@ class VerificationReport:
             "hypotheses_hold": self.hypotheses_hold,
             "conclusion_holds": self.conclusion_holds,
             "witness": self.witness,
-            "enumeration_mode": self.enumeration_mode,
         }
 
 
@@ -115,10 +118,7 @@ def check_min_degree_condition(g: Graph, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Claim runners. Each takes (g, flows, k), flows being g's flow context with
-# the call's budget, checks its hypotheses in order and returns an _Outcome;
-# lemmas are universally quantified checks over the configurations in the
-# graph matching their hypotheses, and no configurations means vacuous.
+# Hypotheses, conclusions and claim runners.
 
 def _contractible_edge(flows: _Flows, k: int, quasi: bool, extra: dict) -> tuple[bool, dict]:
     """Conclusion of the theorems and degree conditions: some edge contracts
@@ -129,42 +129,79 @@ def _contractible_edge(flows: _Flows, k: int, quasi: bool, extra: dict) -> tuple
     return True, {"edge": list(edge), **extra}
 
 
+# One checker per shared hypothesis: each returns the _Vacuous of its
+# failure, or None when it holds, so a runner chains them with `or`.
+
+def _kappa_at_least(flows: _Flows, k: int) -> _Vacuous | None:
+    """The hypothesis kappa >= k."""
+    if flows.kappa < k:
+        return _Vacuous(f"kappa={flows.kappa}<{k}")
+    return None
+
+
+def _quasi_5(flows: _Flows) -> _Vacuous | None:
+    """The hypothesis that G is quasi 5-connected."""
+    quasi = flows.quasi(5)[0]
+    if not quasi.holds:
+        return _Vacuous(f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
+    return None
+
+
+def _degree_sums(g: Graph, bound: int, max_dist: int) -> _Vacuous | None:
+    """The hypothesis d(x) + d(y) >= bound on every pair at distance
+    1..max_dist."""
+    _, pair = check_degree_sum_condition(g, bound, max_dist)
+    if pair is not None:
+        return _Vacuous(f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<{bound} "
+                        f"for pair {list(pair)}")
+    return None
+
+
 def _critical(flows: _Flows) -> _Vacuous | None:
-    """The criticality hypothesis of lemmas 1 and 5; None when it holds."""
+    """The criticality hypothesis of lemmas 1 and 5, for G quasi
+    5-connected: no edge is quasi 5-contractible."""
     edge = _first_contractible_edge(flows, 5, True)
     if edge is not None:
         return _Vacuous(f"not contraction critical: edge {list(edge)} contracts safely")
     return None
 
 
+def _k_connected(g: Graph, flows: _Flows, k: int, excluded: int | None = None) -> _Vacuous | None:
+    """The degree conditions' prelude: k >= 2, k != excluded, G not
+    complete, kappa >= k."""
+    if k < 2:
+        return _Vacuous(f"k={k}<2")
+    if k == excluded:
+        return _Vacuous(f"k={k} is excluded from this condition")
+    if g.is_complete():
+        return _Vacuous("graph is complete")
+    return _kappa_at_least(flows, k)
+
+
+# Claim runners. Each takes (g, flows, k), flows being g's flow context with
+# the call's budget, returns the first of its hypotheses that fails, in a
+# fixed order, and otherwise its conclusion; lemmas are universally
+# quantified checks over the configurations in the graph matching their
+# hypotheses, and no configurations means vacuous.
+
 def _theorem1(g: Graph, flows: _Flows, k) -> _Outcome:
     """Every 5-connected graph has a quasi 5-contractible edge."""
-    if flows.kappa < 5:
-        return _Vacuous(f"kappa={flows.kappa}<5")
-    return _contractible_edge(flows, 5, True, {})
+    return _kappa_at_least(flows, 5) or _contractible_edge(flows, 5, True, {})
 
 
 def _theorem2(g: Graph, flows: _Flows, k) -> _Outcome:
     """Every quasi 5-connected graph whose degree sums reach 9 on all pairs
     at distance one or two has a quasi 5-contractible edge."""
-    quasi = flows.quasi(5)[0]
-    if not quasi.holds:
-        return _Vacuous(f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
-    _, pair = check_degree_sum_condition(g, 9, 2)
-    if pair is not None:
-        return _Vacuous(
-            f"degree sum {g.degree(pair[0]) + g.degree(pair[1])}<9 for pair {list(pair)}")
-    return _contractible_edge(flows, 5, True, {})
+    return (_quasi_5(flows) or _degree_sums(g, 9, 2)
+            or _contractible_edge(flows, 5, True, {}))
 
 
 def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a graph that is both 5-connected and critical for quasi
     5-contraction, a nontrivial fragment met by exactly one neighbor of a
     boundary vertex has exactly two vertices."""
-    if flows.kappa < 5:
-        return _Vacuous(f"kappa={flows.kappa}<5")
     # kappa >= 5 makes g quasi 5-connected, so criticality is well posed.
-    if vacuous := _critical(flows):
+    if vacuous := _kappa_at_least(flows, 5) or _critical(flows):
         return vacuous
     configs = 0
     for cut in flows.minimum_cuts:
@@ -187,13 +224,12 @@ def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
 def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
-    quasi, cuts = flows.quasi(5)
-    if not quasi.holds:
-        return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
+    if vacuous := _quasi_5(flows):
+        return vacuous
     # kappa(G/e) < 4 exactly when some 4-cut of g contains both ends of e
     # (G/e with minimum degree 4 has at least 5 vertices, so it is not a
     # small complete graph); g has 4-cuts only when kappa(g) = 4.
-    cut_masks = [vertices_to_mask(cut.vertices) for cut in cuts]
+    cut_masks = [vertices_to_mask(cut.vertices) for cut in flows.quasi(5)[1]]
     configs = 0
     for e in g.edges():
         flows.check()
@@ -212,9 +248,8 @@ def _lemma3(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph on at least 8 vertices, a degree-4
     vertex whose neighborhood contains a triangle contracts safely onto its
     remaining neighbor."""
-    quasi = flows.quasi(5)[0]
-    if not quasi.holds:
-        return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
+    if vacuous := _quasi_5(flows):
+        return vacuous
     if g.n < 8:
         return _Vacuous(f"n={g.n}<8")
     configs = 0
@@ -236,8 +271,8 @@ def _lemma4(g: Graph, flows: _Flows, k) -> _Outcome:
     """A 4-connected graph is contraction critical exactly when it is
     4-regular with every edge in a triangle; both sides computed
     independently."""
-    if flows.kappa < 4:
-        return _Vacuous(f"kappa={flows.kappa}<4")
+    if vacuous := _kappa_at_least(flows, 4):
+        return vacuous
     witness_edge = _first_contractible_edge(flows, 4, False)
     critical = witness_edge is None
     structural = is_regular_triangular(g)
@@ -251,13 +286,7 @@ def _lemma4(g: Graph, flows: _Flows, k) -> _Outcome:
 def _lemma5(g: Graph, flows: _Flows, k) -> _Outcome:
     """A critical quasi 5-connected graph meeting the degree sum condition
     has no degree-4 vertex with an edgeless neighborhood."""
-    quasi = flows.quasi(5)[0]
-    if not quasi.holds:
-        return _Vacuous(f"not quasi 5-connected ({quasi.failure})")
-    _, pair = check_degree_sum_condition(g, 9, 2)
-    if pair is not None:
-        return _Vacuous(f"degree sum below 9 for pair {list(pair)}")
-    if vacuous := _critical(flows):
+    if vacuous := _quasi_5(flows) or _degree_sums(g, 9, 2) or _critical(flows):
         return vacuous
     for x in degree_k_vertices(g, 4):
         flows.check()
@@ -266,27 +295,11 @@ def _lemma5(g: Graph, flows: _Flows, k) -> _Outcome:
     return True, None
 
 
-def _k_connected(g: Graph, flows: _Flows, k: int | None, excluded: int | None = None,
-                 ) -> tuple[int, _Vacuous | None]:
-    """The degree conditions' prelude: k (default kappa) and the first
-    failed hypothesis among k >= 2, k != excluded, non-complete, kappa >= k."""
-    k = flows.kappa if k is None else k
-    if k < 2:
-        return k, _Vacuous(f"k={k}<2")
-    if k == excluded:
-        return k, _Vacuous(f"k={k} is excluded from this condition")
-    if g.is_complete():
-        return k, _Vacuous("graph is complete")
-    if flows.kappa < k:
-        return k, _Vacuous(f"kappa={flows.kappa}<{k}")
-    return k, None
-
-
 def _degree_condition_A(g: Graph, flows: _Flows, k) -> _Outcome:
     """A non-complete k-connected graph with minimum degree at least
     floor(5k/4) has a k-contractible edge."""
-    k, vacuous = _k_connected(g, flows, k)
-    if vacuous:
+    k = flows.kappa if k is None else k
+    if vacuous := _k_connected(g, flows, k):
         return vacuous
     if not check_min_degree_condition(g, k):
         return _Vacuous(f"min degree {g.min_degree()} < {(5 * k) // 4}")
@@ -298,14 +311,10 @@ def _degree_condition_BC(g: Graph, flows: _Flows, k) -> _Outcome:
     2*floor(5k/4)-1 has a k-contractible edge. The pair set is all pairs at
     distance one or two, or only adjacent pairs once k >= 8; k = 7 is
     excluded and reported vacuous."""
-    k, vacuous = _k_connected(g, flows, k, excluded=7)
-    if vacuous:
-        return vacuous
-    bound = 2 * ((5 * k) // 4) - 1
-    _, pair = check_degree_sum_condition(g, bound, 1 if k >= 8 else 2)
-    if pair is not None:
-        return _Vacuous(f"degree sum below {bound} for pair {list(pair)}")
-    return _contractible_edge(flows, k, False, {"k": k})
+    k = flows.kappa if k is None else k
+    return (_k_connected(g, flows, k, excluded=7)
+            or _degree_sums(g, 2 * ((5 * k) // 4) - 1, 1 if k >= 8 else 2)
+            or _contractible_edge(flows, k, False, {"k": k}))
 
 
 # ---------------------------------------------------------------------------

@@ -165,11 +165,11 @@ def from_adjacency_json(obj: dict) -> Graph:
     if not isinstance(obj, dict):
         raise ValueError(f"adjacency JSON must be an object, got {type(obj).__name__}")
     n = obj.get("n")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"'n' must be an integer, got {n!r}")
     adjacency = obj.get("adjacency")
     if not (isinstance(adjacency, list) and all(
-            isinstance(row, list) and all(isinstance(v, int) for v in row) for row in adjacency)):
+            isinstance(row, list) and all(type(v) is int for v in row) for row in adjacency)):
         raise ValueError("'adjacency' must be a list of integer lists")
     if len(adjacency) != n:
         raise ValueError("adjacency length does not match n")

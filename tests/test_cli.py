@@ -183,7 +183,20 @@ def test_analyze_error_names_the_graph(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["graph_id"] == "e.g6:0"
-    assert captured.err == "error: e.g6:1: empty graph\n"
+    assert captured.err == "error: e.g6:1: ValueError: empty graph\n"
+
+
+def test_analyze_goes_on_past_a_graph_that_raises(tmp_path, capsys):
+    # K5, the empty graph, K5: the second K5 is analysed, and the exit code
+    # still reports the error
+    path = tmp_path / "e3.g6"
+    path.write_text("D~{\n?\nD~{\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    summaries = [json.loads(line) for line in captured.out.splitlines()]
+    assert [s["graph_id"] for s in summaries] == ["e3.g6:0", "e3.g6:2"]
+    assert summaries[0] == summaries[1] | {"graph_id": "e3.g6:0"}
+    assert captured.err == "error: e3.g6:1: ValueError: empty graph\n"
 
 
 def test_generate_writes_graph6_and_manifest(tmp_path, capsys):

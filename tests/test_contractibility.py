@@ -16,16 +16,17 @@ from quasigraph.connectivity import (
 from quasigraph.contractibility import (
     _classify,
     _contracts_to,
+    _first_contractible_edge,
     _kappa_after,
-    check_martinov,
     compute_E0,
     contraction_reports,
-    first_contractible_edge,
     is_contraction_critical,
     is_k_contractible,
     is_quasi_k_contractible,
+    is_regular_triangular,
 )
 from quasigraph.core import Graph, contract_edge, contracted_min_degree
+from quasigraph.io import from_graph6
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
@@ -360,13 +361,22 @@ class TestContractionCritical:
         with pytest.raises(ValueError, match="hypothesis violated"):
             is_contraction_critical(circulant_graph(8, (1, 2)), 5, quasi=True)
 
+    def test_hypothesis_checked_where_the_edge_rule_fails(self):
+        # kappa(ELP_) = 1: the edge rule, which holds only for G 3-connected,
+        # accepts (0, 3), though G/03 still has a cut vertex
+        g = from_graph6("ELP_")
+        assert _first_contractible_edge(_Flows(g), 3, False) == (0, 3)
+        assert brute_vertex_connectivity(contract_edge(g, (0, 3)).graph) == 1
+        with pytest.raises(ValueError, match="hypothesis violated"):
+            is_contraction_critical(g, 3)
+
 
 class TestFirstContractibleEdge:
     @pytest.mark.parametrize("quasi", [True, False])
     def test_matches_oracles_on_corpora(self, quasi, small_corpus, quasi5_corpus):
         # the witness is the first sorted edge whose contraction the oracle
-        # accepts; None when the oracle accepts none. The search relies on
-        # its hypothesis: g quasi 5-connected, or kappa(g) >= k
+        # accepts; None when the oracle accepts none. Every graph meets the
+        # hypothesis the search checks: g quasi 5-connected, or kappa(g) >= k
         graphs = [g for _, g in small_corpus + quasi5_corpus if 2 <= g.n <= 10]
         for g in graphs:
             k = 5 if quasi else brute_vertex_connectivity(g)
@@ -379,7 +389,8 @@ class TestFirstContractibleEdge:
                         else brute_vertex_connectivity(contracted) >= k):
                     expected = e
                     break
-            assert first_contractible_edge(g, k, quasi) == expected, (g.edges(), k)
+            assert is_contraction_critical(g, k, quasi) == (expected is None, expected), \
+                (g.edges(), k)
 
 
 @st.composite
@@ -568,9 +579,16 @@ class TestContractsTo:
     ], ids=["apex24-quasi", "icosahedron-quasi", "icosahedron-plain", "C20-plain"])
     def test_search_builds_one_network(self, g, k, quasi, count_calls):
         calls = count_calls("contract_edge", "_split_network")
-        edge = first_contractible_edge(g, k, quasi)
-        assert (edge is None) == (not quasi)
+        critical, _ = is_contraction_critical(g, k, quasi)
+        assert critical == (not quasi)
         assert calls == {"contract_edge": 0, "_split_network": 1}
+
+
+def check_martinov(g):
+    """Both sides of the 4-connected criticality characterization, computed
+    independently: (contraction critical, 4-regular with every edge in a
+    triangle)."""
+    return is_contraction_critical(g, 4)[0], is_regular_triangular(g)
 
 
 class TestMartinov:

@@ -12,7 +12,7 @@ import quasigraph
 import quasigraph.connectivity as connectivity
 from quasigraph import harness
 from quasigraph.connectivity import is_quasi_k_connected, vertex_connectivity
-from quasigraph.contractibility import first_contractible_edge, is_quasi_k_contractible
+from quasigraph.contractibility import is_contraction_critical, is_quasi_k_contractible
 from quasigraph.core import Graph, contract_edge
 from quasigraph.io import from_graph6, to_graph6
 from quasigraph.generators import (
@@ -79,7 +79,6 @@ class TestTheorem1:
         assert rep.status == "verified"
         assert rep.hypotheses_hold and rep.conclusion_holds
         assert rep.witness == {"edge": [0, 1]}
-        assert rep.enumeration_mode == "exhaustive"
 
     def test_complete_graph_verified(self):
         assert verify_claim(complete_graph(6), "theorem1").status == "verified"
@@ -138,7 +137,7 @@ class TestTheorem2Sharpness:
         assert quasi.holds and quasi.kappa == 4
         ok, pair = check_degree_sum_condition(g, 9, 2)
         assert not ok
-        assert first_contractible_edge(g, 5, True) is None
+        assert is_contraction_critical(g, 5, quasi=True) == (True, None)
         rep = verify_claim(g, "theorem2", name)
         assert rep.status == "vacuous" and rep.hypotheses_hold is False
         assert rep.witness == {"failed_hypothesis": f"degree sum 8<9 for pair {list(pair)}"}
@@ -167,7 +166,7 @@ class TestDistanceTwoWitnesses:
         assert quasi.holds and quasi.kappa == 4
         assert check_degree_sum_condition(g, 9, 1) == (True, None)
         assert check_degree_sum_condition(g, 9, 2) == (False, (6, 7))
-        assert first_contractible_edge(g, 5, True) is None
+        assert is_contraction_critical(g, 5, quasi=True) == (True, None)
         rep = verify_claim(g, "theorem2", text)
         assert rep.status == "vacuous" and rep.hypotheses_hold is False
         assert rep.witness == {"failed_hypothesis": "degree sum 8<9 for pair [6, 7]"}
@@ -181,6 +180,27 @@ class TestDistanceTwoWitnesses:
             assert not brute, e
             assert contraction_decision(g, e, 5, True) == brute, e
             assert is_quasi_k_contractible(g, e, 5).quasi_k_contractible == brute, e
+
+
+class TestOneMessagePerHypothesis:
+    """Every claim that fails on the same shared hypothesis reports the same
+    message, which names the value that falls short."""
+
+    @staticmethod
+    def _messages(g, claims):
+        reports = [verify_claim(g, claim) for claim in claims]
+        assert all(r.status == "vacuous" and r.hypotheses_hold is False for r in reports)
+        return {r.witness["failed_hypothesis"] for r in reports}
+
+    def test_not_quasi_5_connected(self):
+        claims = ["theorem2", "lemma2", "lemma3", "lemma5"]
+        assert self._messages(circulant_graph(10, (1, 2)), claims) == {
+            "not quasi 5-connected (nontrivial-cut, kappa=4)"}
+
+    def test_degree_sum(self):
+        claims = ["theorem2", "lemma5", "degree_condition_BC"]
+        assert self._messages(from_graph6("H{S}thk"), claims) == {
+            "degree sum 8<9 for pair [6, 7]"}
 
 
 class TestLemmas:
@@ -417,7 +437,7 @@ class TestVerifyClaimDispatch:
                 checked.add(obj)
         assert "cuts" not in inspect.signature(quasigraph.nontrivial_atom).parameters
         assert {quasigraph.vertex_connectivity, quasigraph.is_quasi_k_connected,
-                quasigraph.first_contractible_edge, quasigraph.nontrivial_atom} <= checked
+                quasigraph.is_contraction_critical, quasigraph.nontrivial_atom} <= checked
 
 
 def test_readme_library_block_runs():
@@ -479,7 +499,7 @@ class TestRunCampaign:
         out = tmp_path / "pinned.jsonl"
         run_campaign(generate_corpus(self.SPEC), CLAIMS, out, exhaustive=True)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "bc0a9eb43a6163fbef3e207615dcbe690c7421c85704f32f8bd1166352b26053")
+            "0d7b10357e3f2d5246a26d9dc864475e19a80fb1a8e6cd4292918982dcc52295")
 
     def test_empty_corpus(self, tmp_path):
         out = tmp_path / "empty.jsonl"
@@ -519,8 +539,7 @@ class TestRunCampaign:
         assert reports[1] == {
             "graph_id": "E0", "claim": "theorem1", "status": "error",
             "hypotheses_hold": None, "conclusion_holds": None,
-            "witness": {"error": "ValueError: empty graph"},
-            "enumeration_mode": "exhaustive"}
+            "witness": {"error": "ValueError: empty graph"}}
 
     def test_clean_campaign_counts_no_errors(self, tmp_path):
         summary = run_campaign([("K6", complete_graph(6))], ["theorem1"], tmp_path / "k.jsonl")

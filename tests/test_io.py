@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasigraph.cli import main
 from quasigraph.core import Graph
 from quasigraph import io as gio
 from quasigraph.generators import (
@@ -124,6 +125,20 @@ class TestAdjacencyJson:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             gio.from_adjacency_json({"n": 2, "adjacency": [[]]})
+
+    @pytest.mark.parametrize("obj", [
+        {"n": True, "adjacency": [[]]},
+        {"n": 2, "adjacency": [[True], [False]]},
+    ], ids=["n-bool", "neighbor-bool"])
+    def test_booleans_rejected(self, obj, tmp_path, capsys):
+        # a bool is an int to isinstance, but not a vertex count or id
+        with pytest.raises(ValueError, match="integer"):
+            gio.from_adjacency_json(obj)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestLoadGraphs:
