@@ -40,13 +40,13 @@ on the order of augmentation. On C40(1,2) the quasi test runs 7
 augmenting searches, and the capacities it writes grow linearly in n.
 
 The separators of G - x - y that decide whether contracting an edge xy
-keeps G quasi k-connected are listed on G's own digraph: the capacity
-copies close the internal arcs of x and y, so no path passes through
-them, and the pairs are taken from G's adjacency with x and y removed. A
-separator T of G - x - y is returned as the cut T + {x, y} of G, which
-leaves the same components. One listing at size j both finds the
-separators of size j and meets a smaller one if there is any, so the
-decision needs no kappa(G - x - y) first.
+keeps G k-connected, or quasi k-connected, are listed on G's own
+digraph: the capacity copies close the internal arcs of x and y, so no
+path passes through them, and the pairs are taken from G's adjacency
+with x and y removed. A separator T of G - x - y is returned as the cut
+T + {x, y} of G, which leaves the same components. One listing at size
+j both finds the separators of size j and meets a smaller one if there
+is any, so the decision needs no kappa(G - x - y) first.
 
 Minimum cuts are listed from the same pairs' flows, each capped at
 kappa + 1 (after Kanevsky, and Picard and Queyranne): a pair whose flow is
@@ -528,13 +528,15 @@ def _augment(to: list[int], cap: list[int], tree: list[int], node: int, root: in
 
 def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
     """The pairs whose flows decide kappa(H), for H the subgraph of G on the
-    `alive` vertex mask (all of G when None), connected and not complete:
-    v0, the least vertex of minimum degree in H, against each non-neighbor,
-    then each non-adjacent pair of v0's neighbors.
+    `alive` vertex mask (all of G when None), not complete: v0, the least
+    vertex of minimum degree in H, against each non-neighbor, then each
+    non-adjacent pair of v0's neighbors.
 
     Every separator S separates one of them. If S misses v0 it separates v0
     from some non-neighbor; if S contains v0, v0 has neighbors in two
-    components of H - S, and these are not adjacent.
+    components of H - S, and these are not adjacent. The empty separator
+    of a disconnected H is no exception: v0 and a vertex of another
+    component form a pair, and its flow is 0.
     """
     masks = g.masks
     if alive is None:
@@ -651,14 +653,16 @@ def _sweeps(flows: _Flows, pairs: Iterable[tuple[int, int]],
 
 def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | None = None,
                                   listed: list[Cut] | None = None) -> tuple[int, Cut | None]:
-    """kappa(G) and a minimum cut of G (None when it has none: K1 and
-    complete graphs), for G the graph of the flow context `flows`.
+    """kappa(G) and a minimum cut of G (None when it has none: complete
+    graphs, K1 among them), for G the graph of the flow context `flows`.
 
     With a threshold t: when kappa < t, the same value and cut as without
     it; otherwise some value >= t and no cut. Each pair's flow is capped at
     the smallest separator found so far (t at first), since only a smaller
     one is kept. Only the value without t is a fact of G that the context
-    keeps.
+    keeps. A disconnected G needs no case of its own: v0 and a vertex of
+    another component form a pair (`_flow_pairs`) whose flow 0 gives kappa
+    0 with the empty cut, or no cut at t = 0.
 
     The pairs run through `_sweeps`, as in `_min_separators`: after each
     pair its edge is added to the network, and the added arcs are removed
@@ -699,10 +703,6 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
         raise ValueError("empty graph")
     if t is None:
         t = n
-    if n == 1:
-        return 0, None
-    if len(component_masks(g.masks, g.full_mask)) > 1:
-        return 0, (make_cut(g, ()) if t > 0 else None)
     if g.is_complete():
         return n - 1, None
     best = min(t, n - 1)
@@ -810,9 +810,12 @@ def _min_separators(flows: _Flows, j: int,
                     without: tuple[int, ...] = ()) -> Iterator[Cut]:
     """Every separator T of size j of H = G - without once, in discovery
     order, as the cut T + without of G, for G the graph of `flows` and
-    kappa(H) >= j; nothing when H is complete, and the one empty separator
-    when H is disconnected and j = 0. When kappa(H) < j, a separator
-    smaller than j is yielded, perhaps after some of size j.
+    kappa(H) >= j; nothing when H is complete (the empty H too) or j < 0.
+    When kappa(H) < j, a separator smaller than j is yielded, perhaps after
+    some of size j. A disconnected H needs no case of its own: its empty
+    separator is met by the flow 0 of v0 and a vertex of another component
+    (`_flow_pairs`), listed at j = 0 and yielded as smaller above it, and
+    the seen set keeps it once.
 
     Each pair of `_flow_pairs` gets one flow capped at j + 1, on G's
     network with the vertices `without` closed. A flow of j lists the
@@ -831,10 +834,6 @@ def _min_separators(flows: _Flows, j: int,
     g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
     if _complete(g, alive):
-        return
-    if j == 0:
-        if len(component_masks(g.masks, alive)) > 1:
-            yield make_cut(g, without)
         return
     net = flows.net
     seen: set[tuple[int, ...]] = set()
@@ -1035,9 +1034,9 @@ def enumerate_cuts(g: Graph, size: int) -> list[Cut]:
 
 def minimum_cuts(g: Graph) -> list[Cut]:
     """The set of smallest cut sets, lexicographically sorted (empty for
-    complete graphs). A disconnected graph has the one empty cut; otherwise
-    the cuts are listed from the residual graphs of the kappa flows, so the
-    cost grows with the number of cuts rather than with C(n, kappa)."""
+    complete graphs, the one empty cut for a disconnected graph), listed
+    from the residual graphs of the kappa flows, so the cost grows with the
+    number of cuts rather than with C(n, kappa)."""
     return _Flows(g).minimum_cuts
 
 

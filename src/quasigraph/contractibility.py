@@ -48,17 +48,22 @@ larger than kappa(G). `is_k_contractible` and lemma 2's witness read it too.
 
 The yes/no decision (`_contracts_to`: is G/e quasi k-connected, or
 k-connected), behind both modes of `_first_contractible_edge` and lemma 3,
-holds under the caller's hypothesis on G, which `is_contraction_critical`
-and the claim runners check first:
+is one rule with two predicates. It holds under the caller's hypothesis
+on G, G quasi k-connected or k-connected, which `is_contraction_critical`
+and the claim runners check first. Under it a cut of G/e that avoids the
+merged vertex z is a cut of G avoiding x and y: of size at least k for G
+k-connected, and for G quasi k-connected of size at least k-1 and, at
+k-1, trivial in G and in G/e. So only the cuts holding z decide: z plus a
+separator T' of G - x - y. One listing of the (k-2)-separators of
+G - x - y (`connectivity._min_separators`), which meets a smaller
+separator whenever one exists, decides both modes once G/e is large
+enough:
 
-- for G k-connected, `_kappa_after` capped at k decides from the first
-  term alone;
-- for G quasi k-connected, whose (k-1)-cuts stay trivial in G/e, G/e is
-  quasi k-connected exactly when it has at least k vertices and one
-  listing of the (k-2)-separators of G - x - y
-  (`connectivity._min_separators`) meets neither a smaller separator nor
-  one, T', that makes T' + {x, y} nontrivial in G; that listing meets a
-  smaller separator whenever one exists.
+- G/e is k-connected exactly when it has at least k+1 vertices and the
+  listing yields nothing;
+- G/e is quasi k-connected exactly when it has at least k vertices and the
+  listing yields neither a smaller separator nor one, T', that makes
+  T' + {x, y} nontrivial in G.
 
 Every flow here runs on G's own network, those of G - x - y with the
 internal arcs of x and y closed, and no edge is contracted. The private
@@ -139,16 +144,14 @@ def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
 def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> bool:
     """Whether G/e is quasi k-connected (`quasi`) or k-connected, for G,
     the graph of `flows`, quasi k-connected or k-connected respectively (not
-    checked), by the rules of the module docstring. Every flow runs on G's
-    network."""
-    if not quasi:
-        return _kappa_after(flows, e, k, k) >= k
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if flows.g.n - 1 < k:
+    checked), by the rule of the module docstring: a size guard, then one
+    listing of the (k-2)-separators of G - x - y on G's network, which
+    rejects at the first separator listed (plain) or at the first that is
+    smaller or leaves a nontrivial cut of G (`quasi`)."""
+    if flows.g.n - 1 < (k if quasi else k + 1):
         return False
     with closing(_min_separators(flows, k - 2, e)) as listing:
-        return not any(cut.nontrivial or cut.size < k for cut in listing)
+        return not any(not quasi or cut.nontrivial or cut.size < k for cut in listing)
 
 
 def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
@@ -160,10 +163,10 @@ def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
 
 def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = None) -> int:
     """kappa(G/e) for G, the graph of `flows`, of connectivity kappa; with a
-    threshold t, the same value when it is below t, otherwise some value
-    >= t, and kappa may then be capped at t. By the module docstring; each
-    flow is capped at the smallest cut so far, and z's flows run from x with
-    y's internal arc uncuttable."""
+    threshold t (`is_k_contractible` passes k), the same value when it is
+    below t, otherwise some value >= t, and kappa may then be capped at t.
+    By the module docstring; each flow is capped at the smallest cut so
+    far, and z's flows run from x with y's internal arc uncuttable."""
     g = flows.g
     if _complete_after(g, e):
         return g.n - 2

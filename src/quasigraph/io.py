@@ -189,7 +189,10 @@ def write_adjacency_json_file(path: str | Path, g: Graph) -> None:
 # Format dispatch for the CLI.
 
 def load_graphs(path: str | Path, fmt: str = "auto") -> list[tuple[str, Graph]]:
-    """Load one or many graphs from a file, with stable ids."""
+    """Load one or many graphs from a file, with stable ids: the file name,
+    and for graph6 the record's index among the non-blank lines. A
+    malformed graph6 record raises ValueError named by the id its graph
+    would have had."""
     path = Path(path)
     if fmt == "auto":
         suffix = path.suffix.lower()
@@ -200,7 +203,15 @@ def load_graphs(path: str | Path, fmt: str = "auto") -> list[tuple[str, Graph]]:
         else:
             fmt = "edgelist"
     if fmt == "graph6":
-        return [(f"{path.name}:{i}", g) for i, g in enumerate(iter_graph6_file(path))]
+        graphs: list[tuple[str, Graph]] = []
+        try:
+            for g in iter_graph6_file(path):
+                graphs.append((f"{path.name}:{len(graphs)}", g))
+        except UnicodeDecodeError:
+            raise  # decoded ahead of the records, so no record to name
+        except ValueError as exc:
+            raise ValueError(f"{path.name}:{len(graphs)}: {exc}") from exc
+        return graphs
     if fmt == "json":
         return [(path.name, read_adjacency_json_file(path))]
     if fmt == "edgelist":

@@ -199,6 +199,24 @@ def test_analyze_goes_on_past_a_graph_that_raises(tmp_path, capsys):
     assert captured.err == "error: e3.g6:1: ValueError: empty graph\n"
 
 
+def test_malformed_graph6_record_is_named(tmp_path, capsys):
+    # the second line of K5, K5 cut short, K5 is not a graph: analyze and a
+    # search over the file as a corpus entry name it by the id its graph
+    # would have had, and exit 2; the whole file is parsed before the first
+    # graph, so no graph of it is analysed or searched
+    path = tmp_path / "bad.g6"
+    path.write_text("D~{\nD~\nD~{\n")
+    message = "error: bad.g6:1: graph6 body has 1 characters, expected 2\n"
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"corpus": [
+        {"family": "complete", "params": {"n": 5}},
+        {"family": "graph6_file", "params": {"path": str(path)}}]}))
+    assert main(["search", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_generate_writes_graph6_and_manifest(tmp_path, capsys):
     out_dir = tmp_path / "fam"
     code = main(["generate", "--family", "complete", "--params", '{"n": [5, 6]}',

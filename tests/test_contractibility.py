@@ -26,7 +26,6 @@ from quasigraph.contractibility import (
     is_regular_triangular,
 )
 from quasigraph.core import Graph, contract_edge, contracted_min_degree
-from quasigraph.io import from_graph6
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
@@ -362,11 +361,13 @@ class TestContractionCritical:
             is_contraction_critical(circulant_graph(8, (1, 2)), 5, quasi=True)
 
     def test_hypothesis_checked_where_the_edge_rule_fails(self):
-        # kappa(ELP_) = 1: the edge rule, which holds only for G 3-connected,
-        # accepts (0, 3), though G/03 still has a cut vertex
-        g = from_graph6("ELP_")
-        assert _first_contractible_edge(_Flows(g), 3, False) == (0, 3)
-        assert brute_vertex_connectivity(contract_edge(g, (0, 3)).graph) == 1
+        # K5 on 0..4 and the edge 56, joined to the rest through 0 only:
+        # kappa(G) = 1, and the edge rule, which holds only for G
+        # 3-connected, accepts (5, 6) as G - 5 - 6 = K5, though G/56 still
+        # has the cut vertex 0
+        g = Graph(7, complete_graph(5).edges() + [(5, 6), (0, 5), (0, 6)])
+        assert _first_contractible_edge(_Flows(g), 3, False) == (5, 6)
+        assert brute_vertex_connectivity(contract_edge(g, (5, 6)).graph) == 1
         with pytest.raises(ValueError, match="hypothesis violated"):
             is_contraction_critical(g, 3)
 
@@ -536,9 +537,44 @@ class TestContractsTo:
             assert _contracts_to(flows, e, 5, quasi=True) is True
             assert 0 < len(calls) <= len(pairs), e
 
+    @pytest.mark.parametrize("g, k", [
+        (circulant_graph(8, (1, 2)), 4), (icosahedron_graph(), 5),
+    ], ids=["C8-k4", "icosahedron-k5"])
+    def test_plain_decision_is_one_listing(self, g, k, monkeypatch):
+        # both are k-connected and contraction critical, so every edge is
+        # rejected at the first (k-2)-separator of G - x - y that one
+        # listing meets, with at most one flow per pair of G - x - y and no
+        # kappa(G/e)
+        def refuse(*args):
+            raise AssertionError("kappa(G/e) computed")
+
+        listings, calls = [], []
+        listing, flow = contractibility._min_separators, connectivity._local_vertex_cut
+
+        def listed(*args):
+            listings.append(args)
+            return listing(*args)
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return flow(*args)
+
+        monkeypatch.setattr(contractibility, "_kappa_after", refuse)
+        monkeypatch.setattr(contractibility, "_min_separators", listed)
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", counted)
+        flows = _Flows(g)
+        for e in g.edges():
+            pairs = connectivity._flow_pairs(g, g.full_mask & ~(1 << e[0] | 1 << e[1]))
+            listings.clear()
+            calls.clear()
+            assert _contracts_to(flows, e, k, quasi=False) is False
+            assert len(listings) == 1 and len(calls) <= len(pairs), e
+
     def test_quasi_needs_k_at_least_two(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            _contracts_to(_Flows(complete_graph(4)), (0, 1), 1, quasi=True)
+        # the public search tests the hypothesis first, and the quasi test
+        # rejects k < 2 before any edge is decided
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            is_contraction_critical(complete_graph(4), 1, quasi=True)
 
     def test_is_k_contractible_caps_every_flow(self, monkeypatch):
         # C8(1,2) is 4-connected and contraction critical: kappa(G/e) = 3,

@@ -154,6 +154,15 @@ class TestLoadGraphs:
         assert gio.load_graphs(edges)[0][1] == g
         assert gio.load_graphs(js)[0][1] == g
 
+    def test_malformed_graph6_record_is_named(self, tmp_path):
+        # K5, a truncated K5 body, K5: the error names the second record by
+        # the id its graph would have had; blank lines are not records
+        path = tmp_path / "bad.g6"
+        path.write_text("D~{\n\nD~\nD~{\n")
+        with pytest.raises(ValueError) as err:
+            gio.load_graphs(path)
+        assert str(err.value) == "bad.g6:1: graph6 body has 1 characters, expected 2"
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             gio.load_graphs(tmp_path / "x.g6", fmt="dimacs")
