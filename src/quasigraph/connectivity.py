@@ -261,7 +261,7 @@ def _split_network(g: Graph) -> _SplitNetwork:
                         [[(node, node ^ 1)] for node in range(2 * n)],
                         [{} for _ in range(n)])
     for u in range(n):
-        for w in g.sorted_neighbors(u):
+        for w in g.neighbors(u):
             if u < w:
                 _add_edge(net, u, w)
     return net
@@ -529,21 +529,24 @@ def _augment(to: list[int], cap: list[int], tree: list[int], node: int, root: in
 def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
     """The pairs whose flows decide kappa(H), for H the subgraph of G on the
     `alive` vertex mask (all of G when None), not complete: v0, the least
-    vertex of minimum degree in H, against each non-neighbor, then each
-    non-adjacent pair of v0's neighbors.
+    vertex of minimum degree in H, against each non-neighbor, those outside
+    v0's component first, then each non-adjacent pair of v0's neighbors.
 
     Every separator S separates one of them. If S misses v0 it separates v0
     from some non-neighbor; if S contains v0, v0 has neighbors in two
     components of H - S, and these are not adjacent. The empty separator
     of a disconnected H is no exception: v0 and a vertex of another
-    component form a pair, and its flow is 0.
+    component form the first pair, and its flow is 0. For a connected H
+    the non-neighbors run in ascending order.
     """
     masks = g.masks
     if alive is None:
         alive = g.full_mask
     v0 = min(mask_to_vertices(alive), key=lambda v: ((masks[v] & alive).bit_count(), v))
     nbrs = masks[v0] & alive
-    pairs = [(v0, w) for w in mask_to_vertices(alive & ~nbrs & ~(1 << v0))]
+    home = next(c for c in component_masks(masks, alive) if c >> v0 & 1)
+    others = alive & ~nbrs & ~(1 << v0)
+    pairs = [(v0, w) for w in mask_to_vertices(others & ~home) + mask_to_vertices(others & home)]
     pairs += [(x, y) for x, y in combinations(mask_to_vertices(nbrs), 2)
               if not masks[x] >> y & 1]
     return pairs
@@ -661,8 +664,9 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     the smallest separator found so far (t at first), since only a smaller
     one is kept. Only the value without t is a fact of G that the context
     keeps. A disconnected G needs no case of its own: v0 and a vertex of
-    another component form a pair (`_flow_pairs`) whose flow 0 gives kappa
-    0 with the empty cut, or no cut at t = 0.
+    another component form the first pair (`_flow_pairs`), whose flow 0
+    gives kappa 0 with the empty cut, or no cut at t = 0. The pass stops
+    once the smallest separator so far is empty, since none is smaller.
 
     The pairs run through `_sweeps`, as in `_min_separators`: after each
     pair its edge is added to the network, and the added arcs are removed
@@ -717,6 +721,8 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
                                           sweep.cap, sweep)
             if size < best:
                 best, best_sep = size, sep
+            if best == 0:
+                break
             if size == j and sep is not None:
                 # a maximum flow of j below the cap: list the pair's j-separators
                 for pair_sep in _pair_separators(net, sweep.cap, s, w):
@@ -930,9 +936,9 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
 _MANY_CANDIDATES = 4
 
 
-def _cut_vertices(rows: list[frozenset[int]], removed: tuple[int, ...]) -> int | None:
+def _cut_vertices(rows: list[tuple[int, ...]], removed: tuple[int, ...]) -> int | None:
     """The cut vertices of G - removed, as a bitmask, or None when G -
-    removed is disconnected, for G the graph of the neighbor sets `rows`
+    removed is disconnected, for G the graph of the neighbor rows `rows`
     and `removed` not all of it.
 
     One depth-first search with Hopcroft-Tarjan low points: a vertex's low

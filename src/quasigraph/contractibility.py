@@ -330,4 +330,4 @@ def is_regular_triangular(g: Graph) -> bool:
     """4-regular with every edge in a triangle: the structural side of the
     4-connected criticality characterization."""
     return (all(g.degree(v) == 4 for v in g.vertices)
-            and all(g.neighbors(u) & g.neighbors(v) for u, v in g.edges()))
+            and all(g.masks[u] & g.masks[v] for u, v in g.edges()))

@@ -1,6 +1,7 @@
 """Simple undirected graphs: contraction and balls of small radius.
 
-Vertices are contiguous ids 0..n-1. Graphs are immutable after construction;
+Vertices are contiguous ids 0..n-1, and a graph stores its adjacency once, as
+one neighbor bitmask per vertex. Graphs are immutable after construction;
 every operation returns a new value, so results are safe to share and reuse.
 """
 
@@ -15,27 +16,29 @@ from typing import Iterable, Iterator
 class Graph:
     """Immutable simple undirected graph on vertex ids 0..n-1.
 
-    Adjacency is symmetric, loop-free and deduplicated. Equality and
+    Adjacency is stored once, as `masks`: bit w of masks[v] is set iff vw
+    is an edge, so it is symmetric, loop-free and deduplicated. Every
+    accessor reads it; `neighbors` returns a sorted tuple. Equality and
     hashing are structural.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
         # Built from a list, not a generator, as elsewhere in this module:
         # CPython resizes a tuple built from a generator, so once freed it is
         # parked on its size's free list (up to 2000 per size) and not reused,
         # and a process that runs campaigns grows by about 0.2 MiB per run.
-        self._adj = tuple([frozenset(s) for s in adj])
+        self.masks = tuple(masks)
 
     @classmethod
     def from_adjacency(cls, adjacency: Iterable[Iterable[int]]) -> "Graph":
@@ -43,7 +46,7 @@ class Graph:
         edges = [(u, v) for u, row in enumerate(adj) for v in row if u < v]
         g = cls(len(adj), edges)
         for u, row in enumerate(adj):
-            if g.neighbors(u) != frozenset(row):
+            if set(g.neighbors(u)) != set(row):
                 raise ValueError(f"adjacency rows are not symmetric at vertex {u}")
         return g
 
@@ -51,17 +54,15 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
-
-    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[v]))
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """N(v), sorted."""
+        return mask_to_vertices(self.masks[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple([len(s) for s in self._adj])
+        return tuple([m.bit_count() for m in self.masks])
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -69,29 +70,18 @@ class Graph:
         return min(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return self.masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.sorted_neighbors(u) if u < v]
+        return [(u, v) for u in range(self.n) for v in self.neighbors(u) if u < v]
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmask; bit w of masks[v] is set iff vw is an edge."""
-        out = []
-        for v in range(self.n):
-            m = 0
-            for w in self._adj[v]:
-                m |= 1 << w
-            out.append(m)
-        return tuple(out)
 
     @property
     def full_mask(self) -> int:
@@ -100,10 +90,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -216,10 +206,10 @@ def contracted_min_degree(g: Graph, e: tuple[int, int]) -> int:
     x and y loses one; every other vertex keeps its degree.
     """
     x, y = require_edge(g, e)
-    nx, ny = g.neighbors(x), g.neighbors(y)
-    common = nx & ny
-    return min([len(nx | ny) - 2] + [g.degree(v) - (v in common)
-                                     for v in range(g.n) if v != x and v != y])
+    masks = g.masks
+    common = masks[x] & masks[y]
+    return min([(masks[x] | masks[y]).bit_count() - 2]
+               + [masks[v].bit_count() - (common >> v & 1) for v in range(g.n) if v != x and v != y])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +242,7 @@ def degree_k_vertices(g: Graph, k: int) -> tuple[int, ...]:
 
 def triangles_in_neighborhood(g: Graph, x: int) -> Iterator[tuple[int, int, int]]:
     """Triangles contained in N(x), in sorted order."""
-    nbrs = g.sorted_neighbors(x)
+    nbrs = g.neighbors(x)
     for a, b, c in combinations(nbrs, 3):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
             yield (a, b, c)

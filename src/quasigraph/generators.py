@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
-from .core import Graph
+from .core import Graph, mask_to_vertices
 from .connectivity import (
     _Flows,
     _vertex_connectivity_with_cut,
@@ -171,7 +171,7 @@ def quasi_5_apex(n: int, seed: int | random.Random | None = None,
     if attach_triangle:
         anchors = None
         for a, b in h.edges():
-            common = sorted(h.neighbors(a) & h.neighbors(b))
+            common = mask_to_vertices(h.masks[a] & h.masks[b])
             if common:
                 c = common[0]
                 rest = [v for v in range(h.n) if v not in (a, b, c)]

@@ -209,9 +209,9 @@ def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
         for frag in fragments_of_cut(g, cut):
             if not frag.is_nontrivial():
                 continue
-            body = set(frag.body)
+            body = vertices_to_mask(frag.body)
             for x in cut.vertices:
-                if len(g.neighbors(x) & body) == 1:
+                if (g.masks[x] & body).bit_count() == 1:
                     configs += 1
                     if len(frag.body) != 2:
                         return False, {"cut": cut.to_json(),
@@ -254,7 +254,7 @@ def _lemma3(g: Graph, flows: _Flows, k) -> _Outcome:
         return _Vacuous(f"n={g.n}<8")
     configs = 0
     for x in degree_k_vertices(g, 4):
-        nbrs = set(g.sorted_neighbors(x))
+        nbrs = set(g.neighbors(x))
         for tri in triangles_in_neighborhood(g, x):
             flows.check()
             (x4,) = nbrs - set(tri)

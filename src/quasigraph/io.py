@@ -156,7 +156,7 @@ def write_edge_list_file(path: str | Path, g: Graph) -> None:
 # Adjacency JSON.
 
 def to_adjacency_json(g: Graph) -> dict:
-    return {"n": g.n, "adjacency": [list(g.sorted_neighbors(v)) for v in g.vertices]}
+    return {"n": g.n, "adjacency": [list(g.neighbors(v)) for v in g.vertices]}
 
 
 def from_adjacency_json(obj: dict) -> Graph:

@@ -193,6 +193,16 @@ class TestOnePass:
         assert is_quasi_k_connected(g, 5).holds
         assert calls["_local_vertex_cut"] == len(connectivity._flow_pairs(g)) == 39
 
+    def test_disconnected_graph_stops_at_its_first_flow(self, count_calls):
+        # v0's first pair reaches the other component, whose flow 0 is the
+        # least value, so no pair of v0's own component runs a flow, lists
+        # its 4-cuts or starts the certificate scan
+        g = disjoint_union(quasi_5_apex(100, 1), quasi_5_apex(100, 2))
+        calls = count_calls("_local_vertex_cut", "_pair_separators", "_cuts")
+        rep = is_quasi_k_connected(g, 5)
+        assert (rep.failure, rep.kappa, rep.cut.vertices) == ("connectivity", 0, ())
+        assert calls == {"_local_vertex_cut": 1, "_pair_separators": 0, "_cuts": 0}
+
 
 class _CountingRows(list):
     """Adjacency rows that count reads of one node's row, or of every row
@@ -442,10 +452,10 @@ class TestTwoHopUnits:
         cases = [(s, t, (), ()) for s, t in pairs]
         for x, y in g.edges()[:2]:
             cases += [(s, t, (x, y), ()) for s, t in pairs if not {s, t} & {x, y}]
-            for t in sorted(set(g.vertices) - g.neighbors(x) - {x, y}):
+            for t in sorted(set(g.vertices) - set(g.neighbors(x)) - {x, y}):
                 cases.append((x, t, (), (y,)))
                 cases += [(x, t, (), (y, z)) for z in sorted(g.neighbors(t))[:1]
-                          if z not in g.neighbors(x) | {x, y}]
+                          if z not in set(g.neighbors(x)) | {x, y}]
         return cases
 
     def test_cold_flows_match_reference(self, small_corpus, quasi5_corpus):

@@ -677,7 +677,7 @@ class TestLemmaLevelProperties:
         for seed in range(5):
             g = quasi_5_apex(11, seed=200 + seed, attach_triangle=True)
             x = g.n - 1
-            nbrs = set(g.sorted_neighbors(x))
+            nbrs = set(g.neighbors(x))
             from quasigraph.core import triangles_in_neighborhood
 
             for tri in triangles_in_neighborhood(g, x):

@@ -68,12 +68,12 @@ class TestFragmentsOfCut:
                 assert not set(frag.body) & set(frag.complement)
                 # no edges from body to complement
                 for v in frag.body:
-                    assert not g.neighbors(v) & set(frag.complement)
+                    assert not set(g.neighbors(v)) & set(frag.complement)
                 # N(complement) stays inside the boundary
                 if frag.complement:
                     nbh = set()
                     for v in frag.complement:
-                        nbh |= g.neighbors(v)
+                        nbh.update(g.neighbors(v))
                     assert nbh - set(frag.complement) <= set(frag.boundary)
 
     def test_boundary_is_exact_neighborhood(self):

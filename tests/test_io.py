@@ -122,6 +122,10 @@ class TestAdjacencyJson:
         labelled = {**gio.to_adjacency_json(g), "labels": ["a", "b", "c"]}
         assert gio.from_adjacency_json(labelled) == g
 
+    def test_negative_id_is_an_asymmetric_row(self):
+        with pytest.raises(ValueError, match="^adjacency rows are not symmetric at vertex 0$"):
+            gio.from_adjacency_json({"n": 2, "adjacency": [[-1], [0]]})
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             gio.from_adjacency_json({"n": 2, "adjacency": [[]]})
