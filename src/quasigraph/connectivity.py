@@ -109,6 +109,7 @@ from .core import (
     Graph,
     component_masks,
     mask_to_vertices,
+    reach_mask,
     vertices_to_mask,
 )
 
@@ -255,16 +256,33 @@ def _remove_added_edges(net: _SplitNetwork, mark: int) -> None:
 
 
 def _split_network(g: Graph) -> _SplitNetwork:
+    """G's split network in one pass over each vertex's mask of higher
+    neighbors: the arcs of edge uw, u < w, are those `_add_edge(net, u, w)`
+    appends, with the edges in sorted order."""
     n = g.n
     # the internal arcs: arc 2v is 2v -> 2v+1, arc 2v+1 its reverse
-    net = _SplitNetwork([node ^ 1 for node in range(2 * n)], [1, 0] * n,
-                        [[(node, node ^ 1)] for node in range(2 * n)],
-                        [{} for _ in range(n)])
-    for u in range(n):
-        for w in g.neighbors(u):
-            if u < w:
-                _add_edge(net, u, w)
-    return net
+    to = [node ^ 1 for node in range(2 * n)]
+    adj = [[(node, node ^ 1)] for node in range(2 * n)]
+    out_arc: list[dict[int, int]] = [{} for _ in range(n)]
+    a = 2 * n
+    for u, m in enumerate(g.masks):
+        uo = 2 * u + 1
+        row_in, row_out, out_u = adj[uo - 1], adj[uo], out_arc[u]
+        w, m = u, m >> (u + 1)
+        while m:
+            step = (m & -m).bit_length()
+            w += step
+            m >>= step
+            wo = 2 * w + 1
+            to += (wo - 1, uo, uo - 1, wo)
+            row_out.append((a, wo - 1))
+            adj[wo - 1].append((a + 1, uo))
+            adj[wo].append((a + 2, uo - 1))
+            row_in.append((a + 3, wo))
+            out_u[w] = a
+            out_arc[w][u] = a + 2
+            a += 4
+    return _SplitNetwork(to, [1, 0] * n + [n, 0, n, 0] * g.edge_count, adj, out_arc)
 
 
 def _push(cap: list[int], out_arc: list[dict[int, int]], u: int, path: Iterable[int],
@@ -544,7 +562,7 @@ def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
         alive = g.full_mask
     v0 = min(mask_to_vertices(alive), key=lambda v: ((masks[v] & alive).bit_count(), v))
     nbrs = masks[v0] & alive
-    home = next(c for c in component_masks(masks, alive) if c >> v0 & 1)
+    home = reach_mask(masks, 1 << v0, alive)
     others = alive & ~nbrs & ~(1 << v0)
     pairs = [(v0, w) for w in mask_to_vertices(others & ~home) + mask_to_vertices(others & home)]
     pairs += [(x, y) for x, y in combinations(mask_to_vertices(nbrs), 2)
@@ -864,7 +882,11 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
     At kappa = k these are the context's minimum cuts. At kappa = k-1 the
     minimum degree is at least k-1, so a k-cut with a singleton component
     {u} is N(u) with deg u = k, or N(u) + v with deg u = k-1 and v outside
-    N[u]. Every other k-cut T leaves components of >= 2 vertices each. Of k+1
+    N[u]. G - N(u) - v is {u} and (G - N[u]) - v, so one cut-vertex search
+    of G - N[u] decides the cuts N(u) + v of one u: each has those two
+    components unless v is a cut vertex there, and only then, or for every
+    v when G - N[u] is disconnected, is a component search run.
+    Every other k-cut T leaves components of >= 2 vertices each. Of k+1
     disjoint edges T misses one, e = xy, which lies in one component; every
     other component holds a terminal: a vertex of degree > k, or else an
     edge between two vertices of degree <= k, as the component is connected.
@@ -897,13 +919,27 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
     else:
         return list(_cuts(flows, k))
     masks, deg = g.masks, g.degrees()
-    seps: set[tuple[int, ...]] = set()
+    # each k-cut by its vertices, with the cut when its components are known
+    seps: dict[tuple[int, ...], Cut | None] = {}
+    rows = None
     for u in g.vertices:
         if deg[u] == k:
-            seps.add(mask_to_vertices(masks[u]))
+            seps[mask_to_vertices(masks[u])] = None
         elif deg[u] == k - 1:
-            seps.update(mask_to_vertices(masks[u] | 1 << v) for v in g.vertices
-                        if not (masks[u] | 1 << u) >> v & 1)
+            closed = masks[u] | 1 << u
+            if rows is None:
+                rows = [g.neighbors(v) for v in g.vertices]
+            points = _cut_vertices(rows, mask_to_vertices(closed))
+            rest = g.full_mask & ~closed
+            for v in mask_to_vertices(rest):
+                sep = mask_to_vertices(masks[u] | 1 << v)
+                if points is None or points >> v & 1:
+                    seps.setdefault(sep, None)
+                else:
+                    # G - sep is {u} and the connected (G - N[u]) - v
+                    other = rest & ~(1 << v)
+                    seps[sep] = _cut_from_masks(sep, sorted((1 << u, other),
+                                                            key=lambda m: m & -m))
     terminals = [(v,) for v in g.vertices if deg[v] > k]
     terminals += [(x, y) for x, y in g.edges() if deg[x] <= k and deg[y] <= k]
     net = flows.net
@@ -919,12 +955,12 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
                 if _local_vertex_cut(net, x, tau[0], k + 1, cap)[0] == k:
                     for sep in _pair_separators(net, cap, x, tau[0]):
                         flows.check()
-                        seps.add(sep)
+                        seps.setdefault(sep, None)
                 if len(tau) == 1:
                     _add_edge(net, x, tau[0])
         finally:
             _remove_added_edges(net, mark)
-    return [make_cut(g, sep) for sep in sorted(seps)]
+    return [seps[sep] or make_cut(g, sep) for sep in sorted(seps)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Simple undirected graphs: contraction and balls of small radius.
+"""Simple undirected graphs: breadth-first searches over bitmasks, and
+contraction.
 
 Vertices are contiguous ids 0..n-1, and a graph stores its adjacency once, as
 one neighbor bitmask per vertex. Graphs are immutable after construction;
@@ -73,8 +74,19 @@ class Graph:
         return self.masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.neighbors(u) if u < v]
+        """All edges as (u, v) with u < v, sorted.
+
+        Only the neighbors above u are decoded from each mask, shifted down
+        past each one found, so the big-int work shrinks along the row."""
+        out = []
+        for u, m in enumerate(self.masks):
+            v, m = u, m >> (u + 1)
+            while m:
+                step = (m & -m).bit_length()
+                v += step
+                m >>= step
+                out.append((u, v))
+        return out
 
     @cached_property
     def edge_count(self) -> int:
@@ -99,11 +111,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-
-
 def require_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     """e as (min, max); ValueError unless both ends are vertices of g and adjacent."""
     x, y = e
@@ -113,7 +120,30 @@ def require_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Connected components over bitmasks (the hot path for cut enumeration).
+# Breadth-first searches over bitmasks: balls and components (the hot path
+# for cut enumeration).
+
+def reach_mask(masks: tuple[int, ...], seed: int, alive: int, radius: int | None = None) -> int:
+    """The vertices within `radius` steps of the `seed` bitmask in the
+    subgraph induced on the `alive` bitmask, seed included, as a bitmask;
+    with no radius, all that the seed reaches. One breadth-first search,
+    a level at a time: each level ORs the masks of the frontier's vertices.
+    """
+    if radius is None:
+        radius = len(masks)
+    reached = frontier = seed
+    while frontier and radius > 0:
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            nxt |= masks[b.bit_length() - 1]
+            f ^= b
+        frontier = nxt & alive & ~reached
+        reached |= frontier
+        radius -= 1
+    return reached
+
 
 def component_masks(masks: tuple[int, ...], alive: int) -> list[int]:
     """Connected components of the subgraph induced on the `alive` bitmask.
@@ -123,19 +153,7 @@ def component_masks(masks: tuple[int, ...], alive: int) -> list[int]:
     comps = []
     remaining = alive
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= masks[b.bit_length() - 1]
-                f ^= b
-            nxt &= alive & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = reach_mask(masks, remaining & -remaining, alive)
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -199,42 +217,8 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Contraction:
     return Contraction(Graph(g.n - 1, sorted(edges)), vertex_map, x)
 
 
-def contracted_min_degree(g: Graph, e: tuple[int, int]) -> int:
-    """Minimum degree of G/e, read from the degrees of g without contracting.
-
-    The merged vertex has |N(x) | N(y)| - 2 neighbors; a common neighbor of
-    x and y loses one; every other vertex keeps its degree.
-    """
-    x, y = require_edge(g, e)
-    masks = g.masks
-    common = masks[x] & masks[y]
-    return min([(masks[x] | masks[y]).bit_count() - 2]
-               + [masks[v].bit_count() - (common >> v & 1) for v in range(g.n) if v != x and v != y])
-
-
 # ---------------------------------------------------------------------------
-# Distance.
-
-def vertices_within_distance(g: Graph, u: int, radius: int) -> tuple[int, ...]:
-    """Vertices at distance 1..radius from u, sorted."""
-    _check_vertex(g, u)
-    masks = g.masks
-    seen = 1 << u
-    frontier = seen
-    reached = 0
-    for _ in range(radius):
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= masks[b.bit_length() - 1]
-            f ^= b
-        nxt &= ~seen
-        reached |= nxt
-        seen |= nxt
-        frontier = nxt
-    return mask_to_vertices(reached)
-
+# Degrees and triangles.
 
 def degree_k_vertices(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if g.degree(v) == k)

@@ -37,11 +37,10 @@ from typing import Iterable, NamedTuple
 
 from .core import (
     Graph,
-    contracted_min_degree,
     degree_k_vertices,
+    reach_mask,
     triangles_in_neighborhood,
     vertices_to_mask,
-    vertices_within_distance,
 )
 from .connectivity import DeadlineExceeded, _Flows
 from .contractibility import (
@@ -102,11 +101,22 @@ def check_degree_sum_condition(
     """d(x) + d(y) >= bound for every pair at distance 1..max_dist.
 
     Returns (True, None) or (False, first violating pair in sorted order).
+    below[d] is the mask of the vertices of degree below d, so the partners
+    that u falls short with are below[bound - d(u)]; u's ball of radius
+    max_dist is searched only when some of them lie above u.
     """
-    for u in range(g.n):
-        for v in vertices_within_distance(g, u, max_dist):
-            if v > u and g.degree(u) + g.degree(v) < bound:
-                return False, (u, v)
+    masks, degrees = g.masks, g.degrees()
+    below = [0] * (max(degrees, default=0) + 2)
+    for v, d in enumerate(degrees):
+        below[d + 1] |= 1 << v
+    for d in range(1, len(below)):
+        below[d] |= below[d - 1]
+    for u, d in enumerate(degrees):
+        short = below[max(0, min(bound - d, len(below) - 1))] & -2 << u
+        if short:
+            short &= reach_mask(masks, 1 << u, -1, max_dist)
+            if short:
+                return False, (u, (short & -short).bit_length() - 1)
     return True, None
 
 
@@ -221,6 +231,24 @@ def _lemma1(g: Graph, flows: _Flows, k) -> _Outcome:
     return True, {"configurations": configs}
 
 
+def _edges_keeping_min_degree(g: Graph, d: int) -> list[tuple[int, int]]:
+    """The edges xy of g, sorted, whose contraction leaves minimum degree at
+    least d, read from g's masks: the merged vertex has |N(x) | N(y)| - 2
+    neighbors, a common neighbor of x and y loses one, and every other
+    vertex keeps its degree. So no vertex but x and y may have degree below
+    d, and no common neighbor degree d."""
+    masks = g.masks
+    low = tight = 0
+    for v, degree in enumerate(g.degrees()):
+        if degree < d:
+            low |= 1 << v
+        elif degree == d:
+            tight |= 1 << v
+    return [(x, y) for x, y in g.edges()
+            if not low & ~(1 << x | 1 << y) and not tight & masks[x] & masks[y]
+            and (masks[x] | masks[y]).bit_count() - 2 >= d]
+
+
 def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
     """In a quasi 5-connected graph, any contraction keeping minimum degree
     at least 4 keeps the graph 4-connected."""
@@ -231,10 +259,8 @@ def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
     # small complete graph); g has 4-cuts only when kappa(g) = 4.
     cut_masks = [vertices_to_mask(cut.vertices) for cut in flows.quasi(5)[1]]
     configs = 0
-    for e in g.edges():
+    for e in _edges_keeping_min_degree(g, 4):
         flows.check()
-        if contracted_min_degree(g, e) < 4:
-            continue
         configs += 1
         both = vertices_to_mask(e)
         if any(m & both == both for m in cut_masks):

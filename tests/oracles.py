@@ -6,14 +6,18 @@ library paths it is used to check. The exceptions are
 `contraction_decision` and `contraction_report`, which run the library's
 kappa, cut listing and quasi test on a contracted graph;
 `reference_kappa_with_cut`, the library's kappa loop as it was before it
-added each pair's edge; and `reference_local_vertex_cut`, a plain flow on
-the library's split network that searches from the source alone and
-starts each pair cold. The tests check them against brute force.
+added each pair's edge, on the network of `reference_split_network` and
+the pairs of `reference_flow_pairs`, which build both edge by edge from
+`edges()` with no code of the library; and `reference_local_vertex_cut`, a
+plain flow on such a network that searches from the source alone and
+starts each pair cold. The tests check them against brute force, and the
+library's network and pairs against the two references.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 
 def adjacency_sets(g) -> list[set[int]]:
@@ -124,6 +128,43 @@ def brute_distance(g, u: int, v: int):
         seen |= nxt
         frontier = nxt
     return float("inf")
+
+
+def vertices_within_distance(g, u: int, radius: int) -> tuple[int, ...]:
+    """Vertices at distance 1..radius from u, sorted, by a breadth-first
+    search over neighbor sets."""
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} out of range for n={g.n}")
+    adj = adjacency_sets(g)
+    seen = frontier = {u}
+    for _ in range(radius):
+        frontier = {w for x in frontier for w in adj[x]} - seen
+        seen = seen | frontier
+    return tuple(sorted(seen - {u}))
+
+
+def brute_degree_sum_violation(g, bound: int, max_dist: int):
+    """The first pair (u, v), u < v, in sorted order, at distance
+    1..max_dist with d(u) + d(v) < bound, or None, by a distance search
+    from every vertex."""
+    adj = adjacency_sets(g)
+    for u, v in combinations(range(g.n), 2):
+        if len(adj[u]) + len(adj[v]) < bound and brute_distance(g, u, v) <= max_dist:
+            return u, v
+    return None
+
+
+def contracted_min_degree(g, e) -> int:
+    """Minimum degree of G/e, read from the neighbor sets of g without
+    contracting: the merged vertex has |N(x) | N(y)| - 2 neighbors, a common
+    neighbor of x and y loses one, and every other vertex keeps its degree."""
+    x, y = e
+    adj = adjacency_sets(g)
+    if not (0 <= x < g.n and 0 <= y < g.n and y in adj[x]):
+        raise ValueError(f"({x}, {y}) is not an edge")
+    common = adj[x] & adj[y]
+    return min([len(adj[x] | adj[y]) - 2]
+               + [len(adj[v]) - (v in common) for v in range(g.n) if v not in (x, y)])
 
 
 def brute_nontrivial_fragment_bodies(g) -> list[tuple[int, ...]]:
@@ -240,15 +281,70 @@ def contraction_report(g, e, k: int):
     )
 
 
+class ReferenceNetwork(NamedTuple):
+    """A split network with the fields of `connectivity._SplitNetwork`."""
+
+    to: list[int]
+    cap: list[int]
+    adj: list[list[tuple[int, int]]]
+    out_arc: list[dict[int, int]]
+
+
+def reference_split_network(g) -> ReferenceNetwork:
+    """The vertex-split network of G, built edge by edge: node 2v is v's
+    in-copy and 2v+1 its out-copy, arc 2v is v's internal arc 2v -> 2v+1
+    with capacity 1 and arc 2v+1 its reverse, and each edge uw of the
+    sorted `edges()` list, u < w, appends four arcs from a = len(to): arc
+    a 2u+1 -> 2w and arc a+2 2w+1 -> 2u, each of capacity n, and their
+    reverses a+1 and a+3 with capacity 0. Every arc is appended to its
+    tail's row as (arc, head), and out_arc[u][w] = a, out_arc[w][u] = a+2.
+    This is how the library numbered the arcs before it built the network
+    from the neighbor masks, and the tests hold the library's network to it
+    field by field."""
+    n = g.n
+    net = ReferenceNetwork([node ^ 1 for node in range(2 * n)], [1, 0] * n,
+                           [[(node, node ^ 1)] for node in range(2 * n)],
+                           [{} for _ in range(n)])
+    for u, w in g.edges():
+        a, uo, wo = len(net.to), 2 * u + 1, 2 * w + 1
+        net.to.extend((wo - 1, uo, uo - 1, wo))
+        net.cap.extend((n, 0, n, 0))
+        net.adj[uo].append((a, wo - 1))
+        net.adj[wo - 1].append((a + 1, uo))
+        net.adj[wo].append((a + 2, uo - 1))
+        net.adj[uo - 1].append((a + 3, wo))
+        net.out_arc[u][w] = a
+        net.out_arc[w][u] = a + 2
+    return net
+
+
+def reference_flow_pairs(g, alive: int | None = None) -> list[tuple[int, int]]:
+    """The kappa flow pairs of H, the subgraph of G on the `alive` vertex
+    mask (all of G when None), not complete, from neighbor sets: v0, the
+    least vertex of least degree in H, against each non-neighbor, those
+    outside v0's component first, each part ascending, then each
+    non-adjacent pair of v0's neighbors in lexicographic order."""
+    adj = adjacency_sets(g)
+    keep = {v for v in range(g.n) if alive is None or alive >> v & 1}
+    v0 = min(keep, key=lambda v: (len(adj[v] & keep), v))
+    nbrs = adj[v0] & keep
+    home = next(c for c in components_of(adj, set(range(g.n)) - keep) if v0 in c)
+    others = keep - nbrs - {v0}
+    pairs = [(v0, w) for w in sorted(others - home) + sorted(others & home)]
+    pairs += [(x, y) for x, y in combinations(sorted(nbrs), 2) if y not in adj[x]]
+    return pairs
+
+
 def reference_kappa_with_cut(g, t: int | None = None):
     """kappa(G) and a minimum cut, with a threshold t as in
     `connectivity._vertex_connectivity_with_cut`, by the plain loop over the
     kappa flow pairs: each pair's flow runs on G's own network, capped at
     the smallest separator found so far (t at first), and no edge is added
     between pairs. The cut is the separator of the first pair to reach the
-    final value, as its source reaches in the residual graph.
+    final value, as its source reaches in the residual graph. The network
+    and the pairs are the references above.
     """
-    from quasigraph.connectivity import _flow_pairs, _split_network, make_cut
+    from quasigraph.connectivity import make_cut
 
     n = g.n
     t = n if t is None else t
@@ -258,9 +354,9 @@ def reference_kappa_with_cut(g, t: int | None = None):
         return 0, (make_cut(g, ()) if t > 0 else None)
     if g.edge_count == n * (n - 1) // 2:
         return n - 1, None
-    net = _split_network(g)
+    net = reference_split_network(g)
     best, best_sep = min(t, n - 1), None
-    for s, w in _flow_pairs(g):
+    for s, w in reference_flow_pairs(g):
         size, sep = reference_local_vertex_cut(net, s, w, best)
         if sep is not None:
             best, best_sep = size, sep
@@ -269,7 +365,7 @@ def reference_kappa_with_cut(g, t: int | None = None):
 
 def reference_local_vertex_cut(net, s: int, t: int, limit: int, cap=None):
     """(flow value, minimum s-t vertex separator) for non-adjacent s, t on a
-    split network of `connectivity._split_network`, or (limit, None) once
+    split network such as `reference_split_network`'s, or (limit, None) once
     the flow reaches `limit`, as `connectivity._local_vertex_cut` gives
     them: one unit through each common neighbor whose internal arc is open,
     in ascending order, then shortest augmenting paths from one breadth-first

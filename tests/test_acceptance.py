@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -18,11 +19,13 @@ from quasigraph.connectivity import (
 from quasigraph.contractibility import is_contraction_critical, is_regular_triangular
 from quasigraph.core import Graph, contract_edge
 from quasigraph.generators import (
+    CorpusSpec,
     complete_graph,
     generate_corpus,
     icosahedron_graph,
 )
 from quasigraph.harness import (
+    CLAIMS,
     check_degree_sum_condition,
     run_campaign,
     verify_claim,
@@ -263,3 +266,27 @@ def test_ac10_campaign_determinism(tmp_path):
     _report(f"[AC-10] campaign determinism: PASS "
             f"(byte-identical reruns, {len(bytes_a)} bytes, "
             f"{summary_a['counts']} statuses)")
+
+
+# The `campaign` benchmark's corpus at seed 1 (benchmarks/workloads.py),
+# copied here so the pin does not depend on the benchmark's code.
+SEED_1_CAMPAIGN = [
+    CorpusSpec("random_5_connected", {"n": [10, 20]}, 2, 1),
+    CorpusSpec("quasi_5_apex", {"n": [10, 20]}, 2, 1),
+    CorpusSpec("quasi_5_apex", {"n": [10, 20], "attach_triangle": True}, 1, 1),
+    CorpusSpec("circulant", {"n": [10, 20], "jumps": [1, 2, 3]}),
+    CorpusSpec("icosahedron"),
+]
+
+
+def test_ac10_seed_1_campaign_is_pinned(tmp_path):
+    # every claim on the 67 graphs: any change to a verdict, a witness or
+    # the line format changes the digest
+    out = tmp_path / "campaign.jsonl"
+    summary = run_campaign(generate_corpus(SEED_1_CAMPAIGN), CLAIMS, out)
+    assert summary["graphs"] == 67 and summary["errors"] == 0
+    assert summary["counts"] == {"verified": 287, "vacuous": 316, "falsified": 0, "timeout": 0}
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "fabd77d14766273b50dbb8cad2293b48e218fdee88b0796a6c0c17b3a2331541"
+    _report(f"[AC-10] seed-1 campaign pinned: PASS (sha256 {digest[:12]}..., "
+            f"{summary['counts']})")

@@ -40,8 +40,10 @@ from oracles import (
     brute_nontrivial,
     brute_vertex_connectivity,
     components_of,
+    reference_flow_pairs,
     reference_kappa_with_cut,
     reference_local_vertex_cut,
+    reference_split_network,
 )
 
 
@@ -202,6 +204,48 @@ class TestOnePass:
         rep = is_quasi_k_connected(g, 5)
         assert (rep.failure, rep.kappa, rep.cut.vertices) == ("connectivity", 0, ())
         assert calls == {"_local_vertex_cut": 1, "_pair_separators": 0, "_cuts": 0}
+
+
+def _check_network_and_pairs(g):
+    """G's split network, field by field with each out_arc row in insertion
+    order, against the edge-by-edge reference; and the kappa flow pairs of
+    G and of each G - x - y that is not complete against the reference
+    pairs. Only this check notices a change of arc numbering or row order:
+    the search-count pins hold under one."""
+    net, ref = connectivity._split_network(g), reference_split_network(g)
+    for field in ref._fields:
+        assert getattr(net, field) == getattr(ref, field), (g.edges(), field)
+    assert [list(row.items()) for row in net.out_arc] == \
+        [list(row.items()) for row in ref.out_arc], g.edges()
+    if not g.is_complete():
+        assert connectivity._flow_pairs(g) == reference_flow_pairs(g), g.edges()
+    for x, y in g.edges():
+        alive = g.full_mask & ~(1 << x | 1 << y)
+        if alive and not connectivity._complete(g, alive):
+            assert connectivity._flow_pairs(g, alive) == reference_flow_pairs(g, alive), \
+                (g.edges(), x, y)
+
+
+class TestNetworkAndPairs:
+    """The split network, built from the neighbor masks in one pass, and
+    the kappa flow pairs, whose component search is one mask BFS from v0,
+    against the references in the oracles."""
+
+    def test_corpora(self, small_corpus, quasi5_corpus):
+        for _, g in small_corpus + quasi5_corpus:
+            _check_network_and_pairs(g)
+
+    @pytest.mark.parametrize("g", [
+        quasi_5_apex(40, 1), circulant_graph(40, (1, 2)), planted_pair(30, 4),
+        disjoint_union(cycle_graph(5), complete_graph(4)), Graph(3), complete_graph(1),
+    ], ids=["apex40", "C40(1,2)", "planted30", "C5+K4", "E3", "K1"])
+    def test_larger_and_boundary_graphs(self, g):
+        _check_network_and_pairs(g)
+
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, g):
+        _check_network_and_pairs(g)
 
 
 class _CountingRows(list):

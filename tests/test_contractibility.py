@@ -25,7 +25,7 @@ from quasigraph.contractibility import (
     is_quasi_k_contractible,
     is_regular_triangular,
 )
-from quasigraph.core import Graph, contract_edge, contracted_min_degree
+from quasigraph.core import Graph, contract_edge
 from quasigraph.generators import (
     circulant_graph,
     complete_bipartite_graph,
@@ -45,6 +45,7 @@ from oracles import (
     brute_nontrivial,
     brute_vertex_connectivity,
     components_of,
+    contracted_min_degree,
     contraction_decision,
     contraction_report,
 )
@@ -224,6 +225,7 @@ class TestContractionReportsFromCuts:
         assert checked > 1000
 
     def test_contracted_min_degree_matches_contraction(self, small_corpus, quasi5_corpus):
+        # the reference that lemma 2's mask test is checked against
         for _, g in small_corpus + quasi5_corpus:
             for e in g.edges():
                 assert contracted_min_degree(g, e) == contract_edge(g, e).graph.min_degree()

@@ -4,20 +4,24 @@ from hypothesis import strategies as st
 
 from quasigraph.core import (
     Graph,
+    component_masks,
     contract_edge,
+    mask_to_vertices,
+    reach_mask,
     triangles_in_neighborhood,
-    vertices_within_distance,
 )
 from quasigraph.generators import (
+    circulant_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     path_graph,
+    quasi_5_apex,
     random_graph,
 )
 
 from corpus import induced_subgraph
-from oracles import brute_distance
+from oracles import adjacency_sets, brute_distance, components_of, vertices_within_distance
 
 
 @st.composite
@@ -51,6 +55,17 @@ class TestGraph:
         assert g.neighbors(0) == (1, 2, 3) and g.neighbors(2) == (0,)
         assert g.edge_count == 3
         assert set(vars(g)) == {"n", "masks", "edge_count"}
+
+    @given(graphs(min_n=0, max_n=12))
+    @settings(max_examples=100)
+    def test_edges_match_a_sorted_pair_scan(self, g):
+        assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                             if g.has_edge(u, v)]
+
+    def test_edges_on_large_graphs(self):
+        for g in (quasi_5_apex(300, 1), circulant_graph(300, (1, 2, 97))):
+            assert g.edges() == sorted((u, v) for u in g.vertices for v in g.neighbors(u)
+                                       if u < v)
 
     def test_equality_ignores_edge_order_and_repeats(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -150,20 +165,27 @@ class TestInducedSubgraph:
             induced_subgraph(cycle_graph(6), [0, 6])
 
 
+def ball(g, u, r):
+    """The vertices at distance 1..r from u, by the mask BFS `reach_mask`."""
+    return mask_to_vertices(reach_mask(g.masks, 1 << u, g.full_mask, r) & ~(1 << u))
+
+
 class TestDistance:
-    """`vertices_within_distance`, the ball of radius r around u without u
-    itself, against breadth-first search in the oracle."""
+    """The ball of radius r around u without u itself, by the mask BFS
+    `reach_mask` that the degree-sum check runs, against the reference
+    `vertices_within_distance`, a set BFS in the oracles, and that against
+    `brute_distance`."""
 
     def test_c6_opposite(self):
-        assert vertices_within_distance(cycle_graph(6), 0, 2) == (1, 2, 4, 5)
-        assert vertices_within_distance(cycle_graph(6), 0, 3) == (1, 2, 3, 4, 5)
+        assert ball(cycle_graph(6), 0, 2) == (1, 2, 4, 5)
+        assert ball(cycle_graph(6), 0, 3) == (1, 2, 3, 4, 5)
 
     def test_same_vertex(self):
-        assert 4 not in vertices_within_distance(cycle_graph(6), 4, 3)
+        assert 4 not in ball(cycle_graph(6), 4, 3)
 
     def test_disconnected_pair(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
-        assert vertices_within_distance(g, 0, 3) == (1,)
+        assert ball(g, 0, 3) == (1,)
 
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
@@ -173,11 +195,12 @@ class TestDistance:
     @settings(max_examples=80)
     def test_matches_oracle_and_is_symmetric(self, g):
         for u in range(g.n):
-            for r in range(1, 4):
-                ball = vertices_within_distance(g, u, r)
-                assert set(ball) == {v for v in g.vertices
-                                     if 1 <= brute_distance(g, u, v) <= r}, (g.edges(), u, r)
-                assert all(u in vertices_within_distance(g, v, r) for v in ball)
+            for r in range(0, 4):
+                expected = vertices_within_distance(g, u, r)
+                assert set(expected) == {v for v in g.vertices
+                                         if 1 <= brute_distance(g, u, v) <= r}, (g.edges(), u, r)
+                assert ball(g, u, r) == expected, (g.edges(), u, r)
+                assert all(u in ball(g, v, r) for v in expected)
 
     @given(graphs(min_n=2, max_n=8))
     @settings(max_examples=60)
@@ -186,14 +209,25 @@ class TestDistance:
         for u in range(g.n):
             for a in range(1, 3):
                 for b in range(1, 3):
-                    reach = set(vertices_within_distance(g, u, a + b)) | {u}
-                    for v in vertices_within_distance(g, u, a):
-                        assert set(vertices_within_distance(g, v, b)) <= reach
+                    reach = set(ball(g, u, a + b)) | {u}
+                    for v in ball(g, u, a):
+                        assert set(ball(g, v, b)) <= reach
 
     def test_vertices_within_distance(self):
         g = path_graph(6)
-        assert vertices_within_distance(g, 0, 2) == (1, 2)
-        assert vertices_within_distance(g, 2, 1) == (1, 3)
+        assert ball(g, 0, 2) == vertices_within_distance(g, 0, 2) == (1, 2)
+        assert ball(g, 2, 1) == vertices_within_distance(g, 2, 1) == (1, 3)
+
+    @given(graphs(max_n=9), st.data())
+    @settings(max_examples=80)
+    def test_components_match_oracle(self, g, data):
+        # the same BFS with no radius gives the components of G - removed
+        removed = set(data.draw(st.lists(st.integers(0, g.n - 1), unique=True)))
+        alive = g.full_mask & ~sum(1 << v for v in removed)
+        expected = sorted(components_of(adjacency_sets(g), removed), key=min)
+        assert [set(mask_to_vertices(m)) for m in component_masks(g.masks, alive)] == expected
+        for comp in expected:
+            assert reach_mask(g.masks, 1 << min(comp), alive) == sum(1 << v for v in comp)
 
 
 def _neighborhood_graph(nbr_edges):

@@ -7,6 +7,8 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasigraph
 import quasigraph.connectivity as connectivity
@@ -20,6 +22,7 @@ from quasigraph.generators import (
     circulant_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     generate_corpus,
     glued_cliques,
     icosahedron_graph,
@@ -36,7 +39,21 @@ from quasigraph.harness import (
 )
 
 from corpus import dodecahedron_graph, line_graph
-from oracles import brute_is_quasi_k, brute_vertex_connectivity, contraction_decision
+from oracles import (
+    brute_degree_sum_violation,
+    brute_is_quasi_k,
+    brute_vertex_connectivity,
+    contraction_decision,
+)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(all_pairs), max_size=len(all_pairs),
+                          unique=True)) if all_pairs else []
+    return Graph(n, edges)
 
 
 def k12_minus_perfect_matching():
@@ -66,6 +83,29 @@ class TestDegreeConditions:
 
         ok, pair = check_degree_sum_condition(path_graph(4), bound=4, max_dist=1)
         assert not ok and pair == (0, 1)
+
+    @staticmethod
+    def _check_degree_sums(g, bound, max_dist):
+        pair = brute_degree_sum_violation(g, bound, max_dist)
+        assert check_degree_sum_condition(g, bound, max_dist) == (pair is None, pair), \
+            (g.edges(), bound, max_dist)
+
+    @given(graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_degree_sum_matches_pair_scan(self, g, data):
+        # the mask check, one ball per vertex that has a partner below the
+        # bound, against a distance search over every pair
+        bound = data.draw(st.integers(0, 2 * g.n))
+        self._check_degree_sums(g, bound, data.draw(st.integers(1, 3)))
+
+    @pytest.mark.parametrize("g", [
+        Graph(0), Graph(1), Graph(4), disjoint_union(cycle_graph(5), complete_graph(4)),
+        disjoint_union(complete_graph(1), circulant_graph(9, (1, 2))),
+    ], ids=["K0", "K1", "E4", "C5+K4", "K1+C9(1,2)"])
+    def test_degree_sum_boundary_graphs(self, g):
+        for bound in range(2 * g.n + 2):
+            for max_dist in range(1, 4):
+                self._check_degree_sums(g, bound, max_dist)
 
     def test_min_degree_condition(self):
         assert check_min_degree_condition(complete_graph(6), 4)       # 5 >= 5
@@ -219,13 +259,22 @@ class TestLemmas:
         rep = verify_claim(complete_graph(5), "lemma2")
         assert rep.status == "vacuous" and rep.hypotheses_hold is True
 
+    def test_lemma2_degree_test_matches_contraction(self, small_corpus, quasi5_corpus):
+        # the edges whose contraction keeps minimum degree d, read from the
+        # degree masks, against contracting each edge
+        for _, g in small_corpus + quasi5_corpus:
+            for d in (3, 4, 5):
+                assert harness._edges_keeping_min_degree(g, d) == [
+                    e for e in g.edges() if contract_edge(g, e).graph.min_degree() >= d], \
+                    (g.edges(), d)
+
     def test_lemma2_witness_runs_under_the_budget(self, monkeypatch):
-        # no honest graph falsifies lemma 2, so report minimum degree 4 for
-        # every contraction: the triangle edges of this apex graph lie in
-        # its 4-cut, and the witness gives kappa(G/e), read from G on the
+        # no honest graph falsifies lemma 2, so report every contraction as
+        # keeping minimum degree 4: the triangle edges of this apex graph lie
+        # in its 4-cut, and the witness gives kappa(G/e), read from G on the
         # claim's own flow context
         g = quasi_5_apex(24, 1, attach_triangle=True)
-        monkeypatch.setattr(harness, "contracted_min_degree", lambda h, e: 4)
+        monkeypatch.setattr(harness, "_edges_keeping_min_degree", lambda h, d: h.edges())
         rep = verify_claim(g, "lemma2")
         assert rep.status == "falsified"
         e = tuple(rep.witness["edge"])
@@ -234,14 +283,14 @@ class TestLemmas:
 
         # a deadline that passes once the witness edge is reached ends the
         # claim inside the witness
-        now = [0.0]
+        now, kappa_after = [0.0], harness._kappa_after
 
-        def min_degree(h, edge):
-            if edge == e:
-                now[0] = float("inf")
-            return 4
+        def witness(flows, edge, t):
+            assert edge == e
+            now[0] = float("inf")
+            return kappa_after(flows, edge, t)
 
-        monkeypatch.setattr(harness, "contracted_min_degree", min_degree)
+        monkeypatch.setattr(harness, "_kappa_after", witness)
         monkeypatch.setattr(connectivity, "monotonic", lambda: now[0])
         assert verify_claim(g, "lemma2", timeout=60).status == "timeout"
         assert now[0] == float("inf")
