@@ -67,10 +67,10 @@ def _each_graph(graphs, visit) -> tuple[int, int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    def visit(graph_id, g) -> None:
-        print(json.dumps(_analyze_one(graph_id, g, args.k), sort_keys=True))
+    def visit(graph_id, read) -> None:
+        print(json.dumps(_analyze_one(graph_id, read(), args.k), sort_keys=True))
 
-    _, errors = _each_graph(gio.load_graphs(args.file, args.format), visit)
+    _, errors = _each_graph(gio.graph_records(args.file, args.format), visit)
     return 2 if errors else 0
 
 

@@ -16,19 +16,19 @@ scan, so a call that runs out of time raises `DeadlineExceeded` within one
 such step. Each pair's flow stops once it reaches the smallest separator
 found so far, since only a smaller one is kept. The kappa pass and the
 listings sweep the sinks of one source at a time (`_sweeps`), and one
-capacity list carries the flow from each sink to the next (`_Sweep`):
-each unit of the previous sink's flow is cut short at its first vertex
-adjacent to the new sink, found from each vertex's unit and position, and
-only the tail after it is undone, since consecutive sinks share most of
-their paths (the amortised sink sweep of Hao and Orlin, and of
-Henzinger, Rao and Gabow). After a search the units are read back only
-at the next sink, from its neighbors backwards, and the flow starts
-again from their heads. Other flows start empty on a copy of the
+capacity list carries the flow from each sink to the next that runs one
+(`_Sweep`): each unit of the previous sink's flow is cut short at its
+first vertex adjacent to the new sink, found from each vertex's unit and
+position, and only the tail after it is undone, since consecutive sinks
+share most of their paths (the amortised sink sweep of Hao and Orlin,
+and of Henzinger, Rao and Gabow). After a search the units are read
+back only at the next sink, from its neighbors backwards, and the flow
+starts again from their heads. Other flows start empty on a copy of the
 capacities. Each flow then routes one unit through every free common
 neighbor of its pair s, t, and one unit s -> c -> d -> t for every free
 neighbor d of t outside N(s), through the least free c in N(s) and N(d),
 before it searches for augmenting paths: the quasi test of
-quasi_5_apex(40, 1) runs 11 searches, and the k-cuts of
+quasi_5_apex(40, 1) runs 12 searches, and the k-cuts of
 quasi_5_apex(16, 26) run 4. One routine moves a unit along its vertices,
 or back (`_push`). Each augmenting path is found by a breadth-first
 search from both ends, which meets in the middle and steps over a vertex
@@ -70,8 +70,13 @@ kappa pass adds each pair's edge too, which changes neither kappa nor its
 cut (`_vertex_connectivity_with_cut`), so once the smallest separator so
 far is k-1 it caps each flow at k and lists the (k-1)-separators of a pair
 whose flow is k-1 from that same residual graph, until the certificate
-below is known. On quasi_5_apex(40, 1) the test makes 39 flows, one per
-pair.
+below is known. A pair runs no flow at all when its common neighbors and
+the two-hop paths s -> c -> d -> t through distinct middle vertices, read
+from the neighbor masks with the added edges, already reach its cap
+(`_has_short_paths`): the flow would stop there with no separator. On
+quasi_5_apex(40, 1) the test makes 8 flows and certifies the other 31 of
+its 39 pairs; on C40(1,2), whose sinks share few neighbors with v0, it
+certifies 3 of 38.
 
 Cut enumeration of an arbitrary size decides every vertex subset of that
 size in lexicographic order, so it is always complete. The subsets that
@@ -87,12 +92,12 @@ cut, the first n^2 (k-1)-subsets are scanned, which ends at the least
 nontrivial cut when it lies among them, and the listing stops there;
 otherwise the pass lists on to the end, and at kappa = k-1 that listing
 holds every (k-1)-cut, the least nontrivial one among them. Both branches
-give the same cut, with one flow per pair, and neither is exponential:
-the scan costs at most n^2 component BFS or cut-vertex searches, and the
-listing a closure search per separator that a pair lists, where a graph
-of connectivity kappa has O(2^kappa n^2 / kappa) minimum separators
-(Kanevsky). On C40(1,2) the scan to the certificate runs 3 cut-vertex
-searches.
+give the same cut, with at most one flow per pair, and neither is
+exponential: the scan costs at most n^2 component BFS or cut-vertex
+searches, and the listing a closure search per separator that a pair
+lists, where a graph of connectivity kappa has O(2^kappa n^2 / kappa)
+minimum separators (Kanevsky). On C40(1,2) the scan to the certificate
+runs 3 cut-vertex searches.
 """
 
 from __future__ import annotations
@@ -218,41 +223,50 @@ class _SplitNetwork(NamedTuple):
     2v, with capacity 1, and each edge uw gives arcs 2u+1 -> 2w and
     2w+1 -> 2u with capacity n, more than any all-internal cut costs.
     `adj[node]` lists (arc, head) for the arcs leaving node, reverse arcs
-    included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. A flow
-    works on a copy of `cap`, and a sweep of flows on one (`_Sweep`).
+    included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. `masks`
+    are G's neighbor bitmasks with the edges added since the build
+    (`_add_edge`), in which the kappa pass looks for short disjoint paths
+    (`_has_short_paths`). A flow works on a copy of `cap`, and a sweep of
+    flows on one (`_Sweep`).
     """
 
     to: list[int]
     cap: list[int]
     adj: list[list[tuple[int, int]]]
     out_arc: list[dict[int, int]]
+    masks: list[int]
 
 
 def _add_edge(net: _SplitNetwork, u: int, w: int) -> None:
     """Add the arcs of edge uw, each of capacity n: arc 2u+1 -> 2w, its
-    reverse, arc 2w+1 -> 2u and its reverse."""
-    a, uo, wo = len(net.to), 2 * u + 1, 2 * w + 1
-    net.to.extend((wo - 1, uo, uo - 1, wo))
-    n = len(net.out_arc)
-    net.cap.extend((n, 0, n, 0))
-    adj = net.adj
+    reverse, arc 2w+1 -> 2u and its reverse, and the edge's bits to
+    `masks`."""
+    to, cap, adj, out_arc, masks = net
+    a, uo, wo = len(to), 2 * u + 1, 2 * w + 1
+    to.extend((wo - 1, uo, uo - 1, wo))
+    n = len(out_arc)
+    cap.extend((n, 0, n, 0))
     adj[uo].append((a, wo - 1))
     adj[wo - 1].append((a + 1, uo))
     adj[wo].append((a + 2, uo - 1))
     adj[uo - 1].append((a + 3, wo))
-    net.out_arc[u][w] = a
-    net.out_arc[w][u] = a + 2
+    out_arc[u][w] = a
+    out_arc[w][u] = a + 2
+    masks[u] |= 1 << w
+    masks[w] |= 1 << u
 
 
-def _remove_added_edges(net: _SplitNetwork, mark: int) -> None:
-    """Undo every `_add_edge` made since the network had `mark` arcs."""
-    to = net.to
+def _remove_added_edges(net: _SplitNetwork, mark: int, masks: tuple[int, ...]) -> None:
+    """Undo every `_add_edge` made since the network had `mark` arcs, and
+    set the network's masks back to `masks`, G's, in one copy."""
+    to, cap, adj, out_arc, _ = net
     for a in range(len(to) - 2, mark - 1, -2):
         tail, head = to[a + 1], to[a]
-        net.adj[tail].pop()
-        net.adj[head].pop()
-        del net.out_arc[tail // 2][head // 2]
-    del to[mark:], net.cap[mark:]
+        adj[tail].pop()
+        adj[head].pop()
+        del out_arc[tail // 2][head // 2]
+    del to[mark:], cap[mark:]
+    net.masks[:] = masks
 
 
 def _split_network(g: Graph) -> _SplitNetwork:
@@ -282,7 +296,8 @@ def _split_network(g: Graph) -> _SplitNetwork:
             out_u[w] = a
             out_arc[w][u] = a + 2
             a += 4
-    return _SplitNetwork(to, [1, 0] * n + [n, 0, n, 0] * g.edge_count, adj, out_arc)
+    return _SplitNetwork(to, [1, 0] * n + [n, 0, n, 0] * g.edge_count, adj, out_arc,
+                         list(g.masks))
 
 
 def _push(cap: list[int], out_arc: list[dict[int, int]], u: int, path: Iterable[int],
@@ -424,19 +439,19 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int, cap: list[
     The flow runs from s's out-copy to t's in-copy on `cap`, which is left
     holding the residual capacities. Without a `sweep` the flow starts
     empty on `cap`. With a sweep of sinks from s, `cap` is the sweep's and
-    holds its flow to the previous sink, which `_retarget` turns into a
-    flow to t; on return the sweep holds this flow and its units. The flow
-    then routes one unit along s -> c -> t for each common neighbor c whose
-    internal arc is open, in ascending order (a closed one is a vertex
-    removed from the graph, or one that a unit already passes through), and
-    then one unit along s -> c -> d -> t for each open neighbor d of t
-    outside N(s), in ascending order, through the least open c in N(s) and
-    N(d); c is not t and d is not s, as s and t are not adjacent. The
-    neighbors are read from `out_arc`, so the edges a pass has added count
-    too. A merged vertex, whose internal arc has capacity n, stays open and
-    may carry several such units: the two-hop units of `_quasi_k_cuts`
-    through the merged end. Each unit is kept in the sweep by its first
-    vertex.
+    holds its flow to the last sink that ran one, which `_retarget` turns
+    into a flow to t; on return the sweep holds this flow and its units.
+    The flow then routes one unit along s -> c -> t for each common
+    neighbor c whose internal arc is open, in ascending order (a closed one
+    is a vertex removed from the graph, or one that a unit already passes
+    through), and then one unit along s -> c -> d -> t for each open
+    neighbor d of t outside N(s), in ascending order, through the least
+    open c in N(s) and N(d); c is not t and d is not s, as s and t are not
+    adjacent. The neighbors are read from `out_arc`, so the edges a pass
+    has added count too. A merged vertex, whose internal arc has capacity
+    n, stays open and may carry several such units: the two-hop units of
+    `_quasi_k_cuts` through the merged end. Each unit is kept in the sweep
+    by its first vertex.
 
     Then the flow augments along paths that `_search` finds from both
     ends. An augmenting path enters an in-copy other than the sink's and
@@ -492,6 +507,41 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int, cap: list[
         if sweep is not None:
             sweep.stale = True
     return min(flow, limit), sep
+
+
+def _has_short_paths(masks: list[int], s: int, t: int, cap: int) -> bool:
+    """Whether a greedy choice finds `cap` internally disjoint s-t paths
+    of length 2 and 3, for non-adjacent s, t in the graph of the neighbor
+    bitmasks `masks`: one path s -> c -> t for every common neighbor c,
+    then one path s -> c -> d -> t for each neighbor d of t outside N(s),
+    in ascending order, through the least c of N(s) and N(d) that no path
+    holds yet, the units that `_local_vertex_cut` routes first in an empty
+    flow. The choice stops once the neighbors d left are too few to reach
+    `cap`.
+
+    When it finds them, the local connectivity of s and t is at least
+    `cap`: each c, common neighbor or not, lies in N(s) and is taken once,
+    each d lies outside N(s) and is taken once, and none is s or t, as s
+    and t are not adjacent, so the paths share no inner vertex."""
+    ns, nt = masks[s], masks[t]
+    common = ns & nt
+    need = cap - common.bit_count()
+    rest = nt ^ common
+    left = rest.bit_count()
+    if need > left:
+        return False
+    free = ns ^ common
+    while need > 0:
+        d = rest & -rest
+        rest ^= d
+        left -= 1
+        hops = free & masks[d.bit_length() - 1]
+        if hops:
+            free ^= hops & -hops
+            need -= 1
+        elif need > left:
+            return False
+    return True
 
 
 def _search(adj: list[list[tuple[int, int]]], cap: list[int], src: int,
@@ -669,7 +719,7 @@ def _sweeps(flows: _Flows, pairs: Iterable[tuple[int, int]],
             yield s, t, sweep
             sweep.add_edge(net, s, t)
     finally:
-        _remove_added_edges(net, mark)
+        _remove_added_edges(net, mark, flows.g.masks)
 
 
 def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | None = None,
@@ -718,6 +768,19 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     The pairs of a run from one source share one `_Sweep`, which carries
     each flow on to the next sink (see `_retarget`); this changes no flow
     value and no separator.
+
+    Before a pair's flow, the pass looks for as many short disjoint paths
+    between its ends as the pair's cap (the smallest separator so far, or
+    one more while listing), in `net.masks`, G's masks with the edges added
+    so far (`_has_short_paths`). When it finds them, the flow would return
+    (cap, None): the pass takes that without a flow and leaves the sweep
+    as it is. Its flow to an earlier
+    sink, or none, stays a flow on the network with the pair's edge added,
+    and `_retarget` carries a flow from any earlier sink. Neither value
+    nor cut changes: the first pair whose flow is kappa has a local
+    connectivity below its cap, so it is never certified and keeps its
+    least cut, and a certified pair while listing has a flow above j, so it
+    lists nothing.
     """
     g = flows.g
     n = g.n
@@ -734,9 +797,11 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     scanned, least = False, None
     with closing(_sweeps(flows, flows.pairs)) as sweeps:
         for s, w, sweep in sweeps:
-            listing = best == j and least is None
-            size, sep = _local_vertex_cut(net, s, w, best + 1 if listing else best,
-                                          sweep.cap, sweep)
+            cap = best + 1 if best == j and least is None else best
+            if _has_short_paths(net.masks, s, w, cap):
+                size, sep = cap, None  # what the flow would return
+            else:
+                size, sep = _local_vertex_cut(net, s, w, cap, sweep.cap, sweep)
             if size < best:
                 best, best_sep = size, sep
             if best == 0:
@@ -959,7 +1024,7 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
                 if len(tau) == 1:
                     _add_edge(net, x, tau[0])
         finally:
-            _remove_added_edges(net, mark)
+            _remove_added_edges(net, mark, masks)
     return [seps[sep] or make_cut(g, sep) for sep in sorted(seps)]
 
 

@@ -9,8 +9,9 @@ offset by 63. Round-trips are bit exact.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import Graph
 
@@ -188,11 +189,13 @@ def write_adjacency_json_file(path: str | Path, g: Graph) -> None:
 # ---------------------------------------------------------------------------
 # Format dispatch for the CLI.
 
-def load_graphs(path: str | Path, fmt: str = "auto") -> list[tuple[str, Graph]]:
-    """Load one or many graphs from a file, with stable ids: the file name,
-    and for graph6 the record's index among the non-blank lines. A
-    malformed graph6 record raises ValueError named by the id its graph
-    would have had."""
+def graph_records(path: str | Path,
+                  fmt: str = "auto") -> list[tuple[str, Callable[[], Graph]]]:
+    """Each graph of a file with its stable id and a function that returns
+    it: the file name, and for graph6 the record's index among the
+    non-blank lines. The file is read here, and each graph6 record is
+    parsed only by its own function, so a malformed record raises there
+    and the records around it still load."""
     path = Path(path)
     if fmt == "auto":
         suffix = path.suffix.lower()
@@ -203,17 +206,26 @@ def load_graphs(path: str | Path, fmt: str = "auto") -> list[tuple[str, Graph]]:
         else:
             fmt = "edgelist"
     if fmt == "graph6":
-        graphs: list[tuple[str, Graph]] = []
-        try:
-            for g in iter_graph6_file(path):
-                graphs.append((f"{path.name}:{len(graphs)}", g))
-        except UnicodeDecodeError:
-            raise  # decoded ahead of the records, so no record to name
-        except ValueError as exc:
-            raise ValueError(f"{path.name}:{len(graphs)}: {exc}") from exc
-        return graphs
+        with open(path, "r", encoding="ascii") as fh:
+            records = [line for line in map(str.strip, fh) if line]
+        return [(f"{path.name}:{i}", partial(from_graph6, record))
+                for i, record in enumerate(records)]
     if fmt == "json":
-        return [(path.name, read_adjacency_json_file(path))]
-    if fmt == "edgelist":
-        return [(path.name, read_edge_list_file(path))]
-    raise ValueError(f"unknown format {fmt!r}")
+        g = read_adjacency_json_file(path)
+    elif fmt == "edgelist":
+        g = read_edge_list_file(path)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return [(path.name, lambda: g)]
+
+
+def load_graphs(path: str | Path, fmt: str = "auto") -> list[tuple[str, Graph]]:
+    """The graphs of `graph_records`, each with its id. A malformed graph6
+    record raises ValueError named by the id its graph would have had."""
+    graphs = []
+    for graph_id, read in graph_records(path, fmt):
+        try:
+            graphs.append((graph_id, read()))
+        except ValueError as exc:
+            raise ValueError(f"{graph_id}: {exc}") from exc
+    return graphs

@@ -35,3 +35,24 @@ def count_calls(monkeypatch):
                     monkeypatch.setattr(module, name, counted)
         return calls
     return count
+
+
+@pytest.fixture
+def count_certified(monkeypatch):
+    """count_certified() returns a dict whose "certified" counts, from then
+    on, the kappa-pass pairs that short disjoint paths certify at their cap
+    (`connectivity._has_short_paths`), so that they run no flow."""
+    import quasigraph.connectivity as connectivity
+
+    def install():
+        counts = {"certified": 0}
+        has_short_paths = connectivity._has_short_paths
+
+        def counted(masks, s, t, cap):
+            found = has_short_paths(masks, s, t, cap)
+            counts["certified"] += found
+            return found
+
+        monkeypatch.setattr(connectivity, "_has_short_paths", counted)
+        return counts
+    return install

@@ -288,6 +288,7 @@ class ReferenceNetwork(NamedTuple):
     cap: list[int]
     adj: list[list[tuple[int, int]]]
     out_arc: list[dict[int, int]]
+    masks: list[int]
 
 
 def reference_split_network(g) -> ReferenceNetwork:
@@ -297,14 +298,14 @@ def reference_split_network(g) -> ReferenceNetwork:
     sorted `edges()` list, u < w, appends four arcs from a = len(to): arc
     a 2u+1 -> 2w and arc a+2 2w+1 -> 2u, each of capacity n, and their
     reverses a+1 and a+3 with capacity 0. Every arc is appended to its
-    tail's row as (arc, head), and out_arc[u][w] = a, out_arc[w][u] = a+2.
-    This is how the library numbered the arcs before it built the network
-    from the neighbor masks, and the tests hold the library's network to it
-    field by field."""
+    tail's row as (arc, head), and out_arc[u][w] = a, out_arc[w][u] = a+2;
+    bit w of masks[v] is set for each edge vw. This is how the library
+    numbered the arcs before it built the network from the neighbor masks,
+    and the tests hold the library's network to it field by field."""
     n = g.n
     net = ReferenceNetwork([node ^ 1 for node in range(2 * n)], [1, 0] * n,
                            [[(node, node ^ 1)] for node in range(2 * n)],
-                           [{} for _ in range(n)])
+                           [{} for _ in range(n)], [0] * n)
     for u, w in g.edges():
         a, uo, wo = len(net.to), 2 * u + 1, 2 * w + 1
         net.to.extend((wo - 1, uo, uo - 1, wo))
@@ -315,6 +316,8 @@ def reference_split_network(g) -> ReferenceNetwork:
         net.adj[uo - 1].append((a + 3, wo))
         net.out_arc[u][w] = a
         net.out_arc[w][u] = a + 2
+        net.masks[u] |= 1 << w
+        net.masks[w] |= 1 << u
     return net
 
 
@@ -333,6 +336,21 @@ def reference_flow_pairs(g, alive: int | None = None) -> list[tuple[int, int]]:
     pairs = [(v0, w) for w in sorted(others - home) + sorted(others & home)]
     pairs += [(x, y) for x, y in combinations(sorted(nbrs), 2) if y not in adj[x]]
     return pairs
+
+
+def reference_short_paths(adj: list[set[int]], s: int, t: int) -> int:
+    """The greedy count of internally disjoint s-t paths of length 2 and 3
+    for non-adjacent s, t, from neighbor sets: every common neighbor, then
+    for each neighbor d of t outside N(s), ascending, one path through the
+    least neighbor of both s and d that no path holds yet."""
+    used = adj[s] & adj[t]
+    count = len(used)
+    for d in sorted(adj[t] - adj[s]):
+        hops = (adj[s] & adj[d]) - used
+        if hops:
+            used.add(min(hops))
+            count += 1
+    return count
 
 
 def reference_kappa_with_cut(g, t: int | None = None):

@@ -101,17 +101,20 @@ def test_analyze_lists_minimum_cuts_once(count_calls):
     assert calls == {"_min_separators": 1}
 
 
-def test_failed_quasi_test_and_atom_share_one_listing(count_calls):
+def test_failed_quasi_test_and_atom_share_one_listing(count_calls, count_certified):
     # the planted pair's least nontrivial 4-cut lies past the n^2-subset
     # scan, so the kappa pass lists the 4-cuts to the end and the
     # certificate comes from them; the context keeps them as the minimum
-    # cuts, which the atom then reads: one flow per pair, no other listing
+    # cuts, which the atom then reads: of the 34 pairs, 9 run one flow and
+    # 25 are certified by short disjoint paths, and no other listing runs
     g = planted_pair(30, 4)
     calls = count_calls("_min_separators", "_local_vertex_cut")
+    certified = count_certified()
     summary = _analyze_one("planted", g, 5)
     assert summary["quasi_k"]["failure"] == "nontrivial-cut"
     assert summary["quasi_k"]["cut"]["vertices"] == [24, 25, 26, 27]
-    assert calls == {"_min_separators": 0, "_local_vertex_cut": len(_flow_pairs(g))}
+    assert calls == {"_min_separators": 0, "_local_vertex_cut": 9}
+    assert certified["certified"] == 25 and len(_flow_pairs(g)) == 34
 
 
 def test_analyze_routes_two_hop_units_without_search(count_calls):
@@ -200,21 +203,33 @@ def test_analyze_goes_on_past_a_graph_that_raises(tmp_path, capsys):
 
 
 def test_malformed_graph6_record_is_named(tmp_path, capsys):
-    # the second line of K5, K5 cut short, K5 is not a graph: analyze and a
-    # search over the file as a corpus entry name it by the id its graph
-    # would have had, and exit 2; the whole file is parsed before the first
-    # graph, so no graph of it is analysed or searched
+    # the second line of K5, K5 cut short, K5 is not a graph: analyze parses
+    # each record as it visits it, so it names that record by the id its
+    # graph would have had, analyses the two K5s and exits 2
     path = tmp_path / "bad.g6"
     path.write_text("D~{\nD~\nD~{\n")
-    message = "error: bad.g6:1: graph6 body has 1 characters, expected 2\n"
     assert main(["analyze", str(path)]) == 2
-    assert capsys.readouterr() == ("", message)
+    captured = capsys.readouterr()
+    summaries = [json.loads(line) for line in captured.out.splitlines()]
+    assert [s["graph_id"] for s in summaries] == ["bad.g6:0", "bad.g6:2"]
+    assert summaries[0] == summaries[1] | {"graph_id": "bad.g6:0"}
+    assert captured.err == \
+        "error: bad.g6:1: ValueError: graph6 body has 1 characters, expected 2\n"
+
+
+def test_malformed_graph6_record_sinks_its_corpus_entry(tmp_path, capsys):
+    # a search loads a graph6_file corpus entry whole before its first
+    # graph, so the malformed record is a usage error of the corpus: named,
+    # exit 2, and no graph searched
+    path = tmp_path / "bad.g6"
+    path.write_text("D~{\nD~\nD~{\n")
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps({"corpus": [
         {"family": "complete", "params": {"n": 5}},
         {"family": "graph6_file", "params": {"path": str(path)}}]}))
     assert main(["search", "--corpus", str(corpus)]) == 2
-    assert capsys.readouterr() == ("", message)
+    assert capsys.readouterr() == (
+        "", "error: bad.g6:1: graph6 body has 1 characters, expected 2\n")
 
 
 def test_generate_writes_graph6_and_manifest(tmp_path, capsys):

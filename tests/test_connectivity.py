@@ -43,6 +43,7 @@ from oracles import (
     reference_flow_pairs,
     reference_kappa_with_cut,
     reference_local_vertex_cut,
+    reference_short_paths,
     reference_split_network,
 )
 
@@ -187,13 +188,15 @@ class TestOnePass:
     def test_property(self, g):
         _check_one_pass(g)
 
-    def test_quasi_test_makes_one_flow_per_pair(self, count_calls):
+    def test_quasi_test_makes_one_flow_per_pair(self, count_calls, count_certified):
         # the 4-cuts are listed from the kappa flows themselves, where a
-        # kappa pass and then a listing made two flows per pair (78)
+        # kappa pass and then a listing made two flows per pair (78); of the
+        # 39 pairs, 31 are certified by short disjoint paths and run none
         g = quasi_5_apex(40, 1)
-        calls = count_calls("_local_vertex_cut")
+        calls, certified = count_calls("_local_vertex_cut"), count_certified()
         assert is_quasi_k_connected(g, 5).holds
-        assert calls["_local_vertex_cut"] == len(connectivity._flow_pairs(g)) == 39
+        assert (calls["_local_vertex_cut"], certified["certified"]) == (8, 31)
+        assert len(connectivity._flow_pairs(g)) == 39
 
     def test_disconnected_graph_stops_at_its_first_flow(self, count_calls):
         # v0's first pair reaches the other component, whose flow 0 is the
@@ -284,7 +287,11 @@ class _CountingCap(list):
 
 
 class TestFlowMechanism:
-    def test_one_network_per_kappa_computation(self, monkeypatch):
+    def test_one_network_per_kappa_computation(self, monkeypatch, count_certified):
+        # each kappa pass runs a flow for every pair that short disjoint
+        # paths do not certify, `flows` of them without a threshold and
+        # `capped` at t = kappa; the listing of minimum cuts certifies
+        # none, so it runs one flow per pair
         counts = {"networks": 0, "flows": 0}
         build, flow = connectivity._split_network, connectivity._local_vertex_cut
 
@@ -296,21 +303,32 @@ class TestFlowMechanism:
             counts["flows"] += 1
             return flow(*args)
 
+        def reset():
+            counts.update(networks=0, flows=0)
+            certified["certified"] = 0
+
         monkeypatch.setattr(connectivity, "_split_network", counted_build)
         monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
-        for g, kappa in [(petersen_graph(), 3), (circulant_graph(12, (1, 2, 3)), 6),
-                         (icosahedron_graph(), 5), (cycle_graph(9), 2)]:
-            counts.update(networks=0, flows=0)
+        certified = count_certified()
+        for g, kappa, flows, capped in [(petersen_graph(), 3, 1, 0),
+                                        (circulant_graph(12, (1, 2, 3)), 6, 2, 2),
+                                        (icosahedron_graph(), 5, 6, 6),
+                                        (cycle_graph(9), 2, 5, 5)]:
+            pairs = len(connectivity._flow_pairs(g))
+            reset()
             assert vertex_connectivity(g) == kappa
-            assert counts["networks"] == 1 and counts["flows"] > 1
-            counts.update(networks=0, flows=0)
+            assert counts == {"networks": 1, "flows": flows}
+            assert certified["certified"] == pairs - flows
+            reset()
             assert connectivity._vertex_connectivity_with_cut(
                 connectivity._Flows(g), kappa)[0] >= kappa
-            assert counts["networks"] == 1 and counts["flows"] > 1
+            assert counts == {"networks": 1, "flows": capped}
+            assert certified["certified"] == pairs - capped
             # kappa and the listing of minimum cuts share one network
-            counts.update(networks=0, flows=0)
+            reset()
             assert minimum_cuts(g)
-            assert counts["networks"] == 1 and counts["flows"] > 1
+            assert counts == {"networks": 1, "flows": flows + pairs}
+            assert certified["certified"] == pairs - flows
 
     @staticmethod
     def _flow(g, s, t, limit):
@@ -564,6 +582,110 @@ class TestTwoHopUnits:
         calls = count_calls("_search")
         assert connectivity._quasi_k_cuts(flows, 5)
         assert calls["_search"] <= 8
+
+
+def _pass_results(g):
+    """What the kappa pass gives on G: kappa with its cut for t = None and
+    for each t in 1..delta+1, and for each k in 2..6 the (k-1)-cuts in the
+    order the quasi test's pass lists them, with the quasi verdict."""
+    results = [connectivity._vertex_connectivity_with_cut(connectivity._Flows(g), t)
+               for t in [None] + list(range(1, g.min_degree() + 2))]
+    for k in range(2, 7):
+        listed = []
+        results.append((connectivity._vertex_connectivity_with_cut(
+            connectivity._Flows(g), j=k - 1, listed=listed), listed))
+        results.append(connectivity._Flows(g).quasi(k))
+    return results
+
+
+def _check_certificates_change_nothing(g):
+    """The kappa pass as it is, and with no pair certified by short
+    disjoint paths, so that every pair runs its flow."""
+    certified = _pass_results(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity, "_has_short_paths", lambda masks, s, t, cap: False)
+        flowed = _pass_results(g)
+    assert certified == flowed, g.edges()
+
+
+class TestShortPaths:
+    """The kappa pass runs no flow for a pair when a greedy choice of short
+    disjoint paths, read from the neighbor masks with the pass's added
+    edges, reaches the pair's cap: the flow would return (cap, None)."""
+
+    @given(graphs(min_n=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_is_sound(self, g, data):
+        # on G with a random set of added edges, for every pair the network
+        # does not join and every cap: the paths are found exactly when the
+        # greedy count reaches the cap, and that count never exceeds the
+        # pair's local connectivity
+        apart = [(s, t) for s, t in combinations(g.vertices, 2) if not g.has_edge(s, t)]
+        added = data.draw(st.lists(st.sampled_from(apart), unique=True)) if apart else []
+        net = connectivity._split_network(g)
+        mark = len(net.to)
+        for u, w in added:
+            connectivity._add_edge(net, u, w)
+        joined = Graph(g.n, g.edges() + added)
+        assert net.masks == list(joined.masks)
+        adj = adjacency_sets(joined)
+        for s, t in apart:
+            if (s, t) in added:
+                continue
+            count = reference_short_paths(adj, s, t)
+            assert count <= reference_local_vertex_cut(net, s, t, g.n)[0], \
+                (g.edges(), added, s, t)
+            for cap in range(g.n + 1):
+                assert connectivity._has_short_paths(net.masks, s, t, cap) == (count >= cap), \
+                    (g.edges(), added, s, t, cap)
+        connectivity._remove_added_edges(net, mark, g.masks)
+        assert net.masks == list(g.masks)
+
+    def test_certificates_change_nothing_on_corpora(self, small_corpus, quasi5_corpus,
+                                                    count_certified):
+        certified = count_certified()
+        for _, g in small_corpus + quasi5_corpus:
+            _check_certificates_change_nothing(g)
+        assert certified["certified"] > 0
+
+    @pytest.mark.parametrize("g", [
+        quasi_5_apex(40, 1), circulant_graph(40, (1, 2)), planted_pair(30, 4),
+        icosahedron_graph(), petersen_graph(),
+    ], ids=["apex40", "C40(1,2)", "planted30", "icosahedron", "petersen"])
+    def test_certificates_change_nothing_on_larger_graphs(self, g):
+        _check_certificates_change_nothing(g)
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_certificates_change_nothing_property(self, g):
+        _check_certificates_change_nothing(g)
+
+    def test_sweeps_hold_past_certified_pairs(self, small_corpus, quasi5_corpus,
+                                              monkeypatch, count_certified):
+        # a certified pair leaves the sweep as it was, holding the flow to
+        # an earlier sink or none, and the next flow carries on from there:
+        # after every flow that still runs, the sweep holds that flow and
+        # the value and separator are the reference flow's
+        flow = connectivity._local_vertex_cut
+        runs = [0]
+
+        def checked(net, s, t, limit, cap, sweep):
+            expected = reference_local_vertex_cut(net, s, t, limit,
+                                                  connectivity._capacities(net))
+            assert flow(net, s, t, limit, cap, sweep) == expected, (s, t, limit)
+            _check_sweep(net, s, t, limit, expected[0], sweep)
+            runs[0] += 1
+            return expected
+
+        graphs = [g for _, g in small_corpus + quasi5_corpus] + [
+            quasi_5_apex(40, 1), circulant_graph(40, (1, 2)), planted_pair(30, 4)]
+        monkeypatch.setattr(connectivity, "_local_vertex_cut", checked)
+        certified = count_certified()
+        for g in graphs:
+            connectivity._vertex_connectivity_with_cut(connectivity._Flows(g))
+            for k in (4, 5, 6):
+                connectivity._Flows(g).quasi(k)
+        assert runs[0] > 0 and certified["certified"] > 0
 
 
 class TestMinVertexCutBetween:
@@ -1241,7 +1363,7 @@ class TestQuasiCertificate:
         assert self._check(g, 5) == "listing"
         assert is_quasi_k_connected(g, 5).cut.vertices == tuple(range(n - 6, n - 2))
 
-    def test_each_branch_runs(self, monkeypatch, count_calls):
+    def test_each_branch_runs(self, monkeypatch, count_calls, count_certified):
         # a circulant's least nontrivial cut lies within the scan budget, so
         # the scan stops there, and the kappa pass, whose listing stopped at
         # its first nontrivial cut, is the only listing; the planted graph's
@@ -1276,11 +1398,13 @@ class TestQuasiCertificate:
         g = planted_pair(30, 4)
         walks.clear()
         listed.clear()
-        calls = count_calls("_local_vertex_cut")
+        calls, certified = count_calls("_local_vertex_cut"), count_certified()
         assert is_quasi_k_connected(g, 5).cut.vertices == (24, 25, 26, 27)
         assert [(w["limit"], w["exhausted"]) for w in walks] == [(900, True)]
         assert listed == []
-        assert calls["_local_vertex_cut"] == len(connectivity._flow_pairs(g))
+        # of the 34 pairs, 25 are certified by short disjoint paths
+        assert (calls["_local_vertex_cut"], certified["certified"]) == (9, 25)
+        assert len(connectivity._flow_pairs(g)) == 34
 
 
 class TestPartitionIdentity:

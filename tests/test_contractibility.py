@@ -578,14 +578,17 @@ class TestContractsTo:
         with pytest.raises(ValueError, match="k must be at least 2"):
             is_contraction_critical(complete_graph(4), 1, quasi=True)
 
-    def test_is_k_contractible_caps_every_flow(self, monkeypatch):
-        # C8(1,2) is 4-connected and contraction critical: kappa(G/e) = 3,
+    def test_is_k_contractible_caps_every_flow(self, monkeypatch, count_certified):
+        # C10(1,2) is 4-connected and contraction critical: kappa(G/e) = 3,
         # so kappa(G - 0 - 1) = 2. The hypothesis kappa(G) >= 4 is checked
-        # with flows capped at k = 4, which all reach it. Then the flows of
-        # G - 0 - 1, with the internal arcs of 0 and 1 closed, are capped at
-        # k - 1 = 3 at first, and once a pair falls below that, each later
-        # flow at the smallest separator found so far; a cut holding the
-        # merged vertex is then below kappa(G), so no other flow runs.
+        # with flows capped at k = 4: of its 8 pairs, 3 are certified by
+        # short disjoint paths, and the flows of the other 5 all reach the
+        # cap (on C8(1,2) every pair is certified, so no flow runs). Then
+        # the flows of G - 0 - 1, with the internal arcs of 0 and 1 closed,
+        # are capped at k - 1 = 3 at first, and once a pair falls below
+        # that, each later flow at the smallest separator found so far; a
+        # cut holding the merged vertex is then below kappa(G), so no other
+        # flow runs.
         calls = []
         flow = connectivity._local_vertex_cut
 
@@ -596,11 +599,15 @@ class TestContractsTo:
             calls.append((closed, limit, flow(net, s, t, limit, cap, *rest)))
             return calls[-1][2]
 
+        g = circulant_graph(10, (1, 2))
         monkeypatch.setattr(connectivity, "_local_vertex_cut", recorded)
         monkeypatch.setattr(contractibility, "_local_vertex_cut", recorded)
-        assert is_k_contractible(circulant_graph(8, (1, 2)), (0, 1), 4) is False
+        certified = count_certified()
+        assert is_k_contractible(g, (0, 1), 4) is False
         hypothesis = [c for c in calls if not c[0]]
-        assert calls[:len(hypothesis)] == hypothesis and len(hypothesis) > 1
+        assert calls[:len(hypothesis)] == hypothesis
+        assert (len(hypothesis), certified["certified"]) == (5, 3)
+        assert len(connectivity._flow_pairs(g)) == 8
         assert all(limit == 4 and result == (4, None) for _, limit, result in hypothesis)
         best = 3
         for _, limit, (value, sep) in calls[len(hypothesis):]:

@@ -67,23 +67,31 @@ def test_network_is_restored_after_a_timeout(g, listing, monkeypatch):
                 connectivity._quasi_k_cuts(flows, 5)
             else:
                 flows.quasi(5)
-        for field in ("to", "cap", "adj", "out_arc"):
+        for field in fresh._fields:
             assert getattr(flows.net, field) == getattr(fresh, field), (j, field)
+        assert flows.net.masks == list(g.masks), j
         if listing == "kappa_pass":
             assert "kappa_with_cut" not in vars(flows) and not flows._quasi, j
             flows.deadline = None
             assert flows.quasi(5) == _Flows(g).quasi(5), j
 
 
+def _kappa_pass(flows):
+    return flows.quasi(5)
+
+
 @pytest.mark.parametrize("g, listing", [
     (circulant_graph(20, (1, 2)), lambda flows: list(connectivity._min_separators(flows, 4))),
     (quasi_5_apex(17, 1), lambda flows: connectivity._quasi_k_cuts(flows, 5)),
-    (quasi_5_apex(17, 1), lambda flows: flows.quasi(5)),
+    (quasi_5_apex(17, 1), _kappa_pass),
 ], ids=["min_separators-C20(1,2)", "quasi_k_cuts-apex17", "kappa_pass-apex17"])
-def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
+def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch,
+                                                    count_certified):
     # quasi_5_apex(17, 1) has a nontrivial 5-cut, so one of its k-cut flows
     # stops at k and lists separators; its quasi test holds at kappa = 4,
-    # so its kappa pass lists the 4-cuts
+    # so its kappa pass lists the 4-cuts. The kappa pass checks once per
+    # pair, also for a pair that short disjoint paths certify with no flow
+    # (11 of its 15); the listings certify none
     counts = {"checks": 0, "flows": 0, "separators": 0}
     flow, separators = connectivity._local_vertex_cut, connectivity._pair_separators
 
@@ -107,10 +115,16 @@ def test_listings_check_once_per_flow_and_separator(g, listing, monkeypatch):
     monkeypatch.setattr(connectivity, "monotonic", clock)
     monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
     monkeypatch.setattr(connectivity, "_pair_separators", counted_separators)
+    certified = count_certified()
     flows.deadline = 1.0
     listing(flows)
     assert counts["separators"] > 0
-    assert counts["checks"] == counts["flows"] + counts["separators"]
+    assert counts["checks"] == counts["flows"] + certified["certified"] + counts["separators"]
+    if listing is _kappa_pass:
+        assert counts["flows"] + certified["certified"] == len(flows.pairs) == 15
+        assert certified["certified"] == 11
+    else:
+        assert certified["certified"] == 0
 
 
 @pytest.mark.parametrize("passed", [1, 2, 3, 6, 40])
