@@ -1,17 +1,20 @@
 """Graph builders, seeded random families, and corpus generation.
 
-Every corpus family re-validates its declared properties on the generated
-graph instead of assuming them, and generation is deterministic for a fixed
-seed.
+A corpus is a list of `CorpusSpec` entries. Each family is one function in
+the `_FAMILIES` table, from its spec to its (graph_id, Graph) pairs, so a
+new family is one function and one table entry. Every family re-validates
+its declared properties on the generated graph instead of assuming them,
+and generation is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import Graph, mask_to_vertices
 from .connectivity import (
@@ -191,18 +194,14 @@ def quasi_5_apex(n: int, seed: int | random.Random | None = None,
 # ---------------------------------------------------------------------------
 # Corpus specification and generation.
 
-KNOWN_FAMILIES = (
-    "complete", "circulant", "icosahedron", "random_5_connected",
-    "quasi_5_apex", "graph6_file", "edge_list_file",
-)
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """One corpus entry: a family name plus its parameters.
 
     `params["n"]` may be an int or an inclusive [lo, hi] range. `count`
-    controls how many seeded instances a random family emits.
+    controls how many seeded instances a random family emits. The family,
+    `params`, `count` and `seed` are checked on construction; each family
+    checks its own parameters as it expands.
     """
 
     family: str
@@ -210,24 +209,24 @@ class CorpusSpec:
     count: int = 1
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.family not in KNOWN_FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; known: {KNOWN_FAMILIES}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"'params' must be a JSON object, got {self.params!r}")
+        if self.family.endswith("_file") and not isinstance(self.params.get("path"), str):
+            raise ValueError(f"family {self.family!r} requires a 'path' parameter")
+        if type(self.count) is not int or self.count < 1:
+            raise ValueError(f"'count' must be an integer >= 1, got {self.count!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ValueError(f"'seed' must be an integer or null, got {self.seed!r}")
+
     @classmethod
     def from_json(cls, obj: dict) -> "CorpusSpec":
         if not isinstance(obj, dict):
             raise ValueError(f"a 'corpus' entry must be a JSON object, got {obj!r}")
-        family = obj.get("family")
-        if family not in KNOWN_FAMILIES:
-            raise ValueError(f"unknown family {family!r}; known: {KNOWN_FAMILIES}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"'params' must be a JSON object, got {params!r}")
-        if family.endswith("_file") and not isinstance(params.get("path"), str):
-            raise ValueError(f"family {family!r} requires a 'path' parameter")
-        count, seed = obj.get("count", 1), obj.get("seed")
-        if type(count) is not int or count < 1:
-            raise ValueError(f"'count' must be an integer >= 1, got {count!r}")
-        if seed is not None and type(seed) is not int:
-            raise ValueError(f"'seed' must be an integer or null, got {seed!r}")
-        return cls(family=family, params=dict(params), count=count, seed=seed)
+        return cls(obj.get("family"), obj.get("params", {}), obj.get("count", 1),
+                   obj.get("seed"))
 
 
 def _sizes(params: dict) -> list[int]:
@@ -243,52 +242,66 @@ def _sizes(params: dict) -> list[int]:
     return list(range(n[0], n[1] + 1))
 
 
-def _expand(spec: CorpusSpec) -> list[tuple[str, Graph]]:
-    fam = spec.family
-    out: list[tuple[str, Graph]] = []
-    if fam == "complete":
-        for n in _sizes(spec.params):
-            g = complete_graph(n)
-            if not g.is_complete():
-                raise AssertionError("complete family validation failed")
-            out.append((f"K{n}", g))
-    elif fam == "circulant":
-        jumps = spec.params.get("jumps", [1])
-        if not (isinstance(jumps, (list, tuple)) and all(type(j) is int for j in jumps)):
-            raise ValueError(f"'jumps' must be a list of ints, got {jumps!r}")
-        for n in _sizes(spec.params):
-            g = circulant_graph(n, jumps)
-            expected = sum(1 if 2 * j == n else 2 for j in set(jumps))
-            if any(g.degree(v) != expected for v in g.vertices):
-                raise AssertionError("circulant family validation failed")
-            out.append((f"C{n}({','.join(map(str, jumps))})", g))
-    elif fam == "icosahedron":
-        g = icosahedron_graph()
-        if g.n != 12 or g.edge_count != 30 or vertex_connectivity(g) != 5:
-            raise AssertionError("icosahedron validation failed")
-        out.append(("icosahedron", g))
-    elif fam == "random_5_connected":
-        base = 0 if spec.seed is None else spec.seed
-        for n in _sizes(spec.params):
-            for i in range(spec.count):
-                out.append((f"rand5-n{n}-s{base + i}", random_5_connected(n, base + i)))
-    elif fam == "quasi_5_apex":
-        base = 0 if spec.seed is None else spec.seed
-        tri = spec.params.get("attach_triangle", False)
-        if not isinstance(tri, bool):
-            raise ValueError(f"'attach_triangle' must be true or false, got {tri!r}")
-        suffix = "-tri" if tri else ""
-        for n in _sizes(spec.params):
-            for i in range(spec.count):
-                out.append((f"apex4-n{n}-s{base + i}{suffix}",
-                            quasi_5_apex(n, base + i, attach_triangle=tri)))
-    elif fam == "graph6_file":
-        out.extend(gio.load_graphs(spec.params["path"], "graph6"))
-    elif fam == "edge_list_file":
-        out.extend(gio.load_graphs(spec.params["path"], "edgelist"))
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return out
+def _complete(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
+    for n in _sizes(spec.params):
+        g = complete_graph(n)
+        if not g.is_complete():
+            raise AssertionError("complete family validation failed")
+        yield f"K{n}", g
+
+
+def _circulant(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
+    jumps = spec.params.get("jumps", [1])
+    if not (isinstance(jumps, (list, tuple)) and all(type(j) is int for j in jumps)):
+        raise ValueError(f"'jumps' must be a list of ints, got {jumps!r}")
+    for n in _sizes(spec.params):
+        g = circulant_graph(n, jumps)
+        expected = sum(1 if 2 * j == n else 2 for j in set(jumps))
+        if any(g.degree(v) != expected for v in g.vertices):
+            raise AssertionError("circulant family validation failed")
+        yield f"C{n}({','.join(map(str, jumps))})", g
+
+
+def _icosahedron(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
+    g = icosahedron_graph()
+    if g.n != 12 or g.edge_count != 30 or vertex_connectivity(g) != 5:
+        raise AssertionError("icosahedron validation failed")
+    yield "icosahedron", g
+
+
+def _seeded(spec: CorpusSpec, prefix: str, build: Callable[[int, int], Graph],
+            suffix: str = "") -> Iterator[tuple[str, Graph]]:
+    """`count` graphs per size, seeded base, base + 1, ... (base 0 for no
+    seed), with ids `<prefix>-n<n>-s<seed><suffix>`."""
+    base = 0 if spec.seed is None else spec.seed
+    for n in _sizes(spec.params):
+        for seed in range(base, base + spec.count):
+            yield f"{prefix}-n{n}-s{seed}{suffix}", build(n, seed)
+
+
+def _random_5_connected(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
+    return _seeded(spec, "rand5", random_5_connected)
+
+
+def _quasi_5_apex(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
+    tri = spec.params.get("attach_triangle", False)
+    if not isinstance(tri, bool):
+        raise ValueError(f"'attach_triangle' must be true or false, got {tri!r}")
+    return _seeded(spec, "apex4", partial(quasi_5_apex, attach_triangle=tri),
+                   "-tri" if tri else "")
+
+
+# Each family maps its spec to its (graph_id, Graph) pairs, in order.
+_FAMILIES: dict[str, Callable[[CorpusSpec], Iterable[tuple[str, Graph]]]] = {
+    "complete": _complete,
+    "circulant": _circulant,
+    "icosahedron": _icosahedron,
+    "random_5_connected": _random_5_connected,
+    "quasi_5_apex": _quasi_5_apex,
+    "graph6_file": lambda spec: gio.load_graphs(spec.params["path"], "graph6"),
+    "edge_list_file": lambda spec: gio.load_graphs(spec.params["path"], "edgelist"),
+}
+KNOWN_FAMILIES = tuple(_FAMILIES)
 
 
 def generate_corpus(spec) -> list[tuple[str, Graph]]:
@@ -301,10 +314,7 @@ def generate_corpus(spec) -> list[tuple[str, Graph]]:
         raise ValueError(f"a corpus must be a list of entries or an object with a "
                          f"'corpus' list, got {entries!r}")
     specs = [s if isinstance(s, CorpusSpec) else CorpusSpec.from_json(s) for s in entries]
-    out = []
-    for s in specs:
-        out.extend(_expand(s))
-    return out
+    return [pair for s in specs for pair in _FAMILIES[s.family](s)]
 
 
 def read_corpus_file(path: str | Path) -> list[tuple[str, Graph]]:

@@ -4,6 +4,10 @@ graph6 follows the standard 6-bit encoding: a size prefix N(n) followed by
 the upper triangle of the adjacency matrix taken column by column (pairs
 (0,1), (0,2), (1,2), (0,3), ...), packed big-endian into 6-bit groups and
 offset by 63. Round-trips are bit exact.
+
+Files are read through `graph_records`, which gives each graph its id and a
+function that reads it, so a parse error is named by the file, or for
+graph6 by the record, and the other graphs still load.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import Graph
 
@@ -91,14 +95,6 @@ def from_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def iter_graph6_file(path: str | Path) -> Iterator[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield from_graph6(line)
-
-
 def write_graph6_file(path: str | Path, graphs: Iterable[Graph], header: bool = False) -> int:
     count = 0
     with open(path, "w", encoding="ascii") as fh:
@@ -130,13 +126,13 @@ def from_edge_list(text: str) -> Graph:
             comment = line[1:].strip()
             if comment.startswith("n="):
                 value = comment[2:].split()
-                if not (value and value[0].isdigit()):
+                if not (value and value[0].isdecimal()):
                     raise ValueError(f"line {lineno}: 'n=' needs an integer, got {raw!r}")
                 n_decl = int(value[0])
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+            raise ValueError(f"line {lineno}: expected 'u v' with integer ids >= 0, got {raw!r}")
         edges.append((int(parts[0]), int(parts[1])))
     n_seen = 1 + max((max(u, v) for u, v in edges), default=-1)
     n = n_decl if n_decl is not None else n_seen
@@ -187,41 +183,35 @@ def write_adjacency_json_file(path: str | Path, g: Graph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Format dispatch for the CLI.
+# Format dispatch: graph6 files hold one graph per line, the others one graph.
+
+_SUFFIX_FORMATS = {".g6": "graph6", ".graph6": "graph6", ".json": "json"}
+_FILE_READERS = {"edgelist": read_edge_list_file, "json": read_adjacency_json_file}
+
 
 def graph_records(path: str | Path,
                   fmt: str = "auto") -> list[tuple[str, Callable[[], Graph]]]:
-    """Each graph of a file with its stable id and a function that returns
+    """Each graph of a file with its stable id and a function that reads
     it: the file name, and for graph6 the record's index among the
-    non-blank lines. The file is read here, and each graph6 record is
-    parsed only by its own function, so a malformed record raises there
-    and the records around it still load."""
+    non-blank lines. Only the graph6 lines are read here; each record is
+    parsed, and an edge-list or JSON file read, by its own function, so a
+    malformed record raises there and the records around it still load."""
     path = Path(path)
     if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix in (".g6", ".graph6"):
-            fmt = "graph6"
-        elif suffix == ".json":
-            fmt = "json"
-        else:
-            fmt = "edgelist"
+        fmt = _SUFFIX_FORMATS.get(path.suffix.lower(), "edgelist")
     if fmt == "graph6":
         with open(path, "r", encoding="ascii") as fh:
             records = [line for line in map(str.strip, fh) if line]
         return [(f"{path.name}:{i}", partial(from_graph6, record))
                 for i, record in enumerate(records)]
-    if fmt == "json":
-        g = read_adjacency_json_file(path)
-    elif fmt == "edgelist":
-        g = read_edge_list_file(path)
-    else:
+    if fmt not in _FILE_READERS:
         raise ValueError(f"unknown format {fmt!r}")
-    return [(path.name, lambda: g)]
+    return [(path.name, partial(_FILE_READERS[fmt], path))]
 
 
 def load_graphs(path: str | Path, fmt: str = "auto") -> list[tuple[str, Graph]]:
-    """The graphs of `graph_records`, each with its id. A malformed graph6
-    record raises ValueError named by the id its graph would have had."""
+    """The graphs of `graph_records`, each with its id. A malformed record
+    raises ValueError named by the id its graph would have had."""
     graphs = []
     for graph_id, read in graph_records(path, fmt):
         try:

@@ -187,6 +187,19 @@ def test_analyze_error_names_the_graph(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["graph_id"] == "e.g6:0"
     assert captured.err == "error: e.g6:1: ValueError: empty graph\n"
+    # an edge-list or JSON file is read by its graph's visit, so a parse
+    # error there is named by the file too
+    for name, text, message in [
+        ("bad.txt", "0 1\n1 2 3\n", "ValueError: line 2: expected 'u v'"),
+        ("bad.json", '{"n": 2,', "JSONDecodeError: "),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name}: {message}")
+        assert captured.err.count("\n") == 1
 
 
 def test_analyze_goes_on_past_a_graph_that_raises(tmp_path, capsys):
@@ -239,8 +252,7 @@ def test_generate_writes_graph6_and_manifest(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert [g["graph_id"] for g in manifest["graphs"]] == ["K5", "K6"]
-    g = list(gio.iter_graph6_file(out_dir / "K5.g6"))[0]
-    assert g == complete_graph(5)
+    assert gio.load_graphs(out_dir / "K5.g6") == [("K5.g6:0", complete_graph(5))]
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -636,14 +637,23 @@ class TestGenerateCorpus:
             {"family": "circulant", "params": {"n": 9, "jumps": [1, 2]}},
             {"family": "icosahedron"},
             {"family": "quasi_5_apex", "params": {"n": 10}, "count": 1, "seed": 2},
+            {"family": "random_5_connected", "params": {"n": [9, 10]}, "count": 2, "seed": 4},
+            {"family": "quasi_5_apex", "params": {"n": 11, "attach_triangle": True}},
         ]})
         ids = [gid for gid, _ in pairs]
-        assert ids == ["K6", "C9(1,2)", "icosahedron", "apex4-n10-s2"]
+        assert ids == ["K6", "C9(1,2)", "icosahedron", "apex4-n10-s2",
+                       "rand5-n9-s4", "rand5-n9-s5", "rand5-n10-s4", "rand5-n10-s5",
+                       "apex4-n11-s0-tri"]
         by_id = dict(pairs)
         assert vertex_connectivity(by_id["K6"]) == 5
         assert all(by_id["C9(1,2)"].degree(v) == 4 for v in range(9))
         assert vertex_connectivity(by_id["C9(1,2)"]) == 4
         assert by_id["icosahedron"].n == 12
+        assert all(vertex_connectivity(g) >= 5 for gid, g in pairs if gid.startswith("rand5"))
+        tri = by_id["apex4-n11-s0-tri"]
+        assert tri.degree(10) == 4 and vertex_connectivity(tri) == 4
+        assert any(tri.has_edge(a, b) and tri.has_edge(a, c) and tri.has_edge(b, c)
+                   for a, b, c in combinations(tri.neighbors(10), 3))
 
     def test_deterministic_for_fixed_seed(self):
         spec = CorpusSpec("random_5_connected", {"n": 10}, count=3, seed=9)
@@ -669,6 +679,8 @@ class TestGenerateCorpus:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             generate_corpus({"corpus": [{"family": "hypercube"}]})
+        with pytest.raises(ValueError, match="^unknown family 'hypercube'; known: "):
+            CorpusSpec("hypercube")
 
     def test_unsatisfiable_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ class TestGraph6:
         graphs_out = [complete_graph(5), petersen_graph(), Graph(3)]
         path = tmp_path / "batch.g6"
         assert gio.write_graph6_file(path, graphs_out) == 3
-        assert list(gio.iter_graph6_file(path)) == graphs_out
+        assert [g for _, g in gio.load_graphs(path)] == graphs_out
 
     def test_bit_exact_on_whole_fixture_corpus(self, small_corpus):
         for gid, g in small_corpus:
@@ -98,6 +98,10 @@ class TestEdgeList:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
             gio.from_edge_list("0 1 2\n")
+        # each id is an integer >= 0, checked on its own line
+        for bad in ("1 x", "1 -2", "1 2.0"):
+            with pytest.raises(ValueError, match=f"^line 2: .*, got '{bad}'$"):
+                gio.from_edge_list(f"0 1\n{bad}\n")
 
     def test_declared_n_too_small(self):
         with pytest.raises(ValueError):
