@@ -76,7 +76,16 @@ from the neighbor masks with the added edges, already reach its cap
 (`_has_short_paths`): the flow would stop there with no separator. On
 quasi_5_apex(40, 1) the test makes 8 flows and certifies the other 31 of
 its 39 pairs; on C40(1,2), whose sinks share few neighbors with v0, it
-certifies 3 of 38.
+certifies 3 of 38. The separator listings (`_min_separators`), which
+decide every contraction, certify their pairs the same way at their cap
+j + 1, reading only the masks' vertices outside `without`, so every path
+counted lies in G - without: the search for quasi_5_apex(240, 1)'s first
+contractible edge runs 26 flows and certifies the other 211 of its
+listings' 237 pairs. Two flow users do not look for short paths. The
+flows of `_quasi_k_cuts` run between merged ends, which carry several
+units each. In `_kappa_after`, the flows to w run with y merged, and the
+masks would certify 2 of the 1,107 flows of quasi_5_apex(240, 1)'s
+contraction reports.
 
 Cut enumeration of an arbitrary size decides every vertex subset of that
 size in lexicographic order, so it is always complete. The subsets that
@@ -225,9 +234,9 @@ class _SplitNetwork(NamedTuple):
     `adj[node]` lists (arc, head) for the arcs leaving node, reverse arcs
     included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. `masks`
     are G's neighbor bitmasks with the edges added since the build
-    (`_add_edge`), in which the kappa pass looks for short disjoint paths
-    (`_has_short_paths`). A flow works on a copy of `cap`, and a sweep of
-    flows on one (`_Sweep`).
+    (`_add_edge`), in which the kappa pass and the separator listings look
+    for short disjoint paths (`_has_short_paths`). A flow works on a copy
+    of `cap`, and a sweep of flows on one (`_Sweep`).
     """
 
     to: list[int]
@@ -509,21 +518,25 @@ def _local_vertex_cut(net: _SplitNetwork, s: int, t: int, limit: int, cap: list[
     return min(flow, limit), sep
 
 
-def _has_short_paths(masks: list[int], s: int, t: int, cap: int) -> bool:
+def _has_short_paths(masks: list[int], s: int, t: int, cap: int, alive: int = -1) -> bool:
     """Whether a greedy choice finds `cap` internally disjoint s-t paths
-    of length 2 and 3, for non-adjacent s, t in the graph of the neighbor
-    bitmasks `masks`: one path s -> c -> t for every common neighbor c,
-    then one path s -> c -> d -> t for each neighbor d of t outside N(s),
-    in ascending order, through the least c of N(s) and N(d) that no path
+    of length 2 and 3, for non-adjacent s, t in the graph H of the neighbor
+    bitmasks `masks` restricted to the vertex mask `alive` (all of them by
+    default): one path s -> c -> t for every common neighbor c, then one
+    path s -> c -> d -> t for each neighbor d of t outside N(s), in
+    ascending order, through the least c of N(s) and N(d) that no path
     holds yet, the units that `_local_vertex_cut` routes first in an empty
     flow. The choice stops once the neighbors d left are too few to reach
     `cap`.
 
-    When it finds them, the local connectivity of s and t is at least
+    When it finds them, the local connectivity of s and t in H is at least
     `cap`: each c, common neighbor or not, lies in N(s) and is taken once,
     each d lies outside N(s) and is taken once, and none is s or t, as s
-    and t are not adjacent, so the paths share no inner vertex."""
-    ns, nt = masks[s], masks[t]
+    and t are not adjacent, so the paths share no inner vertex. Every c
+    and d is read from N(s) & alive or N(t) & alive, so every path stays
+    inside H. The kappa pass calls it on G, and the separator listings on
+    G - without (`_min_separators`), before a pair's flow."""
+    ns, nt = masks[s] & alive, masks[t] & alive
     common = ns & nt
     need = cap - common.bit_count()
     rest = nt ^ common
@@ -906,10 +919,10 @@ def _min_separators(flows: _Flows, j: int,
     (`_flow_pairs`), listed at j = 0 and yielded as smaller above it, and
     the seen set keeps it once.
 
-    Each pair of `_flow_pairs` gets one flow capped at j + 1, on G's
-    network with the vertices `without` closed. A flow of j lists the
-    pair's minimum separators from its residual graph; a flow below j
-    yields its one separator. The pairs run through `_sweeps`: those of a
+    Each pair of `_flow_pairs` that short paths do not certify (below)
+    gets one flow capped at j + 1, on G's network with the vertices
+    `without` closed. A flow of j lists the pair's minimum separators from
+    its residual graph; a flow below j yields its one separator. The pairs run through `_sweeps`: those of a
     run from one source carry one flow from sink to sink in a `_Sweep`,
     whose capacities start with the vertices `without` closed, and then
     the pair's edge is added to the network, so later pairs find no
@@ -919,6 +932,17 @@ def _min_separators(flows: _Flows, j: int,
     components can still split a later pair; a seen set drops those
     repeats. The added edges are removed when the listing ends, raises or
     is closed.
+
+    Before a pair's flow, the listing looks for j + 1 short disjoint paths
+    between its ends in H, read from `net.masks`, G's masks with the edges
+    added so far, restricted to H's vertices (`_has_short_paths`), and
+    runs no flow when it finds them, as the kappa pass does. Such a pair
+    has a local connectivity of at least j + 1 in H with the added edges
+    counted, so its flow, capped at j + 1, would return (j + 1, None),
+    which yields nothing: skipping it changes neither the separators
+    listed nor their order. The sweep is left as it is, holding the flow
+    to an earlier sink or none, which `_retarget` carries on from, and
+    `_sweeps` still adds the pair's edge.
     """
     g = flows.g
     alive = g.full_mask & ~vertices_to_mask(without)
@@ -929,6 +953,8 @@ def _min_separators(flows: _Flows, j: int,
     pairs = _flow_pairs(g, alive) if without else flows.pairs
     with closing(_sweeps(flows, pairs, without)) as sweeps:
         for s, t, sweep in sweeps:
+            if _has_short_paths(net.masks, s, t, j + 1, alive):
+                continue  # its flow would return (j + 1, None)
             size, sep = _local_vertex_cut(net, s, t, j + 1, sweep.cap, sweep)
             if size < j:
                 yield make_cut(g, sep + without)

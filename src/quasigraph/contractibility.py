@@ -65,6 +65,15 @@ enough:
   listing yields neither a smaller separator nor one, T', that makes
   T' + {x, y} nontrivial in G.
 
+The listing runs no flow for a pair of G - x - y whose short disjoint
+paths, read from the neighbor masks without x and y, already number
+k - 1, one more than the separator size listed: such a pair lists nothing
+(`connectivity._has_short_paths`). The search for quasi_5_apex(240, 1)'s
+first quasi 5-contractible edge runs 26 flows over its listings' 237
+pairs. `_kappa_after` does not look for short paths: on
+quasi_5_apex(240, 1) they would settle 2 of its 1,107 flows, and its flows
+to w run with y merged.
+
 Every flow here runs on G's own network, those of G - x - y with the
 internal arcs of x and y closed, and no edge is contracted. The private
 helpers take G's flow context (`connectivity._Flows`) in place of G, as the

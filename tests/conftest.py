@@ -40,16 +40,17 @@ def count_calls(monkeypatch):
 @pytest.fixture
 def count_certified(monkeypatch):
     """count_certified() returns a dict whose "certified" counts, from then
-    on, the kappa-pass pairs that short disjoint paths certify at their cap
-    (`connectivity._has_short_paths`), so that they run no flow."""
+    on, the pairs of the kappa pass and of the separator listings
+    (`connectivity._min_separators`) that short disjoint paths certify at
+    their cap (`connectivity._has_short_paths`), so that they run no flow."""
     import quasigraph.connectivity as connectivity
 
     def install():
         counts = {"certified": 0}
         has_short_paths = connectivity._has_short_paths
 
-        def counted(masks, s, t, cap):
-            found = has_short_paths(masks, s, t, cap)
+        def counted(masks, s, t, cap, alive=-1):
+            found = has_short_paths(masks, s, t, cap, alive)
             counts["certified"] += found
             return found
 

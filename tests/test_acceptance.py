@@ -290,3 +290,15 @@ def test_ac10_seed_1_campaign_is_pinned(tmp_path):
     assert digest == "fabd77d14766273b50dbb8cad2293b48e218fdee88b0796a6c0c17b3a2331541"
     _report(f"[AC-10] seed-1 campaign pinned: PASS (sha256 {digest[:12]}..., "
             f"{summary['counts']})")
+
+
+def test_seed_1_campaign_flow_count_is_pinned(tmp_path, count_calls, count_certified):
+    # one flow per pair that short disjoint paths do not certify, in the
+    # kappa passes and in the 431 separator listings of the contraction
+    # decisions: any change to which pairs run a flow changes the counts
+    graphs = generate_corpus(SEED_1_CAMPAIGN)
+    calls = count_calls("_local_vertex_cut", "_min_separators")
+    certified = count_certified()
+    run_campaign(graphs, CLAIMS, tmp_path / "campaign.jsonl")
+    assert calls == {"_local_vertex_cut": 2260, "_min_separators": 431}
+    assert certified["certified"] == 9600

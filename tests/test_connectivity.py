@@ -290,8 +290,8 @@ class TestFlowMechanism:
     def test_one_network_per_kappa_computation(self, monkeypatch, count_certified):
         # each kappa pass runs a flow for every pair that short disjoint
         # paths do not certify, `flows` of them without a threshold and
-        # `capped` at t = kappa; the listing of minimum cuts certifies
-        # none, so it runs one flow per pair
+        # `capped` at t = kappa; the listing of minimum cuts certifies its
+        # pairs too, and runs `listed` flows
         counts = {"networks": 0, "flows": 0}
         build, flow = connectivity._split_network, connectivity._local_vertex_cut
 
@@ -310,10 +310,10 @@ class TestFlowMechanism:
         monkeypatch.setattr(connectivity, "_split_network", counted_build)
         monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
         certified = count_certified()
-        for g, kappa, flows, capped in [(petersen_graph(), 3, 1, 0),
-                                        (circulant_graph(12, (1, 2, 3)), 6, 2, 2),
-                                        (icosahedron_graph(), 5, 6, 6),
-                                        (cycle_graph(9), 2, 5, 5)]:
+        for g, kappa, flows, capped, listed in [(petersen_graph(), 3, 1, 0, 8),
+                                                (circulant_graph(12, (1, 2, 3)), 6, 2, 2, 11),
+                                                (icosahedron_graph(), 5, 6, 6, 11),
+                                                (cycle_graph(9), 2, 5, 5, 7)]:
             pairs = len(connectivity._flow_pairs(g))
             reset()
             assert vertex_connectivity(g) == kappa
@@ -327,8 +327,8 @@ class TestFlowMechanism:
             # kappa and the listing of minimum cuts share one network
             reset()
             assert minimum_cuts(g)
-            assert counts == {"networks": 1, "flows": flows + pairs}
-            assert certified["certified"] == pairs - flows
+            assert counts == {"networks": 1, "flows": flows + listed}
+            assert certified["certified"] == 2 * pairs - flows - listed
 
     @staticmethod
     def _flow(g, s, t, limit):
@@ -598,46 +598,64 @@ def _pass_results(g):
     return results
 
 
-def _check_certificates_change_nothing(g):
-    """The kappa pass as it is, and with no pair certified by short
-    disjoint paths, so that every pair runs its flow."""
-    certified = _pass_results(g)
+def _listing_results(g):
+    """Every listing of G's separators that `_min_separators` gives for
+    j <= kappa(G): of G itself and of G - x - y for every edge xy, as the
+    contraction decision asks for them, in one flow context."""
+    flows = connectivity._Flows(g)
+    return [list(connectivity._min_separators(flows, j, without))
+            for j in range(flows.kappa + 1) for without in [()] + g.edges()]
+
+
+def _check_certificates_change_nothing(g, results=_pass_results):
+    """What `results` gives on G (the kappa pass, or the separator
+    listings) as it is, and with no pair certified by short disjoint
+    paths, so that every pair runs its flow."""
+    certified = results(g)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(connectivity, "_has_short_paths", lambda masks, s, t, cap: False)
-        flowed = _pass_results(g)
+        mp.setattr(connectivity, "_has_short_paths", lambda masks, s, t, cap, alive=-1: False)
+        flowed = results(g)
     assert certified == flowed, g.edges()
 
 
 class TestShortPaths:
-    """The kappa pass runs no flow for a pair when a greedy choice of short
-    disjoint paths, read from the neighbor masks with the pass's added
-    edges, reaches the pair's cap: the flow would return (cap, None)."""
+    """The kappa pass and the separator listings run no flow for a pair
+    when a greedy choice of short disjoint paths, read from the neighbor
+    masks with the added edges and restricted to the vertices left open,
+    reaches the pair's cap: the flow would return (cap, None)."""
 
     @given(graphs(min_n=2), st.data())
     @settings(max_examples=200, deadline=None)
     def test_certificate_is_sound(self, g, data):
-        # on G with a random set of added edges, for every pair the network
-        # does not join and every cap: the paths are found exactly when the
-        # greedy count reaches the cap, and that count never exceeds the
-        # pair's local connectivity
+        # on G with a random set of added edges and of closed vertices, H
+        # the graph left open, for every pair of H the network does not
+        # join and every cap: the paths are found exactly when the greedy
+        # count on H reaches the cap, and that count never exceeds the
+        # pair's local connectivity in H
         apart = [(s, t) for s, t in combinations(g.vertices, 2) if not g.has_edge(s, t)]
         added = data.draw(st.lists(st.sampled_from(apart), unique=True)) if apart else []
+        closed = data.draw(st.sets(st.sampled_from(g.vertices)))
+        alive = g.full_mask & ~connectivity.vertices_to_mask(closed)
         net = connectivity._split_network(g)
         mark = len(net.to)
         for u, w in added:
             connectivity._add_edge(net, u, w)
         joined = Graph(g.n, g.edges() + added)
         assert net.masks == list(joined.masks)
-        adj = adjacency_sets(joined)
+        adj = [set() if v in closed else row - closed
+               for v, row in enumerate(adjacency_sets(joined))]
+        cap_h = connectivity._capacities(net, sorted(closed))
         for s, t in apart:
-            if (s, t) in added:
+            if (s, t) in added or s in closed or t in closed:
                 continue
             count = reference_short_paths(adj, s, t)
-            assert count <= reference_local_vertex_cut(net, s, t, g.n)[0], \
-                (g.edges(), added, s, t)
+            assert count <= reference_local_vertex_cut(net, s, t, g.n, cap_h[:])[0], \
+                (g.edges(), added, closed, s, t)
             for cap in range(g.n + 1):
-                assert connectivity._has_short_paths(net.masks, s, t, cap) == (count >= cap), \
-                    (g.edges(), added, s, t, cap)
+                found = connectivity._has_short_paths(net.masks, s, t, cap, alive)
+                assert found == (count >= cap), (g.edges(), added, closed, s, t, cap)
+                if not closed:
+                    assert connectivity._has_short_paths(net.masks, s, t, cap) == found
         connectivity._remove_added_edges(net, mark, g.masks)
         assert net.masks == list(g.masks)
 
@@ -659,6 +677,25 @@ class TestShortPaths:
     @settings(max_examples=200, deadline=None)
     def test_certificates_change_nothing_property(self, g):
         _check_certificates_change_nothing(g)
+
+    def test_listing_certificates_change_nothing_on_corpora(self, small_corpus, quasi5_corpus,
+                                                            count_certified):
+        certified = count_certified()
+        for _, g in small_corpus + quasi5_corpus:
+            _check_certificates_change_nothing(g, _listing_results)
+        assert certified["certified"] > 0
+
+    @pytest.mark.parametrize("g", [
+        quasi_5_apex(40, 1), circulant_graph(40, (1, 2)), planted_pair(30, 4),
+        icosahedron_graph(), petersen_graph(),
+    ], ids=["apex40", "C40(1,2)", "planted30", "icosahedron", "petersen"])
+    def test_listing_certificates_change_nothing_on_larger_graphs(self, g):
+        _check_certificates_change_nothing(g, _listing_results)
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_listing_certificates_change_nothing_property(self, g):
+        _check_certificates_change_nothing(g, _listing_results)
 
     def test_sweeps_hold_past_certified_pairs(self, small_corpus, quasi5_corpus,
                                               monkeypatch, count_certified):
@@ -915,19 +952,22 @@ class TestMinSeparators:
         monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
         return counts
 
-    def test_a_shattering_cut_is_listed_once_per_pair(self, monkeypatch):
+    def test_a_shattering_cut_is_listed_once_per_pair(self, monkeypatch, count_certified):
         # The 4-side of K4,30 leaves 30 components, and a closure search
         # that did not fix the other components would list it 2^28 times.
         # v0 is on the 30-side: its 29 non-neighbors each give one leaf
-        # (the added edges never rejoin 30 components), and the pairs of
-        # its neighbors carry 30 paths, more than the cap.
+        # (the added edges never rejoin 30 components), and the 6 pairs of
+        # its neighbors have 30 common neighbors, more than the cap, so
+        # short disjoint paths certify them and they run no flow.
         g = complete_bipartite_graph(4, 30)
         pairs = len(connectivity._flow_pairs(g))
         counts = self._count_leaves(monkeypatch, most=pairs)
+        certified = count_certified()
         got = list(connectivity._min_separators(connectivity._Flows(g), 4))
         assert [c.vertices for c in got] == [(0, 1, 2, 3)]
         assert len(got[0].components) == 30
-        assert counts["flows"] == pairs == 29 + 6
+        assert pairs == 29 + 6
+        assert counts["flows"] == 29 and certified["certified"] == 6
         assert counts["leaves"] == 29
 
     def test_added_edges_stop_repeats(self, monkeypatch):
