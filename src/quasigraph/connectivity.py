@@ -5,16 +5,18 @@ Connectivity uses unit-capacity max-flow on the standard vertex-split
 digraph, with the dominating pair/neighbor scheme: fix a minimum-degree
 vertex v, take local connectivity against every non-neighbor of v and
 between every non-adjacent pair of neighbors of v. The digraph is built
-at most once per call, in a flow context (`_Flows`) that the call's entry
-point creates and hands to every kappa computation, cut listing and
-per-edge decision on the same graph; the private functions below take the
+at the call's first flow, and at most once per call, in a flow context
+(`_Flows`) that the call's entry point creates and hands to every kappa
+computation, cut listing and per-edge decision on the same graph, so a
+call that runs no flow builds none; the private functions below take the
 context in place of the graph and never build one, and read kappa, the
 minimum cuts and the quasi verdicts from it, where each is computed once
 per call. The context also carries the call's deadline, checked once per
 flow pair, listed separator, scanned prefix and component search of a
 scan, so a call that runs out of time raises `DeadlineExceeded` within one
 such step. Each pair's flow stops once it reaches the smallest separator
-found so far, since only a smaller one is kept. The kappa pass and the
+found so far, since only a smaller one is kept; the kappa pass starts
+from the minimum degree, with N(v) as its cut. The kappa pass and the
 listings sweep the sinks of one source at a time (`_sweeps`), and one
 capacity list carries the flow from each sink to the next that runs one
 (`_Sweep`): each unit of the previous sink's flow is cut short at its
@@ -52,9 +54,11 @@ Minimum cuts are listed from the same pairs' flows, each capped at
 kappa + 1 (after Kanevsky, and Picard and Queyranne): a pair whose flow is
 kappa has as its minimum separators the closed sets of the final residual
 graph, one canonical closed set per separator. After each pair its edge is
-added to the network, so no later pair finds those separators again, and
-a seen set drops the few that leave three or more components and survive
-the edge; the added arcs are removed when the listing ends, so the shared
+added, so no later pair finds those separators again, and a seen set
+drops the few that leave three or more components and survive the edge.
+The edge goes into the context's neighbor masks at once, and its arcs
+into the network only just before the next flow, as only a flow reads
+them; the added arcs are removed when the listing ends, so the shared
 network is G's again. The cost follows the number of minimum cuts, not
 C(n, kappa). `minimum_cuts` and the contraction decision read this
 listing (`_min_separators`). The k-cuts of a quasi k-connected graph,
@@ -224,33 +228,28 @@ def make_cut(g: Graph, t: Iterable[int]) -> Cut:
 # Local connectivity by max-flow on the split digraph.
 
 class _SplitNetwork(NamedTuple):
-    """The vertex-split digraph of a graph, built once per call and shared
-    by every flow of that call (see `_Flows`).
+    """The vertex-split digraph of a graph, built at a call's first flow
+    and shared by every flow of that call (see `_Flows`).
 
     Node 2v is v's in-copy, 2v+1 its out-copy. Arcs come in pairs, arc
     a ^ 1 being the reverse of arc a: v's internal arc 2v -> 2v+1 is arc
     2v, with capacity 1, and each edge uw gives arcs 2u+1 -> 2w and
     2w+1 -> 2u with capacity n, more than any all-internal cut costs.
     `adj[node]` lists (arc, head) for the arcs leaving node, reverse arcs
-    included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. `masks`
-    are G's neighbor bitmasks with the edges added since the build
-    (`_add_edge`), in which the kappa pass and the separator listings look
-    for short disjoint paths (`_has_short_paths`). A flow works on a copy
-    of `cap`, and a sweep of flows on one (`_Sweep`).
+    included, and `out_arc[u][w]` is the index of arc 2u+1 -> 2w. A flow
+    works on a copy of `cap`, and a sweep of flows on one (`_Sweep`).
     """
 
     to: list[int]
     cap: list[int]
     adj: list[list[tuple[int, int]]]
     out_arc: list[dict[int, int]]
-    masks: list[int]
 
 
 def _add_edge(net: _SplitNetwork, u: int, w: int) -> None:
     """Add the arcs of edge uw, each of capacity n: arc 2u+1 -> 2w, its
-    reverse, arc 2w+1 -> 2u and its reverse, and the edge's bits to
-    `masks`."""
-    to, cap, adj, out_arc, masks = net
+    reverse, arc 2w+1 -> 2u and its reverse."""
+    to, cap, adj, out_arc = net
     a, uo, wo = len(to), 2 * u + 1, 2 * w + 1
     to.extend((wo - 1, uo, uo - 1, wo))
     n = len(out_arc)
@@ -261,21 +260,17 @@ def _add_edge(net: _SplitNetwork, u: int, w: int) -> None:
     adj[uo - 1].append((a + 3, wo))
     out_arc[u][w] = a
     out_arc[w][u] = a + 2
-    masks[u] |= 1 << w
-    masks[w] |= 1 << u
 
 
-def _remove_added_edges(net: _SplitNetwork, mark: int, masks: tuple[int, ...]) -> None:
-    """Undo every `_add_edge` made since the network had `mark` arcs, and
-    set the network's masks back to `masks`, G's, in one copy."""
-    to, cap, adj, out_arc, _ = net
+def _remove_added_edges(net: _SplitNetwork, mark: int) -> None:
+    """Undo every `_add_edge` made since the network had `mark` arcs."""
+    to, cap, adj, out_arc = net
     for a in range(len(to) - 2, mark - 1, -2):
         tail, head = to[a + 1], to[a]
         adj[tail].pop()
         adj[head].pop()
         del out_arc[tail // 2][head // 2]
     del to[mark:], cap[mark:]
-    net.masks[:] = masks
 
 
 def _split_network(g: Graph) -> _SplitNetwork:
@@ -305,8 +300,7 @@ def _split_network(g: Graph) -> _SplitNetwork:
             out_u[w] = a
             out_arc[w][u] = a + 2
             a += 4
-    return _SplitNetwork(to, [1, 0] * n + [n, 0, n, 0] * g.edge_count, adj, out_arc,
-                         list(g.masks))
+    return _SplitNetwork(to, [1, 0] * n + [n, 0, n, 0] * g.edge_count, adj, out_arc)
 
 
 def _push(cap: list[int], out_arc: list[dict[int, int]], u: int, path: Iterable[int],
@@ -329,31 +323,45 @@ class _Sweep:
     """The flow of a sweep of sinks from one source s, carried from each
     sink to the next (see `_retarget`).
 
-    `cap` holds the residual capacities of a flow from s to `sink`, which
-    is -1 before the sweep's first flow, when there is none, on the
-    network with the vertices `without` closed. `paths` maps the first
-    vertex of each unit of that flow to the unit's vertices without s and
-    the sink (a unit through a common neighbor of the two is one vertex
-    long, a two-hop unit two), and a vertex v with flow through it is the
-    `pos[v]`th vertex of the unit that starts at `head[v]`; the entries of
-    a vertex with no flow through it mean nothing. The units are `stale`
-    once a search has changed the flow, and are then read back only when
-    the next sink needs them (`restart`).
+    `pending` lists, in order, the pair edges that the `_sweeps` run of
+    this sweep is done with and has not yet added to the network; it is
+    shared by the run's sweeps, and `ready` adds them just before a flow.
+    `cap` holds the residual capacities of a flow from s to `sink`, on the
+    network with the vertices `without` closed; `sink` is -1 before the
+    sweep's first flow, and until then `cap` is None and `head` and `pos`
+    are not allocated. `paths` maps the first vertex of each unit of that
+    flow to the unit's vertices without s and the sink (a unit through a
+    common neighbor of the two is one vertex long, a two-hop unit two),
+    and a vertex v with flow through it is the `pos[v]`th vertex of the
+    unit that starts at `head[v]`; the entries of a vertex with no flow
+    through it mean nothing. The units are `stale` once a search has
+    changed the flow, and are then read back only when the next sink needs
+    them (`restart`).
     """
 
-    __slots__ = ("without", "cap", "sink", "paths", "head", "pos", "stale")
+    __slots__ = ("pending", "without", "cap", "sink", "paths", "head", "pos", "stale")
 
-    def __init__(self, net: _SplitNetwork, without: tuple[int, ...] = ()) -> None:
-        self.without, self.cap = without, _capacities(net, without)
+    def __init__(self, pending: list[tuple[int, int]], without: tuple[int, ...] = ()) -> None:
+        self.pending, self.without, self.cap = pending, without, None
         self.sink, self.stale = -1, False
         self.paths: dict[int, list[int]] = {}
-        self.head, self.pos = [0] * len(net.out_arc), [0] * len(net.out_arc)
 
-    def add_edge(self, net: _SplitNetwork, u: int, w: int) -> None:
-        """`_add_edge` on the network, with the new arcs' capacities
-        appended to `cap`."""
-        _add_edge(net, u, w)
-        self.cap += net.cap[-4:]
+    def ready(self, net: _SplitNetwork) -> list[int]:
+        """The sweep's capacities for its next flow on `net`, once the
+        pending edges are added to the network (`_add_edge`), in order: at
+        the sweep's first flow a copy of the network's with the vertices
+        `without` closed, later the carried ones with the new arcs'
+        capacities appended. Either way they are what they would be had
+        each edge been added as soon as its pair was done."""
+        for u, w in self.pending:
+            _add_edge(net, u, w)
+        self.pending.clear()
+        if self.cap is None:
+            self.cap = _capacities(net, self.without)
+            self.head, self.pos = [0] * len(net.out_arc), [0] * len(net.out_arc)
+        else:
+            self.cap += net.cap[len(self.cap):]
+        return self.cap
 
     def keep(self, path: list[int]) -> None:
         """Record `path` as a unit of the flow."""
@@ -638,25 +646,30 @@ class DeadlineExceeded(Exception):
 
 
 class _Flows:
-    """The work context of one call on a graph G: G, the call's deadline (a
-    time.monotonic() value, or None for no budget), G's split network and
-    kappa flow pairs, and the facts of G: kappa(G) with a minimum cut, the
-    sorted minimum cuts, and for each k the quasi k-verdict with its
-    (k-1)-cuts. Each is computed on first use and kept for the call; the
-    pass of a quasi test keeps kappa with its cut as well, and the minimum
-    cuts when it lists all of them. A fact whose computation raises is not
-    kept.
+    """The work context of one call on a graph G: G, the call's deadline
+    (a time.monotonic() value, or None for no budget), G's kappa flow
+    pairs, G's split network, built when the call's first flow needs it,
+    and `masks`, G's neighbor bitmasks with the edges that the running
+    kappa pass or separator listing has added (`_sweeps`), in which both
+    look for short disjoint paths (`_has_short_paths`); and the facts of
+    G: kappa(G) with a minimum cut, the sorted minimum cuts, and for each
+    k the quasi k-verdict with its (k-1)-cuts. Each is computed on first
+    use and kept for the call; the pass of a quasi test keeps kappa with
+    its cut as well, and the minimum cuts when it lists all of them. A
+    fact whose computation raises is not kept.
 
     Only an entry point creates one and passes it to every kappa
     computation, cut listing and per-edge decision of the call, so every
     flow runs within the call's budget. Flows work on copies of the
-    capacities, and a pass or listing that adds arcs removes them before it
-    ends, also when it raises, so the network is G's between uses.
+    capacities, and a pass or listing that adds arcs or mask bits removes
+    them before it ends, also when it raises, so the network and the masks
+    are G's between uses.
     """
 
     def __init__(self, g: Graph, deadline: float | None = None) -> None:
         self.g = g
         self.deadline = deadline
+        self.masks = list(g.masks)
         self._quasi: dict[int, tuple[QuasiConnectivity, list[Cut]]] = {}
 
     def check(self) -> None:
@@ -715,24 +728,34 @@ def _sweeps(flows: _Flows, pairs: Iterable[tuple[int, int]],
     """Each pair (s, t) of `pairs` with the `_Sweep` that carries its flow:
     one sweep per run of pairs from one source, on G's network with the
     vertices `without` closed. The deadline is checked before each pair.
-    When the caller asks for the next pair, the last pair's edge is added
-    to the network, with its arcs' capacities appended to the sweep's, so
-    later pairs find no separator that splits it; the added edges are
-    removed when the pairs end, the caller raises or closes the generator,
-    so the network is G's again. Run it under `contextlib.closing`.
+    When the caller asks for the next pair, the last pair's edge is added,
+    so later pairs find no separator that splits it: to `flows.masks` at
+    once, and to the network only when a later pair is about to run a flow
+    (`_Sweep.ready`), as only a flow reads the arcs. At every flow the
+    network and the sweep's capacities are then what they would be had
+    each edge been added at once, and a run in which no pair runs a flow
+    adds no arc and, in a call with no flow before, builds no network.
+    When the pairs end, the caller raises or closes the generator, the
+    added arcs are removed if a network was built, and the masks are set
+    back, so both are G's again. Run it under `contextlib.closing`.
     """
-    net = flows.net
-    mark = len(net.to)
+    g, masks = flows.g, flows.masks
+    pending: list[tuple[int, int]] = []
     source, sweep = -1, None
     try:
         for s, t in pairs:
             flows.check()
             if s != source:
-                source, sweep = s, _Sweep(net, without)
+                source, sweep = s, _Sweep(pending, without)
             yield s, t, sweep
-            sweep.add_edge(net, s, t)
+            pending.append((s, t))
+            masks[s] |= 1 << t
+            masks[t] |= 1 << s
     finally:
-        _remove_added_edges(net, mark, flows.g.masks)
+        if "net" in vars(flows):
+            # the arcs of G's own vertices and edges
+            _remove_added_edges(flows.net, 2 * g.n + 4 * g.edge_count)
+        masks[:] = g.masks
 
 
 def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | None = None,
@@ -742,16 +765,35 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
 
     With a threshold t: when kappa < t, the same value and cut as without
     it; otherwise some value >= t and no cut. Each pair's flow is capped at
-    the smallest separator found so far (t at first), since only a smaller
-    one is kept. Only the value without t is a fact of G that the context
-    keeps. A disconnected G needs no case of its own: v0 and a vertex of
-    another component form the first pair (`_flow_pairs`), whose flow 0
-    gives kappa 0 with the empty cut, or no cut at t = 0. The pass stops
-    once the smallest separator so far is empty, since none is smaller.
+    the smallest separator found so far, since only a smaller one is kept.
+    Only the value without t is a fact of G that the context keeps. The
+    pass stops once the smallest separator so far is empty, since none is
+    smaller.
+
+    The smallest separator so far starts at min(t, n - 1) with no cut, or,
+    when deg(v0) is below that, at deg(v0) with N(v0) as its cut, for v0
+    the source of the first pair, a vertex of least degree. N(v0) is a
+    separator, since G is not complete and v0 has a non-neighbor. This
+    changes neither the value nor the cut. If kappa < deg(v0), every cap
+    stays above kappa up to the first pair whose flow is kappa, which is
+    reached as with no start and gives the same cut. If kappa = deg(v0),
+    the cut without the start is the least minimum cut of the first pair
+    (v0, w), which N(v0) separates: its flow of deg(v0) units saturates
+    every neighbor of v0, one unit through each, so the source reaches
+    only v0's out-copy and its neighbors' in-copies, and the cut is N(v0).
+    With t <= deg(v0) nothing changes. While listing at j = deg(v0), the
+    first pair's cap is j + 1, which its local connectivity of at most j
+    stays below: it runs the same flow to the same residual graph as with
+    a larger cap and lists the same separators. A disconnected G needs no
+    case of its own: v0 and a vertex of another component form the first
+    pair (`_flow_pairs`), whose flow 0 gives kappa 0 with the empty cut,
+    or no cut at t = 0; an isolated v0 starts the pass at 0 with the empty
+    cut N(v0), and no flow runs.
 
     The pairs run through `_sweeps`, as in `_min_separators`: after each
-    pair its edge is added to the network, and the added arcs are removed
-    when the pass ends or raises.
+    pair its edge is added, to `flows.masks` at once and to the network
+    just before the next flow (`_Sweep.ready`), and the added arcs are
+    removed when the pass ends or raises.
     Neither the value nor the cut changes, for any t. Let p be the first
     pair that some kappa-separator splits. An added edge st crosses only
     separators that split (s, t), so no edge added before p crosses a
@@ -784,16 +826,17 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
 
     Before a pair's flow, the pass looks for as many short disjoint paths
     between its ends as the pair's cap (the smallest separator so far, or
-    one more while listing), in `net.masks`, G's masks with the edges added
-    so far (`_has_short_paths`). When it finds them, the flow would return
-    (cap, None): the pass takes that without a flow and leaves the sweep
-    as it is. Its flow to an earlier
-    sink, or none, stays a flow on the network with the pair's edge added,
-    and `_retarget` carries a flow from any earlier sink. Neither value
-    nor cut changes: the first pair whose flow is kappa has a local
-    connectivity below its cap, so it is never certified and keeps its
-    least cut, and a certified pair while listing has a flow above j, so it
-    lists nothing.
+    one more while listing), in `flows.masks`, G's masks with the edges
+    added so far (`_has_short_paths`). When it finds them, the flow would
+    return (cap, None): the pass takes that without a flow and leaves the
+    sweep as it is. Its flow to an earlier sink, or none, stays a flow on
+    the network with the pair's edge added, and `_retarget` carries a flow
+    from any earlier sink. Neither value nor cut changes: the first pair
+    whose flow is kappa has a local connectivity below its cap, so it is
+    never certified and keeps its least cut, and a certified pair while
+    listing has a flow above j, so it lists nothing. With the start at
+    deg(v0), the first pair can be certified too, and a pass whose pairs
+    are all certified runs no flow and builds no network.
     """
     g = flows.g
     n = g.n
@@ -805,23 +848,26 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
         return n - 1, None
     best = min(t, n - 1)
     best_sep: tuple[int, ...] | None = None
-    net = flows.net
+    v0 = flows.pairs[0][0]
+    if g.degree(v0) < best:
+        best, best_sep = g.degree(v0), g.neighbors(v0)
     seen: set[tuple[int, ...]] = set()
     scanned, least = False, None
     with closing(_sweeps(flows, flows.pairs)) as sweeps:
         for s, w, sweep in sweeps:
             cap = best + 1 if best == j and least is None else best
-            if _has_short_paths(net.masks, s, w, cap):
+            if _has_short_paths(flows.masks, s, w, cap):
                 size, sep = cap, None  # what the flow would return
             else:
-                size, sep = _local_vertex_cut(net, s, w, cap, sweep.cap, sweep)
+                net = flows.net
+                size, sep = _local_vertex_cut(net, s, w, cap, sweep.ready(net), sweep)
             if size < best:
                 best, best_sep = size, sep
             if best == 0:
                 break
             if size == j and sep is not None:
                 # a maximum flow of j below the cap: list the pair's j-separators
-                for pair_sep in _pair_separators(net, sweep.cap, s, w):
+                for pair_sep in _pair_separators(flows.net, sweep.cap, s, w):
                     flows.check()
                     if pair_sep not in seen:
                         seen.add(pair_sep)
@@ -922,20 +968,21 @@ def _min_separators(flows: _Flows, j: int,
     Each pair of `_flow_pairs` that short paths do not certify (below)
     gets one flow capped at j + 1, on G's network with the vertices
     `without` closed. A flow of j lists the pair's minimum separators from
-    its residual graph; a flow below j yields its one separator. The pairs run through `_sweeps`: those of a
-    run from one source carry one flow from sink to sink in a `_Sweep`,
-    whose capacities start with the vertices `without` closed, and then
-    the pair's edge is added to the network, so later pairs find no
-    separator that splits an earlier pair. A separator S is still met at
-    the first pair it splits: no edge added before crosses S, so that
-    pair's flow is at most |S|. A separator that leaves three or more
+    its residual graph; a flow below j yields its one separator. The pairs
+    run through `_sweeps`: those of a run from one source carry one flow
+    from sink to sink in a `_Sweep`, whose capacities start with the
+    vertices `without` closed, and then the pair's edge is added, to the
+    masks at once and to the network before the next flow, so later pairs
+    find no separator that splits an earlier pair. A separator S is still
+    met at the first pair it splits: no edge added before crosses S, so
+    that pair's flow is at most |S|. A separator that leaves three or more
     components can still split a later pair; a seen set drops those
     repeats. The added edges are removed when the listing ends, raises or
-    is closed.
+    is closed, and a listing that runs no flow adds no arc.
 
     Before a pair's flow, the listing looks for j + 1 short disjoint paths
-    between its ends in H, read from `net.masks`, G's masks with the edges
-    added so far, restricted to H's vertices (`_has_short_paths`), and
+    between its ends in H, read from `flows.masks`, G's masks with the
+    edges added so far, restricted to H's vertices (`_has_short_paths`), and
     runs no flow when it finds them, as the kappa pass does. Such a pair
     has a local connectivity of at least j + 1 in H with the added edges
     counted, so its flow, capped at j + 1, would return (j + 1, None),
@@ -948,14 +995,14 @@ def _min_separators(flows: _Flows, j: int,
     alive = g.full_mask & ~vertices_to_mask(without)
     if _complete(g, alive):
         return
-    net = flows.net
     seen: set[tuple[int, ...]] = set()
     pairs = _flow_pairs(g, alive) if without else flows.pairs
     with closing(_sweeps(flows, pairs, without)) as sweeps:
         for s, t, sweep in sweeps:
-            if _has_short_paths(net.masks, s, t, j + 1, alive):
+            if _has_short_paths(flows.masks, s, t, j + 1, alive):
                 continue  # its flow would return (j + 1, None)
-            size, sep = _local_vertex_cut(net, s, t, j + 1, sweep.cap, sweep)
+            net = flows.net
+            size, sep = _local_vertex_cut(net, s, t, j + 1, sweep.ready(net), sweep)
             if size < j:
                 yield make_cut(g, sep + without)
             elif size == j:
@@ -1050,7 +1097,7 @@ def _quasi_k_cuts(flows: _Flows, k: int) -> list[Cut]:
                 if len(tau) == 1:
                     _add_edge(net, x, tau[0])
         finally:
-            _remove_added_edges(net, mark, masks)
+            _remove_added_edges(net, mark)
     return [seps[sep] or make_cut(g, sep) for sep in sorted(seps)]
 
 

@@ -288,25 +288,26 @@ class ReferenceNetwork(NamedTuple):
     cap: list[int]
     adj: list[list[tuple[int, int]]]
     out_arc: list[dict[int, int]]
-    masks: list[int]
 
 
-def reference_split_network(g) -> ReferenceNetwork:
+def reference_split_network(g, added=()) -> ReferenceNetwork:
     """The vertex-split network of G, built edge by edge: node 2v is v's
     in-copy and 2v+1 its out-copy, arc 2v is v's internal arc 2v -> 2v+1
     with capacity 1 and arc 2v+1 its reverse, and each edge uw of the
-    sorted `edges()` list, u < w, appends four arcs from a = len(to): arc
-    a 2u+1 -> 2w and arc a+2 2w+1 -> 2u, each of capacity n, and their
-    reverses a+1 and a+3 with capacity 0. Every arc is appended to its
-    tail's row as (arc, head), and out_arc[u][w] = a, out_arc[w][u] = a+2;
-    bit w of masks[v] is set for each edge vw. This is how the library
-    numbered the arcs before it built the network from the neighbor masks,
-    and the tests hold the library's network to it field by field."""
+    sorted `edges()` list, u < w, and then each pair (u, w) of `added` in
+    its order, appends four arcs from a = len(to): arc a 2u+1 -> 2w and
+    arc a+2 2w+1 -> 2u, each of capacity n, and their reverses a+1 and a+3
+    with capacity 0. Every arc is appended to its tail's row as (arc,
+    head), and out_arc[u][w] = a, out_arc[w][u] = a+2. This is how the
+    library numbered the arcs before it built the network from the
+    neighbor masks, and how a kappa pass or a separator listing numbers
+    the arcs of the pair edges it adds; the tests hold the library's
+    network to it field by field."""
     n = g.n
     net = ReferenceNetwork([node ^ 1 for node in range(2 * n)], [1, 0] * n,
                            [[(node, node ^ 1)] for node in range(2 * n)],
-                           [{} for _ in range(n)], [0] * n)
-    for u, w in g.edges():
+                           [{} for _ in range(n)])
+    for u, w in list(g.edges()) + list(added):
         a, uo, wo = len(net.to), 2 * u + 1, 2 * w + 1
         net.to.extend((wo - 1, uo, uo - 1, wo))
         net.cap.extend((n, 0, n, 0))
@@ -316,8 +317,6 @@ def reference_split_network(g) -> ReferenceNetwork:
         net.adj[uo - 1].append((a + 3, wo))
         net.out_arc[u][w] = a
         net.out_arc[w][u] = a + 2
-        net.masks[u] |= 1 << w
-        net.masks[w] |= 1 << u
     return net
 
 

@@ -140,18 +140,43 @@ class TestThreshold:
         _check_threshold(g, brute_vertex_connectivity(g), t)
 
 
+class TestMinimumDegreeStart:
+    """The kappa pass starts from the minimum degree, with N(v0) as its
+    cut, in place of n - 1 with none. With a threshold t <= delta it
+    starts at t with no cut, which `TestThreshold` checks for every t."""
+
+    def test_cut_at_kappa_equal_to_the_minimum_degree_is_n_v0(self, small_corpus,
+                                                                 quasi5_corpus):
+        seen = 0
+        for _, g in small_corpus + quasi5_corpus + [(None, g) for g in BOUNDARY_GRAPHS]:
+            if g.is_complete():
+                continue
+            kappa, cut = connectivity._vertex_connectivity_with_cut(connectivity._Flows(g))
+            if kappa == g.min_degree():
+                v0 = connectivity._flow_pairs(g)[0][0]
+                assert cut.vertices == g.neighbors(v0), g.edges()
+                seen += 1
+        assert seen > 20
+
+    def test_isolated_vertex_gives_the_empty_cut_with_no_flow(self, count_calls):
+        calls = count_calls("_local_vertex_cut", "_split_network")
+        for g in (Graph(3), disjoint_union(complete_graph(1), complete_graph(3))):
+            assert connectivity._vertex_connectivity_with_cut(connectivity._Flows(g)) == \
+                (0, make_cut(g, ()))
+        assert calls == {"_local_vertex_cut": 0, "_split_network": 0}
+
+
 def _check_one_pass(g):
     """The kappa pass, which adds each pair's edge, against the reference
     loop, which adds none, for t = None and each t in 1..delta+1; the
     (k-1)-cuts of quasi(k), listed in the same pass, against the sorted
-    `_min_separators` listing; and the shared network, G's again after
-    each pass."""
-    fresh = connectivity._split_network(g)
+    `_min_separators` listing; and the context's masks and network, G's
+    again after each pass."""
     flows = connectivity._Flows(g)
     for t in [None] + list(range(1, g.min_degree() + 2)):
         assert connectivity._vertex_connectivity_with_cut(flows, t) == \
             reference_kappa_with_cut(g, t), (g.edges(), t)
-    nets = [flows.net]
+    contexts = [flows]
     for k in range(2, 7):
         flows = connectivity._Flows(g)
         quasi, cuts = flows.quasi(k)
@@ -161,10 +186,20 @@ def _check_one_pass(g):
             assert cuts == listed, (g.edges(), k)
         else:
             assert cuts == [], (g.edges(), k)
-        nets.append(flows.net)
-    for net in nets:
+        contexts.append(flows)
+    for flows in contexts:
+        _check_restored(flows)
+
+
+def _check_restored(flows):
+    """The context's masks are G's, and so is its network if a flow built
+    one, field by field."""
+    g = flows.g
+    assert flows.masks == list(g.masks), g.edges()
+    if "net" in vars(flows):
+        fresh = connectivity._split_network(g)
         for field in fresh._fields:
-            assert getattr(net, field) == getattr(fresh, field), (g.edges(), field)
+            assert getattr(flows.net, field) == getattr(fresh, field), (g.edges(), field)
 
 
 class TestOnePass:
@@ -291,7 +326,10 @@ class TestFlowMechanism:
         # each kappa pass runs a flow for every pair that short disjoint
         # paths do not certify, `flows` of them without a threshold and
         # `capped` at t = kappa; the listing of minimum cuts certifies its
-        # pairs too, and runs `listed` flows
+        # pairs too, and runs `listed` flows. A network is built at the
+        # first flow, so only a computation that runs one builds it: the
+        # Petersen graph's kappa pass starts at its minimum degree 3 with
+        # N(v0) as its cut, and short paths certify all 9 pairs at that cap
         counts = {"networks": 0, "flows": 0}
         build, flow = connectivity._split_network, connectivity._local_vertex_cut
 
@@ -310,19 +348,19 @@ class TestFlowMechanism:
         monkeypatch.setattr(connectivity, "_split_network", counted_build)
         monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
         certified = count_certified()
-        for g, kappa, flows, capped, listed in [(petersen_graph(), 3, 1, 0, 8),
+        for g, kappa, flows, capped, listed in [(petersen_graph(), 3, 0, 0, 8),
                                                 (circulant_graph(12, (1, 2, 3)), 6, 2, 2, 11),
                                                 (icosahedron_graph(), 5, 6, 6, 11),
                                                 (cycle_graph(9), 2, 5, 5, 7)]:
             pairs = len(connectivity._flow_pairs(g))
             reset()
             assert vertex_connectivity(g) == kappa
-            assert counts == {"networks": 1, "flows": flows}
+            assert counts == {"networks": int(flows > 0), "flows": flows}
             assert certified["certified"] == pairs - flows
             reset()
             assert connectivity._vertex_connectivity_with_cut(
                 connectivity._Flows(g), kappa)[0] >= kappa
-            assert counts == {"networks": 1, "flows": capped}
+            assert counts == {"networks": int(capped > 0), "flows": capped}
             assert certified["certified"] == pairs - capped
             # kappa and the listing of minimum cuts share one network
             reset()
@@ -409,16 +447,18 @@ class TestWarmStart:
         # the kappa pass's sweeps, or with vertices `without` closed the
         # listing's, from the driver of both: one carried flow per run of
         # pairs with the same source, and each pair's edge added after its
-        # flow, its arcs' capacities appended to the sweep's
+        # flow, its arcs added, and their capacities appended to the
+        # sweep's, before the next flow
         flows = connectivity._Flows(g)
         net = flows.net
         alive = g.full_mask & ~connectivity.vertices_to_mask(without)
         pairs = connectivity._flow_pairs(g, alive)
         with closing(connectivity._sweeps(flows, pairs, without)) as sweeps:
             for s, t, sweep in sweeps:
+                cap = sweep.ready(net)
                 expected = reference_local_vertex_cut(net, s, t, limit,
                                                       connectivity._capacities(net, without))
-                assert connectivity._local_vertex_cut(net, s, t, limit, sweep.cap, sweep) \
+                assert connectivity._local_vertex_cut(net, s, t, limit, cap, sweep) \
                     == expected, (g.edges(), s, t, limit)
                 _check_sweep(net, s, t, limit, expected[0], sweep)
 
@@ -547,8 +587,8 @@ class TestTwoHopUnits:
         # 0 and 3 on C6 share no neighbor: both units are two-hop, 0-1-2-3
         # and 0-5-4-3, each kept in the sweep by its first vertex
         net = connectivity._split_network(cycle_graph(6))
-        sweep = connectivity._Sweep(net)
-        assert connectivity._local_vertex_cut(net, 0, 3, 2, sweep.cap, sweep) == (2, None)
+        sweep = connectivity._Sweep([])
+        assert connectivity._local_vertex_cut(net, 0, 3, 2, sweep.ready(net), sweep) == (2, None)
         assert sweep.paths == {1: [1, 2], 5: [5, 4]} and not sweep.stale
         assert [(sweep.head[v], sweep.pos[v]) for v in (1, 2, 5, 4)] == \
             [(1, 0), (1, 1), (5, 0), (5, 1)]
@@ -641,7 +681,7 @@ class TestShortPaths:
         for u, w in added:
             connectivity._add_edge(net, u, w)
         joined = Graph(g.n, g.edges() + added)
-        assert net.masks == list(joined.masks)
+        masks = list(joined.masks)
         adj = [set() if v in closed else row - closed
                for v, row in enumerate(adjacency_sets(joined))]
         cap_h = connectivity._capacities(net, sorted(closed))
@@ -652,12 +692,12 @@ class TestShortPaths:
             assert count <= reference_local_vertex_cut(net, s, t, g.n, cap_h[:])[0], \
                 (g.edges(), added, closed, s, t)
             for cap in range(g.n + 1):
-                found = connectivity._has_short_paths(net.masks, s, t, cap, alive)
+                found = connectivity._has_short_paths(masks, s, t, cap, alive)
                 assert found == (count >= cap), (g.edges(), added, closed, s, t, cap)
                 if not closed:
-                    assert connectivity._has_short_paths(net.masks, s, t, cap) == found
-        connectivity._remove_added_edges(net, mark, g.masks)
-        assert net.masks == list(g.masks)
+                    assert connectivity._has_short_paths(masks, s, t, cap) == found
+        connectivity._remove_added_edges(net, mark)
+        assert net == connectivity._split_network(g)
 
     def test_certificates_change_nothing_on_corpora(self, small_corpus, quasi5_corpus,
                                                     count_certified):
@@ -723,6 +763,75 @@ class TestShortPaths:
             for k in (4, 5, 6):
                 connectivity._Flows(g).quasi(k)
         assert runs[0] > 0 and certified["certified"] > 0
+
+
+def _check_deferred_arcs(g):
+    """The kappa pass and separator listings of `_pass_results` and
+    `_listing_results` on G, checked at every flow they run: the network
+    is `reference_split_network` of G with the pair edges done so far in
+    the pass or listing replayed in order, field by field with each
+    out_arc row in insertion order, and the sweep's capacities cover its
+    arcs; and at every short-path check the context's masks are G's with
+    those edges. The number of flows checked."""
+    sweeps, flow, short = (connectivity._sweeps, connectivity._local_vertex_cut,
+                           connectivity._has_short_paths)
+    running, checked = [], [0]
+
+    def recorded(flows, pairs, without=()):
+        done = []
+        running.append(done)
+        try:
+            with closing(sweeps(flows, pairs, without)) as inner:
+                for s, t, sweep in inner:
+                    yield s, t, sweep
+                    done.append((s, t))
+        finally:
+            running.pop()
+
+    def checked_flow(net, s, t, limit, cap, sweep=None):
+        if sweep is not None:
+            ref = reference_split_network(g, running[-1])
+            for field in ref._fields:
+                assert getattr(net, field) == getattr(ref, field), (g.edges(), s, t, field)
+            assert [list(row.items()) for row in net.out_arc] == \
+                [list(row.items()) for row in ref.out_arc], (g.edges(), s, t)
+            assert len(cap) == len(net.cap), (g.edges(), s, t)
+            checked[0] += 1
+        return flow(net, s, t, limit, cap, sweep)
+
+    def checked_short(masks, s, t, cap, alive=-1):
+        assert masks == list(Graph(g.n, g.edges() + running[-1]).masks), (g.edges(), s, t)
+        return short(masks, s, t, cap, alive)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity, "_sweeps", recorded)
+        mp.setattr(connectivity, "_local_vertex_cut", checked_flow)
+        mp.setattr(connectivity, "_has_short_paths", checked_short)
+        _pass_results(g)
+        _listing_results(g)
+    return checked[0]
+
+
+class TestDeferredArcs:
+    """A pass or listing adds the arcs of the pair edges it is done with
+    only when a later pair runs a flow; at every flow the network is the
+    one that adding each edge at once gives. This also guards the arc
+    numbering of the pair edges and of G's own."""
+
+    def test_corpora(self, small_corpus, quasi5_corpus):
+        assert sum(_check_deferred_arcs(g) for _, g in small_corpus + quasi5_corpus) > 1000
+
+    @pytest.mark.parametrize("g", [
+        quasi_5_apex(40, 1), circulant_graph(40, (1, 2)), planted_pair(30, 4),
+        icosahedron_graph(), petersen_graph(),
+    ], ids=["apex40", "C40(1,2)", "planted30", "icosahedron", "petersen"])
+    def test_larger_graphs(self, g):
+        assert _check_deferred_arcs(g) > 0
+
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, g):
+        _check_deferred_arcs(g)
 
 
 class TestMinVertexCutBetween:
@@ -1087,27 +1196,43 @@ class TestWithoutAnEdge:
             assert flows.net == fresh
 
     def test_sweeps_restore_the_network(self):
-        # the driver of every sweep adds each pair's edge once the caller
-        # is done with the pair, and removes them all when the pairs end,
-        # the caller closes it early, or the caller raises
+        # the driver of every sweep adds each pair's edge to the masks once
+        # the caller is done with the pair, and its arcs to the network
+        # only when a later pair is about to run a flow (`_Sweep.ready`);
+        # it removes them all when the pairs end, the caller closes it
+        # early, or the caller raises
         g = circulant_graph(12, (1, 2))
         flows = connectivity._Flows(g)
+        pairs = flows.pairs
+        with closing(connectivity._sweeps(flows, pairs)) as sweeps:
+            assert [list(flows.masks) for _ in sweeps] == \
+                [list(Graph(g.n, g.edges() + pairs[:i]).masks) for i in range(len(pairs))]
+        # no flow ran, so no arc was added and no network built
+        assert "net" not in vars(flows) and flows.masks == list(g.masks)
         fresh = connectivity._split_network(g)
-        with closing(connectivity._sweeps(flows, flows.pairs)) as sweeps:
-            assert [len(flows.net.to) for _ in sweeps] == \
-                [len(fresh.to) + 4 * i for i in range(len(flows.pairs))]
-        assert flows.net == fresh
-        with closing(connectivity._sweeps(flows, flows.pairs)) as sweeps:
+        with closing(connectivity._sweeps(flows, pairs)) as sweeps:
+            grown = []
+            for i, (s, t, sweep) in enumerate(sweeps):
+                if i % 3 == 2:
+                    assert len(sweep.ready(flows.net)) == len(flows.net.cap)
+                grown.append(len(flows.net.to) - len(fresh.to) if "net" in vars(flows) else None)
+        # the arcs of all the pairs before the last flow, pair 2, 5, 8, ...,
+        # added just before it
+        assert grown == [None, None] + [4 * (i - (i - 2) % 3) for i in range(2, len(pairs))]
+        assert flows.net == fresh and flows.masks == list(g.masks)
+        with closing(connectivity._sweeps(flows, pairs)) as sweeps:
             next(sweeps), next(sweeps)
-            assert len(flows.net.to) == len(fresh.to) + 4
-        assert flows.net == fresh
+            next(sweeps)[2].ready(flows.net)
+            assert len(flows.net.to) == len(fresh.to) + 8
+        assert flows.net == fresh and flows.masks == list(g.masks)
         with pytest.raises(ZeroDivisionError):
-            with closing(connectivity._sweeps(flows, flows.pairs, (0,))) as sweeps:
+            with closing(connectivity._sweeps(flows, pairs, (0,))) as sweeps:
                 for i, (s, t, sweep) in enumerate(sweeps):
                     assert sweep.without == (0,)
+                    sweep.ready(flows.net)
                     if i == 3:
                         1 / 0
-        assert flows.net == fresh
+        assert flows.net == fresh and flows.masks == list(g.masks)
 
 
 # k = 4, n = 12: an edge added to the network after each pair, as

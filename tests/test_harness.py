@@ -429,7 +429,8 @@ class TestVerifyClaimDispatch:
     def test_one_network_per_claim_call(self, count_calls):
         # the families of the benchmark campaign, smaller: every flow of a
         # claim call, hypotheses and edge search alike, runs on one network
-        # of G, and no edge is contracted
+        # of G, built at the call's first flow, so a call that runs no flow
+        # builds none; and no edge is contracted
         graphs = generate_corpus({"corpus": [
             {"family": "random_5_connected", "params": {"n": [10, 12]}, "count": 2, "seed": 1},
             {"family": "quasi_5_apex", "params": {"n": [10, 12]}, "count": 2, "seed": 1},
@@ -438,14 +439,21 @@ class TestVerifyClaimDispatch:
             {"family": "circulant", "params": {"n": [10, 12], "jumps": [1, 2, 3]}},
             {"family": "icosahedron"},
         ]})
-        calls = count_calls("_split_network", "contract_edge", "_vertex_connectivity_with_cut")
+        calls = count_calls("_split_network", "contract_edge", "_vertex_connectivity_with_cut",
+                            "_local_vertex_cut")
+        built = []
         for graph_id, g in graphs:
             for claim in CLAIMS:
-                calls.update(_split_network=0, contract_edge=0, _vertex_connectivity_with_cut=0)
+                calls.update(_split_network=0, contract_edge=0, _vertex_connectivity_with_cut=0,
+                             _local_vertex_cut=0)
                 assert verify_claim(g, claim, graph_id).status in ("verified", "vacuous")
                 assert calls["_vertex_connectivity_with_cut"] <= 1, (graph_id, claim)
-                assert calls["_split_network"] == 1 and calls["contract_edge"] == 0, (
+                assert calls["contract_edge"] == 0, (graph_id, claim)
+                assert calls["_split_network"] == (calls["_local_vertex_cut"] > 0), (
                     graph_id, claim)
+                built.append(calls["_split_network"])
+        # 80 of the 171 claim calls run no flow, where each built a network
+        assert (len(built), sum(built)) == (171, 91)
 
     @pytest.mark.parametrize("claim", CLAIMS)
     def test_timeout_reports_timeout(self, claim):
