@@ -615,7 +615,8 @@ def _augment(to: list[int], cap: list[int], tree: list[int], node: int, root: in
         node = to[a ^ end]
 
 
-def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
+def _flow_pairs(g: Graph, alive: int | None = None,
+                connected: bool = False) -> list[tuple[int, int]]:
     """The pairs whose flows decide kappa(H), for H the subgraph of G on the
     `alive` vertex mask (all of G when None), not complete: v0, the least
     vertex of minimum degree in H, against each non-neighbor, those outside
@@ -626,14 +627,16 @@ def _flow_pairs(g: Graph, alive: int | None = None) -> list[tuple[int, int]]:
     components of H - S, and these are not adjacent. The empty separator
     of a disconnected H is no exception: v0 and a vertex of another
     component form the first pair, and its flow is 0. For a connected H
-    the non-neighbors run in ascending order.
+    the non-neighbors run in ascending order. A caller that knows H is
+    connected (G - x - y for kappa(G) >= 3) passes `connected`, and no
+    search for v0's component runs: the pairs are the same.
     """
     masks = g.masks
     if alive is None:
         alive = g.full_mask
     v0 = min(mask_to_vertices(alive), key=lambda v: ((masks[v] & alive).bit_count(), v))
     nbrs = masks[v0] & alive
-    home = reach_mask(masks, 1 << v0, alive)
+    home = alive if connected else reach_mask(masks, 1 << v0, alive)
     others = alive & ~nbrs & ~(1 << v0)
     pairs = [(v0, w) for w in mask_to_vertices(others & ~home) + mask_to_vertices(others & home)]
     pairs += [(x, y) for x, y in combinations(mask_to_vertices(nbrs), 2)
@@ -954,8 +957,8 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
             stack.append((inside, outside | shrink))
 
 
-def _min_separators(flows: _Flows, j: int,
-                    without: tuple[int, ...] = ()) -> Iterator[Cut]:
+def _min_separators(flows: _Flows, j: int, without: tuple[int, ...] = (),
+                    connected: bool = False) -> Iterator[Cut]:
     """Every separator T of size j of H = G - without once, in discovery
     order, as the cut T + without of G, for G the graph of `flows` and
     kappa(H) >= j; nothing when H is complete (the empty H too) or j < 0.
@@ -963,7 +966,8 @@ def _min_separators(flows: _Flows, j: int,
     some of size j. A disconnected H needs no case of its own: its empty
     separator is met by the flow 0 of v0 and a vertex of another component
     (`_flow_pairs`), listed at j = 0 and yielded as smaller above it, and
-    the seen set keeps it once.
+    the seen set keeps it once. A caller that knows H is connected passes
+    `connected`, which spares `_flow_pairs` its component search.
 
     Each pair of `_flow_pairs` that short paths do not certify (below)
     gets one flow capped at j + 1, on G's network with the vertices
@@ -996,7 +1000,7 @@ def _min_separators(flows: _Flows, j: int,
     if _complete(g, alive):
         return
     seen: set[tuple[int, ...]] = set()
-    pairs = _flow_pairs(g, alive) if without else flows.pairs
+    pairs = _flow_pairs(g, alive, connected) if without else flows.pairs
     with closing(_sweeps(flows, pairs, without)) as sweeps:
         for s, t, sweep in sweeps:
             if _has_short_paths(flows.masks, s, t, j + 1, alive):

@@ -48,16 +48,27 @@ larger than kappa(G). `is_k_contractible` and lemma 2's witness read it too.
 
 The yes/no decision (`_contracts_to`: is G/e quasi k-connected, or
 k-connected), behind both modes of `_first_contractible_edge` and lemma 3,
-is one rule with two predicates. It holds under the caller's hypothesis
-on G, G quasi k-connected or k-connected, which `is_contraction_critical`
-and the claim runners check first. Under it a cut of G/e that avoids the
-merged vertex z is a cut of G avoiding x and y: of size at least k for G
-k-connected, and for G quasi k-connected of size at least k-1 and, at
-k-1, trivial in G and in G/e. So only the cuts holding z decide: z plus a
-separator T' of G - x - y. One listing of the (k-2)-separators of
-G - x - y (`connectivity._min_separators`), which meets a smaller
-separator whenever one exists, decides both modes once G/e is large
-enough:
+first applies two rules that read only facts the caller has already
+computed:
+
+- rule A: if kappa(G) > k, G/e is k-connected, and so quasi k-connected.
+  A cut of G/e avoiding z is a cut of G, and one holding z is the image
+  of a cut of G one larger, so kappa(G/e) >= kappa(G) - 1 >= k, on
+  n - 1 >= kappa(G) >= k + 1 vertices;
+- rule B: in quasi mode at kappa(G) = k-1, if a (k-1)-cut of G that the
+  quasi test listed holds x and y, G/e is not quasi k-connected: by the
+  first rule above, kappa(G/e) = k-2.
+
+Otherwise it is one rule with two predicates. It holds under the caller's
+hypothesis on G, G quasi k-connected or k-connected, which
+`is_contraction_critical` and the claim runners check first. Under it a
+cut of G/e that avoids the merged vertex z is a cut of G avoiding x and
+y: of size at least k for G k-connected, and for G quasi k-connected of
+size at least k-1 and, at k-1, trivial in G and in G/e. So only the cuts
+holding z decide: z plus a separator T' of G - x - y. One listing of the
+(k-2)-separators of G - x - y (`connectivity._min_separators`), which
+meets a smaller separator whenever one exists, decides both modes once
+G/e is large enough:
 
 - G/e is k-connected exactly when it has at least k+1 vertices and the
   listing yields nothing;
@@ -65,14 +76,21 @@ enough:
   listing yields neither a smaller separator nor one, T', that makes
   T' + {x, y} nontrivial in G.
 
+Rule A settles every edge of C400(1,2,3) at k = 5, so theorem 1 lists
+nothing there. Rule B settles every edge of L(dodecahedron) at k = 5:
+each edge xy lies in a triangle xyw, and so inside the 4-cut N(w). A
+seed-1 campaign pass lists G - x - y 313 times, with 1,738 flows in all.
+
 The listing runs no flow for a pair of G - x - y whose short disjoint
 paths, read from the neighbor masks without x and y, already number
 k - 1, one more than the separator size listed: such a pair lists nothing
 (`connectivity._has_short_paths`). The search for quasi_5_apex(240, 1)'s
 first quasi 5-contractible edge runs 26 flows over its listings' 237
-pairs. `_kappa_after` does not look for short paths: on
-quasi_5_apex(240, 1) they would settle 2 of its 1,107 flows, and its flows
-to w run with y merged.
+pairs. G - x - y is connected once kappa(G) >= 3, so neither the listing
+nor `_kappa_after` then searches for v0's component (`_flow_pairs`).
+`_kappa_after` does not look for short paths: on quasi_5_apex(240, 1)
+they would settle 2 of its 1,107 flows, and its flows to w run with y
+merged.
 
 Every flow here runs on G's own network, those of G - x - y with the
 internal arcs of x and y closed, and no edge is contracted. The private
@@ -153,13 +171,27 @@ def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
 def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> bool:
     """Whether G/e is quasi k-connected (`quasi`) or k-connected, for G,
     the graph of `flows`, quasi k-connected or k-connected respectively (not
-    checked), by the rule of the module docstring: a size guard, then one
-    listing of the (k-2)-separators of G - x - y on G's network, which
+    checked), by the rules of the module docstring: a size guard; rule A,
+    True once kappa(G) > k; rule B, in quasi mode at kappa(G) = k-1, False
+    when a (k-1)-cut of G that the quasi test listed holds x and y; then
+    one listing of the (k-2)-separators of G - x - y on G's network, which
     rejects at the first separator listed (plain) or at the first that is
-    smaller or leaves a nontrivial cut of G (`quasi`)."""
+    smaller or leaves a nontrivial cut of G (`quasi`).
+
+    Both rules read facts that every caller has already computed: kappa(G)
+    and, in quasi mode, the quasi k-verdict with its cuts. G - x - y is
+    connected once kappa(G) >= 3, so the listing then runs no component
+    search."""
     if flows.g.n - 1 < (k if quasi else k + 1):
         return False
-    with closing(_min_separators(flows, k - 2, e)) as listing:
+    kappa = flows.kappa
+    if kappa > k:
+        return True  # rule A: kappa(G/e) >= kappa(G) - 1 >= k
+    x, y = e
+    if quasi and kappa == k - 1 and any(x in cut.vertices and y in cut.vertices
+                                        for cut in flows.quasi(k)[1]):
+        return False  # rule B: kappa(G/e) = k - 2
+    with closing(_min_separators(flows, k - 2, e, kappa >= 3)) as listing:
         return not any(not quasi or cut.nontrivial or cut.size < k for cut in listing)
 
 
@@ -175,7 +207,9 @@ def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = 
     threshold t (`is_k_contractible` passes k), the same value when it is
     below t, otherwise some value >= t, and kappa may then be capped at t.
     By the module docstring; each flow is capped at the smallest cut so
-    far, and z's flows run from x with y's internal arc uncuttable."""
+    far, and z's flows run from x with y's internal arc uncuttable. At
+    kappa >= 3, G - x - y is connected and its pairs need no component
+    search."""
     g = flows.g
     if _complete_after(g, e):
         return g.n - 2
@@ -185,7 +219,7 @@ def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = 
     both = 1 << x | 1 << y
     z_pairs = [(a, b) for a, b in combinations(mask_to_vertices((masks[x] | masks[y]) & ~both), 2)
                if not masks[a] >> b & 1]
-    for a, b in min(z_pairs, _flow_pairs(g, g.full_mask & ~both), key=len):
+    for a, b in min(z_pairs, _flow_pairs(g, g.full_mask & ~both, kappa >= 3), key=len):
         flows.check()
         best = min(best, _local_vertex_cut(net, a, b, best - 1, _capacities(net, e))[0] + 1)
     if best <= kappa:  # a cut avoiding z is one of G
@@ -303,11 +337,12 @@ def _first_contractible_edge(flows: _Flows, k: int, quasi: bool) -> tuple[int, i
     None when no edge does.
 
     G, the graph of `flows`, must be quasi k-connected (`quasi`) or
-    k-connected (not `quasi`): each edge is decided from G - x - y by a rule
-    that holds only then (`_contracts_to`), and the hypothesis is not
-    checked here; `is_contraction_critical` and the claim runners check it
-    first. Every edge shares G's network, and the deadline is checked
-    before each edge.
+    k-connected (not `quasi`): each edge is decided from kappa(G), the
+    quasi test's cuts, or G - x - y, by rules that hold only then
+    (`_contracts_to`), and the hypothesis is not checked here;
+    `is_contraction_critical` and the claim runners check it first, and
+    so compute the facts the rules read. Every edge shares G's network,
+    and the deadline is checked before each edge.
     """
     for e in flows.g.edges():
         flows.check()
@@ -324,12 +359,13 @@ def is_contraction_critical(g: Graph, k: int,
     Returns (True, None) when critical, else (False, witness edge): the
     first contractible edge in sorted order. Raises ValueError unless g is
     quasi k-connected (`quasi`) or k-connected (not `quasi`), the
-    hypothesis under which each edge is decided.
+    hypothesis under which each edge is decided. Either check is the
+    call's one kappa pass, whose kappa the search reads.
     """
     flows = _Flows(g)
     if quasi:
         _require_quasi(flows, k)
-    elif _vertex_connectivity_with_cut(flows, k)[0] < k:
+    elif flows.kappa < k:
         raise ValueError(f"hypothesis violated: graph is not {k}-connected")
     edge = _first_contractible_edge(flows, k, quasi)
     return edge is None, edge

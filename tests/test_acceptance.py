@@ -294,13 +294,21 @@ def test_ac10_seed_1_campaign_is_pinned(tmp_path):
 
 def test_seed_1_campaign_flow_count_is_pinned(tmp_path, count_calls, count_certified):
     # one flow per pair that short disjoint paths do not certify, in the
-    # kappa passes and in the 431 separator listings of the contraction
+    # kappa passes and in the 313 separator listings of the contraction
     # decisions: any change to which pairs run a flow changes the counts.
-    # A claim call builds G's network at its first flow, so the 159 of the
-    # 603 claim calls that run none build none
+    # A decision lists G - x - y only when neither rule of `_contracts_to`
+    # settles it (kappa(G) > k, or an edge inside a listed (k-1)-cut), and
+    # every listing is of G - x - y with kappa(G) >= 3, which is connected,
+    # so of the 916 pair lists only the 603 of the kappa passes, one per
+    # claim call, search for v0's component (`reach_mask` also counts the
+    # component searches of the cuts). A claim call builds G's network at
+    # its first flow, so the 159 of the 603 claim calls that run none build
+    # none
     graphs = generate_corpus(SEED_1_CAMPAIGN)
-    calls = count_calls("_local_vertex_cut", "_min_separators", "_split_network")
+    calls = count_calls("_local_vertex_cut", "_min_separators", "_split_network",
+                        "_flow_pairs", "reach_mask")
     certified = count_certified()
     run_campaign(graphs, CLAIMS, tmp_path / "campaign.jsonl")
-    assert calls == {"_local_vertex_cut": 1991, "_min_separators": 431, "_split_network": 444}
-    assert certified["certified"] == 9869
+    assert calls == {"_local_vertex_cut": 1738, "_min_separators": 313, "_split_network": 444,
+                     "_flow_pairs": 916, "reach_mask": 2419}
+    assert certified["certified"] == 9221

@@ -248,8 +248,9 @@ def _check_network_and_pairs(g):
     """G's split network, field by field with each out_arc row in insertion
     order, against the edge-by-edge reference; and the kappa flow pairs of
     G and of each G - x - y that is not complete against the reference
-    pairs. Only this check notices a change of arc numbering or row order:
-    the search-count pins hold under one."""
+    pairs, also when the caller vouches that G - x - y is connected and
+    no component search runs. Only this check notices a change of arc
+    numbering or row order: the search-count pins hold under one."""
     net, ref = connectivity._split_network(g), reference_split_network(g)
     for field in ref._fields:
         assert getattr(net, field) == getattr(ref, field), (g.edges(), field)
@@ -260,8 +261,11 @@ def _check_network_and_pairs(g):
     for x, y in g.edges():
         alive = g.full_mask & ~(1 << x | 1 << y)
         if alive and not connectivity._complete(g, alive):
-            assert connectivity._flow_pairs(g, alive) == reference_flow_pairs(g, alive), \
-                (g.edges(), x, y)
+            expected = reference_flow_pairs(g, alive)
+            assert connectivity._flow_pairs(g, alive) == expected, (g.edges(), x, y)
+            if len(components_of(adjacency_sets(g), {x, y})) == 1:
+                assert connectivity._flow_pairs(g, alive, connected=True) == expected, \
+                    (g.edges(), x, y)
 
 
 class TestNetworkAndPairs:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,10 +35,18 @@ from quasigraph.generators import (
     disjoint_union,
     glued_cliques,
     icosahedron_graph,
+    petersen_graph,
     quasi_5_apex,
 )
 
-from corpus import all_small_graphs, induced_subgraph, planted_graphs, planted_pair
+from corpus import (
+    all_small_graphs,
+    dodecahedron_graph,
+    induced_subgraph,
+    line_graph,
+    planted_graphs,
+    planted_pair,
+)
 from oracles import (
     adjacency_sets,
     brute_cuts_of_size,
@@ -48,6 +57,7 @@ from oracles import (
     contracted_min_degree,
     contraction_decision,
     contraction_report,
+    is_disconnected,
 )
 
 
@@ -522,9 +532,12 @@ class TestContractsTo:
     def test_quasi_decision_is_one_listing(self, monkeypatch):
         # every icosahedron edge has kappa(G - x - y) = 3 = k - 2, so each
         # decision needs the separators of that size: one flow per pair of
-        # G - x - y lists them and would meet any smaller one
+        # G - x - y lists them and would meet any smaller one. The context
+        # has checked the hypothesis first, as every caller does, so the
+        # kappa that rule A reads is known and no decision runs a kappa pass
         g = icosahedron_graph()
         flows = _Flows(g)
+        assert flows.quasi(5)[0].holds and flows.kappa == 5
         calls = []
         flow = connectivity._local_vertex_cut
 
@@ -565,6 +578,7 @@ class TestContractsTo:
         monkeypatch.setattr(contractibility, "_min_separators", listed)
         monkeypatch.setattr(connectivity, "_local_vertex_cut", counted)
         flows = _Flows(g)
+        assert flows.kappa == k
         for e in g.edges():
             pairs = connectivity._flow_pairs(g, g.full_mask & ~(1 << e[0] | 1 << e[1]))
             listings.clear()
@@ -627,6 +641,136 @@ class TestContractsTo:
         critical, _ = is_contraction_critical(g, k, quasi)
         assert critical == (not quasi)
         assert calls == {"contract_edge": 0, "_split_network": 1}
+
+
+def _refuse_listing(*args, **kwargs):
+    raise AssertionError("G - x - y listed")
+
+
+@st.composite
+def dense_graphs(draw, max_n=9):
+    """Graphs on 4..max_n vertices with edge probability 0.5..1, so that
+    kappa(G) > k and kappa(G) = k-1 both occur for k up to 6."""
+    n = draw(st.integers(4, max_n))
+    p = draw(st.floats(0.5, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+class TestRulesBeforeTheListing:
+    """The two rules that `_contracts_to` applies before it lists G - x - y,
+    against brute force on G/e. Rule A: kappa(G) > k, so kappa(G/e) >=
+    kappa(G) - 1 >= k on n - 1 >= k + 1 vertices, and G/e is k-connected and
+    quasi k-connected. Rule B, in quasi mode at kappa(G) = k-1: a (k-1)-cut
+    of G that the quasi test listed holds x and y, so kappa(G/e) = k - 2.
+    Neither lists G - x - y."""
+
+    def test_rule_a_on_corpora(self, small_corpus, quasi5_corpus, monkeypatch):
+        # every edge of each graph on at most 12 vertices with kappa(G) > k
+        # for some k in 3..5, brute-forced once at the largest such k, top:
+        # G/e has no separator below top, so none below any smaller k
+        monkeypatch.setattr(contractibility, "_min_separators", _refuse_listing)
+        checked = 0
+        for _, g in small_corpus + quasi5_corpus:
+            flows = _Flows(g)
+            top = min(flows.kappa - 1, 5)
+            if g.n > 12 or top < 3:
+                continue
+            for e in g.edges():
+                h = contract_edge(g, e).graph
+                adj = adjacency_sets(h)
+                assert h.n >= top + 1 and not any(
+                    is_disconnected(adj, set(t))
+                    for size in range(top) for t in combinations(range(h.n), size)), (g.edges(), e)
+                for k in range(3, top + 1):
+                    assert _contracts_to(flows, e, k, True) is True, (g.edges(), e, k)
+                    assert _contracts_to(flows, e, k, False) is True, (g.edges(), e, k)
+                checked += 1
+        assert checked == 4056
+
+    def test_rule_b_on_corpora(self, small_corpus, quasi5_corpus, monkeypatch):
+        # every edge inside a 4-cut that the quasi 5-test listed, on the quasi
+        # 5-connected graphs of kappa 4: contracting it leaves kappa 3
+        monkeypatch.setattr(contractibility, "_min_separators", _refuse_listing)
+        checked = 0
+        for _, g in small_corpus + quasi5_corpus:
+            flows = _Flows(g)
+            quasi, cuts = flows.quasi(5)
+            if not quasi.holds or flows.kappa != 4:
+                continue
+            inside = {e for cut in cuts for e in combinations(cut.vertices, 2) if g.has_edge(*e)}
+            for e in sorted(inside):
+                assert brute_vertex_connectivity(contract_edge(g, e).graph) == 3, (g.edges(), e)
+                assert _contracts_to(flows, e, 5, True) is False, (g.edges(), e)
+                checked += 1
+        assert checked == 365
+
+    @given(dense_graphs(), st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_rules_property(self, g, k):
+        # each rule's premise, read by brute force on G, against brute force
+        # on G/e, for any G; and the decision in each mode whose hypothesis
+        # G meets
+        kappa = brute_vertex_connectivity(g)
+        assume(kappa >= k - 1)
+        low_cuts = [set(t) for t in brute_cuts_of_size(g, k - 1)] if kappa == k - 1 else []
+        quasi_g = brute_is_quasi_k(g, k)
+        flows = _Flows(g)
+        for e in g.edges():
+            h = contract_edge(g, e).graph
+            if kappa > k:
+                assert h.n >= k + 1 and brute_vertex_connectivity(h) >= k, (g.edges(), e, k)
+                assert brute_is_quasi_k(h, k), (g.edges(), e, k)
+                assert _contracts_to(flows, e, k, False) is True, (g.edges(), e, k)
+                assert _contracts_to(flows, e, k, True) is True, (g.edges(), e, k)
+            elif any(set(e) <= t for t in low_cuts):
+                assert brute_vertex_connectivity(h) == k - 2, (g.edges(), e, k)
+                assert not brute_is_quasi_k(h, k), (g.edges(), e, k)
+                if quasi_g:
+                    assert _contracts_to(flows, e, k, True) is False, (g.edges(), e, k)
+
+    @pytest.mark.parametrize("g", [line_graph(petersen_graph()), line_graph(dodecahedron_graph())],
+                             ids=["L(Petersen)", "L(dodecahedron)"])
+    def test_rule_b_decides_critical_line_graphs(self, g, count_calls):
+        # quasi 5-connected of kappa 4 and critical: each edge xy lies in a
+        # triangle xyw of the line graph of a cubic graph, so inside the
+        # trivial 4-cut N(w), and no edge needs a listing
+        calls = count_calls("_min_separators")
+        assert is_contraction_critical(g, 5, quasi=True) == (True, None)
+        assert calls == {"_min_separators": 0}
+
+    @pytest.mark.parametrize("g, k, quasi", [
+        (circulant_graph(40, (1, 2, 3)), 5, False),  # rule A on every edge
+        (circulant_graph(40, (1, 2, 3)), 5, True),
+        (icosahedron_graph(), 5, False),  # critical: every edge is listed
+        (circulant_graph(20, (1, 2)), 4, False),
+        (complete_graph(6), 4, False),
+        (quasi_5_apex(24, 1), 5, True),
+    ], ids=["C40(1,2,3)", "C40(1,2,3)-quasi", "icosahedron", "C20(1,2)", "K6", "apex24-quasi"])
+    def test_critical_runs_one_kappa_pass(self, g, k, quasi, count_calls):
+        # the hypothesis kappa(G) >= k is read from the context's one kappa
+        # pass, which rule A reads too; the quasi test's pass keeps kappa
+        calls = count_calls("_vertex_connectivity_with_cut")
+        is_contraction_critical(g, k, quasi)
+        assert calls == {"_vertex_connectivity_with_cut": 1}
+
+
+class TestClassifyAgreesWithSearch:
+    def test_first_quasi_contractible_edge_on_corpora(self, small_corpus, quasi5_corpus):
+        # two independent routes to the first quasi 5-contractible edge: the
+        # class pass, from G's own (k-1)- and k-cuts, and the search, from
+        # the two rules and one listing of G - x - y per edge
+        checked = 0
+        for _, g in small_corpus + quasi5_corpus:
+            flows = _Flows(g)
+            if not flows.quasi(5)[0].holds:
+                continue
+            first = next((c.edge for c in _classify(flows, 5) if c.quasi_k_contractible), None)
+            search = _Flows(g)
+            assert search.quasi(5)[0].holds
+            assert _first_contractible_edge(search, 5, True) == first, g.edges()
+            checked += 1
+        assert checked == 172
 
 
 def check_martinov(g):
