@@ -30,7 +30,7 @@ from .harness import CLAIMS, run_campaign
 
 def _analyze_one(graph_id: str, g, k: int) -> dict:
     flows = _Flows(g)
-    quasi = flows.quasi(k)[0]
+    quasi = flows.quasi(k)
     # Quasi k-connected at kappa = k-1: every minimum cut is trivial, so no fragment is.
     atom = None if quasi.holds and quasi.kappa == k - 1 else _nontrivial_atom(flows)
     classes = _classify(flows, k) if quasi.holds else None
@@ -67,6 +67,9 @@ def _each_graph(graphs, visit) -> tuple[int, int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.k < 2:
+        raise ValueError(f"--k must be at least 2, got {args.k}")
+
     def visit(graph_id, read) -> None:
         print(json.dumps(_analyze_one(graph_id, read(), args.k), sort_keys=True))
 
@@ -90,7 +93,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     def visit(graph_id, g) -> None:
         flows = _Flows(g)
-        if flows.quasi(5)[0].holds and _first_contractible_edge(flows, 5, True) is None:
+        if flows.quasi(5).holds and _first_contractible_edge(flows, 5, True) is None:
             hit = {"graph_id": graph_id, "n": g.n, "graph6": gio.to_graph6(g)}
             hits.append(hit)
             print(json.dumps(hit, sort_keys=True))

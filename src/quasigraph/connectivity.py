@@ -656,10 +656,11 @@ class _Flows:
     kappa pass or separator listing has added (`_sweeps`), in which both
     look for short disjoint paths (`_has_short_paths`); and the facts of
     G: kappa(G) with a minimum cut, the sorted minimum cuts, and for each
-    k the quasi k-verdict with its (k-1)-cuts. Each is computed on first
-    use and kept for the call; the pass of a quasi test keeps kappa with
-    its cut as well, and the minimum cuts when it lists all of them. A
-    fact whose computation raises is not kept.
+    k the quasi k-verdict. Each is computed on first use and kept for the
+    call; the pass of a quasi test keeps kappa with its cut as well, and
+    the minimum cuts when it lists all of them, so a verdict that holds at
+    kappa = k-1 leaves G's (k-1)-cuts in `minimum_cuts`. A fact whose
+    computation raises is not kept.
 
     Only an entry point creates one and passes it to every kappa
     computation, cut listing and per-edge decision of the call, so every
@@ -673,7 +674,7 @@ class _Flows:
         self.g = g
         self.deadline = deadline
         self.masks = list(g.masks)
-        self._quasi: dict[int, tuple[QuasiConnectivity, list[Cut]]] = {}
+        self._quasi: dict[int, QuasiConnectivity] = {}
 
     def check(self) -> None:
         """Raise DeadlineExceeded once the deadline has passed."""
@@ -700,10 +701,10 @@ class _Flows:
     def minimum_cuts(self) -> list[Cut]:
         return sorted(_min_separators(self, self.kappa), key=lambda cut: cut.vertices)
 
-    def quasi(self, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
-        """The quasi k-verdict of G with its (k-1)-cuts (`_quasi_with_cuts`)."""
+    def quasi(self, k: int) -> QuasiConnectivity:
+        """The quasi k-verdict of G (`_quasi_test`)."""
         if k not in self._quasi:
-            self._quasi[k] = _quasi_with_cuts(self, k)
+            self._quasi[k] = _quasi_test(self, k)
         return self._quasi[k]
 
 
@@ -810,7 +811,7 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     cut, so S is p's least minimum cut with the added edges too.
 
     With a size j and a list `listed` (the quasi test, from
-    `_quasi_with_cuts`, with no t), the same pass lists the j-separators of
+    `_quasi_test`, with no t), the same pass lists the j-separators of
     G into `listed`, as `_min_separators(flows, j)` does. While the
     smallest separator so far is j and the listing has not ended, each flow
     is capped at j + 1, so a pair whose flow is exactly j ends at a maximum
@@ -1255,9 +1256,9 @@ class QuasiConnectivity:
         }
 
 
-def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut]]:
-    """is_quasi_k_connected's verdict on G, the graph of `flows`, with the
-    (k-1)-cuts it listed; the flows run on G's network.
+def _quasi_test(flows: _Flows, k: int) -> QuasiConnectivity:
+    """is_quasi_k_connected's verdict on G, the graph of `flows`; the flows
+    run on G's network.
 
     One pass over the kappa flow pairs (`_vertex_connectivity_with_cut`
     with j = k-1) gives kappa with its cut, which the context keeps, and,
@@ -1266,9 +1267,9 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     one turns up and the scan of the first n^2 (k-1)-subsets then meets
     the least nontrivial one, which ends the listing. Either way the
     certificate is the lexicographically least nontrivial cut listed, and
-    no pair runs a second flow. The list is empty whenever the verdict
-    fails, and whenever it holds it is the complete, sorted list of
-    (k-1)-cuts (there are none once kappa >= k).
+    no pair runs a second flow. A verdict that holds at kappa = k-1 has
+    seen every (k-1)-cut, and they are the context's minimum cuts; once
+    kappa >= k there are none, and the pass lists nothing.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -1276,14 +1277,12 @@ def _quasi_with_cuts(flows: _Flows, k: int) -> tuple[QuasiConnectivity, list[Cut
     kappa, mincut = _vertex_connectivity_with_cut(flows, j=k - 1, listed=cuts)
     flows.kappa_with_cut = kappa, mincut
     if kappa < k - 1:
-        return QuasiConnectivity(False, k, kappa, "connectivity", mincut), []
-    if kappa >= k:
-        return QuasiConnectivity(True, k, kappa, None, None), []
+        return QuasiConnectivity(False, k, kappa, "connectivity", mincut)
     nontrivial = [cut for cut in cuts if cut.nontrivial]
     if nontrivial:
         least = min(nontrivial, key=lambda cut: cut.vertices)
-        return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least), []
-    return QuasiConnectivity(True, k, kappa, None, None), flows.minimum_cuts
+        return QuasiConnectivity(False, k, kappa, "nontrivial-cut", least)
+    return QuasiConnectivity(True, k, kappa, None, None)
 
 
 def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
@@ -1293,6 +1292,6 @@ def is_quasi_k_connected(g: Graph, k: int = 5) -> QuasiConnectivity:
     graphs of the kappa flows, which find every one, so a verdict that
     holds has seen them all. At the first nontrivial one the listing stops,
     and the certificate is the lexicographically least nontrivial cut,
-    found in polynomial time (see `_quasi_with_cuts`).
+    found in polynomial time (see `_quasi_test`).
     """
-    return _Flows(g).quasi(k)[0]
+    return _Flows(g).quasi(k)

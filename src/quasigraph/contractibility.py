@@ -9,8 +9,9 @@ but admits a nontrivial (k-1)-cut (the quasi-breaking set E0), and edges
 whose contraction drops connectivity below k-1.
 
 One class pass (`_classify`) reads every edge's class from the cuts of G
-itself, found once per graph: the (k-1)-cuts from the quasi test, and the
-k-cuts from max-flows between disjoint edges and terminals
+itself, found once per graph: the (k-1)-cuts, which exist only at
+kappa(G) = k-1, where they are G's minimum cuts, kept by the quasi test's
+pass, and the k-cuts from max-flows between disjoint edges and terminals
 (`connectivity._quasi_k_cuts`), with no scan of the k-subsets unless G is
 too small to hold k+1 disjoint edges. For e = xy, a cut of G/e either
 avoids the merged vertex, and is then a cut of G avoiding x and y with
@@ -20,8 +21,8 @@ y drops out and every id above it moves down one. Hence, for G quasi
 k-connected and G/e not complete:
 
 - kappa(G/e) < k-1 exactly when some (k-1)-cut of G contains x and y;
-  then kappa(G/e) = k-2, and the least such cut is the least minimum cut
-  of G/e;
+  then kappa(G/e) = k-2, and the least such cut (`_cut_holding`) is the
+  least minimum cut of G/e;
 - otherwise kappa(G/e) = k-1 exactly when some (k-1)-cut of G avoids x
   and y or some k-cut of G contains both;
 - the nontrivial (k-1)-cuts of G/e are the images of the nontrivial k-cuts
@@ -55,9 +56,9 @@ computed:
   A cut of G/e avoiding z is a cut of G, and one holding z is the image
   of a cut of G one larger, so kappa(G/e) >= kappa(G) - 1 >= k, on
   n - 1 >= kappa(G) >= k + 1 vertices;
-- rule B: in quasi mode at kappa(G) = k-1, if a (k-1)-cut of G that the
-  quasi test listed holds x and y, G/e is not quasi k-connected: by the
-  first rule above, kappa(G/e) = k-2.
+- rule B: in quasi mode at kappa(G) = k-1, if a minimum cut of G holds
+  x and y, G/e is not quasi k-connected: by the first rule above,
+  kappa(G/e) = k-2.
 
 Otherwise it is one rule with two predicates. It holds under the caller's
 hypothesis on G, G quasi k-connected or k-connected, which
@@ -156,8 +157,18 @@ class ContractionReport:
 
 def _require_quasi(flows: _Flows, k: int) -> None:
     """Error unless G, the graph of `flows`, is quasi k-connected."""
-    if not flows.quasi(k)[0].holds:
+    if not flows.quasi(k).holds:
         raise ValueError(f"hypothesis violated: graph is not quasi {k}-connected")
+
+
+def _cut_holding(flows: _Flows, e: tuple[int, int], k: int) -> Cut | None:
+    """The least (k-1)-cut of G, the graph of `flows`, that holds both ends
+    of e, or None. G has (k-1)-cuts only at kappa(G) = k-1, where they are
+    its minimum cuts; at any other kappa its minimum cuts have another
+    size, so they are not read."""
+    cuts = flows.minimum_cuts if flows.kappa == k - 1 else []
+    x, y = e
+    return next((cut for cut in cuts if x in cut.vertices and y in cut.vertices), None)
 
 
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
@@ -173,13 +184,14 @@ def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> boo
     the graph of `flows`, quasi k-connected or k-connected respectively (not
     checked), by the rules of the module docstring: a size guard; rule A,
     True once kappa(G) > k; rule B, in quasi mode at kappa(G) = k-1, False
-    when a (k-1)-cut of G that the quasi test listed holds x and y; then
+    when a minimum cut of G holds x and y (`_cut_holding`); then
     one listing of the (k-2)-separators of G - x - y on G's network, which
     rejects at the first separator listed (plain) or at the first that is
     smaller or leaves a nontrivial cut of G (`quasi`).
 
     Both rules read facts that every caller has already computed: kappa(G)
-    and, in quasi mode, the quasi k-verdict with its cuts. G - x - y is
+    and, in quasi mode, the minimum cuts that the quasi k-verdict's pass
+    kept. G - x - y is
     connected once kappa(G) >= 3, so the listing then runs no component
     search."""
     if flows.g.n - 1 < (k if quasi else k + 1):
@@ -187,9 +199,7 @@ def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> boo
     kappa = flows.kappa
     if kappa > k:
         return True  # rule A: kappa(G/e) >= kappa(G) - 1 >= k
-    x, y = e
-    if quasi and kappa == k - 1 and any(x in cut.vertices and y in cut.vertices
-                                        for cut in flows.quasi(k)[1]):
+    if quasi and _cut_holding(flows, e, k) is not None:
         return False  # rule B: kappa(G/e) = k - 2
     with closing(_min_separators(flows, k - 2, e, kappa >= 3)) as listing:
         return not any(not quasi or cut.nontrivial or cut.size < k for cut in listing)
@@ -293,14 +303,13 @@ class _EdgeClass:
 
 def _classify(flows: _Flows, k: int) -> list[_EdgeClass]:
     """The class of every edge of G, the graph of `flows`, sorted by edge;
-    error unless G is quasi k-connected. Read from the context's (k-1)-cuts
-    of G and the k-cuts that `_quasi_k_cuts` lists on G's network, by the
-    rules of the module docstring, with G/e complete settled in closed
-    form."""
+    error unless G is quasi k-connected. Read from G's (k-1)-cuts, its
+    minimum cuts at kappa = k-1 (`_cut_holding`), and the k-cuts that
+    `_quasi_k_cuts` lists on G's network, by the rules of the module
+    docstring, with G/e complete settled in closed form."""
     _require_quasi(flows, k)
     g = flows.g
-    cuts = flows.quasi(k)[1]
-    low_cuts = [vertices_to_mask(cut.vertices) for cut in cuts]
+    cuts = flows.minimum_cuts if flows.kappa == k - 1 else []  # the (k-1)-cuts, as in _cut_holding
     # Edges inside some k-cut, and for each the first nontrivial such cut in
     # lexicographic order, which is the one whose image in G/e comes first.
     # There are k-cuts only when kappa <= k, and a complete graph has none.
@@ -316,13 +325,12 @@ def _classify(flows: _Flows, k: int) -> list[_EdgeClass]:
     classes = []
     for e in g.edges():
         x, y = e
-        both = 1 << x | 1 << y
         cut = None
         if _complete_after(g, e):
             kappa = g.n - 2
-        elif cut := next((c for c, m in zip(cuts, low_cuts) if m & both == both), None):
+        elif (cut := _cut_holding(flows, e, k)) is not None:
             kappa = k - 2
-        elif e in in_k_cut or any(not m & both for m in low_cuts):
+        elif e in in_k_cut or any(x not in c.vertices and y not in c.vertices for c in cuts):
             kappa = k - 1
             cut = first_nontrivial.get(e)
         else:

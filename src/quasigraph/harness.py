@@ -45,6 +45,7 @@ from .core import (
 from .connectivity import DeadlineExceeded, _Flows
 from .contractibility import (
     _contracts_to,
+    _cut_holding,
     _first_contractible_edge,
     _kappa_after,
     is_regular_triangular,
@@ -151,7 +152,7 @@ def _kappa_at_least(flows: _Flows, k: int) -> _Vacuous | None:
 
 def _quasi_5(flows: _Flows) -> _Vacuous | None:
     """The hypothesis that G is quasi 5-connected."""
-    quasi = flows.quasi(5)[0]
+    quasi = flows.quasi(5)
     if not quasi.holds:
         return _Vacuous(f"not quasi 5-connected ({quasi.failure}, kappa={quasi.kappa})")
     return None
@@ -255,15 +256,13 @@ def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
     if vacuous := _quasi_5(flows):
         return vacuous
     # kappa(G/e) < 4 exactly when some 4-cut of g contains both ends of e
-    # (G/e with minimum degree 4 has at least 5 vertices, so it is not a
-    # small complete graph); g has 4-cuts only when kappa(g) = 4.
-    cut_masks = [vertices_to_mask(cut.vertices) for cut in flows.quasi(5)[1]]
+    # (`_cut_holding`; G/e with minimum degree 4 has at least 5 vertices,
+    # so it is not a small complete graph).
     configs = 0
     for e in _edges_keeping_min_degree(g, 4):
         flows.check()
         configs += 1
-        both = vertices_to_mask(e)
-        if any(m & both == both for m in cut_masks):
+        if _cut_holding(flows, e, 5) is not None:
             return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e, flows.kappa)}
     if configs == 0:
         return _Vacuous("no contraction keeps minimum degree 4", True)

@@ -202,6 +202,15 @@ def test_analyze_error_names_the_graph(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", [1, 0])
+def test_analyze_rejects_k_below_two(k, tmp_path, capsys):
+    # a usage error, named once before any graph is read, not once per graph
+    path = tmp_path / "two.g6"
+    path.write_text("D~{\nD~{\n")
+    assert main(["analyze", str(path), "--k", str(k)]) == 2
+    assert capsys.readouterr() == ("", f"error: --k must be at least 2, got {k}\n")
+
+
 def test_analyze_goes_on_past_a_graph_that_raises(tmp_path, capsys):
     # K5, the empty graph, K5: the second K5 is analysed, and the exit code
     # still reports the error

@@ -169,7 +169,8 @@ class TestMinimumDegreeStart:
 def _check_one_pass(g):
     """The kappa pass, which adds each pair's edge, against the reference
     loop, which adds none, for t = None and each t in 1..delta+1; the
-    (k-1)-cuts of quasi(k), listed in the same pass, against the sorted
+    (k-1)-cuts that a quasi k-verdict holding at kappa = k-1 keeps as the
+    context's minimum cuts, listed in the same pass, against the sorted
     `_min_separators` listing; and the context's masks and network, G's
     again after each pass."""
     flows = connectivity._Flows(g)
@@ -179,13 +180,15 @@ def _check_one_pass(g):
     contexts = [flows]
     for k in range(2, 7):
         flows = connectivity._Flows(g)
-        quasi, cuts = flows.quasi(k)
+        quasi = flows.quasi(k)
         assert flows.kappa_with_cut == reference_kappa_with_cut(g), (g.edges(), k)
+        if quasi.holds and quasi.kappa == k - 1 and not g.is_complete():
+            # kept by the verdict's own pass: reading them lists nothing again
+            assert "minimum_cuts" in vars(flows), (g.edges(), k)
         if quasi.holds:
             listed = sorted(connectivity._min_separators(flows, k - 1), key=lambda c: c.vertices)
+            cuts = flows.minimum_cuts if quasi.kappa == k - 1 else []
             assert cuts == listed, (g.edges(), k)
-        else:
-            assert cuts == [], (g.edges(), k)
         contexts.append(flows)
     for flows in contexts:
         _check_restored(flows)
@@ -515,7 +518,7 @@ class TestWarmStart:
         flows = connectivity._Flows(circulant_graph(n, (1, 2)))
         writes = [0]
         flows.net = flows.net._replace(cap=_CountingCap(flows.net.cap, writes))
-        assert flows.quasi(5)[0].cut.vertices == (0, 1, 4, 5)
+        assert flows.quasi(5).cut.vertices == (0, 1, 4, 5)
         assert 0 < writes[0] <= 70 * n
 
     @pytest.mark.parametrize("n, bound", [(120, 70_000), (240, 250_000)])
@@ -527,7 +530,7 @@ class TestWarmStart:
         flows = connectivity._Flows(quasi_5_apex(n, 1))
         writes = [0]
         flows.net = flows.net._replace(cap=_CountingCap(flows.net.cap, writes))
-        assert flows.quasi(5)[0].holds
+        assert flows.quasi(5).holds
         assert 0 < writes[0] <= bound
 
     # A one-ended search with no warm start read 55,373 adjacency rows on
@@ -622,7 +625,7 @@ class TestTwoHopUnits:
 
     def test_k_cuts_of_apex16_search_little(self, count_calls):
         flows = connectivity._Flows(quasi_5_apex(16, 26))
-        assert flows.quasi(5)[0].holds and flows.kappa == 4
+        assert flows.quasi(5).holds and flows.kappa == 4
         calls = count_calls("_search")
         assert connectivity._quasi_k_cuts(flows, 5)
         assert calls["_search"] <= 8
@@ -631,14 +634,16 @@ class TestTwoHopUnits:
 def _pass_results(g):
     """What the kappa pass gives on G: kappa with its cut for t = None and
     for each t in 1..delta+1, and for each k in 2..6 the (k-1)-cuts in the
-    order the quasi test's pass lists them, with the quasi verdict."""
+    order the quasi test's pass lists them, with the quasi verdict and the
+    minimum cuts its pass kept."""
     results = [connectivity._vertex_connectivity_with_cut(connectivity._Flows(g), t)
                for t in [None] + list(range(1, g.min_degree() + 2))]
     for k in range(2, 7):
         listed = []
         results.append((connectivity._vertex_connectivity_with_cut(
             connectivity._Flows(g), j=k - 1, listed=listed), listed))
-        results.append(connectivity._Flows(g).quasi(k))
+        flows = connectivity._Flows(g)
+        results.append((flows.quasi(k), vars(flows).get("minimum_cuts")))
     return results
 
 
@@ -1119,8 +1124,8 @@ class TestMinSeparators:
         g = circulant_graph(60, (1, 2))
         cuts = minimum_cuts(g)
         assert len(cuts) == 1650 and all(c.size == 4 for c in cuts)
-        quasi, listed = connectivity._quasi_with_cuts(connectivity._Flows(quasi_5_apex(60, 1)), 5)
-        assert quasi.holds and len(listed) == 1
+        flows = connectivity._Flows(quasi_5_apex(60, 1))
+        assert flows.quasi(5).holds and len(vars(flows)["minimum_cuts"]) == 1
 
 
 class TestWithoutAnEdge:
@@ -1267,7 +1272,7 @@ class TestQuasiKCuts:
         with kappa <= k and not complete, and check that the shared network
         is G's again afterwards; whether it was compared."""
         flows = connectivity._Flows(g)
-        quasi, _ = connectivity._quasi_with_cuts(flows, k)
+        quasi = flows.quasi(k)
         if not quasi.holds or quasi.kappa > k or g.is_complete():
             return False
         got = connectivity._quasi_k_cuts(flows, k)
@@ -1428,8 +1433,8 @@ class TestQuasiKConnected:
         rep = is_quasi_k_connected(g, 5)
         assert rep.failure == "nontrivial-cut" and rep.cut.vertices == (0, 1, 4, 5)
         assert len(calls) < 1000
-        quasi, cuts = connectivity._quasi_with_cuts(connectivity._Flows(g), 5)
-        assert quasi == rep and cuts == []
+        flows = connectivity._Flows(g)
+        assert connectivity._quasi_test(flows, 5) == rep and "minimum_cuts" not in vars(flows)
 
     def test_scans_subsets_only_for_a_certificate(self, monkeypatch):
         # the (k-1)-subsets are scanned once when the test fails on a
@@ -1485,7 +1490,7 @@ class TestQuasiCertificate:
         to its end is every (k-1)-cut, which the context keeps as the
         minimum cuts; a listing the scan stopped is kept nowhere."""
         flows = connectivity._Flows(g)
-        rep = flows.quasi(k)[0]
+        rep = flows.quasi(k)
         if rep.failure != "nontrivial-cut":
             return None
         assert rep.cut == _least_nontrivial(g, k - 1), (g.edges(), k)

@@ -537,7 +537,7 @@ class TestContractsTo:
         # kappa that rule A reads is known and no decision runs a kappa pass
         g = icosahedron_graph()
         flows = _Flows(g)
-        assert flows.quasi(5)[0].holds and flows.kappa == 5
+        assert flows.quasi(5).holds and flows.kappa == 5
         calls = []
         flow = connectivity._local_vertex_cut
 
@@ -689,21 +689,49 @@ class TestRulesBeforeTheListing:
         assert checked == 4056
 
     def test_rule_b_on_corpora(self, small_corpus, quasi5_corpus, monkeypatch):
-        # every edge inside a 4-cut that the quasi 5-test listed, on the quasi
-        # 5-connected graphs of kappa 4: contracting it leaves kappa 3
+        # every edge inside a 4-cut of G, a minimum cut kept by the quasi
+        # 5-test's pass, on the quasi 5-connected graphs of kappa 4:
+        # contracting it leaves kappa 3
         monkeypatch.setattr(contractibility, "_min_separators", _refuse_listing)
         checked = 0
         for _, g in small_corpus + quasi5_corpus:
             flows = _Flows(g)
-            quasi, cuts = flows.quasi(5)
-            if not quasi.holds or flows.kappa != 4:
+            if not flows.quasi(5).holds or flows.kappa != 4:
                 continue
-            inside = {e for cut in cuts for e in combinations(cut.vertices, 2) if g.has_edge(*e)}
+            inside = {e for cut in flows.minimum_cuts
+                      for e in combinations(cut.vertices, 2) if g.has_edge(*e)}
             for e in sorted(inside):
                 assert brute_vertex_connectivity(contract_edge(g, e).graph) == 3, (g.edges(), e)
                 assert _contracts_to(flows, e, 5, True) is False, (g.edges(), e)
                 checked += 1
         assert checked == 365
+
+    def test_cut_holding_on_corpora(self, small_corpus, quasi5_corpus, count_calls):
+        # the least (k-1)-cut of G holding both ends of each edge, against
+        # brute force, on the corpus graphs with n <= 12 and each k in 3..6
+        # where G is quasi k-connected. At kappa = k-1 the quasi test's pass
+        # has kept G's minimum cuts; at kappa >= k they are larger, and the
+        # helper lists nothing
+        calls = count_calls("_min_separators")
+        checked = {"held": 0, "free": 0, "above": 0}
+        for _, g in small_corpus + quasi5_corpus:
+            if g.n > 12:
+                continue
+            for k in range(3, 7):
+                flows = _Flows(g)
+                if not flows.quasi(k).holds:
+                    continue
+                cuts = brute_cuts_of_size(g, k - 1)
+                listed = calls["_min_separators"]
+                for e in g.edges():
+                    want = next((t for t in cuts if set(e) <= set(t)), None)
+                    got = contractibility._cut_holding(flows, e, k)
+                    assert (None if got is None else got.vertices) == want, (g.edges(), e, k)
+                    checked["above" if flows.kappa >= k else "free" if got is None
+                            else "held"] += 1
+                if not g.is_complete():
+                    assert calls["_min_separators"] == listed, (g.edges(), k)
+        assert checked == {"held": 1293, "free": 3138, "above": 11912}
 
     @given(dense_graphs(), st.integers(2, 6))
     @settings(max_examples=150, deadline=None)
@@ -763,11 +791,11 @@ class TestClassifyAgreesWithSearch:
         checked = 0
         for _, g in small_corpus + quasi5_corpus:
             flows = _Flows(g)
-            if not flows.quasi(5)[0].holds:
+            if not flows.quasi(5).holds:
                 continue
             first = next((c.edge for c in _classify(flows, 5) if c.quasi_k_contractible), None)
             search = _Flows(g)
-            assert search.quasi(5)[0].holds
+            assert search.quasi(5).holds
             assert _first_contractible_edge(search, 5, True) == first, g.edges()
             checked += 1
         assert checked == 172
