@@ -660,7 +660,11 @@ class _Flows:
     call; the pass of a quasi test keeps kappa with its cut as well, and
     the minimum cuts when it lists all of them, so a verdict that holds at
     kappa = k-1 leaves G's (k-1)-cuts in `minimum_cuts`. A fact whose
-    computation raises is not kept.
+    computation raises is not kept. `searches` maps (k, quasi) to the
+    first contractible edge of G, or None, that
+    `contractibility._first_contractible_edge` found; a campaign passes
+    one dict to the contexts of all the claims on one graph, and every
+    other context starts with its own empty one.
 
     Only an entry point creates one and passes it to every kappa
     computation, cut listing and per-edge decision of the call, so every
@@ -670,11 +674,13 @@ class _Flows:
     are G's between uses.
     """
 
-    def __init__(self, g: Graph, deadline: float | None = None) -> None:
+    def __init__(self, g: Graph, deadline: float | None = None,
+                 searches: dict[tuple[int, bool], tuple[int, int] | None] | None = None) -> None:
         self.g = g
         self.deadline = deadline
         self.masks = list(g.masks)
         self._quasi: dict[int, QuasiConnectivity] = {}
+        self.searches = {} if searches is None else searches
 
     def check(self) -> None:
         """Raise DeadlineExceeded once the deadline has passed."""

@@ -80,7 +80,9 @@ G/e is large enough:
 Rule A settles every edge of C400(1,2,3) at k = 5, so theorem 1 lists
 nothing there. Rule B settles every edge of L(dodecahedron) at k = 5:
 each edge xy lies in a triangle xyw, and so inside the 4-cut N(w). A
-seed-1 campaign pass lists G - x - y 313 times, with 1,738 flows in all.
+seed-1 campaign pass, whose claims on each graph share its searches
+(`_first_contractible_edge`), lists G - x - y 150 times, with 1,571 flows
+in all.
 
 The listing runs no flow for a pair of G - x - y whose short disjoint
 paths, read from the neighbor masks without x and y, already number
@@ -351,12 +353,25 @@ def _first_contractible_edge(flows: _Flows, k: int, quasi: bool) -> tuple[int, i
     `is_contraction_critical` and the claim runners check it first, and
     so compute the facts the rules read. Every edge shares G's network,
     and the deadline is checked before each edge.
+
+    The answer is stored in `flows.searches` under (k, quasi), and a
+    stored answer is returned with no search. A campaign shares that dict
+    among the claims on one graph, so each search runs once per graph: the
+    answer depends on G, k and the mode alone, and every caller has checked
+    the hypothesis before it asks. A search that raises `DeadlineExceeded`
+    stores nothing, so the next claim searches again.
     """
+    key = (k, quasi)
+    if key in flows.searches:
+        return flows.searches[key]
+    edge = None
     for e in flows.g.edges():
         flows.check()
         if _contracts_to(flows, e, k, quasi):
-            return e
-    return None
+            edge = e
+            break
+    flows.searches[key] = edge
+    return edge
 
 
 def is_contraction_critical(g: Graph, k: int,

@@ -13,7 +13,13 @@ criticality (`_critical`) and the degree conditions' prelude
 context with the call's time budget, hands it to the runner and turns the
 outcome into the report. A runner reads kappa, the minimum cuts and the
 quasi 5-verdict from that context, which computes each at most once per
-call and keeps nothing past it. Every flow of the call, in its hypotheses
+call and keeps none past it. The one thing a call shares is the answer of
+each search for a contractible edge, by (k, mode): `run_campaign` hands
+one dict of them to all the claims on a graph, so theorems 1 and 2 and
+the criticality of lemmas 1 and 5 search once per graph, and drops it
+after the graph's last claim. A search that runs out of time stores
+nothing, and a direct call starts an empty dict, so nothing is kept
+between graphs. Every flow of the call, in its hypotheses
 and in its search for a contractible edge, runs on that context's one
 network, and every loop of the call checks the budget, so it holds in
 every phase and an expired one is reported as `timeout`; lemmas 1 and 5
@@ -355,18 +361,23 @@ CLAIMS = tuple(_RUNNERS)
 
 
 def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
-                 timeout: float | None = None) -> VerificationReport:
+                 timeout: float | None = None, *,
+                 _searches: dict | None = None) -> VerificationReport:
     """Run one claim on g and build its report: the one entry point of a
     claim, and the one constructor of every report but a campaign's error
     line. `k` is read by the degree conditions only (default kappa(g)).
     A claim still running `timeout` seconds after the call began is
-    reported as `timeout`; falsified witnesses carry the graph's graph6."""
+    reported as `timeout`; falsified witnesses carry the graph's graph6.
+
+    `_searches` is private to `run_campaign`: the dict of g's contractible
+    edge searches (`_Flows.searches`) that all the claims on g share. A
+    call without it starts an empty one, so it shares nothing."""
     if claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
     try:
-        outcome = _RUNNERS[claim](g, _Flows(g, deadline), k)
+        outcome = _RUNNERS[claim](g, _Flows(g, deadline, _searches), k)
     except DeadlineExceeded:
         rep = VerificationReport(graph_id, claim, TIMEOUT, None, None, None)
     else:
@@ -408,9 +419,11 @@ def run_campaign(corpus: Iterable[tuple[str, Graph]], claims: Iterable[str],
     tmp = out.with_name(out.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         for graph_id, g in graphs:
+            searches: dict = {}  # g's contractible-edge searches, dropped with g
             for claim in claims:
                 try:
-                    rep = verify_claim(g, claim, graph_id, k=k, timeout=timeout)
+                    rep = verify_claim(g, claim, graph_id, k=k, timeout=timeout,
+                                       _searches=searches)
                 except Exception as exc:
                     rep = VerificationReport(graph_id, claim, ERROR, None, None,
                                              {"error": f"{type(exc).__name__}: {exc}"})

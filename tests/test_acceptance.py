@@ -30,6 +30,7 @@ from quasigraph.harness import (
     run_campaign,
     verify_claim,
 )
+from quasigraph import harness
 from quasigraph import io as gio
 
 from corpus import fixture_corpus, quasi_five_corpus, theorem1_ingest_graphs
@@ -292,23 +293,36 @@ def test_ac10_seed_1_campaign_is_pinned(tmp_path):
             f"{summary['counts']})")
 
 
-def test_seed_1_campaign_flow_count_is_pinned(tmp_path, count_calls, count_certified):
+def test_seed_1_campaign_flow_count_is_pinned(tmp_path, count_calls, count_certified,
+                                              monkeypatch):
     # one flow per pair that short disjoint paths do not certify, in the
-    # kappa passes and in the 313 separator listings of the contraction
+    # kappa passes and in the 150 separator listings of the contraction
     # decisions: any change to which pairs run a flow changes the counts.
-    # A decision lists G - x - y only when neither rule of `_contracts_to`
-    # settles it (kappa(G) > k, or an edge inside a listed (k-1)-cut), and
-    # every listing is of G - x - y with kappa(G) >= 3, which is connected,
-    # so of the 916 pair lists only the 603 of the kappa passes, one per
-    # claim call, search for v0's component (`reach_mask` also counts the
+    # The claims on one graph share its searches for a contractible edge,
+    # so of the 302 searches the claims ask for, 134 run, one per graph
+    # and (k, mode) asked: the other 168 read a stored answer. A decision
+    # lists G - x - y only when neither rule of `_contracts_to` settles it
+    # (kappa(G) > k, or an edge inside a listed (k-1)-cut), and every
+    # listing is of G - x - y with kappa(G) >= 3, which is connected, so of
+    # the 753 pair lists only the 603 of the kappa passes, one per claim
+    # call, search for v0's component (`reach_mask` also counts the
     # component searches of the cuts). A claim call builds G's network at
-    # its first flow, so the 159 of the 603 claim calls that run none build
+    # its first flow, so the 179 of the 603 claim calls that run none build
     # none
     graphs = generate_corpus(SEED_1_CAMPAIGN)
     calls = count_calls("_local_vertex_cut", "_min_separators", "_split_network",
                         "_flow_pairs", "reach_mask")
     certified = count_certified()
+    searches = []
+    search = harness._first_contractible_edge
+
+    def counted(flows, k, quasi):
+        searches.append((k, quasi) in flows.searches)
+        return search(flows, k, quasi)
+
+    monkeypatch.setattr(harness, "_first_contractible_edge", counted)
     run_campaign(graphs, CLAIMS, tmp_path / "campaign.jsonl")
-    assert calls == {"_local_vertex_cut": 1738, "_min_separators": 313, "_split_network": 444,
-                     "_flow_pairs": 916, "reach_mask": 2419}
-    assert certified["certified"] == 9221
+    assert calls == {"_local_vertex_cut": 1571, "_min_separators": 150, "_split_network": 424,
+                     "_flow_pairs": 753, "reach_mask": 2239}
+    assert certified["certified"] == 7898
+    assert (len(searches), searches.count(False)) == (302, 134)

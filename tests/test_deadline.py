@@ -1,13 +1,17 @@
 """The deadline of a flow context: every flow loop, cut listing, subset scan
-and contractible-edge search checks it, and a listing cut short by it
-leaves the shared network as G's."""
+and contractible-edge search checks it, a listing cut short by it
+leaves the shared network as G's, and a search cut short by it stores no
+answer for the next claim on the graph."""
+
+import json
 
 import pytest
 
 import quasigraph.connectivity as connectivity
+from quasigraph import harness
 from quasigraph.connectivity import DeadlineExceeded, _Flows
 from quasigraph.contractibility import _first_contractible_edge
-from quasigraph.generators import circulant_graph, quasi_5_apex
+from quasigraph.generators import circulant_graph, icosahedron_graph, quasi_5_apex
 
 from corpus import planted_pair
 
@@ -153,3 +157,39 @@ def test_bounded_scan_stops_within_one_prefix(passed, monkeypatch, count_calls):
         list(connectivity._cuts(_Flows(g, deadline=0.5), 4, g.n * g.n))
     assert calls["_cut_vertices"] >= 1
     assert calls["_cut_vertices"] + calls["component_masks"] == passed
+
+
+def test_a_search_that_times_out_stores_nothing(tmp_path, monkeypatch):
+    # the first search of a campaign's graph runs out of time: theorem 1
+    # reports timeout and stores no answer, so theorem 2 searches again and
+    # reports its usual verdict, which lemma 5 then reads with no search
+    g, claims = icosahedron_graph(), ["theorem1", "theorem2", "lemma5"]
+    search, seen = harness._first_contractible_edge, []
+
+    def expiring(flows, k, quasi):
+        seen.append(dict(flows.searches))
+        if len(seen) == 1:
+            flows.deadline = 0.0  # raises at the search's first check
+        return search(flows, k, quasi)
+
+    expected = [harness.verify_claim(g, claim, "ico").to_json() for claim in claims]
+    monkeypatch.setattr(harness, "_first_contractible_edge", expiring)
+    out = tmp_path / "ico.jsonl"
+    summary = harness.run_campaign([("ico", g)], claims, out)
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert reports[0] == {"graph_id": "ico", "claim": "theorem1", "status": "timeout",
+                          "hypotheses_hold": None, "conclusion_holds": None, "witness": None}
+    assert reports[1:] == expected[1:]
+    assert expected[1]["witness"] == {"edge": [0, 1]}
+    assert summary["counts"]["timeout"] == 1 and summary["errors"] == 0
+    assert seen == [{}, {}, {(5, True): (0, 1)}]
+
+    # the same through verify_claim's private argument, which the campaign
+    # passes: once `seen` is cleared the next search expires again, and the
+    # dict stays empty after the timeout
+    seen.clear()
+    searches = {}
+    assert harness.verify_claim(g, "theorem1", _searches=searches).status == "timeout"
+    assert searches == {}
+    assert harness.verify_claim(g, "theorem1", _searches=searches).witness == {"edge": [0, 1]}
+    assert searches == {(5, True): (0, 1)}

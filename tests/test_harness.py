@@ -39,7 +39,7 @@ from quasigraph.harness import (
     verify_claim,
 )
 
-from corpus import dodecahedron_graph, line_graph
+from corpus import dodecahedron_graph, line_graph, quasi_five_corpus
 from oracles import (
     brute_degree_sum_violation,
     brute_is_quasi_k,
@@ -625,17 +625,47 @@ class TestRunCampaign:
         assert not (tmp_path / "atomic.jsonl.tmp").exists()
 
     def test_calls_verify_claim_once_per_pair(self, tmp_path, monkeypatch):
-        seen = []
+        # every (graph, claim) goes through the module-level verify_claim,
+        # the shared searches included, so a wrapper bound in its place (as
+        # the benchmark's verdict timer is) sees every call and changes none
+        seen, dicts = [], []
 
         def counting(g, claim, graph_id="", **kwargs):
             seen.append((graph_id, claim))
+            dicts.append(kwargs["_searches"])
             return verify_claim(g, claim, graph_id, **kwargs)
 
         monkeypatch.setattr(harness, "verify_claim", counting)
-        pairs = [("K6", complete_graph(6)), ("E0", Graph(0))]
-        run_campaign(pairs, ["theorem1", "lemma4"], tmp_path / "c.jsonl")
-        assert seen == [("K6", "theorem1"), ("K6", "lemma4"),
-                        ("E0", "theorem1"), ("E0", "lemma4")]
+        pairs = [("C8(1,2)", circulant_graph(8, (1, 2))), ("icosahedron", icosahedron_graph()),
+                 ("E0", Graph(0))]
+        claims = ["theorem1", "lemma4", "lemma5"]
+        run_campaign(pairs, claims, tmp_path / "c.jsonl")
+        assert seen == [(graph_id, claim) for graph_id, _ in pairs for claim in claims]
+        # one dict per graph, shared by its claims and by no other graph's
+        per_graph = [dicts[i:i + len(claims)] for i in range(0, len(dicts), len(claims))]
+        assert all(d is claim_dicts[0] for claim_dicts in per_graph for d in claim_dicts)
+        assert len({id(claim_dicts[0]) for claim_dicts in per_graph}) == len(pairs)
+        # C8(1,2) has kappa = 4, so only lemma 4 searches, and finds it
+        # contraction critical; the icosahedron's theorem 1 edge also
+        # refutes lemma 5's criticality; E0 raises before any search
+        assert [claim_dicts[0] for claim_dicts in per_graph] == [
+            {(4, False): None}, {(5, True): (0, 1), (4, False): (0, 1)}, {}]
+
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_shared_searches_change_no_line(self, tmp_path, monkeypatch, small_corpus, k):
+        # the campaign shares each graph's searches among its claims; the
+        # same campaign with one independent verify_claim call per pair, no
+        # search shared, writes the same bytes, errors included
+        pairs = small_corpus + quasi_five_corpus(12)
+        shared, independent = tmp_path / "shared.jsonl", tmp_path / "independent.jsonl"
+        run_campaign(pairs, CLAIMS, shared, k=k)
+
+        def unshared(*args, _searches, **kwargs):
+            return verify_claim(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "verify_claim", unshared)
+        run_campaign(pairs, CLAIMS, independent, k=k)
+        assert shared.read_text().splitlines() == independent.read_text().splitlines()
 
 
 class TestGenerateCorpus:
