@@ -628,8 +628,8 @@ def _flow_pairs(g: Graph, alive: int | None = None,
     of a disconnected H is no exception: v0 and a vertex of another
     component form the first pair, and its flow is 0. For a connected H
     the non-neighbors run in ascending order. A caller that knows H is
-    connected (G - x - y for kappa(G) >= 3) passes `connected`, and no
-    search for v0's component runs: the pairs are the same.
+    connected (G minus fewer than kappa(G) vertices) passes `connected`,
+    and no search for v0's component runs: the pairs are the same.
     """
     masks = g.masks
     if alive is None:
@@ -768,45 +768,39 @@ def _sweeps(flows: _Flows, pairs: Iterable[tuple[int, int]],
         masks[:] = g.masks
 
 
-def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | None = None,
+def _vertex_connectivity_with_cut(flows: _Flows, *, j: int | None = None,
                                   listed: list[Cut] | None = None) -> tuple[int, Cut | None]:
     """kappa(G) and a minimum cut of G (None when it has none: complete
     graphs, K1 among them), for G the graph of the flow context `flows`.
 
-    With a threshold t: when kappa < t, the same value and cut as without
-    it; otherwise some value >= t and no cut. Each pair's flow is capped at
-    the smallest separator found so far, since only a smaller one is kept.
-    Only the value without t is a fact of G that the context keeps. The
-    pass stops once the smallest separator so far is empty, since none is
-    smaller.
-
-    The smallest separator so far starts at min(t, n - 1) with no cut, or,
-    when deg(v0) is below that, at deg(v0) with N(v0) as its cut, for v0
-    the source of the first pair, a vertex of least degree. N(v0) is a
-    separator, since G is not complete and v0 has a non-neighbor. This
-    changes neither the value nor the cut. If kappa < deg(v0), every cap
-    stays above kappa up to the first pair whose flow is kappa, which is
-    reached as with no start and gives the same cut. If kappa = deg(v0),
-    the cut without the start is the least minimum cut of the first pair
-    (v0, w), which N(v0) separates: its flow of deg(v0) units saturates
-    every neighbor of v0, one unit through each, so the source reaches
-    only v0's out-copy and its neighbors' in-copies, and the cut is N(v0).
-    With t <= deg(v0) nothing changes. While listing at j = deg(v0), the
-    first pair's cap is j + 1, which its local connectivity of at most j
-    stays below: it runs the same flow to the same residual graph as with
-    a larger cap and lists the same separators. A disconnected G needs no
-    case of its own: v0 and a vertex of another component form the first
-    pair (`_flow_pairs`), whose flow 0 gives kappa 0 with the empty cut,
-    or no cut at t = 0; an isolated v0 starts the pass at 0 with the empty
-    cut N(v0), and no flow runs.
+    Each pair's flow is capped at the smallest separator found so far,
+    since only a smaller one is kept, and the pass stops once that is
+    empty, since none is smaller. The smallest separator so far starts at
+    deg(v0) with N(v0) as its cut, for v0 the source of the first pair, a
+    vertex of least degree. N(v0) is a separator, since G is not complete
+    and v0 has a non-neighbor. This changes neither the value nor the cut.
+    If kappa < deg(v0), every cap stays above kappa up to the first pair
+    whose flow is kappa, which is reached as with no start and gives the
+    same cut. If kappa = deg(v0), the cut without the start is the least
+    minimum cut of the first pair (v0, w), which N(v0) separates: its flow
+    of deg(v0) units saturates every neighbor of v0, one unit through each,
+    so the source reaches only v0's out-copy and its neighbors' in-copies,
+    and the cut is N(v0). While listing at j = deg(v0), the first pair's
+    cap is j + 1, which its local connectivity of at most j stays below: it
+    runs the same flow to the same residual graph as with a larger cap and
+    lists the same separators. A disconnected G needs no case of its own:
+    v0 and a vertex of another component form the first pair
+    (`_flow_pairs`), whose flow 0 gives kappa 0 with the empty cut; an
+    isolated v0 starts the pass at 0 with the empty cut N(v0), and no flow
+    runs.
 
     The pairs run through `_sweeps`, as in `_min_separators`: after each
     pair its edge is added, to `flows.masks` at once and to the network
     just before the next flow (`_Sweep.ready`), and the added arcs are
     removed when the pass ends or raises.
-    Neither the value nor the cut changes, for any t. Let p be the first
-    pair that some kappa-separator splits. An added edge st crosses only
-    separators that split (s, t), so no edge added before p crosses a
+    Neither the value nor the cut changes. Let p be the first pair that
+    some kappa-separator splits. An added edge st crosses only separators
+    that split (s, t), so no edge added before p crosses a
     kappa-separator, and p's flow is kappa. Every pair before p has a
     local connectivity above kappa in G, and added edges lower no flow, so
     p is still the first pair to reach kappa, and every flow is at least
@@ -817,10 +811,10 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     cut, so S is p's least minimum cut with the added edges too.
 
     With a size j and a list `listed` (the quasi test, from
-    `_quasi_test`, with no t), the same pass lists the j-separators of
-    G into `listed`, as `_min_separators(flows, j)` does. While the
-    smallest separator so far is j and the listing has not ended, each flow
-    is capped at j + 1, so a pair whose flow is exactly j ends at a maximum
+    `_quasi_test`), the same pass lists the j-separators of G into
+    `listed`, as `_min_separators(flows, j)` does. While the smallest
+    separator so far is j and the listing has not ended, each flow is
+    capped at j + 1, so a pair whose flow is exactly j ends at a maximum
     flow, and its separators are read from that same residual graph. Pairs
     whose flow ends above j list nothing in either pass. At the first
     nontrivial cut the first n^2 j-subsets are scanned: when the scan meets
@@ -844,23 +838,18 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
     from any earlier sink. Neither value nor cut changes: the first pair
     whose flow is kappa has a local connectivity below its cap, so it is
     never certified and keeps its least cut, and a certified pair while
-    listing has a flow above j, so it lists nothing. With the start at
-    deg(v0), the first pair can be certified too, and a pass whose pairs
-    are all certified runs no flow and builds no network.
+    listing has a flow above j, so it lists nothing. The first pair can be
+    certified too, and a pass whose pairs are all certified runs no flow
+    and builds no network.
     """
     g = flows.g
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    if t is None:
-        t = n
     if g.is_complete():
         return n - 1, None
-    best = min(t, n - 1)
-    best_sep: tuple[int, ...] | None = None
     v0 = flows.pairs[0][0]
-    if g.degree(v0) < best:
-        best, best_sep = g.degree(v0), g.neighbors(v0)
+    best, best_sep = g.degree(v0), g.neighbors(v0)
     seen: set[tuple[int, ...]] = set()
     scanned, least = False, None
     with closing(_sweeps(flows, flows.pairs)) as sweeps:
@@ -890,7 +879,7 @@ def _vertex_connectivity_with_cut(flows: _Flows, t: int | None = None, j: int | 
                                 break
     if best == j and least is None:
         flows.minimum_cuts = sorted(listed, key=lambda cut: cut.vertices)
-    return best, None if best_sep is None else make_cut(g, best_sep)
+    return best, make_cut(g, best_sep)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -964,8 +953,7 @@ def _pair_separators(net: _SplitNetwork, cap: list[int], s: int, t: int,
             stack.append((inside, outside | shrink))
 
 
-def _min_separators(flows: _Flows, j: int, without: tuple[int, ...] = (),
-                    connected: bool = False) -> Iterator[Cut]:
+def _min_separators(flows: _Flows, j: int, without: tuple[int, ...] = ()) -> Iterator[Cut]:
     """Every separator T of size j of H = G - without once, in discovery
     order, as the cut T + without of G, for G the graph of `flows` and
     kappa(H) >= j; nothing when H is complete (the empty H too) or j < 0.
@@ -973,8 +961,8 @@ def _min_separators(flows: _Flows, j: int, without: tuple[int, ...] = (),
     some of size j. A disconnected H needs no case of its own: its empty
     separator is met by the flow 0 of v0 and a vertex of another component
     (`_flow_pairs`), listed at j = 0 and yielded as smaller above it, and
-    the seen set keeps it once. A caller that knows H is connected passes
-    `connected`, which spares `_flow_pairs` its component search.
+    the seen set keeps it once. G minus fewer than kappa(G) vertices is
+    connected, so `_flow_pairs` then runs no component search for H.
 
     Each pair of `_flow_pairs` that short paths do not certify (below)
     gets one flow capped at j + 1, on G's network with the vertices
@@ -1007,7 +995,7 @@ def _min_separators(flows: _Flows, j: int, without: tuple[int, ...] = (),
     if _complete(g, alive):
         return
     seen: set[tuple[int, ...]] = set()
-    pairs = _flow_pairs(g, alive, connected) if without else flows.pairs
+    pairs = _flow_pairs(g, alive, len(without) < flows.kappa) if without else flows.pairs
     with closing(_sweeps(flows, pairs, without)) as sweeps:
         for s, t, sweep in sweeps:
             if _has_short_paths(flows.masks, s, t, j + 1, alive):

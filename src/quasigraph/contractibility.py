@@ -89,9 +89,7 @@ paths, read from the neighbor masks without x and y, already number
 k - 1, one more than the separator size listed: such a pair lists nothing
 (`connectivity._has_short_paths`). The search for quasi_5_apex(240, 1)'s
 first quasi 5-contractible edge runs 26 flows over its listings' 237
-pairs. G - x - y is connected once kappa(G) >= 3, so neither the listing
-nor `_kappa_after` then searches for v0's component (`_flow_pairs`).
-`_kappa_after` does not look for short paths: on quasi_5_apex(240, 1)
+pairs. `_kappa_after` does not look for short paths: on quasi_5_apex(240, 1)
 they would settle 2 of its 1,107 flows, and its flows to w run with y
 merged.
 
@@ -121,7 +119,6 @@ from .connectivity import (
     _local_vertex_cut,
     _min_separators,
     _quasi_k_cuts,
-    _vertex_connectivity_with_cut,
 )
 
 
@@ -176,9 +173,7 @@ def _cut_holding(flows: _Flows, e: tuple[int, int], k: int) -> Cut | None:
 def is_k_contractible(g: Graph, e: tuple[int, int], k: int) -> bool:
     """Contraction of e leaves a k-connected graph: kappa(G/e) >= k, read
     from G by `_kappa_after` for any G."""
-    e = require_edge(g, e)
-    flows = _Flows(g)
-    return _kappa_after(flows, e, min(_vertex_connectivity_with_cut(flows, k)[0], k), k) >= k
+    return _kappa_after(_Flows(g), require_edge(g, e), k) >= k
 
 
 def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> bool:
@@ -193,17 +188,14 @@ def _contracts_to(flows: _Flows, e: tuple[int, int], k: int, quasi: bool) -> boo
 
     Both rules read facts that every caller has already computed: kappa(G)
     and, in quasi mode, the minimum cuts that the quasi k-verdict's pass
-    kept. G - x - y is
-    connected once kappa(G) >= 3, so the listing then runs no component
-    search."""
+    kept."""
     if flows.g.n - 1 < (k if quasi else k + 1):
         return False
-    kappa = flows.kappa
-    if kappa > k:
+    if flows.kappa > k:
         return True  # rule A: kappa(G/e) >= kappa(G) - 1 >= k
     if quasi and _cut_holding(flows, e, k) is not None:
         return False  # rule B: kappa(G/e) = k - 2
-    with closing(_min_separators(flows, k - 2, e, kappa >= 3)) as listing:
+    with closing(_min_separators(flows, k - 2, e)) as listing:
         return not any(not quasi or cut.nontrivial or cut.size < k for cut in listing)
 
 
@@ -214,19 +206,17 @@ def _complete_after(g: Graph, e: tuple[int, int]) -> bool:
     return g.edge_count - 1 - (g.masks[x] & g.masks[y]).bit_count() == comb(g.n - 1, 2)
 
 
-def _kappa_after(flows: _Flows, e: tuple[int, int], kappa: int, t: int | None = None) -> int:
-    """kappa(G/e) for G, the graph of `flows`, of connectivity kappa; with a
-    threshold t (`is_k_contractible` passes k), the same value when it is
-    below t, otherwise some value >= t, and kappa may then be capped at t.
-    By the module docstring; each flow is capped at the smallest cut so
-    far, and z's flows run from x with y's internal arc uncuttable. At
-    kappa >= 3, G - x - y is connected and its pairs need no component
-    search."""
+def _kappa_after(flows: _Flows, e: tuple[int, int], t: int | None = None) -> int:
+    """kappa(G/e) for G, the graph of `flows`; with a threshold t
+    (`is_k_contractible` passes k), the same value when it is below t,
+    otherwise some value >= t. By the module docstring, with kappa(G) read
+    from `flows`; each flow is capped at the smallest cut so far, and z's
+    flows run from x with y's internal arc uncuttable."""
     g = flows.g
     if _complete_after(g, e):
         return g.n - 2
     x, y = e
-    net, masks = flows.net, g.masks
+    kappa, net, masks = flows.kappa, flows.net, g.masks
     best = g.n - 3 if t is None else min(t, g.n - 3)  # G/e is not complete
     both = 1 << x | 1 << y
     z_pairs = [(a, b) for a, b in combinations(mask_to_vertices((masks[x] | masks[y]) & ~both), 2)
@@ -246,7 +236,7 @@ def _report(flows: _Flows, c: _EdgeClass) -> ContractionReport:
     """The report of c's edge, for G, the graph of `flows`: the class cut in
     G/e's ids refutes G/e, and kappa(G/e) is made exact by `_kappa_after`
     only where the class bounds it below by k."""
-    kappa_after = (_kappa_after(flows, c.edge, flows.kappa) if c.kappa_after >= c.k
+    kappa_after = (_kappa_after(flows, c.edge) if c.kappa_after >= c.k
                    else c.kappa_after)
     refuting = None
     if c.cut is not None:

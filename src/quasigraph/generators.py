@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator
 from .core import Graph, mask_to_vertices
 from .connectivity import (
     _Flows,
-    _vertex_connectivity_with_cut,
     is_quasi_k_connected,
     vertex_connectivity,
 )
@@ -144,7 +143,7 @@ def random_k_connected(n: int, k: int, seed: int | random.Random | None = None) 
         adj[w].add(v)
     g = Graph(n, [(v, w) for v in range(n) for w in adj[v] if v < w])
     while True:
-        kappa, cut = _vertex_connectivity_with_cut(_Flows(g), k)
+        kappa, cut = _Flows(g).kappa_with_cut
         if kappa >= k:
             break
         assert cut is not None

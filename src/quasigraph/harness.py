@@ -269,7 +269,7 @@ def _lemma2(g: Graph, flows: _Flows, k) -> _Outcome:
         flows.check()
         configs += 1
         if _cut_holding(flows, e, 5) is not None:
-            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e, flows.kappa)}
+            return False, {"edge": list(e), "kappa_after": _kappa_after(flows, e)}
     if configs == 0:
         return _Vacuous("no contraction keeps minimum degree 4", True)
     return True, {"configurations": configs}
@@ -360,6 +360,13 @@ _RUNNERS = {
 CLAIMS = tuple(_RUNNERS)
 
 
+def _require_budget(timeout: float | None) -> None:
+    """Error unless `timeout` is None or a number of seconds >= 0 (inf
+    is no budget): a NaN deadline would never pass."""
+    if timeout is not None and not timeout >= 0:
+        raise ValueError(f"timeout must be a number of seconds >= 0, got {timeout}")
+
+
 def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
                  timeout: float | None = None, *,
                  _searches: dict | None = None) -> VerificationReport:
@@ -367,13 +374,15 @@ def verify_claim(g: Graph, claim: str, graph_id: str = "", k: int | None = None,
     claim, and the one constructor of every report but a campaign's error
     line. `k` is read by the degree conditions only (default kappa(g)).
     A claim still running `timeout` seconds after the call began is
-    reported as `timeout`; falsified witnesses carry the graph's graph6.
+    reported as `timeout`; a NaN or negative `timeout` is a ValueError,
+    and inf is no budget. Falsified witnesses carry the graph's graph6.
 
     `_searches` is private to `run_campaign`: the dict of g's contractible
     edge searches (`_Flows.searches`) that all the claims on g share. A
     call without it starts an empty one, so it shares nothing."""
     if claim not in _RUNNERS:
         raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
+    _require_budget(timeout)
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
     try:
@@ -403,7 +412,9 @@ def run_campaign(corpus: Iterable[tuple[str, Graph]], claims: Iterable[str],
     An exception from one (graph, claim) becomes that pair's report, with
     status "error" and the exception in the witness, and the campaign goes
     on; the summary counts statuses in `counts` and errors in `errors`.
-    Lines go to `<out>.tmp`, renamed to `out` once every pair is done.
+    Lines go to `<out>.tmp`, renamed to `out` once every pair is done; an
+    unknown claim or a `timeout` that `verify_claim` rejects raises before
+    it is opened.
     Campaign output is canonical (sorted keys, no timing), so reruns with
     the same corpus and seed are byte-identical. `exhaustive` is accepted
     and ignored: every claim always checks all its hypotheses.
@@ -412,6 +423,7 @@ def run_campaign(corpus: Iterable[tuple[str, Graph]], claims: Iterable[str],
     for claim in claims:
         if claim not in _RUNNERS:
             raise ValueError(f"unknown claim {claim!r}; known: {CLAIMS}")
+    _require_budget(timeout)
     graphs = list(corpus)
     counts = {VERIFIED: 0, VACUOUS: 0, FALSIFIED: 0, TIMEOUT: 0}
     errors = 0

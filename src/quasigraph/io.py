@@ -35,12 +35,20 @@ def _encode_size(n: int) -> str:
     raise ValueError("size too large for graph6")
 
 
+def _sextet(ch: str) -> int:
+    """The 6-bit value of a graph6 character, 63..126; error outside."""
+    val = ord(ch) - 63
+    if not (0 <= val <= 63):
+        raise ValueError(f"character {ch!r} out of graph6 range")
+    return val
+
+
 def _decode_size(s: str) -> tuple[int, int]:
     """Return (n, number of characters consumed)."""
     if not s:
         raise ValueError("empty graph6 data")
     if s[0] != chr(126):
-        return ord(s[0]) - 63, 1
+        return _sextet(s[0]), 1
     if len(s) >= 2 and s[1] == chr(126):
         chunk, used = s[2:8], 8
     else:
@@ -49,7 +57,7 @@ def _decode_size(s: str) -> tuple[int, int]:
         raise ValueError("truncated graph6 size")
     n = 0
     for ch in chunk:
-        n = (n << 6) | (ord(ch) - 63)
+        n = (n << 6) | _sextet(ch)
     return n, used
 
 
@@ -81,9 +89,7 @@ def from_graph6(text: str) -> Graph:
         raise ValueError(f"graph6 body has {len(body)} characters, expected {need}")
     bits = []
     for ch in body:
-        val = ord(ch) - 63
-        if not (0 <= val <= 63):
-            raise ValueError(f"character {ch!r} out of graph6 range")
+        val = _sextet(ch)
         bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
     edges = []
     idx = 0

@@ -228,7 +228,7 @@ def graph6_encode_reference(g) -> str:
 
 def contraction_decision(g, e, k: int, quasi: bool) -> bool:
     """Whether G/e is quasi k-connected (`quasi`) or k-connected, for any G:
-    contract e, compute kappa(G/e) capped at k, and at kappa(G/e) = k-1 list
+    contract e, compute kappa(G/e), and at kappa(G/e) = k-1 list
     the (k-1)-cuts of G/e for a nontrivial one.
 
     This is the contract-and-rescan route that the library's rule on
@@ -237,16 +237,15 @@ def contraction_decision(g, e, k: int, quasi: bool) -> bool:
     against brute force on small graphs; it is fast enough to take every
     edge of both corpora at k = 2..6.
     """
-    from quasigraph.connectivity import _Flows, _min_separators, _vertex_connectivity_with_cut
+    from quasigraph.connectivity import _Flows, _min_separators
     from quasigraph.core import contract_edge
 
     if quasi and k < 2:
         raise ValueError("k must be at least 2")
     h = _Flows(contract_edge(g, e).graph)
-    kappa, _ = _vertex_connectivity_with_cut(h, k)
-    if kappa >= k or not quasi:
-        return kappa >= k
-    return kappa == k - 1 and not any(cut.nontrivial for cut in _min_separators(h, k - 1))
+    if h.kappa >= k or not quasi:
+        return h.kappa >= k
+    return h.kappa == k - 1 and not any(cut.nontrivial for cut in _min_separators(h, k - 1))
 
 
 def contraction_report(g, e, k: int):
@@ -352,32 +351,32 @@ def reference_short_paths(adj: list[set[int]], s: int, t: int) -> int:
     return count
 
 
-def reference_kappa_with_cut(g, t: int | None = None):
-    """kappa(G) and a minimum cut, with a threshold t as in
-    `connectivity._vertex_connectivity_with_cut`, by the plain loop over the
-    kappa flow pairs: each pair's flow runs on G's own network, capped at
-    the smallest separator found so far (t at first), and no edge is added
-    between pairs. The cut is the separator of the first pair to reach the
-    final value, as its source reaches in the residual graph. The network
-    and the pairs are the references above.
+def reference_kappa_with_cut(g):
+    """kappa(G) and a minimum cut, as
+    `connectivity._vertex_connectivity_with_cut` gives them, by the plain
+    loop over the kappa flow pairs: each pair's flow runs on G's own
+    network, capped at the smallest separator found so far (n - 1 at
+    first), and no edge is added between pairs. The cut is the separator
+    of the first pair to reach the final value, as its source reaches in
+    the residual graph. The network and the pairs are the references
+    above.
     """
     from quasigraph.connectivity import make_cut
 
     n = g.n
-    t = n if t is None else t
     if n == 1:
         return 0, None
     if is_disconnected(adjacency_sets(g), set()):
-        return 0, (make_cut(g, ()) if t > 0 else None)
+        return 0, make_cut(g, ())
     if g.edge_count == n * (n - 1) // 2:
         return n - 1, None
     net = reference_split_network(g)
-    best, best_sep = min(t, n - 1), None
+    best, best_sep = n - 1, None
     for s, w in reference_flow_pairs(g):
         size, sep = reference_local_vertex_cut(net, s, w, best)
         if sep is not None:
             best, best_sep = size, sep
-    return best, None if best_sep is None else make_cut(g, best_sep)
+    return best, make_cut(g, best_sep)
 
 
 def reference_local_vertex_cut(net, s: int, t: int, limit: int, cap=None):

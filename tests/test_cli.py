@@ -156,6 +156,20 @@ def test_verify_rejects_unknown_claim(tmp_path, corpus_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_verify_rejects_a_nan_or_negative_timeout(budget, tmp_path, corpus_file, capsys):
+    # a NaN budget would never pass, so it is a usage error like a negative
+    # one: one error line, exit 2, and no report written
+    out = tmp_path / "rep.jsonl"
+    assert main(["verify", "--claim", "theorem1", "--corpus", str(corpus_file),
+                 "--out", str(out), "--timeout", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: timeout must be a number of seconds >= 0, got {float(budget)}\n"
+    assert sorted(tmp_path.iterdir()) == [corpus_file]
+
+
 def test_search_reports_counts(tmp_path, corpus_file, capsys):
     assert main(["search", "--corpus", str(corpus_file)]) == 0
     err = capsys.readouterr().err
@@ -237,6 +251,19 @@ def test_malformed_graph6_record_is_named(tmp_path, capsys):
     assert summaries[0] == summaries[1] | {"graph_id": "bad.g6:0"}
     assert captured.err == \
         "error: bad.g6:1: ValueError: graph6 body has 1 characters, expected 2\n"
+
+
+def test_graph6_size_byte_out_of_range_is_named(tmp_path, capsys):
+    # a size byte of 127 is not read as 64 vertices: K5, that record and
+    # K5 give two summaries, one error line naming the record and exit 2
+    path = tmp_path / "size.g6"
+    path.write_text("D~{\n" + chr(127) + "?" * 336 + "\nD~{\n", encoding="ascii")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(line)["graph_id"] for line in captured.out.splitlines()] == \
+        ["size.g6:0", "size.g6:2"]
+    assert captured.err == \
+        "error: size.g6:1: ValueError: character '\\x7f' out of graph6 range\n"
 
 
 def test_malformed_graph6_record_sinks_its_corpus_entry(tmp_path, capsys):

@@ -85,6 +85,11 @@ class TestVertexConnectivity:
     def test_matches_brute_force(self, g):
         assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
+    def test_matches_brute_force_on_the_corpora(self, small_corpus, quasi5_corpus):
+        graphs = [g for _, g in small_corpus + quasi5_corpus if g.n <= 10]
+        for g in graphs + BOUNDARY_GRAPHS:
+            assert vertex_connectivity(g) == brute_vertex_connectivity(g), g.edges()
+
     def test_deterministic(self):
         g = random_graph(9, 0.4, seed=11)
         assert vertex_connectivity(g) == vertex_connectivity(g)
@@ -115,35 +120,9 @@ BOUNDARY_GRAPHS = [
 ]
 
 
-def _check_threshold(g, kappa, t):
-    """kappa and the cut as without t when kappa < t; else >= t and no cut."""
-    value, cut = connectivity._vertex_connectivity_with_cut(connectivity._Flows(g), t)
-    if kappa < t:
-        assert (value, cut) == connectivity._vertex_connectivity_with_cut(
-            connectivity._Flows(g)), (g.edges(), t)
-    else:
-        assert value >= t and cut is None, (g.edges(), t)
-
-
-class TestThreshold:
-    def test_matches_oracle_for_every_threshold(self, small_corpus, quasi5_corpus):
-        graphs = [g for _, g in small_corpus + quasi5_corpus if g.n <= 10]
-        for g in graphs + BOUNDARY_GRAPHS:
-            kappa = brute_vertex_connectivity(g)
-            assert vertex_connectivity(g) == kappa
-            for t in range(g.n + 2):
-                _check_threshold(g, kappa, t)
-
-    @given(graphs(), st.integers(0, 9))
-    @settings(max_examples=150, deadline=None)
-    def test_threshold_property(self, g, t):
-        _check_threshold(g, brute_vertex_connectivity(g), t)
-
-
 class TestMinimumDegreeStart:
     """The kappa pass starts from the minimum degree, with N(v0) as its
-    cut, in place of n - 1 with none. With a threshold t <= delta it
-    starts at t with no cut, which `TestThreshold` checks for every t."""
+    cut, in place of n - 1 with none."""
 
     def test_cut_at_kappa_equal_to_the_minimum_degree_is_n_v0(self, small_corpus,
                                                                  quasi5_corpus):
@@ -168,15 +147,13 @@ class TestMinimumDegreeStart:
 
 def _check_one_pass(g):
     """The kappa pass, which adds each pair's edge, against the reference
-    loop, which adds none, for t = None and each t in 1..delta+1; the
-    (k-1)-cuts that a quasi k-verdict holding at kappa = k-1 keeps as the
-    context's minimum cuts, listed in the same pass, against the sorted
-    `_min_separators` listing; and the context's masks and network, G's
-    again after each pass."""
+    loop, which adds none; the (k-1)-cuts that a quasi k-verdict holding at
+    kappa = k-1 keeps as the context's minimum cuts, listed in the same
+    pass, against the sorted `_min_separators` listing; and the context's
+    masks and network, G's again after each pass."""
     flows = connectivity._Flows(g)
-    for t in [None] + list(range(1, g.min_degree() + 2)):
-        assert connectivity._vertex_connectivity_with_cut(flows, t) == \
-            reference_kappa_with_cut(g, t), (g.edges(), t)
+    assert connectivity._vertex_connectivity_with_cut(flows) == reference_kappa_with_cut(g), \
+        g.edges()
     contexts = [flows]
     for k in range(2, 7):
         flows = connectivity._Flows(g)
@@ -252,8 +229,10 @@ def _check_network_and_pairs(g):
     order, against the edge-by-edge reference; and the kappa flow pairs of
     G and of each G - x - y that is not complete against the reference
     pairs, also when the caller vouches that G - x - y is connected and
-    no component search runs. Only this check notices a change of arc
-    numbering or row order: the search-count pins hold under one."""
+    no component search runs, and as the listing of G - x - y takes them,
+    which vouches for that when kappa(G) > 2. Only this check notices a
+    change of arc numbering or row order: the search-count pins hold under
+    one."""
     net, ref = connectivity._split_network(g), reference_split_network(g)
     for field in ref._fields:
         assert getattr(net, field) == getattr(ref, field), (g.edges(), field)
@@ -269,6 +248,20 @@ def _check_network_and_pairs(g):
             if len(components_of(adjacency_sets(g), {x, y})) == 1:
                 assert connectivity._flow_pairs(g, alive, connected=True) == expected, \
                     (g.edges(), x, y)
+    if not g.edge_count:
+        return
+    flows, flow_pairs, taken = connectivity._Flows(g), connectivity._flow_pairs, []
+    wanted = [reference_flow_pairs(g, alive) for alive in
+              [g.full_mask & ~(1 << x | 1 << y) for x, y in g.edges()]
+              if alive and not connectivity._complete(g, alive)]
+    flows.kappa  # before recording: its pass takes G's own pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity, "_flow_pairs",
+                   lambda *args: taken.append(flow_pairs(*args)) or taken[-1])
+        for e in g.edges():
+            with closing(connectivity._min_separators(flows, 0, e)) as listing:
+                next(listing, None)
+    assert taken == wanted, g.edges()
 
 
 class TestNetworkAndPairs:
@@ -283,7 +276,8 @@ class TestNetworkAndPairs:
     @pytest.mark.parametrize("g", [
         quasi_5_apex(40, 1), circulant_graph(40, (1, 2)), planted_pair(30, 4),
         disjoint_union(cycle_graph(5), complete_graph(4)), Graph(3), complete_graph(1),
-    ], ids=["apex40", "C40(1,2)", "planted30", "C5+K4", "E3", "K1"])
+        Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    ], ids=["apex40", "C40(1,2)", "planted30", "C5+K4", "E3", "K1", "K4-e"])
     def test_larger_and_boundary_graphs(self, g):
         _check_network_and_pairs(g)
 
@@ -331,12 +325,12 @@ class _CountingCap(list):
 class TestFlowMechanism:
     def test_one_network_per_kappa_computation(self, monkeypatch, count_certified):
         # each kappa pass runs a flow for every pair that short disjoint
-        # paths do not certify, `flows` of them without a threshold and
-        # `capped` at t = kappa; the listing of minimum cuts certifies its
-        # pairs too, and runs `listed` flows. A network is built at the
-        # first flow, so only a computation that runs one builds it: the
-        # Petersen graph's kappa pass starts at its minimum degree 3 with
-        # N(v0) as its cut, and short paths certify all 9 pairs at that cap
+        # paths do not certify, `flows` of them; the listing of minimum
+        # cuts certifies its pairs too, and runs `listed` flows. A network
+        # is built at the first flow, so only a computation that runs one
+        # builds it: the Petersen graph's kappa pass starts at its minimum
+        # degree 3 with N(v0) as its cut, and short paths certify all 9
+        # pairs at that cap
         counts = {"networks": 0, "flows": 0}
         build, flow = connectivity._split_network, connectivity._local_vertex_cut
 
@@ -355,20 +349,15 @@ class TestFlowMechanism:
         monkeypatch.setattr(connectivity, "_split_network", counted_build)
         monkeypatch.setattr(connectivity, "_local_vertex_cut", counted_flow)
         certified = count_certified()
-        for g, kappa, flows, capped, listed in [(petersen_graph(), 3, 0, 0, 8),
-                                                (circulant_graph(12, (1, 2, 3)), 6, 2, 2, 11),
-                                                (icosahedron_graph(), 5, 6, 6, 11),
-                                                (cycle_graph(9), 2, 5, 5, 7)]:
+        for g, kappa, flows, listed in [(petersen_graph(), 3, 0, 8),
+                                        (circulant_graph(12, (1, 2, 3)), 6, 2, 11),
+                                        (icosahedron_graph(), 5, 6, 11),
+                                        (cycle_graph(9), 2, 5, 7)]:
             pairs = len(connectivity._flow_pairs(g))
             reset()
             assert vertex_connectivity(g) == kappa
             assert counts == {"networks": int(flows > 0), "flows": flows}
             assert certified["certified"] == pairs - flows
-            reset()
-            assert connectivity._vertex_connectivity_with_cut(
-                connectivity._Flows(g), kappa)[0] >= kappa
-            assert counts == {"networks": int(capped > 0), "flows": capped}
-            assert certified["certified"] == pairs - capped
             # kappa and the listing of minimum cuts share one network
             reset()
             assert minimum_cuts(g)
@@ -632,12 +621,10 @@ class TestTwoHopUnits:
 
 
 def _pass_results(g):
-    """What the kappa pass gives on G: kappa with its cut for t = None and
-    for each t in 1..delta+1, and for each k in 2..6 the (k-1)-cuts in the
-    order the quasi test's pass lists them, with the quasi verdict and the
-    minimum cuts its pass kept."""
-    results = [connectivity._vertex_connectivity_with_cut(connectivity._Flows(g), t)
-               for t in [None] + list(range(1, g.min_degree() + 2))]
+    """What the kappa pass gives on G: kappa with its cut, and for each k
+    in 2..6 the (k-1)-cuts in the order the quasi test's pass lists them,
+    with the quasi verdict and the minimum cuts its pass kept."""
+    results = [connectivity._vertex_connectivity_with_cut(connectivity._Flows(g))]
     for k in range(2, 7):
         listed = []
         results.append((connectivity._vertex_connectivity_with_cut(

@@ -317,22 +317,19 @@ class TestContractionReportsFromCuts:
 
 
 class TestKappaAfter:
-    """kappa(G/e) read from G, against brute force on G/e, for any G: both
-    sides capped at t, and exact at t = None."""
+    """kappa(G/e) read from G and its kappa, against brute force on G/e,
+    for any G: both sides capped at t, and exact at t = None."""
 
     @staticmethod
     def _check(graphs):
         checked = 0
         for g in graphs:
             flows = _Flows(g)
-            kappas = {t: min(connectivity._vertex_connectivity_with_cut(flows, t)[0], t)
-                      for t in range(2, 7)}
-            kappas[None] = flows.kappa
             for e in g.edges():
                 expected = brute_vertex_connectivity(contract_edge(g, e).graph)
-                for t, kappa in kappas.items():
+                for t in [None, 2, 3, 4, 5, 6]:
                     cap = g.n if t is None else t
-                    assert min(_kappa_after(flows, e, kappa, t), cap) == min(expected, cap), (
+                    assert min(_kappa_after(flows, e, t), cap) == min(expected, cap), (
                         g.edges(), e, t)
                     checked += 1
         return checked
@@ -351,7 +348,7 @@ class TestKappaAfter:
         # 5 and 6 and keeps kappa(G/56) at 1
         g = Graph(7, complete_graph(5).edges() + [(5, 6), (0, 5), (0, 6)])
         assert self._check([g]) == 6 * g.edge_count
-        assert _kappa_after(_Flows(g), (5, 6), 1) == 1
+        assert _kappa_after(_Flows(g), (5, 6)) == 1
 
 
 class TestContractionCritical:
@@ -594,10 +591,10 @@ class TestContractsTo:
 
     def test_is_k_contractible_caps_every_flow(self, monkeypatch, count_certified):
         # C10(1,2) is 4-connected and contraction critical: kappa(G/e) = 3,
-        # so kappa(G - 0 - 1) = 2. The hypothesis kappa(G) >= 4 is checked
-        # with flows capped at k = 4: of its 8 pairs, 3 are certified by
-        # short disjoint paths, and the flows of the other 5 all reach the
-        # cap (on C8(1,2) every pair is certified, so no flow runs). Then
+        # so kappa(G - 0 - 1) = 2. The kappa pass caps its flows at the
+        # minimum degree 4: of its 8 pairs, 3 are certified by short
+        # disjoint paths, and the flows of the other 5 all reach the cap
+        # (on C8(1,2) every pair is certified, so no flow runs). Then
         # the flows of G - 0 - 1, with the internal arcs of 0 and 1 closed,
         # are capped at k - 1 = 3 at first, and once a pair falls below
         # that, each later flow at the smallest separator found so far; a

@@ -193,3 +193,25 @@ def test_a_search_that_times_out_stores_nothing(tmp_path, monkeypatch):
     assert searches == {}
     assert harness.verify_claim(g, "theorem1", _searches=searches).witness == {"edge": [0, 1]}
     assert searches == {(5, True): (0, 1)}
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), -1.0, -float("inf")],
+                         ids=["nan", "negative", "-inf"])
+def test_a_nan_or_negative_budget_is_rejected(timeout, tmp_path):
+    # monotonic() > nan is never true, so a NaN budget would turn the
+    # deadline off and let a claim run unbounded: both entry points refuse
+    # it, and the campaign before it opens <out>.tmp
+    g = icosahedron_graph()
+    with pytest.raises(ValueError, match="timeout must be a number of seconds >= 0"):
+        harness.verify_claim(g, "theorem2", "ico", timeout=timeout)
+    with pytest.raises(ValueError, match="timeout must be a number of seconds >= 0"):
+        harness.run_campaign([("ico", g)], ["theorem2"], tmp_path / "ico.jsonl", timeout=timeout)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_infinite_budget_is_no_budget():
+    g = icosahedron_graph()
+    unbounded = harness.verify_claim(g, "theorem2", "ico", timeout=float("inf"))
+    assert unbounded.to_json() == harness.verify_claim(g, "theorem2", "ico").to_json()
+    assert unbounded.status == "verified"
+    assert harness.verify_claim(g, "theorem2", "ico", timeout=0.0).status == "timeout"

@@ -286,10 +286,10 @@ class TestLemmas:
         # claim inside the witness
         now, kappa_after = [0.0], harness._kappa_after
 
-        def witness(flows, edge, t):
+        def witness(flows, edge):
             assert edge == e
             now[0] = float("inf")
-            return kappa_after(flows, edge, t)
+            return kappa_after(flows, edge)
 
         monkeypatch.setattr(harness, "_kappa_after", witness)
         monkeypatch.setattr(connectivity, "monotonic", lambda: now[0])

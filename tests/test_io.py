@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,16 @@ class TestGraph6:
     def test_bad_character_rejected(self):
         with pytest.raises(ValueError):
             gio.from_graph6("C" + chr(190))
+
+    @pytest.mark.parametrize("text, bad", [
+        ("\x7f" + "?" * 336, "\x7f"), ("~??\x7f" + "?" * 336, "\x7f"),
+        ("~~?????\x7f" + "?" * 336, "\x7f"), (">", ">"), ("~" + chr(62) + "??", chr(62)),
+    ], ids=["short", "long", "longest", "below", "below-long"])
+    def test_size_byte_out_of_range_rejected(self, text, bad):
+        # each size byte is checked as the body's are: 127 read as 64
+        # vertices, and a byte below 63 as a negative count
+        with pytest.raises(ValueError, match=re.escape(f"character {bad!r} out of graph6 range")):
+            gio.from_graph6(text)
 
     def test_file_round_trip(self, tmp_path):
         graphs_out = [complete_graph(5), petersen_graph(), Graph(3)]
